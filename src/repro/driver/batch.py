@@ -65,8 +65,10 @@ from repro.driver.executor import (
 from repro.driver.faults import SIMULATE_TOKEN, write_quarantine_record
 from repro.driver.pipeline import (
     PipelineOptions,
+    absolutize_report,
     analyze_function_job,
     parsed_program,
+    relativize_report,
     simulate_program,
 )
 from repro.driver.stages import IncrementalStats, StagedEngine
@@ -236,6 +238,11 @@ class _ProgramPlan:
     def schedulable(self) -> bool:
         return self.cond is not None
 
+    def base_line(self, function: str) -> int:
+        """The first line of ``function``: the base of its stored payload."""
+        assert self.program is not None
+        return self.program.function_named(function).line or 1
+
     def land(self, component: int) -> list[int]:
         """Mark ``component``'s results available; return newly ready ones."""
         if component in self.landed:
@@ -362,7 +369,9 @@ class BatchDriver:
                 for name in scc:
                     cached = self.cache.get(plan.digests[name])
                     if cached is not None:
-                        plan.report.functions[name] = cached
+                        plan.report.functions[name] = absolutize_report(
+                            cached, plan.base_line(name)
+                        )
                         batch.cache_hits += 1
                     else:
                         pending.append(name)
@@ -724,7 +733,9 @@ class BatchDriver:
         self, plan: _ProgramPlan, name: str, payload: dict, batch: BatchReport
     ) -> None:
         plan.report.functions[name] = payload
-        self.cache.put(plan.digests[name], payload)
+        self.cache.put(
+            plan.digests[name], relativize_report(payload, plan.base_line(name))
+        )
         batch.analyses_executed += 1
 
     def _record_simulation(self, plan: _ProgramPlan, payload: dict) -> None:

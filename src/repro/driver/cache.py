@@ -43,7 +43,7 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 6  # v6: staged artifact store + line-relative payloads
+CACHE_VERSION = 7  # v7: line-relative pooled reports, no name set in keys
 
 #: stage namespaces of the artifact store, one subdirectory each
 STAGES = (

@@ -41,9 +41,9 @@ from repro.lang.parser import parse_program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix.analysis import AnalysisError, PathMatrixAnalysis
 from repro.transform.dependence import classify_loop, find_while_loops
-from repro.transform.pipeline import software_pipeline_loop
-from repro.transform.stripmine import TransformError, strip_mine_function, strip_mine_loop
-from repro.transform.unroll import unroll_loop
+from repro.transform.pipeline import check_software_pipeline
+from repro.transform.stripmine import TransformError, check_strip_mine, strip_mine_function
+from repro.transform.unroll import check_unroll
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,11 @@ def transforms_payload(
 ) -> dict:
     """The transform-applicability stage, for the given parallelizable loops.
 
+    ``loop_indices`` must be loops :func:`loops_payload` classified
+    ``DOALL_AFTER_TRAVERSAL`` on the same program with the same options:
+    only the transforms' read-only legality checks run, so nothing is
+    copied and the dependence test is not repeated.
+
     Keyed by the loop index as a string — the artifact round-trips through
     JSON, where integer keys would silently become strings anyway.
     """
@@ -225,25 +230,20 @@ def analyze_function_job(
 def _transform_applicability(program: Program, function: str, index: int) -> dict:
     """Which of the three transformations apply to one parallelizable loop."""
     outcomes: dict = {}
-    attempts = {
-        "strip_mine": lambda: strip_mine_loop(program, function, loop_index=index),
-        "unroll": lambda: unroll_loop(
-            program, function, factor=4, loop_index=index, check_dependences=True
-        ),
-        "software_pipeline": lambda: software_pipeline_loop(
+    checks = {
+        "strip_mine": lambda: check_strip_mine(program, function, loop_index=index),
+        "unroll": lambda: check_unroll(program, function, loop_index=index),
+        "software_pipeline": lambda: check_software_pipeline(
             program, function, loop_index=index
         ),
     }
-    for name, attempt in attempts.items():
+    for name, check in checks.items():
         try:
-            result = attempt()
+            notes = check()
         except TransformError as exc:
             outcomes[name] = {"applied": False, "error": str(exc)}
         else:
-            outcomes[name] = {
-                "applied": True,
-                "notes": list(getattr(result, "notes", [])),
-            }
+            outcomes[name] = {"applied": True, "notes": notes}
     return outcomes
 
 

@@ -120,9 +120,6 @@ class StagedEngine:
         bodies = {f.name: unparse(f) for f in program.functions}
         body_digest = {n: _sha("body", src) for n, src in bodies.items()}
         base_line = {f.name: (f.line or 1) for f in program.functions}
-        #: collision-avoiding fresh names in the transforms depend on the
-        #: program's whole function-name set, so it keys those stages
-        names_blob = ",".join(sorted(bodies))
 
         # the manifest of the previous run, for dirty accounting
         manifest_key = _sha("manifest", version, opts, name)
@@ -243,7 +240,7 @@ class StagedEngine:
                     callee_blob,
                 )
                 line = base_line[fn]
-                rkey = _sha("report", *base, names_blob)
+                rkey = _sha("report", *base)
                 cached_report = self.cache.get(rkey, stage="report")
                 if cached_report is not None:
                     functions_out[fn] = absolutize_report(cached_report, line)
@@ -297,7 +294,7 @@ class StagedEngine:
                             ),
                             stage="loops",
                         )
-                    xkey = _sha("transforms", *base, names_blob)
+                    xkey = _sha("transforms", *base)
                     cached_x = self.cache.get(xkey, stage="transforms")
                     if cached_x is not None:
                         transforms = absolutize_report(cached_x, line)["transforms"]

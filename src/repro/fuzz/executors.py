@@ -131,14 +131,10 @@ def build_plans(
     """Every executor applicable to ``program``, the reference plan first."""
     plans = [ExecutionPlan(name=REFERENCE, program=program)]
     plans.extend(_strip_mined(program, entry, pes))
-    unrolled = _per_loop_variant(
-        program, "unroll", unroll_loop, factor=unroll_factor, check_dependences=False
-    )
+    unrolled = _per_loop_variant(program, "unroll", unroll_loop, factor=unroll_factor)
     if unrolled is not None:
         plans.append(unrolled)
-    pipelined = _per_loop_variant(
-        program, "software-pipeline", software_pipeline_loop, check_dependences=True
-    )
+    pipelined = _per_loop_variant(program, "software-pipeline", software_pipeline_loop)
     if pipelined is not None:
         plans.append(pipelined)
     return plans

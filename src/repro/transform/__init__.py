@@ -15,6 +15,10 @@ plus the loop dependence test that gates them:
 * :mod:`repro.transform.pipeline` — software-pipelines a traversal loop into
   a prologue / steady-state kernel / epilogue,
 * :mod:`repro.transform.report` — human-readable transformation reports.
+
+Each transformation has a read-only ``check_*`` twin that raises exactly the
+error the transformation would raise and returns its notes, without copying
+the program.
 """
 
 from repro.transform.dependence import (
@@ -22,9 +26,18 @@ from repro.transform.dependence import (
     LoopClassification,
     classify_loop,
 )
-from repro.transform.stripmine import StripMineResult, strip_mine_loop, strip_mine_function
-from repro.transform.unroll import UnrollResult, unroll_loop
-from repro.transform.pipeline import PipelineResult, software_pipeline_loop
+from repro.transform.stripmine import (
+    StripMineResult,
+    check_strip_mine,
+    strip_mine_function,
+    strip_mine_loop,
+)
+from repro.transform.unroll import UnrollResult, check_unroll, unroll_loop
+from repro.transform.pipeline import (
+    PipelineResult,
+    check_software_pipeline,
+    software_pipeline_loop,
+)
 from repro.transform.report import TransformationReport
 
 __all__ = [
@@ -32,11 +45,14 @@ __all__ = [
     "LoopClassification",
     "classify_loop",
     "StripMineResult",
+    "check_strip_mine",
     "strip_mine_loop",
     "strip_mine_function",
     "UnrollResult",
+    "check_unroll",
     "unroll_loop",
     "PipelineResult",
+    "check_software_pipeline",
     "software_pipeline_loop",
     "TransformationReport",
 ]

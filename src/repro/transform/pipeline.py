@@ -40,17 +40,22 @@ from repro.lang.ast_nodes import (
     While,
     iter_statements,
 )
-from repro.transform.dependence import (
-    DependenceTest,
-    LoopClassification,
-    classify_loop,
-    find_while_loops,
-)
+from repro.transform.dependence import DependenceTest, find_while_loops
 from repro.transform.stripmine import (
     TransformError,
     _check_traversal_shape,
     _find_traversal_update,
     _fresh_name,
+    _require_doall,
+)
+
+
+#: the notes an applied software pipeline carries
+_NOTES = (
+    "the prefetch of p->next above the work is legal because ADDS shows "
+    "the next node is never the node being written",
+    "the prologue prefetch relies on speculative traversability when the "
+    "list has exactly one node",
 )
 
 
@@ -73,30 +78,25 @@ class PipelineResult:
         )
 
 
-def software_pipeline_loop(
-    program: Program,
-    function_name: str,
-    loop_index: int = 0,
-    check_dependences: bool = True,
-) -> PipelineResult:
-    """Software-pipeline the ``loop_index``-th while loop of ``function_name``."""
+def _pipeline_legality(
+    program: Program, function_name: str, loop_index: int, check_dependences: bool
+) -> tuple[DependenceTest | None, tuple[int, str, str]]:
+    """Every refusal of :func:`software_pipeline_loop`, decided on ``program``.
+
+    Returns the dependence test (``None`` when skipped) and the traversal
+    update as ``(index in the loop body, variable, field)`` — still valid on
+    a deep copy.
+    """
     loops = find_while_loops(program, function_name)
     if loop_index >= len(loops):
         raise TransformError(f"loop index {loop_index} out of range")
+    loop = loops[loop_index]
 
     dependence: DependenceTest | None = None
     if check_dependences:
-        dependence = classify_loop(program, function_name, loops[loop_index])
-        if dependence.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
-            raise TransformError(
-                "loop is not pipelineable: " + "; ".join(dependence.reasons)
-            )
-
-    new_program = copy.deepcopy(program)
-    func = new_program.function_named(function_name)
-    assert func is not None
-    body_stmts = func.body.statements
-    loop = [s for s in iter_statements(func.body) if isinstance(s, While)][loop_index]
+        dependence = _require_doall(
+            program, function_name, loop, "loop is not pipelineable", use_adds=True
+        )
 
     found = _find_traversal_update(loop.body)
     if found is None:
@@ -115,6 +115,40 @@ def software_pipeline_loop(
                     f"loop body writes the traversal field {traversal_field!r}; "
                     f"the prefetched link would be stale"
                 )
+    return dependence, found
+
+
+def check_software_pipeline(
+    program: Program, function_name: str, loop_index: int = 0
+) -> list[str]:
+    """The legality check of :func:`software_pipeline_loop`, without the rewrite.
+
+    For a loop already classified ``DOALL_AFTER_TRAVERSAL``: the dependence
+    test is not repeated, so on such a loop this raises exactly the
+    :class:`TransformError` the transform would raise and otherwise returns
+    the notes it would attach; ``program`` is neither copied nor modified.
+    """
+    _pipeline_legality(program, function_name, loop_index, False)
+    return list(_NOTES)
+
+
+def software_pipeline_loop(
+    program: Program, function_name: str, loop_index: int = 0
+) -> PipelineResult:
+    """Software-pipeline the ``loop_index``-th while loop of ``function_name``.
+
+    The loop must pass the path-matrix dependence test and the shape checks
+    of :func:`check_software_pipeline`; only then is ``program`` copied.
+    """
+    dependence, (update_idx, traversal_var, traversal_field) = _pipeline_legality(
+        program, function_name, loop_index, True
+    )
+
+    new_program = copy.deepcopy(program)
+    func = new_program.function_named(function_name)
+    assert func is not None
+    loop = find_while_loops(new_program, function_name)[loop_index]
+    work = [s for i, s in enumerate(loop.body.statements) if i != update_idx]
 
     taken = {p.name for p in func.params} | {
         s.name for s in iter_statements(func.body) if isinstance(s, VarDecl)
@@ -158,12 +192,7 @@ def software_pipeline_loop(
         traversal_field=traversal_field,
         lookahead_var=lookahead,
         dependence=dependence,
-        notes=[
-            "the prefetch of p->next above the work is legal because ADDS shows "
-            "the next node is never the node being written",
-            "the prologue prefetch relies on speculative traversability when the "
-            "list has exactly one node",
-        ],
+        notes=list(_NOTES),
     )
 
 

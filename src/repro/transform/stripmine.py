@@ -211,6 +211,95 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
+def _require_doall(
+    program: Program, function_name: str, loop: While, refusal: str, use_adds: bool
+) -> DependenceTest:
+    """The path-matrix dependence gate shared by strip-mining and pipelining."""
+    dependence = classify_loop(program, function_name, loop, use_adds=use_adds)
+    if dependence.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
+        raise TransformError(f"{refusal}: " + "; ".join(dependence.reasons))
+    return dependence
+
+
+def _declares_outside(func: FunctionDecl, name: str, loop: While) -> bool:
+    """Whether ``name`` is a parameter of ``func`` or declared by a ``var``
+    statement outside ``loop``'s body (which strip-mining moves away)."""
+    if name in {p.name for p in func.params}:
+        return True
+    moved = {id(s) for s in iter_statements(loop.body)}
+    return any(
+        isinstance(s, VarDecl) and s.name == name and id(s) not in moved
+        for s in iter_statements(func.body)
+    )
+
+
+def _strip_mine_legality(
+    program: Program,
+    function_name: str,
+    loop_index: int,
+    pes_param: str,
+    check_dependences: bool,
+    use_adds: bool,
+) -> tuple[DependenceTest | None, tuple[int, str, str], bool]:
+    """Every refusal of :func:`strip_mine_loop`, decided on ``program`` itself.
+
+    Returns the dependence test (``None`` when skipped), the traversal
+    update as ``(index in the loop body, variable, field)`` — still valid on
+    a deep copy — and whether the function needs ``pes_param`` added.
+    """
+    original_loops = find_while_loops(program, function_name)
+    if loop_index >= len(original_loops):
+        raise TransformError(
+            f"{function_name} has {len(original_loops)} while loop(s); "
+            f"index {loop_index} out of range"
+        )
+    loop = original_loops[loop_index]
+
+    dependence: DependenceTest | None = None
+    if check_dependences:
+        dependence = _require_doall(
+            program, function_name, loop, "loop is not parallelizable", use_adds=use_adds
+        )
+
+    found = _find_traversal_update(loop.body)
+    if found is None:
+        raise TransformError("loop body has no top-level traversal update p = p->f")
+    update_idx, traversal_var, _field = found
+    _check_traversal_shape(loop, update_idx, traversal_var)
+    if len(loop.body.statements) == 1:
+        raise TransformError("loop body consists only of the traversal update")
+
+    func = program.function_named(function_name)
+    return dependence, found, not _declares_outside(func, pes_param, loop)
+
+
+def _strip_mine_notes(function_name: str, pes_param: str, add_pes_param: bool) -> list[str]:
+    notes: list[str] = []
+    if add_pes_param:
+        notes.append(
+            f"added parameter {pes_param!r} to {function_name} (number of processors)"
+        )
+    notes.append(
+        "inner FOR1/FOR2 loops rely on speculative traversability to walk past NULL"
+    )
+    return notes
+
+
+def check_strip_mine(program: Program, function_name: str, loop_index: int = 0) -> list[str]:
+    """The legality check of :func:`strip_mine_loop`, without the rewrite.
+
+    For a loop already classified ``DOALL_AFTER_TRAVERSAL``: the dependence
+    test is not repeated.  Raises the :class:`TransformError`
+    ``strip_mine_loop(..., check_dependences=False)`` would raise and
+    otherwise returns the notes it would attach; ``program`` is neither
+    copied nor modified.
+    """
+    _, _, add_pes_param = _strip_mine_legality(
+        program, function_name, loop_index, "PEs", False, True
+    )
+    return _strip_mine_notes(function_name, "PEs", add_pes_param)
+
+
 def strip_mine_loop(
     program: Program,
     function_name: str,
@@ -226,40 +315,20 @@ def strip_mine_loop(
     AST is left untouched.  With ``check_dependences=True`` (the default) the
     loop is first classified with the path-matrix dependence test and the
     transformation refuses to proceed unless the loop is a
-    ``DOALL_AFTER_TRAVERSAL``.
+    ``DOALL_AFTER_TRAVERSAL``.  The copy is made only once every check has
+    passed.
     """
-    original_loops = find_while_loops(program, function_name)
-    if loop_index >= len(original_loops):
-        raise TransformError(
-            f"{function_name} has {len(original_loops)} while loop(s); "
-            f"index {loop_index} out of range"
+    dependence, (update_idx, traversal_var, traversal_field), add_pes_param = (
+        _strip_mine_legality(
+            program, function_name, loop_index, pes_param, check_dependences, use_adds
         )
-
-    dependence: DependenceTest | None = None
-    if check_dependences:
-        dependence = classify_loop(
-            program, function_name, original_loops[loop_index], use_adds=use_adds
-        )
-        if dependence.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
-            raise TransformError(
-                "loop is not parallelizable: " + "; ".join(dependence.reasons)
-            )
+    )
 
     new_program = copy.deepcopy(program)
     func = new_program.function_named(function_name)
     assert func is not None
-    loops = [s for s in iter_statements(func.body) if isinstance(s, While)]
-    loop = loops[loop_index]
-
-    found = _find_traversal_update(loop.body)
-    if found is None:
-        raise TransformError("loop body has no top-level traversal update p = p->f")
-    update_idx, traversal_var, traversal_field = found
-    _check_traversal_shape(loop, update_idx, traversal_var)
-
+    loop = find_while_loops(new_program, function_name)[loop_index]
     work = [s for i, s in enumerate(loop.body.statements) if i != update_idx]
-    if not work:
-        raise TransformError("loop body consists only of the traversal update")
 
     taken_names = {p.name for p in func.params} | {
         s.name for s in iter_statements(func.body) if isinstance(s, VarDecl)
@@ -335,18 +404,9 @@ def strip_mine_loop(
     loop.body = Block(statements=[parallel, skip_ahead], line=loop.body.line)
 
     # make sure the processors count is available in the enclosing function
-    notes: list[str] = []
-    if pes_param not in {p.name for p in func.params} and not any(
-        isinstance(s, VarDecl) and s.name == pes_param for s in iter_statements(func.body)
-    ):
+    if add_pes_param:
         func.params.append(Param(name=pes_param))
-        notes.append(
-            f"added parameter {pes_param!r} to {function_name} (number of processors)"
-        )
 
-    notes.append(
-        "inner FOR1/FOR2 loops rely on speculative traversability to walk past NULL"
-    )
     return StripMineResult(
         program=new_program,
         function_name=function_name,
@@ -355,7 +415,7 @@ def strip_mine_loop(
         traversal_field=traversal_field,
         pes_param=pes_param,
         dependence=dependence,
-        notes=notes,
+        notes=_strip_mine_notes(function_name, pes_param, add_pes_param),
     )
 
 

@@ -30,16 +30,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from repro.lang.ast_nodes import (
-    Block,
-    Call,
-    If,
-    New,
-    Program,
-    While,
-    iter_statements,
-)
-from repro.transform.dependence import DependenceTest, classify_loop, find_while_loops
+from repro.lang.ast_nodes import Block, Call, If, New, Program
+from repro.transform.dependence import find_while_loops
 from repro.transform.stripmine import TransformError, _find_traversal_update
 
 
@@ -52,7 +44,6 @@ class UnrollResult:
     factor: int
     traversal_var: str
     traversal_field: str
-    dependence: DependenceTest | None = None
     notes: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -62,34 +53,28 @@ class UnrollResult:
         )
 
 
-def unroll_loop(
-    program: Program,
-    function_name: str,
-    factor: int = 4,
-    loop_index: int = 0,
-    check_dependences: bool = False,
-) -> UnrollResult:
-    """Unroll the ``loop_index``-th while loop of ``function_name`` ``factor`` times."""
-    if factor < 2:
-        raise TransformError("unroll factor must be at least 2")
+#: the note an applied unroll carries
+_NOTE = (
+    "copies 2..k are guarded by the loop's own condition because the "
+    "trip count need not be a multiple of the unroll factor"
+)
+
+
+def _unroll_legality(
+    program: Program, function_name: str, loop_index: int
+) -> tuple[str, str]:
+    """Every refusal of :func:`unroll_loop` but a bad factor, decided on
+    ``program`` itself.
+
+    Returns the loop's traversal variable and field.
+    """
     loops = find_while_loops(program, function_name)
     if loop_index >= len(loops):
         raise TransformError(f"loop index {loop_index} out of range")
-
-    dependence: DependenceTest | None = None
-    if check_dependences:
-        dependence = classify_loop(program, function_name, loops[loop_index])
-
-    new_program = copy.deepcopy(program)
-    func = new_program.function_named(function_name)
-    assert func is not None
-    loop = [s for s in iter_statements(func.body) if isinstance(s, While)][loop_index]
-
+    loop = loops[loop_index]
     found = _find_traversal_update(loop.body)
     if found is None:
         raise TransformError("loop body has no traversal update p = p->f")
-    _idx, traversal_var, traversal_field = found
-
     # the guards re-evaluate the loop condition between body copies, so the
     # condition must be pure — a call could observe the extra evaluation
     if any(isinstance(n, (Call, New)) for n in loop.cond.walk()):
@@ -97,6 +82,34 @@ def unroll_loop(
             "loop condition contains a call or allocation; unrolling would "
             "re-evaluate its side effects"
         )
+    _idx, traversal_var, traversal_field = found
+    return traversal_var, traversal_field
+
+
+def check_unroll(program: Program, function_name: str, loop_index: int = 0) -> list[str]:
+    """The legality check of :func:`unroll_loop`, without the rewrite.
+
+    Raises the :class:`TransformError` the transform would raise for any
+    factor of at least 2 and otherwise returns the notes it would attach;
+    ``program`` is neither copied nor modified.
+    """
+    _unroll_legality(program, function_name, loop_index)
+    return [_NOTE]
+
+
+def unroll_loop(
+    program: Program, function_name: str, factor: int = 4, loop_index: int = 0
+) -> UnrollResult:
+    """Unroll the ``loop_index``-th while loop of ``function_name`` ``factor`` times.
+
+    The copy is made only once :func:`check_unroll`'s checks have passed.
+    """
+    if factor < 2:
+        raise TransformError("unroll factor must be at least 2")
+    traversal_var, traversal_field = _unroll_legality(program, function_name, loop_index)
+
+    new_program = copy.deepcopy(program)
+    loop = find_while_loops(new_program, function_name)[loop_index]
 
     original_body = list(loop.body.statements)
     new_statements = list(copy.deepcopy(original_body))
@@ -116,9 +129,5 @@ def unroll_loop(
         factor=factor,
         traversal_var=traversal_var,
         traversal_field=traversal_field,
-        dependence=dependence,
-        notes=[
-            "copies 2..k are guarded by the loop's own condition because the "
-            "trip count need not be a multiple of the unroll factor"
-        ],
+        notes=[_NOTE],
     )

@@ -9,15 +9,29 @@ The headline guarantees:
 * a parallel run produces exactly the serial run's reports.
 """
 
+import re
+
 import pytest
 
+import repro.lang.typecheck
+import repro.pathmatrix.analysis
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import function_digests
 from repro.driver.callgraph import build_call_graph
 from repro.driver.corpus import CorpusItem, corpus_named, paper_corpus
-from repro.driver.pipeline import PipelineOptions, simulate_program
+from repro.driver.pipeline import (
+    PipelineOptions,
+    analysis_payload,
+    loops_payload,
+    simulate_program,
+    transforms_payload,
+)
+from repro.fuzz.generator import generate_program
 from repro.lang.parser import parse_program
 from repro.pathmatrix import PathMatrixAnalysis
+from repro.pathmatrix.analysis import fixpoint_run_count
+from repro.transform import software_pipeline_loop, strip_mine_loop, unroll_loop
+from repro.transform.stripmine import TransformError
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +70,70 @@ class TestFidelity:
             (loop,) = functions[name]["loops"]
             assert loop["classification"] == "doall-after-traversal"
             assert loop["transforms"]["strip_mine"]["applied"]
+
+
+def _full_transform_applicability(program, function, index):
+    """The transform stage as the three full transforms compute it: each
+    re-runs the dependence test (with ADDS) and rewrites a copy."""
+    attempts = {
+        "strip_mine": lambda: strip_mine_loop(program, function, loop_index=index),
+        "unroll": lambda: unroll_loop(program, function, factor=4, loop_index=index),
+        "software_pipeline": lambda: software_pipeline_loop(
+            program, function, loop_index=index
+        ),
+    }
+    outcomes = {}
+    for name, attempt in attempts.items():
+        try:
+            outcomes[name] = {"applied": True, "notes": attempt().notes}
+        except TransformError as exc:
+            outcomes[name] = {"applied": False, "error": str(exc)}
+    return outcomes
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["adds", "no-adds"])
+def parallelizable_loops(request):
+    """``(program, function, loop indices)`` for every function of the
+    builtin corpus and of 50 fuzz programs with a loop the loops stage
+    classifies parallelizable."""
+    options = PipelineOptions(use_adds=request.param)
+    sources = [item.source for item in corpus_named("builtin")]
+    sources += [generate_program(seed).source for seed in range(50)]
+    found = []
+    for source in sources:
+        program = parse_program(source)
+        analysis = PathMatrixAnalysis(
+            program, use_adds=options.use_adds, memoize_results=True
+        )
+        for func in program.functions:
+            status, _ = analysis_payload(analysis, func.name, options)
+            if status != "ok":
+                continue
+            _, indices = loops_payload(program, func.name, analysis, options)
+            if indices:
+                found.append((program, func.name, indices))
+    assert found
+    return found
+
+
+class TestTransformStage:
+    def test_checks_match_the_full_transforms(self, parallelizable_loops):
+        for program, function, indices in parallelizable_loops:
+            assert transforms_payload(program, function, indices) == {
+                str(i): _full_transform_applicability(program, function, i)
+                for i in indices
+            }, function
+
+    def test_no_fixpoint_and_no_typecheck(self, parallelizable_loops, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the transform stage typechecked a program")
+
+        monkeypatch.setattr(repro.lang.typecheck, "check_program", forbidden)
+        monkeypatch.setattr(repro.pathmatrix.analysis, "check_program", forbidden)
+        before = fixpoint_run_count()
+        for program, function, indices in parallelizable_loops:
+            transforms_payload(program, function, indices)
+        assert fixpoint_run_count() == before
 
 
 class TestCaching:
@@ -121,6 +199,19 @@ class TestCaching:
         shifted = "\n\n\n\n" + self.BASE
         before, after = self._digests(self.BASE), self._digests(shifted)
         assert before == after
+
+    def test_warm_pooled_run_equals_cold(self, tmp_path):
+        """``insert`` is byte-identical in two example programs at different
+        offsets, so both share one pooled cache entry; a warm run must still
+        report each copy at its own lines."""
+        items = corpus_named("builtin")
+        cold = BatchDriver(jobs=2, cache_dir=tmp_path).analyze_corpus(items)
+        warm = BatchDriver(jobs=2, cache_dir=tmp_path).analyze_corpus(items)
+        assert warm.analyses_executed == 0
+        assert warm.to_dict()["programs"] == cold.to_dict()["programs"]
+        insert = warm.program("examples/tree_insert").functions["insert"]
+        violations = " ".join(insert["analysis"]["violations"])
+        assert set(re.findall(r"line (\d+)", violations)) == {"18", "20"}
 
     def test_options_partition_the_cache(self, tmp_path, paper_items):
         item = [paper_items[0]]

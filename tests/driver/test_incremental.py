@@ -145,6 +145,35 @@ function use()
         )
 
 
+    def test_adding_an_uncalled_function_recomputes_only_it(self, tmp_path):
+        """No stage keys on the program's function-name set: a new function
+        that nobody calls leaves every other report key untouched."""
+        _run(BASE, tmp_path)
+        edited = BASE + """
+function extra(q)
+{ var c;
+  c = 0;
+  while q <> NULL
+  { q->coef = c;
+    q = q->next;
+  }
+  return c;
+}
+"""
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        warm = driver.analyze_corpus([CorpusItem(name="prog", source=edited)])
+        inc = warm.incremental
+
+        assert inc["dirty"] == 1
+        assert inc["recomputed"] == 1
+        assert inc["reused"] == 3
+        assert driver.cache.stage_counters["report"]["hits"] == 3
+        assert driver.cache.stage_counters["transforms"]["writes"] == 1
+        assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
+        loop = warm.program("prog").functions["extra"]["loops"][0]
+        assert loop["transforms"]["strip_mine"]["applied"]
+
+
 class TestLineRelativeSharing:
     def test_shifted_program_reuses_every_artifact(self, tmp_path):
         cold = _run(BASE, tmp_path, name="orig")

@@ -8,18 +8,26 @@ the original when interpreted).
 import pytest
 
 from repro.adds.library import merged_into
+from repro.driver.corpus import builtin_corpus
+from repro.fuzz.generator import generate_program
 from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, While
 from repro.lang.interpreter import run_program
+from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
 from repro.nbody.toy_program import BHL1_FUNCTION, BHL2_FUNCTION, barnes_hut_toy_program
+from repro.pathmatrix import PathMatrixAnalysis
 from repro.transform import (
     LoopClassification,
     TransformationReport,
+    check_software_pipeline,
+    check_strip_mine,
+    check_unroll,
     classify_loop,
     software_pipeline_loop,
     strip_mine_loop,
     unroll_loop,
 )
+from repro.transform.dependence import find_while_loops
 from repro.transform.stripmine import TransformError
 
 
@@ -231,3 +239,128 @@ class TestTransformationReport:
         assert "original" in text and "transformed" in text
         assert result.iteration_procedure in text
         assert "speculative traversability" in text
+
+
+def _outcome(attempt):
+    """``("applied", notes)`` or ``("refused", message)``."""
+    try:
+        return "applied", attempt()
+    except TransformError as exc:
+        return "refused", str(exc)
+
+
+#: each legality check next to the transform it must agree with; the
+#: checks never run the dependence test, so strip-mining is compared with
+#: it switched off and software pipelining (which always runs it) only on
+#: loops the test proves DOALL — the only loops the driver checks
+CHECKED_TRANSFORMS = {
+    "strip_mine": (
+        lambda p, f, i: check_strip_mine(p, f, loop_index=i),
+        lambda p, f, i: strip_mine_loop(
+            p, f, loop_index=i, check_dependences=False
+        ).notes,
+    ),
+    "unroll": (
+        lambda p, f, i: check_unroll(p, f, loop_index=i),
+        lambda p, f, i: unroll_loop(p, f, factor=4, loop_index=i).notes,
+    ),
+    "software_pipeline": (
+        lambda p, f, i: check_software_pipeline(p, f, loop_index=i),
+        lambda p, f, i: software_pipeline_loop(p, f, loop_index=i).notes,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def every_loop_program():
+    """The built-in corpus (paper, examples, stress) and 50 fuzz programs."""
+    sources = [item.source for item in builtin_corpus()]
+    sources += [generate_program(seed).source for seed in range(50)]
+    return [parse_program(source) for source in sources]
+
+
+def _while_loops(program, doall_only: bool):
+    """``(function, index)`` of every while loop of ``program``, or with
+    ``doall_only`` of those classified ``DOALL_AFTER_TRAVERSAL``."""
+    analysis = None
+    for func in program.functions:
+        for index, loop in enumerate(find_while_loops(program, func.name)):
+            if doall_only:
+                analysis = analysis or PathMatrixAnalysis(program, memoize_results=True)
+                test = classify_loop(program, func.name, loop, analysis=analysis)
+                if test.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
+                    continue
+            yield func.name, index
+
+
+class TestLegalityChecks:
+    @pytest.mark.parametrize("name", sorted(CHECKED_TRANSFORMS))
+    def test_check_agrees_with_its_transform(self, every_loop_program, name):
+        check, transform = CHECKED_TRANSFORMS[name]
+        seen = set()
+        for program in every_loop_program:
+            before = unparse(program)
+            for function, index in _while_loops(
+                program, doall_only=name == "software_pipeline"
+            ):
+                expected = _outcome(lambda: transform(program, function, index))
+                got = _outcome(lambda: check(program, function, index))
+                assert got == expected, (function, index)
+                seen.add(expected[0])
+            # the checks are read-only
+            assert unparse(program) == before
+        assert seen == {"applied", "refused"}
+
+    def test_out_of_range_index_raises_the_transforms_message(self, scale_program):
+        for name, (check, transform) in CHECKED_TRANSFORMS.items():
+            expected = _outcome(lambda: transform(scale_program, "scale", 5))
+            assert expected[0] == "refused", name
+            assert _outcome(lambda: check(scale_program, "scale", 5)) == expected
+
+    def test_strip_mine_check_skips_the_dependence_test(self):
+        program = merged_into(
+            """
+            function bump(head, acc)
+            { var p;
+              p = head;
+              while p <> NULL
+              { acc->coef = acc->coef + p->coef;
+                p = p->next;
+              }
+              return acc;
+            }
+            """,
+            "ListNode",
+        )
+        with pytest.raises(TransformError, match="loop is not parallelizable: "):
+            strip_mine_loop(program, "bump")
+        assert _outcome(lambda: check_strip_mine(program, "bump")) == (
+            "applied",
+            strip_mine_loop(program, "bump", check_dependences=False).notes,
+        )
+
+    @pytest.mark.parametrize("declaration, added", [("", True), ("var PEs;", False)])
+    def test_processor_parameter_note(self, declaration, added):
+        """``PEs`` declared inside the loop body moves into the iteration
+        procedure, so the enclosing function still needs the parameter."""
+        program = merged_into(
+            f"""
+            function scale(head)
+            {{ var p;
+              {declaration}
+              p = head;
+              while p <> NULL
+              {{ var PEs;
+                p->coef = p->coef * 2;
+                p = p->next;
+              }}
+              return head;
+            }}
+            """,
+            "ListNode",
+        )
+        result = strip_mine_loop(program, "scale")
+        assert check_strip_mine(program, "scale") == result.notes
+        assert any("added parameter" in note for note in result.notes) is added
+        params = result.program.function_named("scale").params
+        assert ("PEs" in [p.name for p in params]) is added
