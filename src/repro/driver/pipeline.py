@@ -14,9 +14,11 @@ Three layers:
   dicts).  It is a thin composition of the stage functions, so the monolith
   path and the staged incremental path cannot drift apart.
 * :func:`simulate_program` — the whole-program tail of the pipeline: run
-  the original on the reference interpreter, strip-mine every parallelizable
-  loop, re-run on the simulated multiprocessor, and report the speedup and
-  whether the heaps agree (the paper's semantics-preservation check).
+  the original on the reference interpreter, strip-mine every loop one
+  dependence analysis of the program (under the run's ADDS setting) proves
+  parallelizable, re-run on the simulated multiprocessor, and report the
+  speedup and whether the heaps agree (the paper's semantics-preservation
+  check).
 
 Workers keep a small per-process LRU of parsed programs and analysis
 objects so analyzing the thirty functions of one program does not re-parse
@@ -31,6 +33,7 @@ everything user-facing stays absolute.
 from __future__ import annotations
 
 import re
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,7 +45,7 @@ from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix.analysis import AnalysisError, PathMatrixAnalysis
 from repro.transform.dependence import classify_loop, find_while_loops
 from repro.transform.pipeline import check_software_pipeline
-from repro.transform.stripmine import TransformError, check_strip_mine, strip_mine_function
+from repro.transform.stripmine import TransformError, check_strip_mine, strip_mine_program
 from repro.transform.unroll import check_unroll
 
 
@@ -311,6 +314,34 @@ SIMULATION_MAX_STEPS = 20_000_000
 SIMULATION_MAX_CALL_DEPTH = 64
 
 
+def _on_fresh_stack(run):
+    """Return ``run()`` computed on a new thread, or raise what it raised.
+
+    CPython 3.11 keeps a thread's frames in 16 KB chunks and frees a chunk
+    as soon as the frame at its start returns.  Where the interpreter's
+    ~100-frame recursion meets a chunk boundary, every call across it maps
+    a chunk and every return unmaps it, and where the boundary falls
+    depends on how deep the caller's stack already is.  A new thread starts
+    the interpreter at the bottom of a first chunk that is never freed, and
+    gives it the same recursion headroom whoever calls (docs/performance.md,
+    Simulation).
+    """
+    outcome: dict = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = run()
+        except BaseException as exc:  # re-raised below, in the caller
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name="simulate", daemon=True)
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 def simulate_program(source: str, options: PipelineOptions) -> dict:
     """Transform and replay one program on the simulated multiprocessor.
 
@@ -323,17 +354,8 @@ def simulate_program(source: str, options: PipelineOptions) -> dict:
     if entry is None or entry.params:
         return {"status": "no-entry", "entry": options.entry}
 
-    transformed = program
-    transformed_functions: list[str] = []
-    for func in program.functions:
-        if not find_while_loops(program, func.name):
-            continue
-        try:
-            result = strip_mine_function(transformed, func.name)
-        except TransformError:
-            continue
-        transformed = result.program
-        transformed_functions.append(func.name)
+    stripped = strip_mine_program(program, use_adds=options.use_adds)
+    transformed, transformed_functions = stripped.program, stripped.functions
     if not transformed_functions:
         return {"status": "no-parallel-loops", "entry": options.entry}
 
@@ -344,7 +366,7 @@ def simulate_program(source: str, options: PipelineOptions) -> dict:
             if isinstance(node, Call) and node.func in transformed_functions:
                 node.args.append(IntLit(options.pes))
 
-    try:
+    def interpret():
         _, original = run_program(
             program,
             entry=options.entry,
@@ -362,6 +384,10 @@ def simulate_program(source: str, options: PipelineOptions) -> dict:
         if options.entry in transformed_functions:
             entry_args = (options.pes,)
         interp.call_function(options.entry, *entry_args)
+        return original, interp, executor
+
+    try:
+        original, interp, executor = _on_fresh_stack(interpret)
     except InterpreterLimitError as exc:
         # exhausted is not diverged: report the budget separately so the CLI
         # (and the fuzzer) never confuse a cut-off run with a wrong one

@@ -5,8 +5,8 @@ way to run it):
 
 * ``reference``      — the original program on the plain interpreter; its
   observation is ground truth.
-* ``strip-mine``     — every function rewritten by
-  :func:`~repro.transform.stripmine.strip_mine_function`, run sequentially.
+* ``strip-mine``     — every parallelizable loop rewritten by
+  :func:`~repro.transform.stripmine.strip_mine_program`, run sequentially.
 * ``machine-sim``    — the same strip-mined program driven through the
   simulated multiprocessor (:class:`~repro.machine.MachineSimulator`), i.e.
   exactly what ``python -m repro analyze`` replays.
@@ -14,12 +14,12 @@ way to run it):
   applied regardless of classification).
 * ``software-pipeline`` — every DOALL loop software-pipelined.
 
-Variant construction mirrors :func:`repro.driver.pipeline.simulate_program`:
-strip-mined functions gain a trailing processor-count argument, patched into
-every call site (and into the entry call when ``main`` itself was rewritten).
-A variant whose transforms all refuse simply isn't run — refusing is the
-transforms' way of being correct, and the dependence-analysis reasons for
-refusal are recorded in the plan.
+Variant construction mirrors :func:`repro.driver.pipeline.simulate_program`
+(both strip-mine through the same helper, with ADDS here): strip-mined
+functions gain a trailing processor-count argument, patched into every call
+site (and into the entry call when ``main`` itself was rewritten).  A variant
+whose transforms all refuse simply isn't run — refusing is the transforms'
+way of being correct, and the reasons for refusal are recorded in the plan.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.lang.ast_nodes import Call, IntLit, Program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.transform.dependence import find_while_loops
 from repro.transform.pipeline import software_pipeline_loop
-from repro.transform.stripmine import TransformError, strip_mine_function
+from repro.transform.stripmine import TransformError, strip_mine_program
 from repro.transform.unroll import unroll_loop
 
 REFERENCE = "reference"
@@ -56,19 +56,8 @@ class ExecutionPlan:
 
 
 def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
-    transformed = program
-    names: list[str] = []
-    skipped: list[str] = []
-    for func in program.functions:
-        if not find_while_loops(program, func.name):
-            continue
-        try:
-            result = strip_mine_function(transformed, func.name, check_dependences=True)
-        except TransformError as exc:
-            skipped.append(f"{func.name}: {exc}")
-            continue
-        transformed = result.program
-        names.append(func.name)
+    stripped = strip_mine_program(program)
+    transformed, names, skipped = stripped.program, stripped.functions, stripped.refusals
     if not names:
         return []
     for func in transformed.functions:

@@ -22,7 +22,7 @@ Reading a *data* field of NULL is still an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 from repro.lang.ast_nodes import (
     ArrayLit,
@@ -261,48 +261,48 @@ class Interpreter:
         for stmt in block.statements:
             self.execute_statement(stmt, frame)
 
-    def _check_step_budget(self) -> None:
-        # statements + expressions together bound every loop shape: a
-        # `while true { }` body executes no statements, but its condition is
-        # re-evaluated every iteration and burns expression steps
-        if self.stats.statements + self.stats.expressions > self.max_steps:  # type: ignore[operator]
-            raise InterpreterLimitError(
-                f"step budget of {self.max_steps} exhausted", kind="steps"
-            )
+    def _steps_exhausted(self) -> NoReturn:
+        raise InterpreterLimitError(f"step budget of {self.max_steps} exhausted", kind="steps")
 
     def execute_statement(self, stmt: Stmt, frame: Frame) -> None:
-        self.stats.statements += 1
-        if self.max_steps is not None:
-            self._check_step_budget()
-        if isinstance(stmt, VarDecl):
-            value = self.evaluate(stmt.init, frame) if stmt.init is not None else NULL_REF
-            frame.set(stmt.name, value)
-        elif isinstance(stmt, Assign):
-            frame.set(stmt.target, self.evaluate(stmt.value, frame))
-        elif isinstance(stmt, FieldAssign):
-            self._execute_field_assign(stmt, frame)
-        elif isinstance(stmt, ExprStmt):
-            self.evaluate(stmt.expr, frame)
-        elif isinstance(stmt, Return):
-            value = self.evaluate(stmt.value, frame) if stmt.value is not None else None
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, Block):
-            self.execute_block(stmt, frame)
-        elif isinstance(stmt, If):
-            if self._truthy(self.evaluate(stmt.cond, frame)):
-                self.execute_block(stmt.then_body, frame)
-            elif stmt.else_body is not None:
-                self.execute_block(stmt.else_body, frame)
-        elif isinstance(stmt, While):
-            while self._truthy(self.evaluate(stmt.cond, frame)):
-                self.stats.loop_iterations += 1
-                self.execute_block(stmt.body, frame)
-        elif isinstance(stmt, For):
-            self._execute_for(stmt, frame)
-        elif isinstance(stmt, ParallelFor):
-            self._execute_parallel_for(stmt, frame)
-        else:
+        stats = self.stats
+        stats.statements += 1
+        # statements + expressions together bound every loop shape: a
+        # `while true { }` body executes no statements, but its condition is
+        # re-evaluated every iteration and burns expression steps.  The test
+        # is inline here and in ``evaluate``: a call per step would cost a
+        # Python frame per step.
+        if self.max_steps is not None and stats.statements + stats.expressions > self.max_steps:
+            self._steps_exhausted()
+        execute = _EXECUTE.get(type(stmt))
+        if execute is None:
             raise RuntimeLangError(f"cannot execute statement {type(stmt).__name__}")
+        execute(self, stmt, frame)
+
+    def _execute_var_decl(self, stmt: VarDecl, frame: Frame) -> None:
+        value = self.evaluate(stmt.init, frame) if stmt.init is not None else NULL_REF
+        frame.set(stmt.name, value)
+
+    def _execute_assign(self, stmt: Assign, frame: Frame) -> None:
+        frame.set(stmt.target, self.evaluate(stmt.value, frame))
+
+    def _execute_expr_stmt(self, stmt: ExprStmt, frame: Frame) -> None:
+        self.evaluate(stmt.expr, frame)
+
+    def _execute_return(self, stmt: Return, frame: Frame) -> None:
+        value = self.evaluate(stmt.value, frame) if stmt.value is not None else None
+        raise _ReturnSignal(value)
+
+    def _execute_if(self, stmt: If, frame: Frame) -> None:
+        if self._truthy(self.evaluate(stmt.cond, frame)):
+            self.execute_block(stmt.then_body, frame)
+        elif stmt.else_body is not None:
+            self.execute_block(stmt.else_body, frame)
+
+    def _execute_while(self, stmt: While, frame: Frame) -> None:
+        while self._truthy(self.evaluate(stmt.cond, frame)):
+            self.stats.loop_iterations += 1
+            self.execute_block(stmt.body, frame)
 
     def _execute_field_assign(self, stmt: FieldAssign, frame: Frame) -> None:
         base = self.evaluate(stmt.base, frame)
@@ -351,9 +351,6 @@ class Interpreter:
             body()
             i = frame.get(stmt.var) + step
 
-    def _execute_for(self, stmt: For, frame: Frame) -> None:
-        self.run_counted_loop(stmt, frame)
-
     def _execute_parallel_for(self, stmt: ParallelFor, frame: Frame) -> None:
         self.stats.parallel_loops += 1
         if self._parallel_executor is not None:
@@ -367,37 +364,35 @@ class Interpreter:
 
     # -- expressions ------------------------------------------------------------
     def evaluate(self, expr: Expr, frame: Frame) -> Any:
-        self.stats.expressions += 1
-        if self.max_steps is not None:
-            self._check_step_budget()
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, FloatLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, NullLit):
-            return NULL_REF
-        if isinstance(expr, Name):
-            return frame.get(expr.ident)
-        if isinstance(expr, New):
-            return self.allocate(expr.type_name)
-        if isinstance(expr, FieldAccess):
-            return self._evaluate_field_access(expr, frame)
-        if isinstance(expr, IndexAccess):
-            return self._evaluate_index_access(expr, frame)
-        if isinstance(expr, BinOp):
-            return self._evaluate_binop(expr, frame)
-        if isinstance(expr, UnaryOp):
-            return self._evaluate_unaryop(expr, frame)
-        if isinstance(expr, Call):
-            args = [self.evaluate(a, frame) for a in expr.args]
-            return self.call_function(expr.func, *args)
-        if isinstance(expr, ArrayLit):
-            return [self.evaluate(e, frame) for e in expr.elements]
-        raise RuntimeLangError(f"cannot evaluate expression {type(expr).__name__}")
+        stats = self.stats
+        stats.expressions += 1
+        if self.max_steps is not None and stats.statements + stats.expressions > self.max_steps:
+            self._steps_exhausted()
+        evaluate = _EVALUATE.get(type(expr))
+        if evaluate is None:
+            raise RuntimeLangError(f"cannot evaluate expression {type(expr).__name__}")
+        return evaluate(self, expr, frame)
+
+    def _evaluate_literal(
+        self, expr: IntLit | FloatLit | BoolLit | StringLit, frame: Frame
+    ) -> Any:
+        return expr.value
+
+    def _evaluate_null(self, expr: NullLit, frame: Frame) -> Any:
+        return NULL_REF
+
+    def _evaluate_name(self, expr: Name, frame: Frame) -> Any:
+        return frame.get(expr.ident)
+
+    def _evaluate_new(self, expr: New, frame: Frame) -> Any:
+        return self.allocate(expr.type_name)
+
+    def _evaluate_call(self, expr: Call, frame: Frame) -> Any:
+        args = [self.evaluate(a, frame) for a in expr.args]
+        return self.call_function(expr.func, *args)
+
+    def _evaluate_array_lit(self, expr: ArrayLit, frame: Frame) -> Any:
+        return [self.evaluate(e, frame) for e in expr.elements]
 
     def _field_is_pointer(self, type_name: str, field_name: str) -> bool:
         decl = self._type_decls.get(type_name)
@@ -498,6 +493,39 @@ class Interpreter:
         if isinstance(value, (int, float)):
             return value != 0
         return bool(value)
+
+
+# Handlers by exact node class.  No concrete AST class subclasses another, so
+# ``type(node)`` alone picks the handler; every count and budget check stays
+# in ``execute_statement``/``evaluate``, before the handler runs.
+_EXECUTE: dict[type, Callable[[Interpreter, Any, Frame], None]] = {
+    VarDecl: Interpreter._execute_var_decl,
+    Assign: Interpreter._execute_assign,
+    FieldAssign: Interpreter._execute_field_assign,
+    ExprStmt: Interpreter._execute_expr_stmt,
+    Return: Interpreter._execute_return,
+    Block: Interpreter.execute_block,
+    If: Interpreter._execute_if,
+    While: Interpreter._execute_while,
+    For: Interpreter.run_counted_loop,
+    ParallelFor: Interpreter._execute_parallel_for,
+}
+
+_EVALUATE: dict[type, Callable[[Interpreter, Any, Frame], Any]] = {
+    IntLit: Interpreter._evaluate_literal,
+    FloatLit: Interpreter._evaluate_literal,
+    BoolLit: Interpreter._evaluate_literal,
+    StringLit: Interpreter._evaluate_literal,
+    NullLit: Interpreter._evaluate_null,
+    Name: Interpreter._evaluate_name,
+    New: Interpreter._evaluate_new,
+    FieldAccess: Interpreter._evaluate_field_access,
+    IndexAccess: Interpreter._evaluate_index_access,
+    BinOp: Interpreter._evaluate_binop,
+    UnaryOp: Interpreter._evaluate_unaryop,
+    Call: Interpreter._evaluate_call,
+    ArrayLit: Interpreter._evaluate_array_lit,
+}
 
 
 def run_program(

@@ -28,9 +28,10 @@ from repro.transform.dependence import (
 )
 from repro.transform.stripmine import (
     StripMineResult,
+    StripMinedProgram,
     check_strip_mine,
-    strip_mine_function,
     strip_mine_loop,
+    strip_mine_program,
 )
 from repro.transform.unroll import UnrollResult, check_unroll, unroll_loop
 from repro.transform.pipeline import (
@@ -47,7 +48,8 @@ __all__ = [
     "StripMineResult",
     "check_strip_mine",
     "strip_mine_loop",
-    "strip_mine_function",
+    "StripMinedProgram",
+    "strip_mine_program",
     "UnrollResult",
     "check_unroll",
     "unroll_loop",

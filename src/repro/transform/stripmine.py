@@ -60,6 +60,7 @@ from repro.lang.ast_nodes import (
     While,
     iter_statements,
 )
+from repro.pathmatrix.analysis import PathMatrixAnalysis
 from repro.transform.dependence import DependenceTest, LoopClassification, classify_loop, find_while_loops
 
 
@@ -212,10 +213,17 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 
 def _require_doall(
-    program: Program, function_name: str, loop: While, refusal: str, use_adds: bool
+    program: Program,
+    function_name: str,
+    loop: While,
+    refusal: str,
+    use_adds: bool,
+    analysis: PathMatrixAnalysis | None = None,
 ) -> DependenceTest:
     """The path-matrix dependence gate shared by strip-mining and pipelining."""
-    dependence = classify_loop(program, function_name, loop, use_adds=use_adds)
+    dependence = classify_loop(
+        program, function_name, loop, use_adds=use_adds, analysis=analysis
+    )
     if dependence.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
         raise TransformError(f"{refusal}: " + "; ".join(dependence.reasons))
     return dependence
@@ -419,41 +427,67 @@ def strip_mine_loop(
     )
 
 
-def strip_mine_function(
-    program: Program,
-    function_name: str,
-    pes_param: str = "PEs",
-    check_dependences: bool = True,
-) -> StripMineResult:
-    """Strip-mine every parallelizable while loop of ``function_name``.
+@dataclass
+class StripMinedProgram:
+    """The outcome of strip-mining every parallelizable loop of a program."""
 
-    Loops are transformed in order; loops that fail the dependence test are
-    left untouched (their reasons are recorded in the result's notes).
-    Returns the result of the final successful transformation, whose program
-    contains all accumulated rewrites.
+    program: Program
+    #: the functions with at least one strip-mined loop, in program order;
+    #: each takes the processor count as a new trailing parameter
+    functions: list[str]
+    #: ``"<function> loop #<n>: <reason>"`` for every loop left alone
+    refusals: list[str] = field(default_factory=list)
+
+
+def strip_mine_program(program: Program, use_adds: bool = True) -> StripMinedProgram:
+    """Strip-mine every parallelizable while loop of ``program``.
+
+    Which loops are DOALL is decided once, on ``program`` itself, with one
+    memoizing :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` (the
+    paper decides on the analyzed program, section 4.3.3);
+    :func:`strip_mine_loop` then rewrites each DOALL loop without repeating
+    that test.  Functions go in program order and the loops of each in
+    pre-order, every rewrite applying to the result of the earlier ones.  A
+    rewrite moves the loops nested in the strip-mined body into its
+    iteration procedure, so those are skipped and the later loops of the
+    function move up as many indices: a loop's label and refusal number
+    come from its index when it is reached.  ``program`` is never modified,
+    and is returned itself when no loop is strip-mined.
     """
     current = program
-    last_result: StripMineResult | None = None
-    skipped: list[str] = []
-    loops = find_while_loops(program, function_name)
-    for index in range(len(loops)):
-        try:
-            result = strip_mine_loop(
-                current,
-                function_name,
-                loop_index=index,
-                pes_param=pes_param,
-                label=f"{function_name}_L{index + 1}",
-                check_dependences=check_dependences,
-            )
-        except TransformError as exc:
-            skipped.append(f"loop #{index + 1}: {exc}")
-            continue
-        current = result.program
-        last_result = result
-    if last_result is None:
-        raise TransformError(
-            f"no loop of {function_name} could be strip-mined: " + "; ".join(skipped)
-        )
-    last_result.notes.extend(skipped)
-    return last_result
+    functions: list[str] = []
+    refusals: list[str] = []
+    analysis: PathMatrixAnalysis | None = None
+    for func in program.functions:
+        moved: set[int] = set()
+        for index, loop in enumerate(find_while_loops(program, func.name)):
+            if id(loop) in moved:
+                continue
+            current_index = index - len(moved)
+            if analysis is None:  # a program without loops is never analyzed
+                analysis = PathMatrixAnalysis(
+                    program, use_adds=use_adds, memoize_results=True
+                )
+            try:
+                _require_doall(
+                    program,
+                    func.name,
+                    loop,
+                    "loop is not parallelizable",
+                    use_adds=use_adds,
+                    analysis=analysis,
+                )
+                current = strip_mine_loop(
+                    current,
+                    func.name,
+                    loop_index=current_index,
+                    label=f"{func.name}_L{current_index + 1}",
+                    check_dependences=False,
+                ).program
+            except TransformError as exc:
+                refusals.append(f"{func.name} loop #{current_index + 1}: {exc}")
+                continue
+            moved.update(id(s) for s in iter_statements(loop.body) if isinstance(s, While))
+            if func.name not in functions:
+                functions.append(func.name)
+    return StripMinedProgram(program=current, functions=functions, refusals=refusals)

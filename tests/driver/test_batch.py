@@ -293,6 +293,66 @@ class TestSimulationStage:
         assert sim["speedup"] > 1.0
         assert "scale" in sim["transformed_functions"]
 
+    def test_barnes_hut_costs_are_pinned(self, paper_items):
+        """Per-iteration costs are interpreter operation counts: the
+        simulated schedule must not move when the interpreter changes."""
+        item = next(i for i in paper_items if i.name == "paper/barnes_hut")
+        sim = simulate_program(item.source, PipelineOptions())
+        assert sim["transformed_functions"] == ["bh_force_pass", "bh_update_pass"]
+        assert (sim["sequential_cost"], sim["parallel_steps"]) == (122288.0, 16)
+        assert sim["parallel_elapsed"] == pytest.approx(34018.16)
+        assert sim["heaps_match"]
+
+    @pytest.mark.parametrize(
+        "tail, status, error",
+        [
+            ("while true { i = i + 1; }", "limit", "step budget of 2000 exhausted"),
+            ("return down(100);", "limit", "call depth budget of 64 exhausted"),
+            ("return 1 / 0;", "error", "integer division by zero"),
+        ],
+    )
+    def test_failures_in_the_simulated_run_are_reported(
+        self, monkeypatch, tail, status, error
+    ):
+        """The interpretations run on their own thread: what they raise must
+        still come back as the report's status, whatever the caller's stack
+        depth."""
+        from repro.adds.library import standard_source
+        from repro.driver import pipeline
+
+        monkeypatch.setattr(pipeline, "SIMULATION_MAX_STEPS", 2000)
+        source = standard_source("ListNode") + f"""
+        function down(n) {{ if n == 0 then return 0; return down(n - 1) + 1; }}
+        function scale(head, c)
+        {{ var p;
+          p = head;
+          while p <> NULL
+          {{ p->coef = p->coef * c;
+            p = p->next;
+          }}
+          return head;
+        }}
+        function main()
+        {{ var h; var i;
+          h = NULL;
+          i = 0;
+          while i < 4
+          {{ var q; q = new ListNode; q->next = h; h = q; i = i + 1; }}
+          h = scale(h, 2);
+          {tail}
+        }}
+        """
+
+        def nested(depth):
+            if depth:
+                return nested(depth - 1)
+            return simulate_program(source, PipelineOptions())
+
+        for depth in (0, 700):
+            sim = nested(depth)
+            assert sim["status"] == status, sim
+            assert sim["error"].startswith(error), sim
+
     def test_program_without_entry_reports_no_entry(self, paper_items):
         item = next(i for i in paper_items if i.name == "paper/subtree_move")
         sim = simulate_program(item.source, PipelineOptions())
@@ -306,6 +366,32 @@ class TestSimulationStage:
         )
         sim = simulate_program(source, PipelineOptions())
         assert sim["status"] == "no-parallel-loops"
+
+    @pytest.mark.parametrize("use_adds", [True, False], ids=["adds", "no-adds"])
+    def test_simulation_strip_mines_what_the_report_applies(self, use_adds):
+        """The simulated program is rewritten under the run's own ADDS
+        setting: exactly the functions with a loop whose report entry says
+        strip-mining applies."""
+        driver = BatchDriver(
+            jobs=1, cache_dir=None, options=PipelineOptions(use_adds=use_adds)
+        )
+        batch = driver.analyze_corpus(corpus_named("builtin"))
+        simulated = 0
+        for program in batch.programs:
+            if program.simulation["status"] == "no-entry":
+                continue
+            simulated += 1
+            applied = sorted(
+                name
+                for name, payload in program.functions.items()
+                if any(
+                    loop["transforms"].get("strip_mine", {}).get("applied")
+                    for loop in payload["loops"]
+                )
+            )
+            transformed = program.simulation.get("transformed_functions", [])
+            assert sorted(transformed) == applied, program.name
+        assert simulated == 7
 
 
 class TestRobustness:

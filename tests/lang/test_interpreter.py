@@ -1,10 +1,14 @@
 """Tests for the reference interpreter and its explicit heap."""
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.lang.errors import RuntimeLangError
+from repro.driver.corpus import builtin_corpus
+from repro.lang import ast_nodes
+from repro.lang.errors import InterpreterLimitError, RuntimeLangError
 from repro.lang.heap import NULL_REF
-from repro.lang.interpreter import Interpreter, run_program
+from repro.lang.interpreter import _EVALUATE, _EXECUTE, Frame, Interpreter, run_program
 from repro.lang.parser import parse_program
 
 
@@ -286,7 +290,98 @@ class TestExecutionStats:
         with pytest.raises(RuntimeLangError):
             interp.call_function("f")
 
+    def test_counts_of_every_corpus_program_are_pinned(self, corpus_mains):
+        """The simulated machine's per-iteration costs are these counts, so
+        they must not move when the interpreter changes."""
+        assert set(corpus_mains) == set(PINNED_COUNTS)
+        for name, program in corpus_mains.items():
+            _, interp = run_program(program)
+            assert astuple(interp.stats) == PINNED_COUNTS[name], name
+            if name == "paper/barnes_hut":
+                assert interp.stats.total_operations() == 145_329
+
+    def test_step_budget_raises_at_a_pinned_step(self, corpus_mains):
+        for (name, budget), counts in PINNED_COUNTS_AT_BUDGET.items():
+            interp = Interpreter(corpus_mains[name], max_steps=budget)
+            with pytest.raises(
+                InterpreterLimitError, match=f"^step budget of {budget} exhausted$"
+            ):
+                interp.call_function("main")
+            assert astuple(interp.stats) == counts, (name, budget)
+            assert interp.stats.statements + interp.stats.expressions == budget + 1
+
     def test_output_capture_via_print(self):
         program = parse_program('function f() { print("hello", 42); return 0; }')
         _, interp = run_program(program, entry="f")
         assert interp.output == ["hello 42"]
+
+
+#: ``astuple(ExecutionStats)`` — statements, expressions, allocations,
+#: field reads, field writes, calls, loop iterations, parallel loops — of
+#: ``run_program`` on every built-in corpus program with a parameterless main
+PINNED_COUNTS = {
+    "examples/dag_traverse": (136, 499, 12, 58, 36, 4, 33, 0),
+    "examples/list_reverse": (234, 649, 16, 48, 64, 4, 48, 0),
+    "examples/list_sum": (341, 1208, 32, 128, 128, 4, 96, 0),
+    "examples/tree_insert": (543, 1768, 20, 216, 98, 141, 20, 0),
+    "examples/tree_rotate": (368, 1211, 14, 129, 57, 89, 14, 0),
+    "paper/barnes_hut": (29204, 101246, 40, 13098, 534, 1247, 3440, 0),
+    "paper/polynomial_scale": (527, 1681, 64, 128, 256, 3, 128, 0),
+}
+
+#: the same counters when ``max_steps`` stops the run, by (program, budget):
+#: budget 1 stops every program at main's second statement
+PINNED_COUNTS_AT_BUDGET = {
+    **{(name, 1): (2, 0, 0, 0, 0, 1, 0, 0) for name in PINNED_COUNTS},
+    ("examples/dag_traverse", 100): (29, 72, 4, 0, 8, 2, 5, 0),
+    ("examples/list_reverse", 100): (32, 69, 4, 0, 12, 2, 4, 0),
+    ("examples/list_sum", 100): (30, 71, 4, 0, 11, 2, 4, 0),
+    ("examples/list_sum", 1000): (240, 761, 32, 34, 113, 3, 50, 0),
+    ("examples/tree_insert", 100): (28, 73, 2, 2, 3, 6, 3, 0),
+    ("examples/tree_insert", 1000): (243, 758, 11, 81, 46, 54, 12, 0),
+    ("examples/tree_rotate", 100): (28, 73, 2, 2, 3, 6, 3, 0),
+    ("examples/tree_rotate", 1000): (248, 753, 13, 76, 50, 53, 13, 0),
+    ("paper/barnes_hut", 6): (2, 5, 0, 0, 0, 1, 0, 0),
+    ("paper/barnes_hut", 7): (3, 5, 0, 0, 0, 2, 0, 0),
+    ("paper/barnes_hut", 100): (27, 74, 2, 0, 6, 3, 2, 0),
+    ("paper/barnes_hut", 1000): (178, 823, 14, 0, 82, 3, 14, 0),
+    ("paper/polynomial_scale", 100): (32, 69, 4, 0, 12, 2, 4, 0),
+    ("paper/polynomial_scale", 1000): (278, 723, 45, 0, 135, 2, 45, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_mains():
+    programs = {}
+    for item in builtin_corpus():
+        program = parse_program(item.source)
+        main = program.function_named("main")
+        if main is not None and not main.params:
+            programs[item.name] = program
+    return programs
+
+
+class TestDispatch:
+    def test_every_node_class_has_exactly_one_handler(self):
+        """Handlers are looked up by ``type(node)``, which is sound only
+        while no concrete node class subclasses another."""
+        def concrete(base):
+            return {
+                cls for cls in vars(ast_nodes).values()
+                if isinstance(cls, type) and issubclass(cls, base) and cls is not base
+            }
+
+        statements, expressions = concrete(ast_nodes.Stmt), concrete(ast_nodes.Expr)
+        assert set(_EXECUTE) == statements
+        assert set(_EVALUATE) == expressions
+        for cls in statements | expressions:
+            assert cls.__bases__ in ((ast_nodes.Stmt,), (ast_nodes.Expr,)), cls
+
+    def test_unknown_nodes_raise(self):
+        interp = Interpreter(parse_program("function f() { return 0; }"))
+        frame = Frame(function="f")
+        with pytest.raises(RuntimeLangError, match="cannot execute statement Name"):
+            interp.execute_statement(ast_nodes.Name("x"), frame)
+        with pytest.raises(RuntimeLangError, match="cannot evaluate expression Assign"):
+            interp.evaluate(ast_nodes.Assign("x", ast_nodes.IntLit(1)), frame)
+        assert (interp.stats.statements, interp.stats.expressions) == (1, 1)

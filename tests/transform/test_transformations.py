@@ -7,8 +7,10 @@ the original when interpreted).
 
 import pytest
 
+import repro.pathmatrix.analysis
 from repro.adds.library import merged_into
-from repro.driver.corpus import builtin_corpus
+from repro.driver.corpus import builtin_corpus, corpus_named
+from repro.driver.pipeline import PipelineOptions, simulate_program
 from repro.fuzz.generator import generate_program
 from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, While
 from repro.lang.interpreter import run_program
@@ -25,6 +27,7 @@ from repro.transform import (
     classify_loop,
     software_pipeline_loop,
     strip_mine_loop,
+    strip_mine_program,
     unroll_loop,
 )
 from repro.transform.dependence import find_while_loops
@@ -364,3 +367,142 @@ class TestLegalityChecks:
         assert any("added parameter" in note for note in result.notes) is added
         params = result.program.function_named("scale").params
         assert ("PEs" in [p.name for p in params]) is added
+
+
+def _strip_mine_loop_by_loop(program):
+    """The reference for :func:`strip_mine_program`: every loop of every
+    function through :func:`strip_mine_loop` with its own dependence test,
+    each on the program the earlier rewrites produced."""
+    current = program
+    functions = []
+    for func in program.functions:
+        for index in range(len(find_while_loops(program, func.name))):
+            try:
+                current = strip_mine_loop(
+                    current, func.name, loop_index=index, label=f"{func.name}_L{index + 1}"
+                ).program
+            except TransformError:
+                continue
+            if func.name not in functions:
+                functions.append(func.name)
+    return current, functions
+
+
+#: two loop shapes no corpus program has: sibling strip-minable loops, and a
+#: strip-minable loop with a nested while (moved into the iteration
+#: procedure, so the sibling after it moves up one index)
+SIBLING_LOOPS_SRC = """
+function build(n)
+{ var head; var p; var i;
+  head = NULL;
+  i = 0;
+  while i < n
+  { p = new ListNode;
+    p->coef = i;
+    p->exp = i;
+    p->next = head;
+    head = p;
+    i = i + 1;
+  }
+  return head;
+}
+
+function siblings(head, c)
+{ var p;
+  p = head;
+  while p <> NULL
+  { p->coef = p->coef * c;
+    p = p->next;
+  }
+  p = head;
+  while p <> NULL
+  { p->exp = p->exp + c;
+    p = p->next;
+  }
+  return head;
+}
+
+function nested(head, n)
+{ var p; var j;
+  p = head;
+  while p <> NULL
+  { j = 0;
+    while j < n
+    { p->coef = p->coef + 1;
+      j = j + 1;
+    }
+    p = p->next;
+  }
+  p = head;
+  while p <> NULL
+  { p->exp = p->exp * 2;
+    p = p->next;
+  }
+  return head;
+}
+
+function main()
+{ var h;
+  h = build(10);
+  h = siblings(h, 3);
+  h = nested(h, 2);
+  return h;
+}
+"""
+
+
+class TestStripMineProgram:
+    def test_equals_the_loop_by_loop_reference_on_the_corpora(self):
+        sources = [item.source for item in corpus_named("bench")]
+        sources += [generate_program(seed).source for seed in range(100)]
+        transformed = 0
+        for source in sources:
+            program = parse_program(source)
+            before = unparse(program)
+            expected_program, expected_functions = _strip_mine_loop_by_loop(program)
+            result = strip_mine_program(program)
+            assert result.functions == expected_functions
+            assert unparse(result.program) == unparse(expected_program)
+            assert unparse(program) == before
+            transformed += bool(result.functions)
+        assert transformed > 10
+
+    def test_sibling_and_nested_loops(self):
+        program = merged_into(SIBLING_LOOPS_SRC, "ListNode")
+        expected_program, expected_functions = _strip_mine_loop_by_loop(program)
+        result = strip_mine_program(program)
+        assert result.functions == expected_functions == ["siblings", "nested"]
+        assert unparse(result.program) == unparse(expected_program)
+        procedures = [f.name for f in result.program.functions if f.is_procedure]
+        assert procedures == [
+            "_siblings_L1_iteration",
+            "_siblings_L2_iteration",
+            "_nested_L1_iteration",
+            "_nested_L2_iteration",
+        ]
+        # the nested while moved into the first iteration procedure and is
+        # not visited: the only loop left alone is build's counting loop
+        assert len(find_while_loops(result.program, "nested")) == 2
+        assert len(find_while_loops(result.program, "_nested_L1_iteration")) == 1
+        assert [r.split(":")[0] for r in result.refusals] == ["build loop #1"]
+        sim = simulate_program(unparse(program), PipelineOptions())
+        assert sim["transformed_functions"] == ["siblings", "nested"]
+        assert sim["heaps_match"]
+
+    def test_one_analysis_per_program(self, bh_program, monkeypatch):
+        calls = []
+        original = repro.pathmatrix.analysis.check_program
+        monkeypatch.setattr(
+            repro.pathmatrix.analysis,
+            "check_program",
+            lambda program: calls.append(program) or original(program),
+        )
+        result = strip_mine_program(bh_program)
+        assert result.functions == [BHL1_FUNCTION, BHL2_FUNCTION]
+        assert calls == [bh_program]
+
+    def test_no_adds_strip_mines_nothing_on_scale(self, scale_program):
+        result = strip_mine_program(scale_program, use_adds=False)
+        assert result.functions == []
+        assert result.program is scale_program
+        assert any("not parallelizable" in r for r in result.refusals)
