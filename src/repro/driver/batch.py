@@ -11,12 +11,15 @@ programs* interleave freely on the same worker pool.
 
 With ``jobs > 1`` runnable components are packed into cost-balanced chunks
 (:func:`repro.driver.executor.pack_chunks`) and pulled by a pool of
-persistent warm workers; ``jobs == 1`` bypasses the executor entirely and
-runs the same schedule inline (easy profiling and debugging, zero
-multiprocessing overhead).  Every function's report is memoized in the
+persistent warm workers, and every function's report is memoized in the
 on-disk :class:`~repro.driver.cache.ResultCache` keyed by its own AST and
-the unparsed bodies of its transitive callees, so a warm re-run performs no
-analysis at all (the acceptance test asserts exactly that).
+the unparsed bodies of its transitive callees.  ``jobs == 1`` bypasses the
+executor entirely and runs the staged engine inline
+(:mod:`repro.driver.stages`: per-stage artifacts keyed on callee summary
+digests, easy profiling and debugging, zero multiprocessing overhead); a
+program whose source is unchanged since the engine's last run is served
+whole from its manifest without being parsed.  Either way a warm re-run
+performs no analysis at all (the acceptance test asserts exactly that).
 
 Partial failure stays partial.  The pooled path reacts to the executor's
 ``crashed``/``timeout`` events with an escalation ladder instead of aborting:
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import Program
@@ -156,7 +160,8 @@ class BatchReport:
     profile: dict | None = None
     resilience: ResilienceCounters = field(default_factory=ResilienceCounters)
     #: staged-engine counters (inline runs only): reused / firewalled /
-    #: recomputed / dirty / fixpoints_run — see driver/stages.py
+    #: recomputed / dirty / fixpoints_run / programs_unchanged — see
+    #: driver/stages.py
     incremental: dict | None = None
 
     def program(self, name: str) -> ProgramReport:
@@ -233,6 +238,9 @@ class _ProgramPlan:
     ready: list[int] = field(default_factory=list)
     sim_key: str | None = None
     needs_simulation: bool = False
+    #: the engine's counters when the program was served whole from its
+    #: manifest (inline path only; such a plan is never parsed)
+    served: IncrementalStats | None = None
 
     @property
     def schedulable(self) -> bool:
@@ -303,6 +311,7 @@ class BatchDriver:
         self.jobs = max(1, int(jobs))
         self.options = options or PipelineOptions()
         self.cache = ResultCache(cache_dir)
+        self.engine = StagedEngine(self.cache, self.options)
         self.simulate = simulate
         self.start_method = start_method
         self.profile = profile
@@ -318,7 +327,15 @@ class BatchDriver:
         report = BatchReport(jobs=self.jobs, host_cpus=os.cpu_count())
         started = time.perf_counter()
 
-        plans = [self._plan_item(i, item, report) for i, item in enumerate(items)]
+        # a manifest records one program per name: a name the corpus shares
+        # is never served whole
+        names = Counter(item.name for item in items)
+        plans = [
+            self._plan_item(
+                i, item, report, servable=self.jobs == 1 and names[item.name] == 1
+            )
+            for i, item in enumerate(items)
+        ]
         if self.jobs > 1:
             timings = self._run_parallel(plans, report)
         else:
@@ -339,19 +356,47 @@ class BatchDriver:
         return report
 
     # -- planning ------------------------------------------------------------
-    def _plan_item(self, index: int, item: CorpusItem, batch: BatchReport) -> _ProgramPlan:
+    def _plan_item(
+        self, index: int, item: CorpusItem, batch: BatchReport, servable: bool = False
+    ) -> _ProgramPlan:
         plan = _ProgramPlan(index=index, item=item, report=ProgramReport(name=item.name))
+        served = (
+            self.engine.serve(item.name, item.source, plan.report.functions)
+            if servable
+            else None
+        )
+        if served is not None:
+            plan.served, plan.report.schedule = served
+            batch.cache_hits += plan.served.reused
+        elif not self._plan_program(plan, batch):
+            return plan
+
+        if self.simulate:
+            plan.sim_key = program_digest(item.source, self.options.key())
+            self.cache.preload([plan.sim_key], stage="sim")
+            cached = self.cache.get(plan.sim_key, stage="sim")
+            if cached is not None:
+                plan.report.simulation = cached
+                batch.simulation_cache_hits += 1
+            else:
+                plan.needs_simulation = True
+        return plan
+
+    def _plan_program(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
+        """Parse and condense ``plan``'s program; on the pooled path also
+        probe its body-keyed reports.  ``False`` when it cannot be analyzed
+        (the error is on the report)."""
         try:
-            program = parsed_program(item.source)
+            program = parsed_program(plan.item.source)
         except LangError as exc:
             plan.report.error = f"parse error: {exc}"
-            return plan
+            return False
         try:
             graph = build_call_graph(program)
             plan.cond = condense(graph)
         except LangError as exc:  # defensive: malformed programs must not abort the batch
             plan.report.error = str(exc)
-            return plan
+            return False
         plan.report.schedule = plan.cond.waves()
         plan.program = program
         plan.graph = graph
@@ -388,17 +433,7 @@ class BatchDriver:
                 for i in range(len(plan.cond.sccs))
                 if plan.pending[i] and plan.blockers[i] == 0
             ]
-
-        if self.simulate:
-            plan.sim_key = program_digest(item.source, self.options.key())
-            self.cache.preload([plan.sim_key], stage="sim")
-            cached = self.cache.get(plan.sim_key, stage="sim")
-            if cached is not None:
-                plan.report.simulation = cached
-                batch.simulation_cache_hits += 1
-            else:
-                plan.needs_simulation = True
-        return plan
+        return True
 
     # -- inline execution (jobs == 1, the staged incremental engine) -----------
     def _run_inline(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
@@ -406,8 +441,8 @@ class BatchDriver:
         batch.effective_jobs = 1
         work_started = time.perf_counter()
         functions_run = 0
+        simulations_run = 0
         totals = IncrementalStats()
-        engine = StagedEngine(self.cache, self.options)
 
         def count_reused(_name: str) -> None:
             batch.cache_hits += 1
@@ -416,28 +451,33 @@ class BatchDriver:
             batch.analyses_executed += 1
 
         for plan in plans:
-            if not plan.schedulable:
+            if plan.served is not None:
+                totals.merge(plan.served)
+            elif plan.schedulable:
+                # condensation order is bottom-up, so the engine's two phases
+                # never touch a component before its callees
+                stats = self.engine.run(
+                    plan.item.name,
+                    plan.item.source,
+                    plan.program,
+                    plan.graph,
+                    plan.cond,
+                    plan.report.functions,
+                    on_reused=count_reused,
+                    on_recomputed=count_recomputed,
+                )
+                totals.merge(stats)
+                functions_run += stats.recomputed
+            else:
                 continue
-            # condensation order is bottom-up, so the engine's two phases
-            # never touch a component before its callees
-            stats = engine.run(
-                plan.item.name,
-                plan.program,
-                plan.graph,
-                plan.cond,
-                plan.report.functions,
-                on_reused=count_reused,
-                on_recomputed=count_recomputed,
-            )
-            totals.merge(stats)
-            functions_run += stats.recomputed
             if plan.needs_simulation:
+                simulations_run += 1
                 self._record_simulation(
                     plan, simulate_program(plan.item.source, self.options)
                 )
         batch.incremental = totals.to_dict()
         analyze_s = time.perf_counter() - work_started
-        if not functions_run and not any(p.needs_simulation for p in plans):
+        if not functions_run and not simulations_run:
             return []
         return [
             TaskTiming(

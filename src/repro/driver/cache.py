@@ -1,9 +1,9 @@
 """On-disk, content-addressed artifact store for the staged analysis engine.
 
-Each pipeline stage (typecheck verdict, function summary, fixpoint/validation
-report, loop classes, transform applicability, assembled report, simulation,
-manifest) stores its output as a separately addressed artifact under a
-per-stage subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
+Each pipeline stage (function summary, fixpoint/validation report, loop
+classes, transform applicability, assembled report, simulation, manifest)
+stores its output as a separately addressed artifact under a per-stage
+subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
 covers everything that can influence its output: the cache version, the
 analysis options, the program's type declarations (ADDS information changes
 verdicts), the function's own unparsed AST — and, per the bottom-up
@@ -47,8 +47,6 @@ CACHE_VERSION = 8  # v8: simulations strip-mine under the run's ADDS setting
 
 #: stage namespaces of the artifact store, one subdirectory each
 STAGES = (
-    "parse",
-    "typecheck",
     "summary",
     "analysis",
     "loops",
@@ -57,6 +55,10 @@ STAGES = (
     "sim",
     "manifest",
 )
+
+#: stages earlier versions wrote and nothing reads: the maintenance
+#: commands (info, stats, verify, clear) still walk them
+RETIRED_STAGES = ("parse", "typecheck")
 
 #: name of the (unchecksummed) per-run counter ledger at the store top level
 LEDGER_NAME = "last-run.json"
@@ -290,11 +292,12 @@ class ResultCache:
 
     # -- maintenance ---------------------------------------------------------
     def _stage_dirs(self):
-        """Existing stage subdirectories (quarantine/ and the ledger are not
-        checksummed artifacts and must not be audited as such)."""
+        """Existing stage subdirectories, retired ones included (quarantine/
+        and the ledger are not checksummed artifacts and must not be audited
+        as such)."""
         if self.directory is None:
             return
-        for stage in STAGES:
+        for stage in STAGES + RETIRED_STAGES:
             stage_dir = self.directory / stage
             if stage_dir.is_dir():
                 yield stage, stage_dir

@@ -325,7 +325,8 @@ def render_text(report: BatchReport) -> str:
             "incremental: "
             f"{inc['reused']} reused ({inc['firewalled']} firewalled), "
             f"{inc['recomputed']} recomputed, {inc['dirty']} dirty, "
-            f"{inc['fixpoints_run']} fixpoint(s) run"
+            f"{inc['fixpoints_run']} fixpoint(s) run, "
+            f"{inc['programs_unchanged']} program(s) served unchanged"
         )
     resilience = report.resilience
     if resilience.any_faults():
@@ -546,12 +547,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cache_stats(cache, cache_dir: str) -> int:
-    from repro.driver.cache import STAGES
+    from repro.driver.cache import RETIRED_STAGES, STAGES
 
     total_count = 0
     total_bytes = 0
     rows = []
-    for stage in STAGES:
+    for stage in STAGES + RETIRED_STAGES:
         count = cache.entry_count(stage)
         size = cache.disk_usage(stage)
         total_count += count
@@ -578,7 +579,8 @@ def _cache_stats(cache, cache_dir: str) -> int:
         print(
             f"last run: {reused} reused, {firewalled} firewalled "
             f"(firewall rate {fw_rate}), {inc.get('recomputed', 0)} recomputed, "
-            f"{inc.get('fixpoints_run', 0)} fixpoint(s)"
+            f"{inc.get('fixpoints_run', 0)} fixpoint(s), "
+            f"{inc.get('programs_unchanged', 0)} program(s) served unchanged"
         )
     return 0
 

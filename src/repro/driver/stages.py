@@ -32,6 +32,14 @@ function's new summary digest is always compared against its callers' cached
 inputs — there is no window where a caller could be firewalled against a
 stale summary.
 
+**Unchanged programs.**  The per-program ``manifest`` records the last
+run: the source digest, the schedule, and each function's body and summary
+digests, ``report`` key and first line.  :meth:`StagedEngine.serve` serves
+a program whose source is byte-identical to that record straight from the
+named ``report`` artifacts, before anything is parsed; any miss (another
+source, an older manifest, a missing or corrupt report) leaves the program
+to :meth:`StagedEngine.run`, which probes the same keys.
+
 Stored payloads are line-relative (see
 :func:`~repro.driver.pipeline.relativize_report`); everything the engine
 returns to the report is absolute.
@@ -82,6 +90,8 @@ class IncrementalStats:
     summaries_recomputed: int = 0
     #: path-matrix fixpoints solved during the run (refinement + analysis)
     fixpoints_run: int = 0
+    #: programs served whole from their manifest, unparsed
+    programs_unchanged: int = 0
 
     def merge(self, other: "IncrementalStats") -> None:
         for f in fields(self):
@@ -98,9 +108,41 @@ class StagedEngine:
         self.cache = cache
         self.options = options
 
+    def _manifest_key(self, name: str) -> str:
+        return _sha("manifest", str(CACHE_VERSION), self.options.key(), name)
+
+    def serve(
+        self, name: str, source: str, functions_out: dict[str, dict]
+    ) -> tuple[IncrementalStats, list] | None:
+        """Serve a program whose source is byte-identical to its manifest's.
+
+        Fills ``functions_out`` from the ``report`` artifacts the manifest
+        names, absolutized at the recorded lines, and returns the counters
+        of an unchanged program plus the recorded schedule.  Returns
+        ``None`` and leaves ``functions_out`` alone when the manifest is
+        missing, records another source or none (written before source
+        digests), or names a ``report`` artifact that is missing or fails
+        its checksum; :meth:`run` then probes those same keys.
+        """
+        manifest = self.cache.get(self._manifest_key(name), stage="manifest")
+        if manifest is None or manifest.get("source") != _sha("source", source):
+            return None
+        served: dict[str, dict] = {}
+        for fn, entry in manifest["functions"].items():
+            cached = self.cache.get(entry["report"], stage="report")
+            if cached is None:
+                return None
+            served[fn] = absolutize_report(cached, entry["line"])
+        functions_out.update(served)
+        stats = IncrementalStats(
+            reused=len(served), summaries_reused=len(served), programs_unchanged=1
+        )
+        return stats, manifest["schedule"]
+
     def run(
         self,
         name: str,
+        source: str,
         program: Program,
         graph: CallGraph,
         cond: Condensation,
@@ -110,8 +152,10 @@ class StagedEngine:
     ) -> IncrementalStats:
         """Fill ``functions_out`` with per-function reports (absolute lines).
 
-        ``on_reused``/``on_recomputed`` are per-function callbacks for the
-        batch driver's counters (``cache_hits``/``analyses_executed``).
+        ``program`` is ``source`` parsed; the manifest records the source's
+        digest for :meth:`serve`.  ``on_reused``/``on_recomputed`` are
+        per-function callbacks for the batch driver's counters
+        (``cache_hits``/``analyses_executed``).
         """
         stats = IncrementalStats()
         opts = self.options.key()
@@ -120,9 +164,10 @@ class StagedEngine:
         bodies = {f.name: unparse(f) for f in program.functions}
         body_digest = {n: _sha("body", src) for n, src in bodies.items()}
         base_line = {f.name: (f.line or 1) for f in program.functions}
+        report_key: dict[str, str] = {}
 
         # the manifest of the previous run, for dirty accounting
-        manifest_key = _sha("manifest", version, opts, name)
+        manifest_key = self._manifest_key(name)
         old_manifest = self.cache.get(manifest_key, stage="manifest")
         if old_manifest is None:
             dirty = set(bodies)
@@ -140,13 +185,6 @@ class StagedEngine:
                 graph.transitive_callees(function) & dirty
             )
 
-        # parse stage: the canonical unparsed body, content-addressed by its
-        # own digest (byte-identical bodies across programs share one entry)
-        for n in sorted(bodies):
-            pkey = _sha("parse", version, body_digest[n])
-            if self.cache.get(pkey, stage="parse") is None:
-                self.cache.put(pkey, {"body": bodies[n]}, stage="parse")
-
         # -- phase 1: bottom-up summary resolution over the condensation -----
         table: dict[str, FunctionSummary] = {}
         analysis = PathMatrixAnalysis(
@@ -158,7 +196,6 @@ class StagedEngine:
         direct = direct_summaries(program)
         call_maps = _call_argument_map(program)
         art_digest: dict[str, str] = {}
-        return_types: dict[str, str | None] = {}
         fixpoints_before = fixpoint_run_count()
 
         def artifact(n: str, summary_dict: dict, rt: str | None) -> str:
@@ -184,7 +221,6 @@ class StagedEngine:
                 for n in members:
                     entry = cached["functions"][n]
                     table[n] = FunctionSummary.from_dict(entry["summary"])
-                    return_types[n] = entry["return_type"]
                     art_digest[n] = artifact(n, entry["summary"], entry["return_type"])
                 stats.summaries_reused += len(members)
                 continue
@@ -201,29 +237,9 @@ class StagedEngine:
                     "summary": summary_dict,
                     "return_type": rt,
                 }
-                return_types[n] = rt
                 art_digest[n] = artifact(n, summary_dict, rt)
             self.cache.put(skey, payload, stage="summary")
             stats.summaries_recomputed += len(members)
-
-        # typecheck stage: the inferred environment verdict, keyed on the own
-        # body plus the callee *return types* it was inferred under
-        for n in sorted(bodies):
-            rt_blob = ";".join(
-                f"{c}={return_types.get(c) or ''}" for c in sorted(graph.callees(n))
-            )
-            tkey = _sha("typecheck", version, opts, types_src, bodies[n], rt_blob)
-            if self.cache.get(tkey, stage="typecheck") is None:
-                env = analysis.check_result.environments.get(n)
-                payload = {
-                    "function": n,
-                    "env": {
-                        var: str(ty) for var, ty in sorted(env.types.items())
-                    }
-                    if env is not None
-                    else {},
-                }
-                self.cache.put(tkey, payload, stage="typecheck")
 
         # -- phase 2: per-function stage probe / compute / assemble -----------
         for members in cond.sccs:
@@ -240,7 +256,7 @@ class StagedEngine:
                     callee_blob,
                 )
                 line = base_line[fn]
-                rkey = _sha("report", *base)
+                rkey = report_key[fn] = _sha("report", *base)
                 cached_report = self.cache.get(rkey, stage="report")
                 if cached_report is not None:
                     functions_out[fn] = absolutize_report(cached_report, line)
@@ -332,14 +348,22 @@ class StagedEngine:
                     if on_reused is not None:
                         on_reused(fn)
 
-        # commit the manifest for the next run's dirty accounting
+        # commit the manifest: the next run's dirty accounting, and what
+        # `serve` needs to return this program unparsed if it is unchanged
         self.cache.put(
             manifest_key,
             {
+                "source": _sha("source", source),
+                "schedule": cond.waves(),
                 "functions": {
-                    n: {"body": body_digest[n], "summary": art_digest[n]}
+                    n: {
+                        "body": body_digest[n],
+                        "summary": art_digest[n],
+                        "report": report_key[n],
+                        "line": base_line[n],
+                    }
                     for n in sorted(bodies)
-                }
+                },
             },
             stage="manifest",
         )

@@ -1,18 +1,26 @@
 """The staged engine's incremental guarantees: summary-digest firewalling
 (early cutoff), soundness of the firewall (summary- and return-type-changing
-edits must invalidate callers), line-relative artifact sharing across
-offsets, and the per-worker LRU bound.
+edits must invalidate callers), unchanged programs served whole from their
+manifest and every fallback from that shortcut, line-relative artifact
+sharing across offsets, and the per-worker LRU bound.
 
 The acceptance property throughout: an incremental run's report is
 **bit-identical** to the same analysis from scratch — incrementality may
 never change an answer, only skip work.
 """
 
+import json
+import shutil
 from collections import OrderedDict
 
+import pytest
+
+from repro.driver import batch as batch_module
 from repro.driver.batch import BatchDriver
+from repro.driver.cache import ResultCache, decode_entry, encode_entry
+from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem
-from repro.driver.pipeline import _CACHE_LIMIT, _bounded
+from repro.driver.pipeline import _CACHE_LIMIT, PipelineOptions, _bounded
 
 TYPES = """
 type ListNode [X]
@@ -47,6 +55,21 @@ function unrelated(n)
 { var i;
   i = n + 1;
   return i;
+}
+"""
+
+
+OTHER = TYPES + """
+function reverse(p)
+{ var r; var n;
+  r = NULL;
+  while p <> NULL
+  { n = p->next;
+    p->next = r;
+    r = p;
+    p = n;
+  }
+  return r;
 }
 """
 
@@ -172,6 +195,259 @@ function extra(q)
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
         loop = warm.program("prog").functions["extra"]["loops"][0]
         assert loop["transforms"]["strip_mine"]["applied"]
+
+
+#: a padding edit to ``leaf``: its body changes, its summary does not
+PADDED = BASE.replace("function leaf(p)\n{ var s;", "function leaf(p)\n{ var s; var pad;")
+
+#: the counters of a program served whole, one entry per function of BASE
+SERVED_BASE = {
+    "reused": 3,
+    "summaries_reused": 3,
+    "programs_unchanged": 1,
+    "firewalled": 0,
+    "recomputed": 0,
+    "dirty": 0,
+    "summaries_recomputed": 0,
+    "fixpoints_run": 0,
+}
+
+
+def _count_parses(monkeypatch) -> list:
+    """Record every program the batch driver parses."""
+    parsed: list = []
+    real = batch_module.parsed_program
+
+    def counting(source):
+        parsed.append(source)
+        return real(source)
+
+    monkeypatch.setattr(batch_module, "parsed_program", counting)
+    return parsed
+
+
+def _functions(report) -> list:
+    return [p.functions for p in report.programs]
+
+
+class TestUnchangedPrograms:
+    """A ``--jobs 1`` run serves a program whose source is byte-identical to
+    its manifest's record straight from the named ``report`` artifacts, and
+    falls through to the full path on every kind of mismatch."""
+
+    def test_unchanged_program_is_served_unparsed_and_untypechecked(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _run(BASE, tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unchanged program was parsed or typechecked")
+
+        monkeypatch.setattr(batch_module, "parsed_program", forbidden)
+        monkeypatch.setattr("repro.pathmatrix.analysis.check_program", forbidden)
+        warm = _run(BASE, tmp_path)
+
+        assert warm.program("prog").to_dict() == cold.program("prog").to_dict()
+        assert json.dumps(warm.to_dict()["programs"], sort_keys=True) == json.dumps(
+            cold.to_dict()["programs"], sort_keys=True
+        )
+        assert warm.incremental == SERVED_BASE
+        assert warm.cache_hits == 3
+        assert warm.analyses_executed == 0
+
+    def test_edit_serves_the_untouched_program_whole(self, tmp_path, monkeypatch):
+        items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="other", source=OTHER)]
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        driver.analyze_corpus(items)
+
+        parsed = _count_parses(monkeypatch)
+        items[0] = CorpusItem(name="prog", source=PADDED)
+        warm = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
+        inc = warm.incremental
+
+        assert parsed == [PADDED]
+        assert inc["programs_unchanged"] == 1
+        assert inc["recomputed"] == 1
+        assert inc["dirty"] == 1
+        assert inc["fixpoints_run"] == 1
+        assert inc["firewalled"] == 1
+        assert inc["reused"] == 2 + 1  # prog's callers + other's one function
+        scratch = BatchDriver(jobs=1, cache_dir=None, simulate=False).analyze_corpus(items)
+        assert _functions(warm) == _functions(scratch)
+        assert [p.schedule for p in warm.programs] == [p.schedule for p in scratch.programs]
+
+    def test_reverted_edit_is_not_served_whole(self, tmp_path):
+        """A -> B -> A: the manifest records B, so the third run takes the
+        full path and counts exactly what the engine always counted."""
+        _run(BASE, tmp_path)
+        _run(PADDED, tmp_path)
+        reverted = _run(BASE, tmp_path)
+        assert reverted.incremental == {
+            "reused": 3,
+            "firewalled": 1,
+            "recomputed": 0,
+            "dirty": 1,
+            "summaries_reused": 3,
+            "summaries_recomputed": 0,
+            "fixpoints_run": 0,
+            "programs_unchanged": 0,
+        }
+        assert _functions(reverted) == [_scratch(BASE)["prog"]]
+        assert _run(BASE, tmp_path).incremental == SERVED_BASE
+
+    def test_garbled_report_is_evicted_once_and_falls_through(self, tmp_path, monkeypatch):
+        cold = _run(BASE, tmp_path)
+        victim = sorted((tmp_path / "report").glob("*.json"))[0]
+        victim.write_text("garbage {{{")
+
+        parsed = _count_parses(monkeypatch)
+        healed = _run(BASE, tmp_path)
+        assert parsed == [BASE]
+        assert healed.resilience.cache_evictions == 1
+        assert healed.incremental["programs_unchanged"] == 0
+        assert healed.incremental["fixpoints_run"] == 0
+        assert healed.incremental["recomputed"] == 0
+        assert healed.incremental["reused"] == 3
+        assert _functions(healed) == _functions(cold)
+        # the full path rewrote the report: served whole again
+        assert _run(BASE, tmp_path).incremental == SERVED_BASE
+
+    def test_missing_report_falls_through(self, tmp_path):
+        cold = _run(BASE, tmp_path)
+        sorted((tmp_path / "report").glob("*.json"))[-1].unlink()
+        healed = _run(BASE, tmp_path)
+        assert healed.incremental["programs_unchanged"] == 0
+        assert healed.incremental["fixpoints_run"] == 0
+        assert healed.resilience.cache_evictions == 0
+        assert _functions(healed) == _functions(cold)
+
+    def test_manifest_without_source_digest_falls_through_and_is_rewritten(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _run(BASE, tmp_path)
+        (manifest_path,) = (tmp_path / "manifest").glob("*.json")
+        manifest = decode_entry(manifest_path.read_text())
+        # the record as earlier versions wrote it: body and summary digests
+        older = {
+            "functions": {
+                name: {"body": entry["body"], "summary": entry["summary"]}
+                for name, entry in manifest["functions"].items()
+            }
+        }
+        manifest_path.write_text(encode_entry(older))
+
+        parsed = _count_parses(monkeypatch)
+        warm = _run(BASE, tmp_path)
+        assert parsed == [BASE]
+        assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0)
+        assert _functions(warm) == _functions(cold)
+        assert decode_entry(manifest_path.read_text()) == manifest
+
+        assert _run(BASE, tmp_path).incremental == SERVED_BASE
+        assert parsed == [BASE]
+
+    def test_programs_sharing_a_name_are_never_served_each_others_reports(
+        self, tmp_path
+    ):
+        expected = [_scratch(BASE)["prog"], _scratch(OTHER)["prog"]]
+        items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="prog", source=OTHER)]
+        for _ in range(3):
+            driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+            report = driver.analyze_corpus(items)
+            assert _functions(report) == expected
+            # one name, one manifest: a shared name is never served whole
+            assert report.incremental["programs_unchanged"] == 0
+
+        # alone, a program is served only from a record of its own source:
+        # the manifest now records OTHER, the corpus's last item
+        base = _run(BASE, tmp_path)
+        assert base.incremental["programs_unchanged"] == 0
+        assert _functions(base) == [expected[0]]
+        assert _run(BASE, tmp_path).incremental["programs_unchanged"] == 1
+        other = _run(OTHER, tmp_path)
+        assert other.incremental["programs_unchanged"] == 0
+        assert _functions(other) == [expected[1]]
+
+    def test_options_partition_the_manifest(self, tmp_path):
+        _run(BASE, tmp_path)
+        driver = BatchDriver(
+            jobs=1,
+            cache_dir=tmp_path,
+            simulate=False,
+            options=PipelineOptions(use_adds=False),
+        )
+        report = driver.analyze_corpus([CorpusItem(name="prog", source=BASE)])
+        assert report.incremental["programs_unchanged"] == 0
+        no_adds = BatchDriver(
+            jobs=1, cache_dir=None, simulate=False, options=PipelineOptions(use_adds=False)
+        ).analyze_corpus([CorpusItem(name="prog", source=BASE)])
+        assert _functions(report) == _functions(no_adds)
+
+    def test_pooled_runs_are_never_served(self, tmp_path, monkeypatch):
+        _run(BASE, tmp_path)
+        parsed = _count_parses(monkeypatch)
+        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
+        report = driver.analyze_corpus([CorpusItem(name="prog", source=BASE)])
+        assert parsed == [BASE]
+        assert report.incremental is None
+
+    def test_resimulation_of_a_served_program_keeps_the_profile(self, tmp_path):
+        """A run that re-simulated but recomputed no function still reports
+        its timing (it used to read flags the simulation had cleared)."""
+        item = CorpusItem(name="prog", source=BASE + "\nfunction main()\n{ return 0; }\n")
+        BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
+        shutil.rmtree(tmp_path / "sim")
+        report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
+        assert report.simulation_cache_hits == 0
+        assert report.analyses_executed == 0
+        assert report.program("prog").simulation is not None
+        assert report.profile is not None
+        assert report.profile["totals"]["tasks"] == 1
+        assert report.profile["totals"]["functions"] == 0
+        assert report.incremental["programs_unchanged"] == 1
+
+    def test_served_programs_are_counted_in_both_report_lines(self, tmp_path, capsys):
+        source = tmp_path / "prog.ptr"
+        source.write_text(BASE)
+        store = str(tmp_path / "store")
+        argv = ["analyze", str(source), "--incremental", "--no-simulate", "--cache-dir", store]
+        assert main(argv) == 0
+        assert "0 program(s) served unchanged" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "1 program(s) served unchanged" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", store]) == 0
+        last_run = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("last run:") and "reused" in line
+        ]
+        assert last_run == [
+            "last run: 3 reused, 0 firewalled (firewall rate 0.0%), 0 recomputed, "
+            "0 fixpoint(s), 1 program(s) served unchanged"
+        ]
+
+
+class TestRetiredStages:
+    """The ``parse`` and ``typecheck`` stages were written and never read."""
+
+    def test_cold_run_writes_no_parse_or_typecheck_artifacts(self, tmp_path):
+        _run(BASE, tmp_path)
+        assert (tmp_path / "report").is_dir()
+        assert not (tmp_path / "parse").exists()
+        assert not (tmp_path / "typecheck").exists()
+
+    @pytest.mark.parametrize("retired", ["parse", "typecheck"])
+    def test_clear_empties_a_store_that_has_them(self, tmp_path, capsys, retired):
+        _run(BASE, tmp_path)
+        stage_dir = tmp_path / retired
+        stage_dir.mkdir(exist_ok=True)
+        (stage_dir / "0123.json").write_text(encode_entry({"body": "x"}))
+        assert ResultCache(tmp_path).verify()["corrupt"] == []
+        before = ResultCache(tmp_path).entry_count()
+
+        assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+        assert f"removed {before} cached result(s)" in capsys.readouterr().out
+        assert list(tmp_path.rglob("*.json")) == []
 
 
 class TestLineRelativeSharing:
