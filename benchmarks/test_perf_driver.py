@@ -76,20 +76,23 @@ def _row(scenario, jobs, batch, elapsed, functions):
 
 
 def _content_duplicate_count(items) -> int:
-    """Functions sharing all analysis-relevant content (body, types, callee
-    closure) with an earlier corpus function — the staged serial engine
-    serves these from stage artifacts instead of re-solving them."""
+    """Functions sharing all analysis-relevant content (declaration text,
+    types, callee closure) with an earlier corpus function — the staged
+    serial engine serves these from stage artifacts instead of re-solving
+    them."""
     from repro.driver.cache import function_digests
     from repro.driver.callgraph import build_call_graph
     from repro.driver.pipeline import PipelineOptions
     from repro.lang.parser import parse_program
+    from repro.lang.split import function_texts, split_declarations
 
     seen: set[str] = set()
     duplicates = 0
     for item in items:
         program = parse_program(item.source)
+        texts = function_texts(program, split_declarations(item.source))
         digests = function_digests(
-            program, build_call_graph(program), PipelineOptions().key()
+            program, build_call_graph(program), PipelineOptions().key(), texts
         )
         for digest in digests.values():
             if digest in seen:

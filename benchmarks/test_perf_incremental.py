@@ -21,7 +21,8 @@ The edited program's report is checked bit-for-bit against a from-scratch
 (no cache) analysis of the edited source — incrementality must never
 change an answer.  ``python benchmarks/compare_bench.py
 --check-incremental BENCH_incremental.json`` gates the recorded
-edit-vs-cold speedups (the quick corpus shows well over the 10x floor).
+edit-vs-cold speedups against a 10x floor (docs/performance.md, Edits,
+records the measured ratios).
 
 Set ``REPRO_FULL=1`` for the paper-sized corpus.
 """

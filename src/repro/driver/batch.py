@@ -1,7 +1,7 @@
 """The whole-program batch driver: ready-queue scheduled, memoized, fault-tolerant.
 
-For every corpus program the driver parses the source, builds the call
-graph, and condenses it into strongly-connected components.  Components are
+For every corpus program the driver builds the call graph and condenses
+it into strongly-connected components.  Components are
 scheduled **bottom-up by dependency count** (callees before callers — the
 order the paper validates Barnes–Hut in): each component carries a count of
 not-yet-landed callee components, and the moment that count reaches zero it
@@ -12,14 +12,16 @@ programs* interleave freely on the same worker pool.
 With ``jobs > 1`` runnable components are packed into cost-balanced chunks
 (:func:`repro.driver.executor.pack_chunks`) and pulled by a pool of
 persistent warm workers, and every function's report is memoized in the
-on-disk :class:`~repro.driver.cache.ResultCache` keyed by its own AST and
-the unparsed bodies of its transitive callees.  ``jobs == 1`` bypasses the
-executor entirely and runs the staged engine inline
-(:mod:`repro.driver.stages`: per-stage artifacts keyed on callee summary
-digests, easy profiling and debugging, zero multiprocessing overhead); a
-program whose source is unchanged since the engine's last run is served
-whole from its manifest without being parsed.  Either way a warm re-run
-performs no analysis at all (the acceptance test asserts exactly that).
+on-disk :class:`~repro.driver.cache.ResultCache` keyed by its own
+declaration text and the unparsed bodies of its transitive callees.
+``jobs == 1`` bypasses the executor entirely and hands each program to the
+staged engine inline (:mod:`repro.driver.stages`: per-stage artifacts
+keyed on callee summary digests, easy profiling and debugging, zero
+multiprocessing overhead), which parses only what changed since its last
+run: nothing for an unchanged program, the edited declarations and the
+callers their summaries reopen for an edited one.  Either way a warm
+re-run performs no analysis at all (the acceptance test asserts exactly
+that).
 
 Partial failure stays partial.  The pooled path reacts to the executor's
 ``crashed``/``timeout`` events with an escalation ladder instead of aborting:
@@ -52,6 +54,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import Program
 from repro.lang.errors import LangError
+from repro.lang.split import function_texts, split_declarations
 from repro.pathmatrix.interproc import summaries_from_payloads
 
 from repro.driver.cache import ResultCache, function_digests, program_digest
@@ -75,7 +78,7 @@ from repro.driver.pipeline import (
     relativize_report,
     simulate_program,
 )
-from repro.driver.stages import IncrementalStats, StagedEngine
+from repro.driver.stages import IncrementalStats, ParseFailure, StagedEngine
 
 #: first retry of a crashed component waits this long; each further retry
 #: doubles it (pure backoff — the analysis itself is deterministic)
@@ -238,9 +241,6 @@ class _ProgramPlan:
     ready: list[int] = field(default_factory=list)
     sim_key: str | None = None
     needs_simulation: bool = False
-    #: the engine's counters when the program was served whole from its
-    #: manifest (inline path only; such a plan is never parsed)
-    served: IncrementalStats | None = None
 
     @property
     def schedulable(self) -> bool:
@@ -327,18 +327,15 @@ class BatchDriver:
         report = BatchReport(jobs=self.jobs, host_cpus=os.cpu_count())
         started = time.perf_counter()
 
-        # a manifest records one program per name: a name the corpus shares
-        # is never served whole
-        names = Counter(item.name for item in items)
-        plans = [
-            self._plan_item(
-                i, item, report, servable=self.jobs == 1 and names[item.name] == 1
-            )
-            for i, item in enumerate(items)
-        ]
         if self.jobs > 1:
+            plans = [self._plan_item(i, item, report) for i, item in enumerate(items)]
             timings = self._run_parallel(plans, report)
         else:
+            # the staged engine parses (or serves) each program itself
+            plans = [
+                _ProgramPlan(index=i, item=item, report=ProgramReport(name=item.name))
+                for i, item in enumerate(items)
+            ]
             timings = self._run_inline(plans, report)
         report.profile = self._aggregate_profile(timings)
 
@@ -356,83 +353,75 @@ class BatchDriver:
         return report
 
     # -- planning ------------------------------------------------------------
-    def _plan_item(
-        self, index: int, item: CorpusItem, batch: BatchReport, servable: bool = False
-    ) -> _ProgramPlan:
-        plan = _ProgramPlan(index=index, item=item, report=ProgramReport(name=item.name))
-        served = (
-            self.engine.serve(item.name, item.source, plan.report.functions)
-            if servable
-            else None
-        )
-        if served is not None:
-            plan.served, plan.report.schedule = served
-            batch.cache_hits += plan.served.reused
-        elif not self._plan_program(plan, batch):
-            return plan
+    def _probe_simulation(self, plan: _ProgramPlan, batch: BatchReport) -> None:
+        """Serve ``plan``'s simulation from the store, or mark it needed."""
+        if not self.simulate:
+            return
+        plan.sim_key = program_digest(plan.item.source, self.options.key())
+        self.cache.preload([plan.sim_key], stage="sim")
+        cached = self.cache.get(plan.sim_key, stage="sim")
+        if cached is not None:
+            plan.report.simulation = cached
+            batch.simulation_cache_hits += 1
+        else:
+            plan.needs_simulation = True
 
-        if self.simulate:
-            plan.sim_key = program_digest(item.source, self.options.key())
-            self.cache.preload([plan.sim_key], stage="sim")
-            cached = self.cache.get(plan.sim_key, stage="sim")
-            if cached is not None:
-                plan.report.simulation = cached
-                batch.simulation_cache_hits += 1
-            else:
-                plan.needs_simulation = True
+    def _plan_item(self, index: int, item: CorpusItem, batch: BatchReport) -> _ProgramPlan:
+        """Pooled path: plan one program and probe its simulation."""
+        plan = _ProgramPlan(index=index, item=item, report=ProgramReport(name=item.name))
+        if self._plan_program(plan, batch):
+            self._probe_simulation(plan, batch)
         return plan
 
     def _plan_program(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
-        """Parse and condense ``plan``'s program; on the pooled path also
-        probe its body-keyed reports.  ``False`` when it cannot be analyzed
-        (the error is on the report)."""
+        """Parse and condense ``plan``'s program and probe its body-keyed
+        reports.  ``False`` when it cannot be analyzed (the error is on the
+        report)."""
         try:
             program = parsed_program(plan.item.source)
         except LangError as exc:
             plan.report.error = f"parse error: {exc}"
             return False
-        try:
-            graph = build_call_graph(program)
-            plan.cond = condense(graph)
-        except LangError as exc:  # defensive: malformed programs must not abort the batch
-            plan.report.error = str(exc)
-            return False
+        graph = build_call_graph(program)
+        plan.cond = condense(graph)
         plan.report.schedule = plan.cond.waves()
         plan.program = program
         plan.graph = graph
-        if self.jobs > 1:
-            # pooled path: legacy body-keyed report probing + ready-queue
-            # bookkeeping.  The inline path (jobs == 1) skips all of this —
-            # the staged engine probes the per-stage artifact store itself.
-            plan.digests = function_digests(program, graph, self.options.key())
-            self.cache.preload(plan.digests.values())
+        try:
+            declarations = split_declarations(plan.item.source)
+        except LangError:
+            declarations = None
+        plan.digests = function_digests(
+            program, graph, self.options.key(), function_texts(program, declarations)
+        )
+        self.cache.preload(plan.digests.values())
 
-            plan.blockers = plan.cond.initial_blockers()
-            for i, scc in enumerate(plan.cond.sccs):
-                pending: list[str] = []
-                cost = 0
-                for name in scc:
-                    cached = self.cache.get(plan.digests[name])
-                    if cached is not None:
-                        plan.report.functions[name] = absolutize_report(
-                            cached, plan.base_line(name)
-                        )
-                        batch.cache_hits += 1
-                    else:
-                        pending.append(name)
-                        cost += estimate_cost(program.function_named(name), program)
-                plan.pending[i] = pending
-                plan.costs[i] = cost
-            # components with nothing to compute land immediately (their
-            # results came from the cache), which may free their dependents
-            for i in range(len(plan.cond.sccs)):
-                if not plan.pending[i]:
-                    plan.land(i)
-            plan.ready = [
-                i
-                for i in range(len(plan.cond.sccs))
-                if plan.pending[i] and plan.blockers[i] == 0
-            ]
+        plan.blockers = plan.cond.initial_blockers()
+        for i, scc in enumerate(plan.cond.sccs):
+            pending: list[str] = []
+            cost = 0
+            for name in scc:
+                cached = self.cache.get(plan.digests[name])
+                if cached is not None:
+                    plan.report.functions[name] = absolutize_report(
+                        cached, plan.base_line(name)
+                    )
+                    batch.cache_hits += 1
+                else:
+                    pending.append(name)
+                    cost += estimate_cost(program.function_named(name), program)
+            plan.pending[i] = pending
+            plan.costs[i] = cost
+        # components with nothing to compute land immediately (their
+        # results came from the cache), which may free their dependents
+        for i in range(len(plan.cond.sccs)):
+            if not plan.pending[i]:
+                plan.land(i)
+        plan.ready = [
+            i
+            for i in range(len(plan.cond.sccs))
+            if plan.pending[i] and plan.blockers[i] == 0
+        ]
         return True
 
     # -- inline execution (jobs == 1, the staged incremental engine) -----------
@@ -450,30 +439,30 @@ class BatchDriver:
         def count_recomputed(_name: str) -> None:
             batch.analyses_executed += 1
 
+        # a manifest records one program per name: a name the corpus shares
+        # is never served from it
+        names = Counter(plan.item.name for plan in plans)
         for plan in plans:
-            if plan.served is not None:
-                totals.merge(plan.served)
-            elif plan.schedulable:
-                # condensation order is bottom-up, so the engine's two phases
-                # never touch a component before its callees
-                stats = self.engine.run(
+            try:
+                run = self.engine.run(
                     plan.item.name,
                     plan.item.source,
-                    plan.program,
-                    plan.graph,
-                    plan.cond,
                     plan.report.functions,
                     on_reused=count_reused,
                     on_recomputed=count_recomputed,
+                    reuse=names[plan.item.name] == 1,
                 )
-                totals.merge(stats)
-                functions_run += stats.recomputed
-            else:
+            except ParseFailure as failure:
+                plan.report.error = f"parse error: {failure.error}"
                 continue
+            plan.report.schedule = run.schedule
+            totals.merge(run.stats)
+            functions_run += run.stats.recomputed
+            self._probe_simulation(plan, batch)
             if plan.needs_simulation:
                 simulations_run += 1
                 self._record_simulation(
-                    plan, simulate_program(plan.item.source, self.options)
+                    plan, simulate_program(plan.item.source, self.options, run.program)
                 )
         batch.incremental = totals.to_dict()
         analyze_s = time.perf_counter() - work_started

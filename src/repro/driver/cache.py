@@ -6,7 +6,7 @@ stores its output as a separately addressed artifact under a per-stage
 subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
 covers everything that can influence its output: the cache version, the
 analysis options, the program's type declarations (ADDS information changes
-verdicts), the function's own unparsed AST — and, per the bottom-up
+verdicts), the function's own declaration text — and, per the bottom-up
 interprocedural discipline, the *artifact digests* of its direct callees'
 summary stage rather than their bodies.  That indirection is the early-cutoff
 firewall: editing a leaf in a way that leaves its summary artifact
@@ -43,7 +43,7 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 8  # v8: simulations strip-mine under the run's ADDS setting
+CACHE_VERSION = 9  # v9: function stages key on the exact declaration text
 
 #: stage namespaces of the artifact store, one subdirectory each
 STAGES = (
@@ -81,18 +81,26 @@ def function_digests(
     program: Program,
     graph: CallGraph,
     options_key: str,
+    texts: dict[str, str] | None = None,
 ) -> dict[str, str]:
-    """Per-function cache keys: own AST hash + transitive callee body hashes.
+    """Per-function cache keys: own declaration text + transitive callee
+    body hashes.
 
     This is the *legacy* (parallel-path) keying: callee bodies, not summary
     digests, so editing a leaf invalidates its whole caller chain.  The
     staged engine's keys (see :mod:`repro.driver.stages`) firewall callers
-    through callee summary artifacts instead.  Stored payloads are
-    line-relative, so the function's file offset is deliberately *not* an
-    ingredient — byte-identical bodies at different offsets share one entry.
+    through callee summary artifacts instead.  ``texts`` maps each function
+    to its exact declaration text (:func:`repro.lang.split.function_texts`);
+    stored payloads are line-relative to the function's first line, so the
+    key must fix the lines *inside* the function — a blank line added to a
+    body moves its loops — while the file offset is deliberately *not* an
+    ingredient: byte-identical declarations at different offsets share one
+    entry.  Without ``texts`` the unparsed function stands in.
     """
     types_src = "\n".join(unparse(t) for t in program.types)
     unparsed = {f.name: unparse(f) for f in program.functions}
+    if texts is None:
+        texts = unparsed
     body_digests = {name: _sha("body", src) for name, src in unparsed.items()}
     digests: dict[str, str] = {}
     for func in program.functions:
@@ -105,7 +113,7 @@ def function_digests(
             str(CACHE_VERSION),
             options_key,
             types_src,
-            unparsed[func.name],
+            texts[func.name],
             callee_part,
         )
     return digests

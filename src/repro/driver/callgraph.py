@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.lang.ast_nodes import Call, Program, iter_statements
+from repro.lang.ast_nodes import Program
+from repro.lang.callgraph import called_functions, condensed_sccs
 
 
 @dataclass
@@ -46,64 +47,14 @@ def build_call_graph(program: Program) -> CallGraph:
     defined = {f.name for f in program.functions}
     graph = CallGraph(functions=[f.name for f in program.functions])
     for func in program.functions:
-        callees: set[str] = set()
-        for stmt in iter_statements(func.body):
-            for node in stmt.walk():
-                if isinstance(node, Call) and node.func in defined:
-                    callees.add(node.func)
-        graph.edges[func.name] = callees
+        graph.edges[func.name] = called_functions(func, defined)
     return graph
 
 
 def strongly_connected_components(graph: CallGraph) -> list[list[str]]:
     """Tarjan's SCCs, iteratively (stress programs nest deeply), emitted
     bottom-up: every component appears before any component that calls it."""
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-
-    for root in graph.functions:
-        if root in index_of:
-            continue
-        # explicit DFS machine: (node, iterator over its callees)
-        work = [(root, iter(sorted(graph.callees(root))))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for callee in it:
-                if callee not in index_of:
-                    index_of[callee] = lowlink[callee] = counter
-                    counter += 1
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append((callee, iter(sorted(graph.callees(callee)))))
-                    advanced = True
-                    break
-                if callee in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[callee])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
+    return condensed_sccs(graph.edges, graph.functions)
 
 
 @dataclass

@@ -41,6 +41,7 @@ from repro.lang.ast_nodes import Call, IntLit, Program
 from repro.lang.errors import InterpreterLimitError, LangError
 from repro.lang.interpreter import Interpreter, run_program
 from repro.lang.parser import parse_program
+from repro.lang.split import split_declarations
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix.analysis import AnalysisError, PathMatrixAnalysis
 from repro.transform.dependence import classify_loop, find_while_loops
@@ -342,14 +343,35 @@ def _on_fresh_stack(run):
     return outcome["value"]
 
 
-def simulate_program(source: str, options: PipelineOptions) -> dict:
+def _lacks_entry(source: str, entry: str) -> bool:
+    """Whether ``source`` has no parameterless ``entry`` function, decided
+    from its declarations without parsing it (``False`` if undecidable)."""
+    try:
+        declarations = split_declarations(source)
+    except LangError:
+        return False
+    for decl in declarations:
+        if decl.kind == "function" and decl.name == entry:
+            return decl.takes_parameters()
+    return True
+
+
+def simulate_program(
+    source: str, options: PipelineOptions, program: Program | None = None
+) -> dict:
     """Transform and replay one program on the simulated multiprocessor.
 
-    Returns a report dict; the ``status`` field is one of ``"simulated"``,
-    ``"no-entry"``, ``"no-parallel-loops"``, ``"limit"`` (a resource budget
-    was exhausted — see :data:`SIMULATION_MAX_STEPS`), or ``"error"``.
+    ``program`` is ``source`` parsed, when the caller already has it;
+    otherwise a program without a parameterless entry is reported without
+    being parsed.  Returns a report dict; the ``status`` field is one of
+    ``"simulated"``, ``"no-entry"``, ``"no-parallel-loops"``, ``"limit"``
+    (a resource budget was exhausted — see :data:`SIMULATION_MAX_STEPS`),
+    or ``"error"``.
     """
-    program = parsed_program(source)
+    if program is None:
+        if _lacks_entry(source, options.entry):
+            return {"status": "no-entry", "entry": options.entry}
+        program = parsed_program(source)
     entry = program.function_named(options.entry)
     if entry is None or entry.params:
         return {"status": "no-entry", "entry": options.entry}

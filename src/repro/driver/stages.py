@@ -7,24 +7,25 @@ pipeline stage is a separately content-addressed artifact (see
 soundness argument):
 
 **Phase 1 — bottom-up summary resolution.**  For each component (callees
-first), probe the ``summary`` stage under a key covering the members' bodies
-and the *artifact digests* of their already-resolved external callees.  On a
-hit the summaries (effects, ``preserves_abstraction``, inferred return type)
-are reinterned without running anything; on a miss they are recomputed with
+first), probe the ``summary`` stage under a key covering the members'
+unparsed bodies and the *artifact digests* of their already-resolved
+external callees.  On a hit the summaries (effects,
+``preserves_abstraction``, inferred return type) are reinterned without
+running anything; on a miss they are recomputed with
 :func:`~repro.pathmatrix.interproc.summarize_scc` + preservation refinement
 and stored.  Either way each member gets an **artifact digest** — the hash
 of its summary payload — which is the only thing callers may key on.
 
 **Phase 2 — per-function stage assembly.**  A function's stage keys cover
-its own body, its own summary artifact, and its direct callees' artifact
-digests — *not* their bodies.  That indirection is the early-cutoff
-firewall: an edit that leaves a callee's summary artifact byte-identical
-leaves every caller's keys untouched, so callers are reused unrun.  The
-``report`` stage caches the assembled legacy report; on a report miss the
-``analysis`` (fixpoint + validation), ``loops`` (classification), and
-``transforms`` (applicability) stages are probed individually, so e.g. an
-evicted report is reassembled from intact stage artifacts without solving
-anything.
+its own declaration text, its own summary artifact, and its direct
+callees' artifact digests — *not* their bodies.  That indirection is the
+early-cutoff firewall: an edit that leaves a callee's summary artifact
+byte-identical leaves every caller's keys untouched, so callers are reused
+unrun.  The ``report`` stage caches the assembled legacy report; on a
+report miss the ``analysis`` (fixpoint + validation), ``loops``
+(classification), and ``transforms`` (applicability) stages are probed
+individually, so e.g. an evicted report is reassembled from intact stage
+artifacts without solving anything.
 
 Two-phase commit: phase 1 settles *every* summary artifact of a component
 before any phase-2 (or caller phase-1) key is formed, so a changed
@@ -32,13 +33,21 @@ function's new summary digest is always compared against its callers' cached
 inputs — there is no window where a caller could be firewalled against a
 stale summary.
 
-**Unchanged programs.**  The per-program ``manifest`` records the last
-run: the source digest, the schedule, and each function's body and summary
-digests, ``report`` key and first line.  :meth:`StagedEngine.serve` serves
-a program whose source is byte-identical to that record straight from the
-named ``report`` artifacts, before anything is parsed; any miss (another
-source, an older manifest, a missing or corrupt report) leaves the program
-to :meth:`StagedEngine.run`, which probes the same keys.
+**Declaration-level reuse.**  The per-program ``manifest`` records the last
+run: the source digest, the type declarations' digest, the function order
+and schedule, and per function its declaration-text digest, direct callees,
+``summary`` key and artifact digest, ``report`` key and first line.  A
+byte-identical source is served whole from the named ``report`` artifacts.
+Otherwise the source is cut into declarations
+(:func:`~repro.lang.split.split_declarations`) and only the *recompute
+cone* is parsed: the type declarations, the functions whose text changed,
+and the callers a moved summary digest reopens.  Every other function is
+served from its recorded ``report`` key at its new first line, and the
+cone's functions are typechecked and analyzed one component at a time over
+a partial program that knows their callees by summary only.  Whatever the
+cone cannot decide (no usable manifest, a changed set of names or types, a
+declaration that does not parse, a missing artifact) takes the full path:
+every declaration parsed and every key probed.
 
 Stored payloads are line-relative (see
 :func:`~repro.driver.pipeline.relativize_report`); everything the engine
@@ -49,8 +58,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from repro.lang.ast_nodes import Program
+from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
+from repro.lang.callgraph import called_functions
+from repro.lang.errors import LangError
+from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
+from repro.lang.split import Declaration, function_texts, split_declarations
 from repro.lang.typecheck import inferred_return_type
 from repro.pathmatrix.analysis import PathMatrixAnalysis, fixpoint_run_count
 from repro.pathmatrix.interproc import (
@@ -61,7 +74,7 @@ from repro.pathmatrix.interproc import (
 )
 
 from repro.driver.cache import CACHE_VERSION, ResultCache, _sha, payload_digest
-from repro.driver.callgraph import CallGraph, Condensation
+from repro.driver.callgraph import CallGraph, build_call_graph, condense
 from repro.driver.pipeline import (
     PipelineOptions,
     absolutize_report,
@@ -84,7 +97,8 @@ class IncrementalStats:
     firewalled: int = 0
     #: functions whose fixpoint/validation stage actually ran
     recomputed: int = 0
-    #: functions whose own body changed since the last run (per the manifest)
+    #: functions whose declaration text changed since the last run (per the
+    #: manifest)
     dirty: int = 0
     summaries_reused: int = 0
     summaries_recomputed: int = 0
@@ -101,6 +115,92 @@ class IncrementalStats:
         return asdict(self)
 
 
+@dataclass
+class ProgramRun:
+    """What :meth:`StagedEngine.run` did for one program."""
+
+    stats: IncrementalStats
+    #: the bottom-up schedule (``Condensation.waves``)
+    schedule: list
+    #: the whole program when the run parsed all of it, else ``None``
+    program: Program | None = None
+
+
+class ParseFailure(Exception):
+    """The program does not parse; ``error`` is the parser's diagnostic."""
+
+    def __init__(self, error: LangError):
+        super().__init__(str(error))
+        self.error = error
+
+
+class _ConeUndecidable(Exception):
+    """The recompute cone cannot be served from the store: take the full path."""
+
+
+@dataclass
+class _Source:
+    """One program as the walk sees it; the cone parses declarations only
+    when the walk first needs them."""
+
+    #: function name -> the text its stage keys cover, in source order
+    texts: dict[str, str]
+    #: function name -> first line
+    lines: dict[str, int]
+    graph: CallGraph
+    #: function name -> declaration, for the functions parsed so far
+    parsed: dict[str, FunctionDecl]
+    #: digest of the type declarations' text (``None``: not known)
+    types_digest: str | None
+    #: the whole program (full path only)
+    program: Program | None = None
+    #: the unparsed declarations (cone only)
+    declarations: dict[str, Declaration] | None = None
+    type_declarations: list[Declaration] | None = None
+    _types: list[TypeDecl] | None = None
+    _types_src: str | None = None
+
+    def types(self) -> list[TypeDecl]:
+        if self._types is None:
+            self._types = (
+                self.program.types
+                if self.program is not None
+                else [_parse_declaration(d) for d in self.type_declarations]
+            )
+        return self._types
+
+    def types_source(self) -> str:
+        """The unparsed type declarations: an ingredient of every key."""
+        if self._types_src is None:
+            self._types_src = "\n".join(unparse(t) for t in self.types())
+        return self._types_src
+
+    def function(self, name: str) -> FunctionDecl:
+        if name not in self.parsed:
+            self.parsed[name] = _parse_declaration(self.declarations[name])
+        return self.parsed[name]
+
+
+def _parse_declaration(decl: Declaration) -> TypeDecl | FunctionDecl:
+    """Parse one declaration at its lines, or raise :class:`_ConeUndecidable`."""
+    try:
+        program = parse_program(decl.text, decl.line)
+    except LangError:
+        raise _ConeUndecidable from None
+    nodes = program.types + program.functions
+    if len(nodes) != 1 or nodes[0].name != decl.name:
+        raise _ConeUndecidable
+    return nodes[0]
+
+
+#: what the manifest records per function (the cone needs all of it)
+_MANIFEST_FIELDS = frozenset({"text", "callees", "skey", "summary", "report", "line"})
+
+
+def _artifact(name: str, summary: dict, return_type: str | None) -> str:
+    return payload_digest({"function": name, "summary": summary, "return_type": return_type})
+
+
 class StagedEngine:
     """Run the staged pipeline for one program against an artifact store."""
 
@@ -111,22 +211,56 @@ class StagedEngine:
     def _manifest_key(self, name: str) -> str:
         return _sha("manifest", str(CACHE_VERSION), self.options.key(), name)
 
-    def serve(
-        self, name: str, source: str, functions_out: dict[str, dict]
-    ) -> tuple[IncrementalStats, list] | None:
-        """Serve a program whose source is byte-identical to its manifest's.
+    def run(
+        self,
+        name: str,
+        source: str,
+        functions_out: dict[str, dict],
+        on_reused=None,
+        on_recomputed=None,
+        reuse: bool = True,
+    ) -> ProgramRun:
+        """Fill ``functions_out`` with per-function reports (absolute lines).
 
-        Fills ``functions_out`` from the ``report`` artifacts the manifest
-        names, absolutized at the recorded lines, and returns the counters
-        of an unchanged program plus the recorded schedule.  Returns
-        ``None`` and leaves ``functions_out`` alone when the manifest is
-        missing, records another source or none (written before source
-        digests), or names a ``report`` artifact that is missing or fails
-        its checksum; :meth:`run` then probes those same keys.
+        ``on_reused``/``on_recomputed`` are per-function callbacks for the
+        batch driver's counters (``cache_hits``/``analyses_executed``).
+        ``reuse=False`` ignores the manifest's record of the last run except
+        for dirty accounting (a corpus that gives two programs one name).
+        Raises :class:`ParseFailure` when the source does not parse.
         """
         manifest = self.cache.get(self._manifest_key(name), stage="manifest")
-        if manifest is None or manifest.get("source") != _sha("source", source):
-            return None
+        usable = reuse and manifest is not None
+        if usable and manifest.get("source") == _sha("source", source):
+            served = self._serve(manifest, functions_out, on_reused)
+            if served is not None:
+                return served
+        try:
+            declarations = split_declarations(source)
+        except LangError:
+            declarations = None
+        if usable and declarations is not None:
+            try:
+                cone = self._cone_source(manifest, declarations)
+                return self._walk(
+                    name, source, cone, manifest, functions_out, on_reused, on_recomputed
+                )
+            except _ConeUndecidable:
+                pass
+        return self._walk(
+            name,
+            source,
+            self._whole_source(source, declarations),
+            manifest,
+            functions_out,
+            on_reused,
+            on_recomputed,
+        )
+
+    # -- the three ways into a program ---------------------------------------
+    def _serve(self, manifest: dict, functions_out: dict, on_reused) -> ProgramRun | None:
+        """Serve a program whose source is byte-identical to its manifest's
+        from the named ``report`` artifacts; ``None`` if one is missing or
+        fails its checksum."""
         served: dict[str, dict] = {}
         for fn, entry in manifest["functions"].items():
             cached = self.cache.get(entry["report"], stage="report")
@@ -134,137 +268,293 @@ class StagedEngine:
                 return None
             served[fn] = absolutize_report(cached, entry["line"])
         functions_out.update(served)
+        if on_reused is not None:
+            for fn in served:
+                on_reused(fn)
         stats = IncrementalStats(
             reused=len(served), summaries_reused=len(served), programs_unchanged=1
         )
-        return stats, manifest["schedule"]
+        return ProgramRun(stats, manifest["schedule"])
 
-    def run(
+    def _whole_source(self, source: str, declarations: list[Declaration] | None) -> _Source:
+        """The full path: parse every declaration in one go."""
+        try:
+            program = parse_program(source)
+        except LangError as exc:
+            raise ParseFailure(exc) from exc
+        texts = function_texts(program, declarations)
+        types_digest = None
+        if texts is None:
+            texts = {f.name: unparse(f) for f in program.functions}
+        else:
+            types_digest = _sha("types", *(d.text for d in declarations if d.kind == "type"))
+        return _Source(
+            texts=texts,
+            lines={f.name: f.line or 1 for f in program.functions},
+            graph=build_call_graph(program),
+            parsed={f.name: f for f in program.functions},
+            types_digest=types_digest,
+            program=program,
+        )
+
+    def _cone_source(self, manifest: dict, declarations: list[Declaration]) -> _Source:
+        """The declaration-level path: parse the types and the functions whose
+        text changed; everything else is known from the manifest."""
+        try:
+            recorded = manifest["functions"]
+            order = manifest["order"]
+            types_digest = manifest["types"]
+        except (KeyError, TypeError):
+            raise _ConeUndecidable from None
+        if not all(_MANIFEST_FIELDS <= entry.keys() for entry in recorded.values()):
+            raise _ConeUndecidable
+        functions = {d.name: d for d in declarations if d.kind == "function"}
+        type_decls = [d for d in declarations if d.kind == "type"]
+        if (
+            len(functions) != len(declarations) - len(type_decls)
+            or set(functions) != set(order)
+            or _sha("types", *(d.text for d in type_decls)) != types_digest
+        ):
+            raise _ConeUndecidable
+        parsed: dict[str, FunctionDecl] = {}
+        edges: dict[str, set[str]] = {}
+        for fn, decl in functions.items():
+            if _sha("text", decl.text) == recorded[fn]["text"]:
+                edges[fn] = set(recorded[fn]["callees"])
+            else:
+                parsed[fn] = _parse_declaration(decl)
+                edges[fn] = called_functions(parsed[fn], functions)
+        return _Source(
+            texts={fn: d.text for fn, d in functions.items()},
+            lines={fn: d.line for fn, d in functions.items()},
+            graph=CallGraph(functions=list(functions), edges=edges),
+            parsed=parsed,
+            types_digest=types_digest,
+            declarations=functions,
+            type_declarations=type_decls,
+        )
+
+    # -- the walk --------------------------------------------------------------
+    def _walk(
         self,
         name: str,
         source: str,
-        program: Program,
-        graph: CallGraph,
-        cond: Condensation,
+        src: _Source,
+        manifest: dict | None,
         functions_out: dict[str, dict],
-        on_reused=None,
-        on_recomputed=None,
-    ) -> IncrementalStats:
-        """Fill ``functions_out`` with per-function reports (absolute lines).
-
-        ``program`` is ``source`` parsed; the manifest records the source's
-        digest for :meth:`serve`.  ``on_reused``/``on_recomputed`` are
-        per-function callbacks for the batch driver's counters
-        (``cache_hits``/``analyses_executed``).
-        """
+        on_reused,
+        on_recomputed,
+    ) -> ProgramRun:
+        """Both phases over ``src``.  On the full path (``src.program``
+        set) every component is resolved and every function probed; on the
+        cone only what a change can reach.  Nothing is written, and no
+        function reported, until the cone can no longer give up."""
         stats = IncrementalStats()
         opts = self.options.key()
         version = str(CACHE_VERSION)
-        types_src = "\n".join(unparse(t) for t in program.types)
-        bodies = {f.name: unparse(f) for f in program.functions}
-        body_digest = {n: _sha("body", src) for n, src in bodies.items()}
-        base_line = {f.name: (f.line or 1) for f in program.functions}
-        report_key: dict[str, str] = {}
-
-        # the manifest of the previous run, for dirty accounting
-        manifest_key = self._manifest_key(name)
-        old_manifest = self.cache.get(manifest_key, stage="manifest")
-        if old_manifest is None:
-            dirty = set(bodies)
-        else:
-            previous = old_manifest.get("functions", {})
-            dirty = {
-                n
-                for n in bodies
-                if previous.get(n, {}).get("body") != body_digest[n]
-            }
+        full = src.program is not None
+        recorded = manifest.get("functions", {}) if manifest is not None else {}
+        text_digest = {n: _sha("text", t) for n, t in src.texts.items()}
+        dirty = {
+            n for n in src.texts if recorded.get(n, {}).get("text") != text_digest[n]
+        }
         stats.dirty = len(dirty)
+        graph = src.graph
+        cond = condense(graph)
+        callers: dict[str, set[str]] = {n: set() for n in src.texts}
+        for caller in src.texts:
+            for callee in graph.callees(caller):
+                callers[callee].add(caller)
 
-        def touches_dirty(function: str) -> bool:
-            return function not in dirty and bool(
-                graph.transitive_callees(function) & dirty
-            )
-
-        # -- phase 1: bottom-up summary resolution over the condensation -----
         table: dict[str, FunctionSummary] = {}
-        analysis = PathMatrixAnalysis(
-            program,
-            use_adds=self.options.use_adds,
-            memoize_results=True,
-            summaries=table,
-        )
-        direct = direct_summaries(program)
-        call_maps = _call_argument_map(program)
+        returns: dict[str, str | None] = {}
         art_digest: dict[str, str] = {}
+        summary_key: dict[str, str] = {}
+        moved: set[str] = set()
+        pending_puts: list[tuple[str, dict]] = []
         fixpoints_before = fixpoint_run_count()
 
-        def artifact(n: str, summary_dict: dict, rt: str | None) -> str:
-            return payload_digest(
-                {"function": n, "summary": summary_dict, "return_type": rt}
+        if full:
+            shared = PathMatrixAnalysis(
+                src.program,
+                use_adds=self.options.use_adds,
+                memoize_results=True,
+                summaries=table,
+            )
+            direct = direct_summaries(src.program)
+            call_maps = _call_argument_map(src.program)
+        analyses: dict[int, PathMatrixAnalysis] = {}
+
+        def externals_of(members: list[str]) -> list[str]:
+            member_set = set(members)
+            return sorted(
+                {c for n in members for c in graph.callees(n) if c not in member_set}
             )
 
-        for members in cond.sccs:
-            scc_blob = ";".join(f"{n}={body_digest[n]}" for n in members)
-            member_set = set(members)
-            externals = sorted(
-                {
-                    c
-                    for n in members
-                    for c in graph.callees(n)
-                    if c not in member_set
-                }
+        def load_summaries(function: str) -> None:
+            """Reintern an unreopened component's summaries from its artifact."""
+            if function in table:
+                return
+            cached = self.cache.get(recorded[function]["skey"], stage="summary")
+            if cached is None:
+                raise _ConeUndecidable
+            for member, entry in cached["functions"].items():
+                table[member] = FunctionSummary.from_dict(entry["summary"])
+                returns[member] = entry["return_type"]
+
+        def analysis_for(component: int) -> PathMatrixAnalysis:
+            """The analysis a component's members run under: the whole
+            program's, or (cone) one over the members alone that knows
+            their callees by summary and return type."""
+            if full:
+                return shared
+            if component not in analyses:
+                members = cond.sccs[component]
+                externals = externals_of(members)
+                for callee in externals:
+                    load_summaries(callee)
+                analyses[component] = PathMatrixAnalysis(
+                    Program(types=src.types(), functions=[src.parsed[n] for n in members]),
+                    use_adds=self.options.use_adds,
+                    memoize_results=True,
+                    summaries=table,
+                    external_returns={c: returns[c] for c in externals},
+                )
+            return analyses[component]
+
+        def reopened(members: list[str], externals: list[str]) -> bool:
+            if full or any(n in dirty for n in members):
+                return True
+            if any(c in moved for c in externals):
+                return True
+            # the component gained or lost members since the last run
+            keys = {recorded[n]["skey"] for n in members}
+            return len(keys) != 1 or group_size[keys.pop()] != len(members)
+
+        group_size: dict[str, int] = {}
+        if not full:
+            for entry in recorded.values():
+                group_size[entry["skey"]] = group_size.get(entry["skey"], 0) + 1
+
+        # -- phase 1: bottom-up summary resolution over the condensation -----
+        for component, members in enumerate(cond.sccs):
+            externals = externals_of(members)
+            if not reopened(members, externals):
+                for n in members:
+                    art_digest[n] = recorded[n]["summary"]
+                    summary_key[n] = recorded[n]["skey"]
+                stats.summaries_reused += len(members)
+                continue
+            scc_blob = ";".join(
+                f"{n}={_sha('body', unparse(src.function(n)))}" for n in members
             )
             ext_blob = ";".join(f"{c}={art_digest[c]}" for c in externals)
-            skey = _sha("summary", version, opts, types_src, scc_blob, ext_blob)
+            skey = _sha(
+                "summary", version, opts, src.types_source(), scc_blob, ext_blob
+            )
             cached = self.cache.get(skey, stage="summary")
             if cached is not None:
                 for n in members:
                     entry = cached["functions"][n]
                     table[n] = FunctionSummary.from_dict(entry["summary"])
-                    art_digest[n] = artifact(n, entry["summary"], entry["return_type"])
+                    returns[n] = entry["return_type"]
+                    art_digest[n] = _artifact(n, entry["summary"], returns[n])
                 stats.summaries_reused += len(members)
-                continue
-            resolved = summarize_scc(
-                program, members, table, direct=direct, call_maps=call_maps
-            )
-            table.update(resolved)
-            analysis.refine_preservation(members)
-            payload: dict = {"functions": {}}
+            else:
+                analysis = analysis_for(component)
+                if full:
+                    resolved = summarize_scc(
+                        src.program, members, table, direct=direct, call_maps=call_maps
+                    )
+                else:
+                    resolved = summarize_scc(analysis.program, members, table)
+                table.update(resolved)
+                analysis.refine_preservation(members)
+                payload: dict = {"functions": {}}
+                for n in members:
+                    returns[n] = inferred_return_type(
+                        analysis.program, analysis.check_result, n
+                    )
+                    summary_dict = table[n].to_dict()
+                    payload["functions"][n] = {
+                        "summary": summary_dict,
+                        "return_type": returns[n],
+                    }
+                    art_digest[n] = _artifact(n, summary_dict, returns[n])
+                pending_puts.append((skey, payload))
+                stats.summaries_recomputed += len(members)
             for n in members:
-                rt = inferred_return_type(program, analysis.check_result, n)
-                summary_dict = table[n].to_dict()
-                payload["functions"][n] = {
-                    "summary": summary_dict,
-                    "return_type": rt,
-                }
-                art_digest[n] = artifact(n, summary_dict, rt)
+                summary_key[n] = skey
+                if recorded.get(n, {}).get("summary") != art_digest[n]:
+                    moved.add(n)
+
+        # the functions whose report key can have moved; the rest are served
+        # from the keys the manifest names
+        if full:
+            probed = set(src.texts)
+        else:
+            probed = dirty | moved
+            for n in moved:
+                probed |= callers[n]
+        served: dict[str, dict] = {}
+        for n in src.texts:
+            if n not in probed:
+                cached = self.cache.get(recorded[n]["report"], stage="report")
+                if cached is None:
+                    raise _ConeUndecidable
+                served[n] = cached
+        for members in cond.sccs:
+            if not full and any(n in probed for n in members):
+                for callee in externals_of(members):
+                    load_summaries(callee)
+
+        # -- commit: from here on the walk cannot give up --------------------
+        for skey, payload in pending_puts:
             self.cache.put(skey, payload, stage="summary")
-            stats.summaries_recomputed += len(members)
+
+        # reused functions a dirty function is reachable from (one reverse
+        # walk instead of one transitive-callee set per function)
+        reaches_dirty: set[str] = set()
+        stack = list(dirty)
+        while stack:
+            for caller in callers[stack.pop()]:
+                if caller not in reaches_dirty:
+                    reaches_dirty.add(caller)
+                    stack.append(caller)
+
+        def count_reused(fn: str) -> None:
+            stats.reused += 1
+            if fn not in dirty and fn in reaches_dirty:
+                stats.firewalled += 1
+            if on_reused is not None:
+                on_reused(fn)
 
         # -- phase 2: per-function stage probe / compute / assemble -----------
-        for members in cond.sccs:
+        report_key: dict[str, str] = {}
+        for component, members in enumerate(cond.sccs):
             for fn in members:
+                line = src.lines[fn]
+                if fn in served:
+                    functions_out[fn] = absolutize_report(served[fn], line)
+                    report_key[fn] = recorded[fn]["report"]
+                    count_reused(fn)
+                    continue
                 callee_blob = ";".join(
                     f"{c}={art_digest[c]}" for c in sorted(graph.callees(fn))
                 )
                 base = (
                     version,
                     opts,
-                    types_src,
-                    bodies[fn],
+                    src.types_source(),
+                    src.texts[fn],
                     art_digest[fn],
                     callee_blob,
                 )
-                line = base_line[fn]
                 rkey = report_key[fn] = _sha("report", *base)
                 cached_report = self.cache.get(rkey, stage="report")
                 if cached_report is not None:
                     functions_out[fn] = absolutize_report(cached_report, line)
-                    stats.reused += 1
-                    if touches_dirty(fn):
-                        stats.firewalled += 1
-                    if on_reused is not None:
-                        on_reused(fn)
+                    count_reused(fn)
                     continue
 
                 computed_fixpoint = False
@@ -275,7 +565,7 @@ class StagedEngine:
                     status, analysis_dict = verdict["status"], verdict["analysis"]
                 else:
                     status, analysis_dict = analysis_payload(
-                        analysis, fn, self.options
+                        analysis_for(component), fn, self.options
                     )
                     self.cache.put(
                         akey,
@@ -296,8 +586,9 @@ class StagedEngine:
                         entries = classified["loops"]
                         parallelizable = classified["parallelizable"]
                     else:
+                        analysis = analysis_for(component)
                         entries, parallelizable = loops_payload(
-                            program, fn, analysis, self.options
+                            analysis.program, fn, analysis, self.options
                         )
                         self.cache.put(
                             lkey,
@@ -315,7 +606,9 @@ class StagedEngine:
                     if cached_x is not None:
                         transforms = absolutize_report(cached_x, line)["transforms"]
                     else:
-                        transforms = transforms_payload(program, fn, parallelizable)
+                        transforms = transforms_payload(
+                            analysis_for(component).program, fn, parallelizable
+                        )
                         self.cache.put(
                             xkey,
                             relativize_report({"transforms": transforms}, line),
@@ -342,30 +635,30 @@ class StagedEngine:
                         on_recomputed(fn)
                 else:
                     # reassembled from intact stage artifacts — no solve ran
-                    stats.reused += 1
-                    if touches_dirty(fn):
-                        stats.firewalled += 1
-                    if on_reused is not None:
-                        on_reused(fn)
+                    count_reused(fn)
 
-        # commit the manifest: the next run's dirty accounting, and what
-        # `serve` needs to return this program unparsed if it is unchanged
+        # commit the manifest: the next run's dirty accounting and cone, and
+        # what serves this program unparsed if it is unchanged
         self.cache.put(
-            manifest_key,
+            self._manifest_key(name),
             {
                 "source": _sha("source", source),
+                "types": src.types_digest,
+                "order": list(src.texts),
                 "schedule": cond.waves(),
                 "functions": {
                     n: {
-                        "body": body_digest[n],
+                        "text": text_digest[n],
+                        "callees": sorted(graph.callees(n)),
+                        "skey": summary_key[n],
                         "summary": art_digest[n],
                         "report": report_key[n],
-                        "line": base_line[n],
+                        "line": src.lines[n],
                     }
-                    for n in sorted(bodies)
+                    for n in sorted(src.texts)
                 },
             },
             stage="manifest",
         )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return stats
+        return ProgramRun(stats, cond.waves(), src.program)

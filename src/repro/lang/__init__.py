@@ -10,6 +10,10 @@ and recursive functions.  This subpackage provides that substrate:
 * :mod:`repro.lang.ast_nodes` — the abstract syntax tree,
 * :mod:`repro.lang.parser` — a recursive-descent parser (including the ADDS
   extensions to type declarations),
+* :mod:`repro.lang.split` — cuts a source into its top-level declarations
+  without parsing it (the incremental driver parses only what changed),
+* :mod:`repro.lang.callgraph` — call edges and the bottom-up SCC order the
+  type checker, the summaries and the driver share,
 * :mod:`repro.lang.types` — the type system (records, pointers, scalars),
 * :mod:`repro.lang.symbols` — scopes and symbol tables,
 * :mod:`repro.lang.cfg` — per-function control flow graphs,

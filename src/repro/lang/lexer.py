@@ -27,10 +27,10 @@ from repro.lang.tokens import KEYWORDS, Token, TokenKind
 class Lexer:
     """Convert source text into a list of :class:`Token`."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, first_line: int = 1):
         self.source = source
         self.pos = 0
-        self.line = 1
+        self.line = first_line
         self.col = 1
         self.tokens: list[Token] = []
 
@@ -192,6 +192,10 @@ class Lexer:
         raise LexError(f"unexpected character {one!r}", line, col)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source`` and return the token list (ending with EOF)."""
-    return Lexer(source).tokenize()
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """Tokenize ``source`` and return the token list (ending with EOF).
+
+    ``first_line`` is the line number of the source's first line: a
+    declaration cut out of a larger file lexes at its true lines.
+    """
+    return Lexer(source, first_line).tokenize()

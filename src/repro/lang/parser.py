@@ -515,9 +515,14 @@ class Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def parse_program(source: str) -> Program:
-    """Tokenize and parse ``source`` into a :class:`Program`."""
-    return Parser(tokenize(source)).parse_program()
+def parse_program(source: str, first_line: int = 1) -> Program:
+    """Tokenize and parse ``source`` into a :class:`Program`.
+
+    ``first_line`` numbers the source's first line, so one declaration
+    cut out of a file (see :func:`repro.lang.split.split_declarations`)
+    parses at the lines it has in that file.
+    """
+    return Parser(tokenize(source, first_line)).parse_program()
 
 
 def parse_expression(source: str) -> Expr:

@@ -190,11 +190,13 @@ class PrettyPrinter:
         return f"/* <unprintable {type(expr).__name__}> */"
 
 
-def unparse(node: Program | FunctionDecl | Stmt | Expr) -> str:
+def unparse(node: Program | TypeDecl | FunctionDecl | Stmt | Expr) -> str:
     """Render ``node`` back to source text."""
     printer = PrettyPrinter()
     if isinstance(node, Program):
         return printer.program(node)
+    if isinstance(node, TypeDecl):
+        return printer.type_decl(node)
     if isinstance(node, FunctionDecl):
         return printer.function(node)
     if isinstance(node, Stmt):

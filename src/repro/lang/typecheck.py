@@ -8,6 +8,15 @@ pseudo-code), so this pass performs a simple flow-insensitive inference:
 * a variable assigned another pointer variable inherits its type;
 * variables only used with arithmetic are numeric.
 
+A call's type is the callee's inferred return type, so functions are
+inferred bottom-up over the call graph's strongly connected components
+(callees first, the members of one component in name order).  A function's
+environment then depends only on its own body, the type declarations and
+its callees' return types — not on where the functions sit in the source —
+and a checker handed the return types of callees declared elsewhere
+(``external_returns``) infers a subset of a program's functions exactly as
+it would infer them within the whole program.
+
 The result — a :class:`TypeEnvironment` per function — is consumed by the
 path-matrix analysis (to know which variables are pointer variables and to
 which record type they point) and by the interpreter (for diagnostics only;
@@ -48,6 +57,7 @@ from repro.lang.ast_nodes import (
     While,
     iter_statements,
 )
+from repro.lang.callgraph import condensed_sccs
 from repro.lang.errors import TypeCheckError
 from repro.lang.types import (
     BOOL,
@@ -62,6 +72,7 @@ from repro.lang.types import (
     Type,
     scalar_type,
     type_from_name,
+    type_from_string,
 )
 
 
@@ -92,6 +103,8 @@ class CheckResult:
     program: Program
     environments: dict[str, TypeEnvironment] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    #: the checker that produced this result (answers return-type queries)
+    checker: "TypeChecker | None" = field(default=None, repr=False, compare=False)
 
     def env(self, function: str) -> TypeEnvironment:
         return self.environments[function]
@@ -100,17 +113,40 @@ class CheckResult:
 class TypeChecker:
     """Checks declarations for consistency and infers variable types."""
 
-    def __init__(self, program: Program):
+    def __init__(
+        self, program: Program, external_returns: dict[str, str | None] | None = None
+    ):
         self.program = program
-        self.result = CheckResult(program=program)
+        self.result = CheckResult(program=program, checker=self)
+        self._functions: dict[str, FunctionDecl] = {}
+        for func in program.functions:
+            self._functions.setdefault(func.name, func)
+        #: return types (as ``str(type)``) of callees declared outside
+        #: ``program``, as :func:`inferred_return_type` reports them
+        self._external = {
+            name: None if text is None else type_from_string(text)
+            for name, text in (external_returns or {}).items()
+        }
+        self._owners: dict[str, list[str]] = {}
+        #: return types of functions whose environment is final
+        self._returns: dict[str, Type | None] = {}
 
     # -- declaration-level checks -------------------------------------------
     def check(self) -> CheckResult:
         self._check_type_decls()
         self._check_function_names()
-        for func in self.program.functions:
-            env = self._infer_function(func)
-            self.result.environments[func.name] = env
+        order = [f.name for f in self.program.functions]
+        scans = {name: self._scan(func) for name, func in self._functions.items()}
+        callees = {name: scan[2] for name, scan in scans.items()}
+        environments = self.result.environments
+        for members in condensed_sccs(callees, order):
+            for name in members:
+                statements, dereferences, _ = scans[name]
+                environments[name] = self._infer_function(
+                    name, statements, dereferences
+                )
+        # report the environments in declaration order
+        self.result.environments = {name: environments[name] for name in order}
         return self.result
 
     def _check_type_decls(self) -> None:
@@ -161,21 +197,54 @@ class TypeChecker:
     # -- inference -----------------------------------------------------------
     def _field_owners(self, field_name: str) -> list[str]:
         """Record types declaring a field named ``field_name``."""
-        return [t.name for t in self.program.types if t.field_named(field_name) is not None]
+        owners = self._owners.get(field_name)
+        if owners is None:
+            owners = self._owners[field_name] = [
+                t.name for t in self.program.types if t.field_named(field_name) is not None
+            ]
+        return owners
 
-    def _infer_function(self, func: FunctionDecl) -> TypeEnvironment:
-        env = TypeEnvironment(function=func.name)
+    def _scan(
+        self, func: FunctionDecl
+    ) -> tuple[list[Stmt], list[list[tuple[str, str]]], set[str]]:
+        """One walk over ``func``: its statements, each one's ``v->f``
+        dereferences in order, and the functions of the program it calls."""
+        statements = list(iter_statements(func.body))
+        dereferences: list[list[tuple[str, str]]] = []
+        callees: set[str] = set()
+        for stmt in statements:
+            nodes = list(stmt.walk())
+            if isinstance(stmt, FieldAssign):
+                nodes.append(FieldAccess(base=stmt.base, field=stmt.field))
+            pairs: list[tuple[str, str]] = []
+            for node in nodes:
+                if isinstance(node, FieldAccess) and isinstance(node.base, Name):
+                    pairs.append((node.base.ident, node.field))
+                elif isinstance(node, Call) and node.func in self._functions:
+                    callees.add(node.func)
+            dereferences.append(pairs)
+        return statements, dereferences, callees
+
+    def _infer_function(
+        self,
+        name: str,
+        statements: list[Stmt],
+        dereferences: list[list[tuple[str, str]]],
+    ) -> TypeEnvironment:
+        env = TypeEnvironment(function=name)
         # iterate to a (small) fixed point: pointer-ness propagates through copies
         for _ in range(6):
             changed = False
-            for stmt in iter_statements(func.body):
+            for stmt, pairs in zip(statements, dereferences):
                 changed |= self._infer_statement(stmt, env)
-                changed |= self._infer_from_dereferences(stmt, env)
+                changed |= self._infer_from_dereferences(pairs, env)
             if not changed:
                 break
         return env
 
-    def _infer_from_dereferences(self, stmt: Stmt, env: TypeEnvironment) -> bool:
+    def _infer_from_dereferences(
+        self, pairs: list[tuple[str, str]], env: TypeEnvironment
+    ) -> bool:
         """Mark variables used as ``v->f`` as pointers to the field's owner type.
 
         When exactly one declared record type has a field named ``f`` the
@@ -183,23 +252,18 @@ class TypeChecker:
         pointer, but to an unknown record (``__any__``).
         """
         changed = False
-        nodes = list(stmt.walk())
-        if isinstance(stmt, FieldAssign):
-            nodes.append(FieldAccess(base=stmt.base, field=stmt.field))
-        for node in nodes:
-            if isinstance(node, FieldAccess) and isinstance(node.base, Name):
-                name = node.base.ident
-                current = env.types.get(name)
-                if isinstance(current, PointerType) and current.target.name not in (
-                    "__null__",
-                    "__any__",
-                ):
-                    continue
-                owners = self._field_owners(node.field)
-                if len(owners) == 1:
-                    changed |= self._force(env, name, PointerType(RecordType(owners[0])))
-                else:
-                    changed |= self._force(env, name, PointerType(RecordType("__any__")))
+        for name, field_name in pairs:
+            current = env.types.get(name)
+            if isinstance(current, PointerType) and current.target.name not in (
+                "__null__",
+                "__any__",
+            ):
+                continue
+            owners = self._field_owners(field_name)
+            if len(owners) == 1:
+                changed |= self._force(env, name, PointerType(RecordType(owners[0])))
+            else:
+                changed |= self._force(env, name, PointerType(RecordType("__any__")))
         return changed
 
     def _force(self, env: TypeEnvironment, name: str, ty: Type) -> bool:
@@ -274,11 +338,26 @@ class TypeChecker:
         return None
 
     def _call_return_type(self, call: Call, env: TypeEnvironment) -> Type | None:
-        callee = self.program.function_named(call.func)
+        callee = self._functions.get(call.func)
         if callee is None:
-            return None
-        # infer from return statements of the callee (one level, no recursion)
+            return self._external.get(call.func)
+        return self.return_type(callee)
+
+    def return_type(self, callee: FunctionDecl) -> Type | None:
+        """The type of a call to ``callee``: its first return value whose type
+        is known, read in the callee's environment once that is inferred
+        (one level, no recursion)."""
+        if callee.name in self._returns:
+            return self._returns[callee.name]
         callee_env = self.result.environments.get(callee.name)
+        ty = self._first_return_type(callee, callee_env)
+        if callee_env is not None:
+            self._returns[callee.name] = ty
+        return ty
+
+    def _first_return_type(
+        self, callee: FunctionDecl, callee_env: TypeEnvironment | None
+    ) -> Type | None:
         for stmt in iter_statements(callee.body):
             if isinstance(stmt, Return) and stmt.value is not None:
                 if callee_env is not None:
@@ -331,9 +410,15 @@ class TypeChecker:
         return changed
 
 
-def check_program(program: Program) -> CheckResult:
-    """Run declaration checks and type inference over ``program``."""
-    return TypeChecker(program).check()
+def check_program(
+    program: Program, external_returns: dict[str, str | None] | None = None
+) -> CheckResult:
+    """Run declaration checks and type inference over ``program``.
+
+    ``external_returns`` gives the inferred return types of functions that
+    ``program`` calls but does not declare (see :class:`TypeChecker`).
+    """
+    return TypeChecker(program, external_returns).check()
 
 
 def inferred_return_type(
@@ -350,18 +435,12 @@ def inferred_return_type(
     is untouched.  Returns ``None`` when nothing can be inferred (matching a
     call site's inference result).
     """
-    func = program.function_named(name)
+    checker = result.checker
+    if checker is None:
+        checker = TypeChecker(program)
+        checker.result = result
+    func = checker._functions.get(name)
     if func is None:
         return None
-    checker = TypeChecker(program)
-    checker.result = result
-    env = result.environments.get(name)
-    for stmt in iter_statements(func.body):
-        if isinstance(stmt, Return) and stmt.value is not None:
-            if env is not None:
-                ty = checker._expr_type(stmt.value, env)
-                if ty is not None:
-                    return str(ty)
-            if isinstance(stmt.value, New):
-                return str(PointerType(RecordType(stmt.value.type_name)))
-    return None
+    ty = checker.return_type(func)
+    return None if ty is None else str(ty)

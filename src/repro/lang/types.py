@@ -141,6 +141,16 @@ def type_from_name(name: str, is_pointer: bool, array_size: int | None = None) -
     return base
 
 
+def type_from_string(text: str) -> Type:
+    """The type whose ``str`` is ``text`` (the inverse of ``str(type)``)."""
+    if text.endswith("]"):
+        element, _, size = text[:-1].rpartition("[")
+        return ArrayType(type_from_string(element), int(size) if size else None)
+    if text.endswith("*"):
+        return PointerType(RecordType(text[:-1]))
+    return scalar_type(text) or RecordType(text)
+
+
 def compatible(a: Type, b: Type) -> bool:
     """Assignment compatibility between two types.
 

@@ -38,12 +38,12 @@ from repro.lang.ast_nodes import (
     collect_pointer_variables,
     iter_statements,
 )
+from repro.lang.callgraph import condensed_sccs
 from repro.lang.cfg import CFG, build_cfg
 from repro.lang.typecheck import check_program
 from repro.pathmatrix.interproc import (
     FunctionSummary,
     _call_argument_map,
-    condensed_sccs,
     direct_summaries,
     summarize_scc,
 )
@@ -139,6 +139,7 @@ class PathMatrixAnalysis:
         compute_summaries: bool = True,
         memoize_results: bool = False,
         summaries: dict[str, FunctionSummary] | None = None,
+        external_returns: dict[str, str | None] | None = None,
     ):
         self.program = program
         self.use_adds = use_adds
@@ -150,7 +151,10 @@ class PathMatrixAnalysis:
         self._result_memo: "dict[tuple[str, str], AnalysisResult] | None" = (
             {} if memoize_results else None
         )
-        self.check_result = check_program(program)
+        # ``external_returns``: the inferred return types of callees that
+        # ``program`` calls but does not declare — the staged engine analyzes
+        # a few functions of a program, their callees known by summary only
+        self.check_result = check_program(program, external_returns)
         self.adds_types = program_adds_types(program)
         if summaries is not None:
             # an injected, already-final table: the staged incremental engine

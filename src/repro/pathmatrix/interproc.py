@@ -265,66 +265,6 @@ def direct_summaries(program: Program) -> dict[str, FunctionSummary]:
     }
 
 
-def condensed_sccs(callees: dict[str, set[str]], order: list[str]) -> list[list[str]]:
-    """Bottom-up strongly connected components of a callee graph.
-
-    ``order`` fixes the DFS root order (normally program declaration order);
-    every component appears before any component that calls into it, and the
-    members of each component come back sorted.  This is a dependency-free
-    sibling of the driver's condensation — the pathmatrix layer cannot import
-    :mod:`repro.driver.callgraph` without inverting the layering.
-    """
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    defined = set(order)
-
-    def edges(name: str):
-        return iter(sorted(callees.get(name, set()) & defined))
-
-    for root in order:
-        if root in index_of:
-            continue
-        work = [(root, edges(root))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for callee in it:
-                if callee not in index_of:
-                    index_of[callee] = lowlink[callee] = counter
-                    counter += 1
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append((callee, edges(callee)))
-                    advanced = True
-                    break
-                if callee in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[callee])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
-
-
 def summarize_scc(
     program: Program,
     members: list[str],

@@ -16,11 +16,13 @@ from collections import OrderedDict
 import pytest
 
 from repro.driver import batch as batch_module
+from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import ResultCache, decode_entry, encode_entry
 from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem
 from repro.driver.pipeline import _CACHE_LIMIT, PipelineOptions, _bounded
+from repro.lang.split import split_declarations
 
 TYPES = """
 type ListNode [X]
@@ -214,16 +216,34 @@ SERVED_BASE = {
 
 
 def _count_parses(monkeypatch) -> list:
-    """Record every program the batch driver parses."""
+    """Record every source text the batch driver parses: whole programs and
+    single declarations through the staged engine, whole programs on the
+    pooled path."""
     parsed: list = []
-    real = batch_module.parsed_program
+    real_engine = stages_module.parse_program
+    real_pooled = batch_module.parsed_program
 
-    def counting(source):
+    def counting_engine(source, first_line=1):
         parsed.append(source)
-        return real(source)
+        return real_engine(source, first_line)
 
-    monkeypatch.setattr(batch_module, "parsed_program", counting)
+    def counting_pooled(source):
+        parsed.append(source)
+        return real_pooled(source)
+
+    monkeypatch.setattr(stages_module, "parse_program", counting_engine)
+    monkeypatch.setattr(batch_module, "parsed_program", counting_pooled)
     return parsed
+
+
+def _declaration_texts(source, *names) -> list:
+    """The text of ``source``'s type declarations and of the named functions,
+    in source order."""
+    return [
+        d.text
+        for d in split_declarations(source)
+        if d.kind == "type" or d.name in names
+    ]
 
 
 def _functions(report) -> list:
@@ -244,6 +264,7 @@ class TestUnchangedPrograms:
             raise AssertionError("an unchanged program was parsed or typechecked")
 
         monkeypatch.setattr(batch_module, "parsed_program", forbidden)
+        monkeypatch.setattr(stages_module, "parse_program", forbidden)
         monkeypatch.setattr("repro.pathmatrix.analysis.check_program", forbidden)
         warm = _run(BASE, tmp_path)
 
@@ -265,7 +286,8 @@ class TestUnchangedPrograms:
         warm = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
         inc = warm.incremental
 
-        assert parsed == [PADDED]
+        # only the edited declaration (and the types its keys cover)
+        assert sorted(parsed) == sorted(_declaration_texts(PADDED, "leaf"))
         assert inc["programs_unchanged"] == 1
         assert inc["recomputed"] == 1
         assert inc["dirty"] == 1
@@ -327,10 +349,11 @@ class TestUnchangedPrograms:
         cold = _run(BASE, tmp_path)
         (manifest_path,) = (tmp_path / "manifest").glob("*.json")
         manifest = decode_entry(manifest_path.read_text())
-        # the record as earlier versions wrote it: body and summary digests
+        # a record as earlier versions wrote it: no source digest, and no
+        # declaration digests, callees or summary keys to build a cone from
         older = {
             "functions": {
-                name: {"body": entry["body"], "summary": entry["summary"]}
+                name: {"summary": entry["summary"], "report": entry["report"]}
                 for name, entry in manifest["functions"].items()
             }
         }
@@ -339,7 +362,8 @@ class TestUnchangedPrograms:
         parsed = _count_parses(monkeypatch)
         warm = _run(BASE, tmp_path)
         assert parsed == [BASE]
-        assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0)
+        # with no declaration digests recorded, every function counts dirty
+        assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0, dirty=3)
         assert _functions(warm) == _functions(cold)
         assert decode_entry(manifest_path.read_text()) == manifest
 

@@ -495,7 +495,7 @@ class TestStripMineProgram:
         monkeypatch.setattr(
             repro.pathmatrix.analysis,
             "check_program",
-            lambda program: calls.append(program) or original(program),
+            lambda program, *rest: calls.append(program) or original(program, *rest),
         )
         result = strip_mine_program(bh_program)
         assert result.functions == [BHL1_FUNCTION, BHL2_FUNCTION]
