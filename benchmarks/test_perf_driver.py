@@ -12,8 +12,8 @@ Every cold scenario gets its own empty cache directory.  The serial path
 (the staged engine) must execute exactly one analysis per *distinct*
 function — corpus functions that are content-identical across programs
 (same body, types, and callee closure, e.g. the ``insert`` shared by the
-two tree examples) are served from the just-written stage artifacts
-instead of re-solved.  The parallel path probes all plans up front, so a
+two tree examples) are served from the just-written shared ``report``
+artifact instead of re-solved.  The parallel path probes all plans up front, so a
 cold parallel run analyzes every function with zero hits.  The warm run
 must execute zero analyses.  All configurations must produce identical
 per-function reports (the parallel path is bit-identical to serial).
@@ -78,8 +78,8 @@ def _row(scenario, jobs, batch, elapsed, functions):
 def _content_duplicate_count(items) -> int:
     """Functions sharing all analysis-relevant content (declaration text,
     types, callee closure) with an earlier corpus function — the staged
-    serial engine serves these from stage artifacts instead of re-solving
-    them."""
+    serial engine serves these from the shared ``report`` artifact instead
+    of re-solving them."""
     from repro.driver.cache import function_digests
     from repro.driver.callgraph import build_call_graph
     from repro.driver.pipeline import PipelineOptions
@@ -139,7 +139,7 @@ def test_corpus_is_substantial(measurements):
 def test_cold_runs_execute_every_function_exactly_once(measurements):
     """A cold run over an empty cache solves each *distinct* function once.
     The staged serial engine serves content-identical duplicates from the
-    stage artifacts written moments earlier; the parallel path probes all
+    ``report`` artifacts written moments earlier; the parallel path probes all
     plans before running anything, so it sees an empty cache throughout."""
     functions = measurements["cold"].function_count()
     duplicates = measurements["duplicates"]

@@ -144,7 +144,7 @@ def test_cold_run_analyzes_the_whole_corpus(measurements):
     cold = measurements["cold"]
     assert cold.function_count() >= 200
     assert not any(p.error for p in cold.programs)
-    assert cold.analyses_executed >= 190  # content-identical dupes reassemble
+    assert cold.analyses_executed >= 190  # content-identical dupes share reports
     assert cold.incremental["dirty"] == cold.function_count()
 
 

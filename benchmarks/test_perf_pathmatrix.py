@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.stress import deep_program, wide_program
-from repro.pathmatrix import PathMatrixAnalysis
+from repro.pathmatrix import PathMatrixAnalysis, baseline_roundrobin
 
 
 def full_runs_requested() -> bool:
@@ -52,12 +52,12 @@ def _scenarios():
     ]
 
 
-def _time_solver(analysis: PathMatrixAnalysis, function: str, solver: str, repeats: int):
+def _time_solver(solve, function: str, repeats: int):
     times = []
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = analysis.analyze_function(function, solver=solver)
+        result = solve(function)
         times.append(time.perf_counter() - start)
     assert result is not None
     return statistics.median(times), result
@@ -69,8 +69,10 @@ def measurements():
     rows = []
     for name, program, function in _scenarios():
         analysis = PathMatrixAnalysis(program)
-        rr_time, rr_result = _time_solver(analysis, function, "roundrobin", repeats)
-        wl_time, wl_result = _time_solver(analysis, function, "worklist", repeats)
+        rr_time, rr_result = _time_solver(
+            lambda fn: baseline_roundrobin(analysis, fn), function, repeats
+        )
+        wl_time, wl_result = _time_solver(analysis.analyze_function, function, repeats)
         # both engines must agree everywhere before a timing is trusted
         for idx, matrix in rr_result.exit_matrices.items():
             assert wl_result.exit_matrices[idx].equivalent(matrix), (

@@ -8,14 +8,15 @@ Scales the per-function analysis core across whole programs and corpora:
   + transitive callee summary digests,
 * :mod:`repro.driver.corpus`    — the built-in program corpus (paper
   examples, ``examples/corpus/*.ptr``, stress generators),
-* :mod:`repro.driver.pipeline`  — the per-function job and the whole-program
-  simulation stage,
+* :mod:`repro.driver.pipeline`  — the per-function report and the
+  whole-program simulation stage,
 * :mod:`repro.driver.executor`  — the self-healing persistent worker pool
   (per-task deadlines, targeted kill-and-respawn, sacrificial runs),
 * :mod:`repro.driver.faults`    — deterministic fault injection and
   poison-task quarantine records (see ``docs/robustness.md``),
-* :mod:`repro.driver.batch`     — the orchestrator scheduling call-graph
-  components onto the pool, with retry/bisection/quarantine policy,
+* :mod:`repro.driver.batch`     — the orchestrator packing call-graph
+  components into chunks for the pool, with retry/bisection/quarantine
+  policy,
 * :mod:`repro.driver.cli`       — the ``python -m repro`` front end.
 """
 
@@ -37,7 +38,7 @@ from repro.driver.corpus import (
 )
 from repro.driver.pipeline import (
     PipelineOptions,
-    analyze_function_job,
+    function_report,
     simulate_program,
 )
 
@@ -59,6 +60,6 @@ __all__ = [
     "stress_corpus",
     "load_source_file",
     "PipelineOptions",
-    "analyze_function_job",
+    "function_report",
     "simulate_program",
 ]

@@ -1,27 +1,28 @@
-"""The whole-program batch driver: ready-queue scheduled, memoized, fault-tolerant.
+"""The whole-program batch driver: chunk-scheduled, memoized, fault-tolerant.
 
 For every corpus program the driver builds the call graph and condenses
-it into strongly-connected components.  Components are
-scheduled **bottom-up by dependency count** (callees before callers — the
-order the paper validates Barnes–Hut in): each component carries a count of
-not-yet-landed callee components, and the moment that count reaches zero it
-is runnable, whatever else is still in flight.  There is no wave barrier —
-only true call-graph edges ever delay work, and components from *different
-programs* interleave freely on the same worker pool.
+it into strongly-connected components (mutual recursion analyzes as a
+unit).  The bottom-up order the paper validates Barnes–Hut in (callees
+before callers) is each report's ``schedule``; the pooled path needs no
+dispatch order, because every function's report follows from its own body,
+the type declarations and its callees' summaries alone, and a pool worker
+rebuilds those summaries from source.
 
-With ``jobs > 1`` runnable components are packed into cost-balanced chunks
-(:func:`repro.driver.executor.pack_chunks`) and pulled by a pool of
-persistent warm workers, and every function's report is memoized in the
-on-disk :class:`~repro.driver.cache.ResultCache` keyed by its own
-declaration text and the unparsed bodies of its transitive callees.
-``jobs == 1`` bypasses the executor entirely and hands each program to the
-staged engine inline (:mod:`repro.driver.stages`: per-stage artifacts
-keyed on callee summary digests, easy profiling and debugging, zero
-multiprocessing overhead), which parses only what changed since its last
-run: nothing for an unchanged program, the edited declarations and the
-callers their summaries reopen for an edited one.  Either way a warm
-re-run performs no analysis at all (the acceptance test asserts exactly
-that).
+With ``jobs > 1`` every component with a cache-missed function is packed
+at plan time into cost-balanced chunks
+(:func:`repro.driver.executor.pack_chunks`, SCCs kept whole) and submitted
+up front, with the simulations, to a pool of persistent warm workers;
+components from *different programs* interleave freely on the pool.
+Every function's report is memoized in the on-disk
+:class:`~repro.driver.cache.ResultCache` keyed by its own declaration text
+and the unparsed bodies of its transitive callees.  ``jobs == 1`` bypasses
+the executor entirely and hands each program to the staged engine inline
+(:mod:`repro.driver.stages`: summary and report artifacts keyed on callee
+summary digests, easy profiling and debugging, zero multiprocessing
+overhead), which parses only what changed since its last run: nothing for
+an unchanged program, the edited declarations and the callers their
+summaries reopen for an edited one.  Either way a warm re-run performs no
+analysis at all (the acceptance test asserts exactly that).
 
 Partial failure stays partial.  The pooled path reacts to the executor's
 ``crashed``/``timeout`` events with an escalation ladder instead of aborting:
@@ -58,7 +59,7 @@ from repro.lang.split import function_texts, split_declarations
 from repro.pathmatrix.interproc import summaries_from_payloads
 
 from repro.driver.cache import ResultCache, function_digests, program_digest
-from repro.driver.callgraph import CallGraph, Condensation, build_call_graph, condense
+from repro.driver.callgraph import build_call_graph, condense
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
     PersistentExecutor,
@@ -73,7 +74,6 @@ from repro.driver.faults import SIMULATE_TOKEN, write_quarantine_record
 from repro.driver.pipeline import (
     PipelineOptions,
     absolutize_report,
-    analyze_function_job,
     parsed_program,
     relativize_report,
     simulate_program,
@@ -120,7 +120,7 @@ class ProgramReport:
     name: str
     functions: dict[str, dict] = field(default_factory=dict)
     #: bottom-up schedule by depth, wave by wave (SCCs as name lists) —
-    #: a human-readable view; actual dispatch is by ready-count
+    #: a human-readable view; the pool runs chunks in any order
     schedule: list[list[list[str]]] = field(default_factory=list)
     simulation: dict | None = None
     error: str | None = None
@@ -222,56 +222,31 @@ class _ProgramPlan:
     index: int
     item: CorpusItem
     report: ProgramReport
-    cond: Condensation | None = None
-    #: parsed program + call graph (coordinator-side only, never pickled)
+    #: the parsed program (coordinator-side only, never pickled)
     program: Program | None = None
-    graph: CallGraph | None = None
     digests: dict[str, str] = field(default_factory=dict)
     #: component -> cache-missed functions still to analyze
     pending: dict[int, list[str]] = field(default_factory=dict)
     #: component -> estimated analysis cost of its pending functions
     costs: dict[int, int] = field(default_factory=dict)
-    #: component -> count of not-yet-landed callee components
-    blockers: dict[int, int] = field(default_factory=dict)
     #: component -> how many times a task holding it crashed
     crash_attempts: dict[int, int] = field(default_factory=dict)
     sim_attempts: int = 0
-    landed: set[int] = field(default_factory=set)
-    #: runnable components not yet packed into a chunk
-    ready: list[int] = field(default_factory=list)
     sim_key: str | None = None
     needs_simulation: bool = False
-
-    @property
-    def schedulable(self) -> bool:
-        return self.cond is not None
 
     def base_line(self, function: str) -> int:
         """The first line of ``function``: the base of its stored payload."""
         assert self.program is not None
         return self.program.function_named(function).line or 1
 
-    def land(self, component: int) -> list[int]:
-        """Mark ``component``'s results available; return newly ready ones."""
-        if component in self.landed:
-            return []
-        self.landed.add(component)
-        freed: list[int] = []
-        assert self.cond is not None
-        for dependent in sorted(self.cond.dependents.get(component, ())):
-            self.blockers[dependent] -= 1
-            if self.blockers[dependent] == 0 and self.pending.get(dependent):
-                freed.append(dependent)
-        self.ready.extend(freed)
-        return freed
-
 
 class BatchDriver:
     """Drive the full pipeline over many programs, in parallel, with caching.
 
-    ``jobs=1`` analyzes in-process (no pool); ``jobs>1`` schedules
-    cost-balanced chunks of call-graph components onto a persistent worker
-    pool the moment their callees have landed.  ``cache_dir=None`` disables
+    ``jobs=1`` analyzes in-process (no pool); ``jobs>1`` submits
+    cost-balanced chunks of call-graph components to a persistent worker
+    pool, all at once.  ``cache_dir=None`` disables
     memoization.  ``start_method`` picks the multiprocessing start method
     (default: ``fork`` where available, else ``spawn``); ``profile=True``
     keeps the per-task timing breakdown in the report.
@@ -383,10 +358,9 @@ class BatchDriver:
             plan.report.error = f"parse error: {exc}"
             return False
         graph = build_call_graph(program)
-        plan.cond = condense(graph)
-        plan.report.schedule = plan.cond.waves()
+        cond = condense(graph)
+        plan.report.schedule = cond.waves()
         plan.program = program
-        plan.graph = graph
         try:
             declarations = split_declarations(plan.item.source)
         except LangError:
@@ -394,14 +368,13 @@ class BatchDriver:
         plan.digests = function_digests(
             program, graph, self.options.key(), function_texts(program, declarations)
         )
-        self.cache.preload(plan.digests.values())
+        self.cache.preload(plan.digests.values(), stage="report")
 
-        plan.blockers = plan.cond.initial_blockers()
-        for i, scc in enumerate(plan.cond.sccs):
+        for i, scc in enumerate(cond.sccs):
             pending: list[str] = []
             cost = 0
             for name in scc:
-                cached = self.cache.get(plan.digests[name])
+                cached = self.cache.get(plan.digests[name], stage="report")
                 if cached is not None:
                     plan.report.functions[name] = absolutize_report(
                         cached, plan.base_line(name)
@@ -410,18 +383,9 @@ class BatchDriver:
                 else:
                     pending.append(name)
                     cost += estimate_cost(program.function_named(name), program)
-            plan.pending[i] = pending
-            plan.costs[i] = cost
-        # components with nothing to compute land immediately (their
-        # results came from the cache), which may free their dependents
-        for i in range(len(plan.cond.sccs)):
-            if not plan.pending[i]:
-                plan.land(i)
-        plan.ready = [
-            i
-            for i in range(len(plan.cond.sccs))
-            if plan.pending[i] and plan.blockers[i] == 0
-        ]
+            if pending:
+                plan.pending[i] = pending
+                plan.costs[i] = cost
         return True
 
     # -- inline execution (jobs == 1, the staged incremental engine) -----------
@@ -484,12 +448,12 @@ class BatchDriver:
             )
         ]
 
-    # -- parallel execution (persistent workers, ready queue) ------------------
+    # -- parallel execution (persistent workers) -------------------------------
     def _run_parallel(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
         active = [
             plan
             for plan in plans
-            if plan.schedulable and (any(plan.pending.values()) or plan.needs_simulation)
+            if plan.pending or plan.needs_simulation
         ]
         if not active:  # fully warm run: do not even start the pool
             batch.effective_jobs = 1
@@ -531,18 +495,6 @@ class BatchDriver:
                 attempts={SIMULATE_TOKEN: plan.sim_attempts},
             )
 
-        def make_tasks(plan: _ProgramPlan) -> list[Task]:
-            """Pack everything currently ready in ``plan`` into chunk tasks."""
-            if not plan.ready:
-                return []
-            components = sorted(plan.ready)
-            plan.ready = []
-            groups = [(plan.pending[i], plan.costs[i]) for i in components]
-            return [
-                analyze_task(plan, [components[g] for g in chunk])
-                for chunk in pack_chunks(groups)
-            ]
-
         def backoff(attempt: int) -> float:
             return self.retry_backoff_s * (2 ** max(0, attempt - 1))
 
@@ -557,18 +509,12 @@ class BatchDriver:
             batch.start_method = executor.start_method
             batch.effective_jobs = executor.jobs
 
-            def land_and_refill(plan: _ProgramPlan, components: list[int]) -> None:
-                for component in components:
-                    plan.land(component)
-                for new_task in make_tasks(plan):
-                    executor.submit(new_task)
-
             def mark_failed(
                 plan: _ProgramPlan, components: list[int], status: str, detail: str
             ) -> None:
-                """Give every function of ``components`` a failure payload and
-                unblock dependents (their own analyses may still succeed —
-                workers recompute callee summaries from source)."""
+                """Give every function of ``components`` a failure payload
+                (their callers are analyzed all the same: workers recompute
+                callee summaries from source)."""
                 for m in components:
                     for name in plan.pending[m]:
                         plan.report.functions[name] = _failure_payload(
@@ -576,7 +522,6 @@ class BatchDriver:
                         )
                         if status == "quarantined":
                             batch.resilience.quarantined += 1
-                land_and_refill(plan, components)
 
             def bisect_and_resubmit(plan: _ProgramPlan, task: Task, delay: float) -> None:
                 mid = len(task.components) // 2
@@ -592,7 +537,6 @@ class BatchDriver:
                     return
                 for name in task.functions:
                     self._record_result(plan, name, result["results"][name], batch)
-                land_and_refill(plan, task.components)
 
             def handle_crashed(task: Task, exitcode: int | None) -> None:
                 batch.resilience.worker_crashes += 1
@@ -628,8 +572,7 @@ class BatchDriver:
                     )
                     return
                 self._handle_exhausted(
-                    plan, component, exitcode, executor, batch, land_and_refill,
-                    mark_failed,
+                    plan, component, exitcode, executor, batch, mark_failed
                 )
 
             def handle_timeout(task: Task) -> None:
@@ -675,8 +618,12 @@ class BatchDriver:
                 )
 
             for plan in active:
-                for task in make_tasks(plan):
-                    executor.submit(task)
+                # workers rebuild callee summaries from source, so no
+                # component waits for another: everything is submitted now
+                components = sorted(plan.pending)
+                groups = [(plan.pending[i], plan.costs[i]) for i in components]
+                for chunk in pack_chunks(groups):
+                    executor.submit(analyze_task(plan, [components[g] for g in chunk]))
                 if plan.needs_simulation:
                     # simulation re-derives everything from source, so it has
                     # no scheduling dependency: overlap it with analysis
@@ -703,7 +650,6 @@ class BatchDriver:
         exitcode: int | None,
         executor: PersistentExecutor,
         batch: BatchReport,
-        land_and_refill,
         mark_failed,
     ) -> None:
         functions = plan.pending[component]
@@ -730,7 +676,6 @@ class BatchDriver:
         if status == "ok":
             for name in functions:
                 self._record_result(plan, name, reports[name], batch)
-            land_and_refill(plan, [component])
             return
         if status == "timeout":
             mark_failed(
@@ -752,7 +697,7 @@ class BatchDriver:
                 functions,
                 attempts,
                 exitcode,
-                self.options.key(),
+                self.options,
             )
             detail += f"; record: {path}"
         mark_failed(plan, [component], "quarantined", detail)
@@ -763,7 +708,9 @@ class BatchDriver:
     ) -> None:
         plan.report.functions[name] = payload
         self.cache.put(
-            plan.digests[name], relativize_report(payload, plan.base_line(name))
+            plan.digests[name],
+            relativize_report(payload, plan.base_line(name)),
+            stage="report",
         )
         batch.analyses_executed += 1
 

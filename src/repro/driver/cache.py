@@ -1,17 +1,17 @@
 """On-disk, content-addressed artifact store for the staged analysis engine.
 
-Each pipeline stage (function summary, fixpoint/validation report, loop
-classes, transform applicability, assembled report, simulation, manifest)
-stores its output as a separately addressed artifact under a per-stage
-subdirectory: ``<dir>/<stage>/<digest>.json``.  A stage's digest
-covers everything that can influence its output: the cache version, the
-analysis options, the program's type declarations (ADDS information changes
-verdicts), the function's own declaration text — and, per the bottom-up
-interprocedural discipline, the *artifact digests* of its direct callees'
-summary stage rather than their bodies.  That indirection is the early-cutoff
-firewall: editing a leaf in a way that leaves its summary artifact
-byte-identical leaves every caller's keys untouched, so callers are reused
-without being re-analyzed.
+The store holds four stages, one subdirectory each
+(``<dir>/<stage>/<digest>.json``): one ``summary`` per call-graph
+component, one ``report`` per function, one ``sim`` (simulation report) and
+one ``manifest`` (the record of its last run) per program.  A stage's
+digest covers everything that can influence its output: the cache version,
+the analysis options, the program's type declarations (ADDS information
+changes verdicts), the function's own declaration text — and, per the
+bottom-up interprocedural discipline, the *artifact digests* of its direct
+callees' summary stage rather than their bodies.  That indirection is the
+early-cutoff firewall: editing a leaf in a way that leaves its summary
+artifact byte-identical leaves every caller's keys untouched, so callers are
+reused without being re-analyzed.
 
 Stored payloads are *line-relative* (diagnostic line numbers are rebased to
 the function's first line), so byte-identical function bodies at different
@@ -20,11 +20,12 @@ file offsets share one entry; the driver re-absolutizes on probe.
 Entries are stored wrapped with a SHA-256 checksum of the canonical-JSON
 payload.  A truncated, garbled, or bit-flipped file — crashed writer, bad
 sector, an overeager ``sed`` — is therefore *detected* at read time, evicted
-from disk, and counted, and the stage is simply recomputed; it can never
-feed a corrupt artifact into a batch.  Reads that raise :class:`OSError`
-(flaky network filesystems) are retried once before being treated as a
-miss.  ``verify()`` audits every stage directory on demand (the ``repro
-cache verify`` subcommand).
+from disk, and counted, and the stage is simply recomputed (a lost
+``report`` costs one recompute of its function); it can never feed a
+corrupt artifact into a batch.  Reads that raise :class:`OSError` (flaky
+network filesystems) are retried once before being treated as a miss.
+``verify()`` audits every stage directory on demand (the ``repro cache
+verify`` subcommand).
 """
 
 from __future__ import annotations
@@ -43,22 +44,14 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 9  # v9: function stages key on the exact declaration text
+CACHE_VERSION = 10  # v10: the report is the only per-function artifact
 
 #: stage namespaces of the artifact store, one subdirectory each
-STAGES = (
-    "summary",
-    "analysis",
-    "loops",
-    "transforms",
-    "report",
-    "sim",
-    "manifest",
-)
+STAGES = ("summary", "report", "sim", "manifest")
 
 #: stages earlier versions wrote and nothing reads: the maintenance
 #: commands (info, stats, verify, clear) still walk them
-RETIRED_STAGES = ("parse", "typecheck")
+RETIRED_STAGES = ("parse", "typecheck", "analysis", "loops", "transforms")
 
 #: name of the (unchecksummed) per-run counter ledger at the store top level
 LEDGER_NAME = "last-run.json"
@@ -134,14 +127,10 @@ def payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# retained name: the checksum and the artifact digest are the same hash
-_payload_checksum = payload_digest
-
-
 def encode_entry(payload: dict) -> str:
     """Wrap ``payload`` with its checksum for on-disk storage."""
     return json.dumps(
-        {"sha256": _payload_checksum(payload), "payload": payload},
+        {"sha256": payload_digest(payload), "payload": payload},
         indent=1,
         sort_keys=True,
     )
@@ -156,7 +145,7 @@ def decode_entry(text: str) -> dict:
         raise CorruptEntryError(f"not valid JSON ({exc})") from None
     if not isinstance(wrapper, dict) or set(wrapper) != {"payload", "sha256"}:
         raise CorruptEntryError("missing checksum wrapper")
-    if _payload_checksum(wrapper["payload"]) != wrapper["sha256"]:
+    if payload_digest(wrapper["payload"]) != wrapper["sha256"]:
         raise CorruptEntryError("checksum mismatch")
     return wrapper["payload"]
 
@@ -165,9 +154,8 @@ class ResultCache:
     """A per-stage tree of ``<stage>/<digest>.json`` checksummed payloads.
 
     ``directory=None`` disables the store (every lookup misses, nothing is
-    written) so the driver code has a single code path.  All read/write
-    methods take a ``stage`` namespace; the default ``"report"`` stage keeps
-    the legacy single-blob callers working unchanged.
+    written) so the driver code has a single code path.  Every read/write
+    names its ``stage`` namespace.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -231,7 +219,7 @@ class ResultCache:
                 return None
         return None
 
-    def preload(self, keys, stage: str = "report") -> int:
+    def preload(self, keys, stage: str) -> int:
         """Bulk-load ``keys`` into the in-memory layer; returns how many hit.
 
         The batch scheduler probes every function of a corpus up front; one
@@ -252,7 +240,7 @@ class ResultCache:
                 loaded += 1
         return loaded
 
-    def get(self, key: str, stage: str = "report") -> dict | None:
+    def get(self, key: str, stage: str) -> dict | None:
         counters = self._counters(stage)
         if self.directory is None:
             self.misses += 1
@@ -273,7 +261,7 @@ class ResultCache:
         counters["hits"] += 1
         return payload
 
-    def put(self, key: str, payload: dict, stage: str = "report") -> None:
+    def put(self, key: str, payload: dict, stage: str) -> None:
         if self.directory is None:
             return
         self._memory[(stage, key)] = payload
@@ -424,7 +412,3 @@ class ResultCache:
                 for stage, counters in sorted(self.stage_counters.items())
             },
         }
-
-
-#: the staged engine's preferred name for the same store
-ArtifactStore = ResultCache

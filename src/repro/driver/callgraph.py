@@ -4,9 +4,9 @@ The paper validates Barnes–Hut *bottom-up over its call graph*: leaf helpers
 first, then their callers, so every call site is analyzed with its callees'
 summaries already settled.  The batch driver generalizes that discipline to
 arbitrary programs: functions are grouped into strongly connected components
-(mutual recursion analyzes as a unit), the condensation is scheduled
-bottom-up, and components with no ordering constraint between them land in
-the same *wave* — the unit of parallel fan-out across the worker pool.
+(mutual recursion analyzes as a unit), summaries are resolved over the
+condensation bottom-up, and components with no ordering constraint between
+them share a *wave* of the bottom-up schedule each report shows.
 """
 
 from __future__ import annotations
@@ -59,13 +59,7 @@ def strongly_connected_components(graph: CallGraph) -> list[list[str]]:
 
 @dataclass
 class Condensation:
-    """The SCC condensation of a call graph, ready for dependency-counting.
-
-    The persistent-worker executor schedules *components*, not waves: a
-    component becomes runnable the moment its callee components have landed
-    (``blockers`` hits zero), so only true call-graph edges ever delay work —
-    there is no barrier on unrelated components that happen to share a depth.
-    """
+    """The SCC condensation of a call graph, components bottom-up."""
 
     #: components bottom-up (every component before any component calling it)
     sccs: list[list[str]]
@@ -73,17 +67,6 @@ class Condensation:
     component_of: dict[str, int] = field(default_factory=dict)
     #: component -> distinct callee components (excluding itself)
     callee_components: dict[int, set[int]] = field(default_factory=dict)
-    #: component -> components waiting on it (the reverse edges)
-    dependents: dict[int, set[int]] = field(default_factory=dict)
-
-    def initial_blockers(self) -> dict[int, int]:
-        """Per-component count of not-yet-landed callee components.
-
-        The scheduler decrements a dependent's count as each component
-        lands; zero means runnable.  Returned fresh so one condensation can
-        drive many runs.
-        """
-        return {i: len(self.callee_components[i]) for i in range(len(self.sccs))}
 
     def bottom_up_depth(self) -> dict[int, int]:
         """Longest callee-chain length per component (0 for leaves)."""
@@ -106,7 +89,7 @@ class Condensation:
 
 
 def condense(graph: CallGraph) -> Condensation:
-    """Build the bottom-up SCC condensation with dependency edges."""
+    """Build the bottom-up SCC condensation with its callee edges."""
     sccs = strongly_connected_components(graph)
     cond = Condensation(sccs=sccs)
     for i, scc in enumerate(sccs):
@@ -120,16 +103,11 @@ def condense(graph: CallGraph) -> Condensation:
         }
         callees.discard(i)
         cond.callee_components[i] = callees
-        cond.dependents.setdefault(i, set())
-        for c in callees:
-            cond.dependents.setdefault(c, set()).add(i)
     return cond
 
 
 def bottom_up_waves(graph: CallGraph) -> list[list[list[str]]]:
     """Group SCCs into waves: wave ``k`` holds the components whose callees
     all live in waves ``< k``.  Components within one wave are independent
-    of each other and may be analyzed in parallel.  (The executor schedules
-    by ready-count, not by wave; waves remain the human-readable schedule
-    the reports show.)"""
+    of each other (the human-readable schedule the reports show)."""
     return condense(graph).waves()

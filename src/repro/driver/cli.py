@@ -164,12 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     analyze.add_argument(
-        "--solver",
-        choices=("worklist", "roundrobin"),
-        default="worklist",
-        help="fixpoint engine (default worklist)",
-    )
-    analyze.add_argument(
         "--no-adds", action="store_true", help="ignore ADDS declarations (conservative)"
     )
     analyze.add_argument("--pes", type=int, default=4, help="simulated processors (default 4)")
@@ -403,7 +397,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         quarantine_dir = str(Path(cache_dir) / "quarantine")
 
     options = PipelineOptions(
-        solver=args.solver,
         use_adds=not args.no_adds,
         pes=args.pes,
         entry=args.entry,
@@ -596,7 +589,12 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
             return 2
         errors = 0
         for path in paths:
-            outcomes = replay_quarantine_record(path)
+            try:
+                outcomes = replay_quarantine_record(path)
+            except (ValueError, OSError) as exc:
+                print(f"{path.name}: unreadable record ({exc})")
+                errors += 1
+                continue
             for name, outcome in sorted(outcomes.items()):
                 print(f"{path.name}: {name}: {outcome}")
                 if outcome != "ok":

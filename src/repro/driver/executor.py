@@ -44,7 +44,7 @@ from repro.driver.faults import SIMULATE_TOKEN, FAULT_CRASH_EXIT, active_plan
 from repro.driver.pipeline import (
     PipelineOptions,
     analysis_for,
-    analyze_function_job,
+    function_report,
     parsed_program,
     simulate_program,
 )
@@ -57,7 +57,7 @@ MAX_DEFAULT_JOBS = 8
 CHUNK_COST_TARGET = 2400
 
 #: never pack more functions than this into one chunk, however cheap —
-#: keeps the ready queue granular enough for work-stealing to balance
+#: keeps chunks granular enough for work-stealing to balance
 CHUNK_MAX_FUNCTIONS = 24
 
 #: a completion-less stretch this long means the pool is wedged; surface an
@@ -155,7 +155,7 @@ class Task:
     program_name: str
     functions: list[str] = field(default_factory=list)
     #: coordinator-side bookkeeping: the call-graph components this chunk
-    #: covers (landing them may unblock dependents)
+    #: covers (a dying chunk is bisected along them)
     components: list[int] = field(default_factory=list)
     cost: int = 0
     #: per-function attempt numbers (how many times a task holding the
@@ -265,12 +265,12 @@ def _run_task(payload: tuple) -> dict:
         result["simulation"] = simulate_program(source, options)
     else:
         warm_start = time.perf_counter()
-        analysis_for(source, options)  # parse + summaries, memoized per worker
+        analysis = analysis_for(source, options)  # parse + summaries, memoized per worker
         result["parse_s"] = time.perf_counter() - warm_start
         reports: dict[str, dict] = {}
         for name in functions:
             _maybe_inject(name, attempts.get(name, 0))
-            reports[name] = analyze_function_job(source, name, options)
+            reports[name] = function_report(analysis, name, options)
         result["results"] = reports
     result["finished"] = time.perf_counter()
     return result
@@ -308,10 +308,11 @@ def _sacrificial_main(conn, source, functions, options, attempts) -> None:
     shares its fate: if it dies, only this process dies.
     """
     _init_worker([source], options)
+    analysis = analysis_for(source, options)
     reports: dict[str, dict] = {}
     for name in functions:
         _maybe_inject(name, attempts.get(name, 0))
-        reports[name] = analyze_function_job(source, name, options)
+        reports[name] = function_report(analysis, name, options)
     try:
         conn.send(reports)
     except (BrokenPipeError, OSError):

@@ -43,7 +43,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 #: environment variable carrying the fault spec (workers inherit it)
@@ -206,7 +206,9 @@ def active_plan() -> FaultPlan:
 
 
 # -- quarantine records -------------------------------------------------------
-QUARANTINE_SCHEMA = "driver-quarantine-v1"
+#: v2: ``options`` records the pipeline options as fields (v1 stored an
+#: opaque key, so a v1 record cannot be replayed under its own options)
+QUARANTINE_SCHEMA = "driver-quarantine-v2"
 
 
 def _record_name(program_name: str, functions: list[str]) -> str:
@@ -221,7 +223,7 @@ def write_quarantine_record(
     functions: list[str],
     attempts: int,
     worker_exitcode: int | None,
-    options_key: str,
+    options,
 ) -> Path:
     """Persist a replayable record of a poison task.
 
@@ -229,7 +231,8 @@ def write_quarantine_record(
     ``tests/fuzz_regressions/`` (``source``/``status``/``description``/
     ``divergences``) with driver-specific fields alongside, so the same
     tooling habits apply: the record carries everything needed to re-run the
-    offending analysis in isolation (``python -m repro quarantine --replay``).
+    offending analysis in isolation (``python -m repro quarantine --replay``),
+    the :class:`~repro.driver.pipeline.PipelineOptions` it ran under included.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -250,7 +253,7 @@ def write_quarantine_record(
         "functions": list(functions),
         "attempts": attempts,
         "worker_exitcode": worker_exitcode,
-        "options": options_key,
+        "options": asdict(options),
     }
     path = directory / _record_name(program_name, functions)
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -258,27 +261,31 @@ def write_quarantine_record(
 
 
 def load_quarantine_record(path: str | Path) -> dict:
+    """Read a record; :class:`ValueError` if it is not a current-schema one
+    (a v1 record does not say which options its task ran under)."""
     record = json.loads(Path(path).read_text())
     if record.get("schema") != QUARANTINE_SCHEMA:
         raise ValueError(f"{path}: not a {QUARANTINE_SCHEMA} record")
     return record
 
 
-def replay_quarantine_record(path: str | Path, options=None) -> dict[str, str]:
-    """Re-run a quarantined task's analyses inline; returns name -> outcome.
+def replay_quarantine_record(path: str | Path) -> dict[str, str]:
+    """Re-run a quarantined task's analyses inline, under the options the
+    task ran under; returns name -> outcome.
 
     If the poison was environmental (an injected fault, a since-fixed OOM)
     the replay completes and reports per-function outcomes; if the analysis
     itself is the killer, the replay reproduces the crash in-process, under
     whatever debugger the caller attached — which is the point.
     """
-    from repro.driver.pipeline import PipelineOptions, analyze_function_job
+    from repro.driver.pipeline import PipelineOptions, analysis_for, function_report
 
     record = load_quarantine_record(path)
-    options = options or PipelineOptions()
+    options = PipelineOptions(**record["options"])
+    analysis = analysis_for(record["source"], options)
     outcomes: dict[str, str] = {}
     for name in record.get("functions", []):
-        payload = analyze_function_job(record["source"], name, options)
+        payload = function_report(analysis, name, options)
         error = payload.get("analysis", {}).get("error")
         outcomes[name] = f"error: {error}" if error else "ok"
     return outcomes

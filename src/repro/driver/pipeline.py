@@ -3,16 +3,16 @@
 Three layers:
 
 * the **stage functions** (:func:`analysis_payload`, :func:`loops_payload`,
-  :func:`transforms_payload`, :func:`assemble_report`) — each computes one
-  separately cacheable artifact of the staged engine (fixpoint/validation
-  verdict, loop classes, transform applicability) with explicit inputs and
-  outputs;
-* :func:`analyze_function_job` — the unit of parallel fan-out: parse →
-  typecheck → path-matrix fixpoint → ADDS validation → loop classification →
-  transform applicability, for **one function**, returned as a plain
-  JSON-serializable dict (the worker pool and the on-disk cache both speak
-  dicts).  It is a thin composition of the stage functions, so the monolith
-  path and the staged incremental path cannot drift apart.
+  :func:`transforms_payload`, :func:`assemble_report`) — the fixpoint/
+  validation verdict, the loop classes and the transform applicability of
+  one function, each with explicit inputs and outputs;
+* :func:`function_report` — those stages run back to back on one function
+  of an analyzed program, returned as a plain JSON-serializable dict (the
+  worker pool and the on-disk store both speak dicts).  A function's report
+  follows from its own body, the type declarations and its callees'
+  summaries alone, so both execution paths build it with this one function:
+  the staged engine over the analysis of a component or of the whole
+  program, a pool worker over the analysis it rebuilt from source;
 * :func:`simulate_program` — the whole-program tail of the pipeline: run
   the original on the reference interpreter, strip-mine every loop one
   dependence analysis of the program (under the run's ADDS setting) proves
@@ -54,13 +54,12 @@ from repro.transform.unroll import check_unroll
 class PipelineOptions:
     """Everything that changes what the pipeline computes (part of cache keys)."""
 
-    solver: str = "worklist"
     use_adds: bool = True
     pes: int = 4
     entry: str = "main"
 
     def key(self) -> str:
-        return f"solver={self.solver};adds={self.use_adds};pes={self.pes};entry={self.entry}"
+        return f"adds={self.use_adds};pes={self.pes};entry={self.entry}"
 
 
 # -- per-worker caches --------------------------------------------------------
@@ -97,9 +96,7 @@ def analysis_for(source: str, options: PipelineOptions) -> PathMatrixAnalysis:
 
 
 # -- the pipeline stages ------------------------------------------------------
-def analysis_payload(
-    analysis: PathMatrixAnalysis, function: str, options: PipelineOptions
-) -> tuple[str, dict]:
+def analysis_payload(analysis: PathMatrixAnalysis, function: str) -> tuple[str, dict]:
     """The fixpoint + ADDS-validation stage: ``(status, analysis-dict)``.
 
     A *semantic* failure (the analysis rejected the function) comes back as
@@ -107,7 +104,7 @@ def analysis_payload(
     statuses (timeout/crashed/quarantined).
     """
     try:
-        result = analysis.analyze_function(function, solver=options.solver)
+        result = analysis.analyze_function(function)
         final = result.final_matrix()
     except AnalysisError as exc:
         return "error", {"error": str(exc)}
@@ -133,7 +130,7 @@ def loops_payload(
     """The loop-classification stage.
 
     Returns the per-loop entries (without transform outcomes — those are the
-    next stage's artifact) and the indices of the parallelizable loops the
+    next stage's) and the indices of the parallelizable loops the
     transform stage should attempt.
     """
     entries: list[dict] = []
@@ -167,7 +164,7 @@ def transforms_payload(
     only the transforms' read-only legality checks run, so nothing is
     copied and the dependence test is not repeated.
 
-    Keyed by the loop index as a string — the artifact round-trips through
+    Keyed by the loop index as a string — the report round-trips through
     JSON, where integer keys would silently become strings anyway.
     """
     return {
@@ -178,18 +175,16 @@ def transforms_payload(
 
 def assemble_report(
     function: str,
-    options: PipelineOptions,
     summary: dict | None,
     status: str,
     analysis_dict: dict,
     loop_entries: list[dict],
     transforms: dict,
 ) -> dict:
-    """Compose the stage artifacts into the legacy per-function report."""
+    """Compose the stage outputs into the per-function report."""
     report: dict = {
         "function": function,
         "status": status,
-        "solver": options.solver,
         "summary": summary,
         "analysis": analysis_dict,
         "loops": [],
@@ -203,31 +198,32 @@ def assemble_report(
     return report
 
 
-# -- the per-function job -----------------------------------------------------
-def analyze_function_job(
-    source: str, function: str, options: PipelineOptions
+# -- the per-function report -------------------------------------------------
+def function_report(
+    analysis: PathMatrixAnalysis, function: str, options: PipelineOptions
 ) -> dict:
-    """Analyze one function of ``source`` end to end; never raises.
+    """Analyze one function of ``analysis.program`` end to end; never raises.
 
-    Unattended batch runs must finish: analysis failures are *reported* (the
-    ``error`` fields) rather than propagated.  This is exactly the stage
-    functions above run back to back, so a report computed here is
-    bit-identical to one the staged engine assembles from cached artifacts.
+    Fixpoint → ADDS validation → loop classification → transform
+    applicability, under the summaries ``analysis`` holds.  Unattended batch
+    runs must finish: analysis failures are *reported* (the ``error``
+    fields) rather than propagated.
     """
-    program = parsed_program(source)
-    analysis = analysis_for(source, options)
-    summary = (
-        analysis.summaries[function].to_dict()
-        if function in analysis.summaries
-        else None
-    )
-    status, analysis_dict = analysis_payload(analysis, function, options)
-    if status != "ok":
-        return assemble_report(function, options, summary, status, analysis_dict, [], {})
-    entries, parallelizable = loops_payload(program, function, analysis, options)
-    transforms = transforms_payload(program, function, parallelizable)
+    status, analysis_dict = analysis_payload(analysis, function)
+    entries: list[dict] = []
+    transforms: dict = {}
+    if status == "ok":
+        program = analysis.program
+        entries, parallelizable = loops_payload(program, function, analysis, options)
+        transforms = transforms_payload(program, function, parallelizable)
+    summary = analysis.summaries.get(function)
     return assemble_report(
-        function, options, summary, status, analysis_dict, entries, transforms
+        function,
+        summary.to_dict() if summary is not None else None,
+        status,
+        analysis_dict,
+        entries,
+        transforms,
     )
 
 

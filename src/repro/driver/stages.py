@@ -1,10 +1,10 @@
 """The staged, summary-firewalled incremental analysis engine.
 
 This is the inline (``jobs=1``) execution path of the batch driver, rebuilt
-as a two-phase walk over the call graph's SCC condensation in which every
-pipeline stage is a separately content-addressed artifact (see
-:mod:`repro.driver.cache` for the store and docs/incremental.md for the
-soundness argument):
+as a two-phase walk over the call graph's SCC condensation that stores two
+content-addressed artifacts: one ``summary`` per component and one
+``report`` per function (see :mod:`repro.driver.cache` for the store and
+docs/incremental.md for the soundness argument):
 
 **Phase 1 — bottom-up summary resolution.**  For each component (callees
 first), probe the ``summary`` stage under a key covering the members'
@@ -16,16 +16,15 @@ running anything; on a miss they are recomputed with
 and stored.  Either way each member gets an **artifact digest** — the hash
 of its summary payload — which is the only thing callers may key on.
 
-**Phase 2 — per-function stage assembly.**  A function's stage keys cover
+**Phase 2 — per-function reports.**  A function's ``report`` key covers
 its own declaration text, its own summary artifact, and its direct
 callees' artifact digests — *not* their bodies.  That indirection is the
 early-cutoff firewall: an edit that leaves a callee's summary artifact
 byte-identical leaves every caller's keys untouched, so callers are reused
-unrun.  The ``report`` stage caches the assembled legacy report; on a
-report miss the ``analysis`` (fixpoint + validation), ``loops``
-(classification), and ``transforms`` (applicability) stages are probed
-individually, so e.g. an evicted report is reassembled from intact stage
-artifacts without solving anything.
+unrun.  On a report miss the report is computed whole
+(:func:`~repro.driver.pipeline.function_report`: fixpoint, validation,
+loop classes, transform applicability) and stored as the function's only
+artifact; a lost or corrupt report costs one recompute of its function.
 
 Two-phase commit: phase 1 settles *every* summary artifact of a component
 before any phase-2 (or caller phase-1) key is formed, so a changed
@@ -78,11 +77,8 @@ from repro.driver.callgraph import CallGraph, build_call_graph, condense
 from repro.driver.pipeline import (
     PipelineOptions,
     absolutize_report,
-    analysis_payload,
-    assemble_report,
-    loops_payload,
+    function_report,
     relativize_report,
-    transforms_payload,
 )
 
 
@@ -90,7 +86,7 @@ from repro.driver.pipeline import (
 class IncrementalStats:
     """What one staged run reused, recomputed, and firewalled."""
 
-    #: functions served without running a fixpoint (report hit or reassembled)
+    #: functions served from a stored report, without running a fixpoint
     reused: int = 0
     #: reused functions some *transitive callee body* of which changed — the
     #: legacy body-keyed scheme would have re-analyzed these
@@ -529,7 +525,7 @@ class StagedEngine:
             if on_reused is not None:
                 on_reused(fn)
 
-        # -- phase 2: per-function stage probe / compute / assemble -----------
+        # -- phase 2: per-function report probe / compute -------------------
         report_key: dict[str, str] = {}
         for component, members in enumerate(cond.sccs):
             for fn in members:
@@ -542,7 +538,8 @@ class StagedEngine:
                 callee_blob = ";".join(
                     f"{c}={art_digest[c]}" for c in sorted(graph.callees(fn))
                 )
-                base = (
+                rkey = report_key[fn] = _sha(
+                    "report",
                     version,
                     opts,
                     src.types_source(),
@@ -550,92 +547,17 @@ class StagedEngine:
                     art_digest[fn],
                     callee_blob,
                 )
-                rkey = report_key[fn] = _sha("report", *base)
-                cached_report = self.cache.get(rkey, stage="report")
-                if cached_report is not None:
-                    functions_out[fn] = absolutize_report(cached_report, line)
+                cached = self.cache.get(rkey, stage="report")
+                if cached is not None:
+                    functions_out[fn] = absolutize_report(cached, line)
                     count_reused(fn)
                     continue
-
-                computed_fixpoint = False
-                akey = _sha("analysis", *base)
-                cached_a = self.cache.get(akey, stage="analysis")
-                if cached_a is not None:
-                    verdict = absolutize_report(cached_a, line)
-                    status, analysis_dict = verdict["status"], verdict["analysis"]
-                else:
-                    status, analysis_dict = analysis_payload(
-                        analysis_for(component), fn, self.options
-                    )
-                    self.cache.put(
-                        akey,
-                        relativize_report(
-                            {"status": status, "analysis": analysis_dict}, line
-                        ),
-                        stage="analysis",
-                    )
-                    computed_fixpoint = True
-
-                entries: list = []
-                transforms: dict = {}
-                if status == "ok":
-                    lkey = _sha("loops", *base)
-                    cached_l = self.cache.get(lkey, stage="loops")
-                    if cached_l is not None:
-                        classified = absolutize_report(cached_l, line)
-                        entries = classified["loops"]
-                        parallelizable = classified["parallelizable"]
-                    else:
-                        analysis = analysis_for(component)
-                        entries, parallelizable = loops_payload(
-                            analysis.program, fn, analysis, self.options
-                        )
-                        self.cache.put(
-                            lkey,
-                            relativize_report(
-                                {
-                                    "loops": entries,
-                                    "parallelizable": parallelizable,
-                                },
-                                line,
-                            ),
-                            stage="loops",
-                        )
-                    xkey = _sha("transforms", *base)
-                    cached_x = self.cache.get(xkey, stage="transforms")
-                    if cached_x is not None:
-                        transforms = absolutize_report(cached_x, line)["transforms"]
-                    else:
-                        transforms = transforms_payload(
-                            analysis_for(component).program, fn, parallelizable
-                        )
-                        self.cache.put(
-                            xkey,
-                            relativize_report({"transforms": transforms}, line),
-                            stage="transforms",
-                        )
-
-                summary_payload = table[fn].to_dict() if fn in table else None
-                assembled = assemble_report(
-                    fn,
-                    self.options,
-                    summary_payload,
-                    status,
-                    analysis_dict,
-                    entries,
-                    transforms,
-                )
-                functions_out[fn] = assembled
-                self.cache.put(
-                    rkey, relativize_report(assembled, line), stage="report"
-                )
-                if computed_fixpoint:
-                    stats.recomputed += 1
-                    if on_recomputed is not None:
-                        on_recomputed(fn)
-                else:
-                    # reassembled from intact stage artifacts — no solve ran
-                    count_reused(fn)
+                report = function_report(analysis_for(component), fn, self.options)
+                functions_out[fn] = report
+                self.cache.put(rkey, relativize_report(report, line), stage="report")
+                stats.recomputed += 1
+                if on_recomputed is not None:
+                    on_recomputed(fn)
 
         # commit the manifest: the next run's dirty accounting and cone, and
         # what serves this program unparsed if it is unchanged

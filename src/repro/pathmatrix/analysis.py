@@ -47,13 +47,11 @@ from repro.pathmatrix.interproc import (
     direct_summaries,
     summarize_scc,
 )
-from repro.pathmatrix.matrix import PathMatrix, cellwise_equivalent
+from repro.pathmatrix.matrix import PathMatrix
 from repro.pathmatrix.paths import PathEntry
 from repro.pathmatrix.rules import TransferContext, apply_block, apply_statement
-from repro.pathmatrix.worklist import solve_roundrobin, solve_worklist
+from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_worklist
 
-
-MAX_FIXPOINT_ITERATIONS = 64
 
 #: process-wide count of fixpoints actually solved (memo hits excluded).
 #: The incremental engine's acceptance test — "editing one leaf re-runs
@@ -85,13 +83,11 @@ class AnalysisResult:
     ctx: TransferContext
     entry_matrices: dict[int, PathMatrix] = field(default_factory=dict)
     exit_matrices: dict[int, PathMatrix] = field(default_factory=dict)
-    #: whole-CFG sweeps until convergence (both engines; the worklist engine
-    #: skips stable blocks within a sweep — see ``blocks_transferred``)
+    #: whole-CFG sweeps until convergence (the worklist engine skips stable
+    #: blocks within a sweep — see ``blocks_transferred``)
     iterations: int = 0
     #: total transfer-function applications — comparable across solvers
     blocks_transferred: int = 0
-    #: which fixpoint engine produced this result
-    solver: str = "worklist"
 
     def matrix_at_entry(self, block_index: int) -> PathMatrix:
         return self.entry_matrices[block_index]
@@ -148,7 +144,7 @@ class PathMatrixAnalysis:
         # component's entries (see refine_preservation).  The batch driver
         # opts in (it re-analyzes the same functions per loop); timing code
         # must NOT (a memo hit would be measured instead of the solver).
-        self._result_memo: "dict[tuple[str, str], AnalysisResult] | None" = (
+        self._result_memo: "dict[str, AnalysisResult] | None" = (
             {} if memoize_results else None
         )
         # ``external_returns``: the inferred return types of callees that
@@ -227,21 +223,14 @@ class PathMatrixAnalysis:
 
     # -- the fixed point -----------------------------------------------------
     def analyze_function(
-        self,
-        name: str,
-        initial: PathMatrix | None = None,
-        solver: str = "worklist",
+        self, name: str, initial: PathMatrix | None = None
     ) -> AnalysisResult:
-        """Run the fixpoint for one function.
-
-        ``solver`` selects the engine: ``"worklist"`` (default, fast) or
-        ``"roundrobin"`` (the seed's sweep-everything engine, retained as the
-        golden/performance baseline — it re-applies the original
-        copy-per-statement transfer and dense matrix comparison).
-        """
-        memo_key = (name, solver) if initial is None else None
-        if memo_key is not None and self._result_memo is not None:
-            memoized = self._result_memo.get(memo_key)
+        """Run the fixpoint for one function (:func:`solve_worklist`; the
+        round-robin reference engine is
+        :func:`~repro.pathmatrix.baseline.baseline_roundrobin`)."""
+        memoize = initial is None and self._result_memo is not None
+        if memoize:
+            memoized = self._result_memo.get(name)
             if memoized is not None:
                 return memoized
         func = self.program.function_named(name)
@@ -250,29 +239,15 @@ class PathMatrixAnalysis:
         ctx = self._context_for(func)
         cfg = build_cfg(func)
         init = initial.copy() if initial is not None else self.initial_matrix(func, ctx)
-        result = AnalysisResult(function=name, cfg=cfg, ctx=ctx, solver=solver)
+        result = AnalysisResult(function=name, cfg=cfg, ctx=ctx)
 
-        join = PathMatrix.join
-        if solver == "worklist":
-            def transfer(block, state):
-                return apply_block(state, block.statements, ctx)
+        def transfer(block, state):
+            return apply_block(state, block.statements, ctx)
 
-            entry, exit_, stats = solve_worklist(
-                cfg, init, transfer, join, PathMatrix.equivalent,
-                max_iterations=MAX_FIXPOINT_ITERATIONS,
-            )
-        elif solver == "roundrobin":
-            def transfer(block, state):
-                for stmt in block.statements:
-                    state = apply_statement(state, stmt, ctx)
-                return state
-
-            entry, exit_, stats = solve_roundrobin(
-                cfg, init, transfer, join, cellwise_equivalent,
-                max_iterations=MAX_FIXPOINT_ITERATIONS,
-            )
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+        entry, exit_, stats = solve_worklist(
+            cfg, init, transfer, PathMatrix.join, PathMatrix.equivalent,
+            max_iterations=MAX_FIXPOINT_ITERATIONS,
+        )
 
         global _FIXPOINT_RUNS
         _FIXPOINT_RUNS += 1
@@ -280,15 +255,12 @@ class PathMatrixAnalysis:
         result.blocks_transferred = stats.blocks_transferred
         result.entry_matrices = entry
         result.exit_matrices = exit_
-        if memo_key is not None and self._result_memo is not None:
-            self._result_memo[memo_key] = result
+        if memoize:
+            self._result_memo[name] = result
         return result
 
-    def analyze_all(self, solver: str = "worklist") -> dict[str, AnalysisResult]:
-        return {
-            f.name: self.analyze_function(f.name, solver=solver)
-            for f in self.program.functions
-        }
+    def analyze_all(self) -> dict[str, AnalysisResult]:
+        return {f.name: self.analyze_function(f.name) for f in self.program.functions}
 
     # -- abstraction-preservation of whole functions -----------------------------
     def _transitive_callees(self, name: str) -> set[str]:
@@ -381,9 +353,8 @@ class PathMatrixAnalysis:
         """Drop memoized results for ``names`` — their inputs changed."""
         if self._result_memo is None:
             return
-        drop = set(names)
-        for key in [k for k in self._result_memo if k[0] in drop]:
-            del self._result_memo[key]
+        for name in names:
+            self._result_memo.pop(name, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,30 +11,53 @@ matrix analysis.
 
 from __future__ import annotations
 
-from repro.lang.ast_nodes import FunctionDecl, Program, collect_pointer_variables
+from repro.lang.ast_nodes import Program, collect_pointer_variables
+from repro.lang.cfg import build_cfg
 from repro.pathmatrix.alias import AccessPath, AliasAnswer
-from repro.pathmatrix.matrix import PathMatrix
+from repro.pathmatrix.analysis import AnalysisResult, PathMatrixAnalysis
+from repro.pathmatrix.matrix import PathMatrix, cellwise_equivalent
+from repro.pathmatrix.rules import apply_statement
+from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_roundrobin
 
 
 def baseline_roundrobin(
-    program: Program,
-    function_name: str,
-    use_adds: bool = True,
-    initial: PathMatrix | None = None,
-):
+    analysis: PathMatrixAnalysis, function_name: str, initial: PathMatrix | None = None
+) -> AnalysisResult:
     """Run the seed's round-robin fixpoint engine on one function.
 
     This is the reference implementation the worklist engine is validated
     (golden-equivalence tests) and benchmarked against: every block is
     re-transferred on every sweep, statements copy the matrix individually,
-    and convergence is detected with the dense cell-by-cell comparison.
-    Returns the same :class:`~repro.pathmatrix.analysis.AnalysisResult`
-    shape as the default engine.
+    and convergence is detected with the dense cell-by-cell comparison.  It
+    runs under the same transfer context and initial matrix as
+    ``analysis.analyze_function(function_name, initial)``, but bypasses
+    ``analysis``'s result memo and the fixpoint counter.
     """
-    from repro.pathmatrix.analysis import PathMatrixAnalysis
+    func = analysis.program.function_named(function_name)
+    if func is None:
+        raise KeyError(f"no function named {function_name!r}")
+    ctx = analysis.context_for(function_name)
+    cfg = build_cfg(func)
+    init = initial.copy() if initial is not None else analysis.initial_matrix(func, ctx)
 
-    analysis = PathMatrixAnalysis(program, use_adds=use_adds)
-    return analysis.analyze_function(function_name, initial=initial, solver="roundrobin")
+    def transfer(block, state):
+        for stmt in block.statements:
+            state = apply_statement(state, stmt, ctx)
+        return state
+
+    entry, exit_, stats = solve_roundrobin(
+        cfg, init, transfer, PathMatrix.join, cellwise_equivalent,
+        max_iterations=MAX_FIXPOINT_ITERATIONS,
+    )
+    return AnalysisResult(
+        function=function_name,
+        cfg=cfg,
+        ctx=ctx,
+        entry_matrices=entry,
+        exit_matrices=exit_,
+        iterations=stats.iterations,
+        blocks_transferred=stats.blocks_transferred,
+    )
 
 
 def conservative_matrix(variables: list[str]) -> PathMatrix:

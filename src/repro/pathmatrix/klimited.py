@@ -46,14 +46,13 @@ from repro.lang.ast_nodes import (
 )
 from repro.lang.cfg import build_cfg
 from repro.pathmatrix.alias import AccessPath, AliasAnswer
+from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_worklist
 
 
 #: the single summary location all k-limited nodes collapse into
 SUMMARY = "<summary>"
 #: abstract location representing "some node we know nothing about"
 UNKNOWN = "<unknown>"
-
-MAX_FIXPOINT_ITERATIONS = 64
 
 
 @dataclass
@@ -286,8 +285,6 @@ class KLimitedAnalysis:
         :mod:`repro.pathmatrix.worklist`): only blocks whose inputs changed
         are re-transferred.
         """
-        from repro.pathmatrix.worklist import solve_worklist
-
         func = self.program.function_named(name)
         if func is None:
             raise KeyError(f"no function named {name!r}")

@@ -185,9 +185,3 @@ def solve_worklist(
         if not changed:
             break
     return entry, exits, stats
-
-
-SOLVERS = {
-    "worklist": solve_worklist,
-    "roundrobin": solve_roundrobin,
-}

@@ -94,8 +94,8 @@ def _full_transform_applicability(program, function, index):
 @pytest.fixture(scope="module", params=[True, False], ids=["adds", "no-adds"])
 def parallelizable_loops(request):
     """``(program, function, loop indices)`` for every function of the
-    builtin corpus and of 50 fuzz programs with a loop the loops stage
-    classifies parallelizable."""
+    builtin corpus and of 50 fuzz programs with a loop the loop
+    classification classifies parallelizable."""
     options = PipelineOptions(use_adds=request.param)
     sources = [item.source for item in corpus_named("builtin")]
     sources += [generate_program(seed).source for seed in range(50)]
@@ -106,7 +106,7 @@ def parallelizable_loops(request):
             program, use_adds=options.use_adds, memoize_results=True
         )
         for func in program.functions:
-            status, _ = analysis_payload(analysis, func.name, options)
+            status, _ = analysis_payload(analysis, func.name)
             if status != "ok":
                 continue
             _, indices = loops_payload(program, func.name, analysis, options)

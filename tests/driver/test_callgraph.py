@@ -59,32 +59,6 @@ class TestSccs:
 
 
 class TestCondensation:
-    def test_edges_mirror_each_other(self):
-        cond = condense(_graph())
-        for comp, callees in cond.callee_components.items():
-            assert comp not in callees  # self-loops (recursion) are discarded
-            for callee in callees:
-                assert comp in cond.dependents[callee]
-        for comp, deps in cond.dependents.items():
-            for dep in deps:
-                assert comp in cond.callee_components[dep]
-
-    def test_initial_blockers_count_callee_components(self):
-        cond = condense(_graph())
-        blockers = cond.initial_blockers()
-        by_name = {name: i for i, scc in enumerate(cond.sccs) for name in scc}
-        assert blockers[by_name["leaf"]] == 0
-        assert blockers[by_name["lonely"]] == 0
-        # even/odd are one component; its only external callee is leaf
-        assert blockers[by_name["even"]] == 1
-        assert blockers[by_name["driver"]] == 1
-
-    def test_blockers_are_returned_fresh_each_call(self):
-        cond = condense(_graph())
-        first = cond.initial_blockers()
-        first[0] = 99
-        assert cond.initial_blockers()[0] != 99
-
     def test_waves_match_the_legacy_entry_point(self):
         graph = _graph()
         assert condense(graph).waves() == bottom_up_waves(graph)

@@ -152,10 +152,11 @@ class TestQuarantineCommand:
     def _write_record(self, tmp_path):
         from repro.adds.library import standard_source
         from repro.driver.faults import write_quarantine_record
+        from repro.driver.pipeline import PipelineOptions
 
         source = standard_source("ListNode") + "function f(p) { return p; }\n"
         return write_quarantine_record(
-            tmp_path, "prog", source, ["f"], 3, 13, "opts"
+            tmp_path, "prog", source, ["f"], 3, 13, PipelineOptions()
         )
 
     def test_list_empty_directory(self, tmp_path, capsys):
@@ -175,6 +176,21 @@ class TestQuarantineCommand:
 
     def test_replay_missing_records_is_a_usage_error(self, tmp_path, capsys):
         assert main(["quarantine", "--replay", str(tmp_path)]) == 2
+
+    def test_v1_record_is_unreadable_not_replayed(self, tmp_path, capsys):
+        """A v1 record stored its options as an opaque key: it is listed as
+        unreadable instead of being replayed under guessed options."""
+        path = self._write_record(tmp_path)
+        record = json.loads(path.read_text())
+        record["schema"] = "driver-quarantine-v1"
+        record["options"] = "solver=worklist;adds=False;pes=8;entry=main"
+        path.write_text(json.dumps(record))
+
+        assert main(["quarantine", "--dir", str(tmp_path)]) == 0
+        assert "unreadable record" in capsys.readouterr().out
+        assert main(["quarantine", "--replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "unreadable record" in out and "f: ok" not in out
 
 
 class TestOtherCommands:

@@ -1,5 +1,6 @@
 """Tests for the persistent-worker executor: cost model, chunking, defaults,
-the ready-queue gating discipline, the profiling layer, and crash surfacing.
+up-front dispatch of every pending component, the profiling layer, and
+crash surfacing.
 """
 
 import json
@@ -11,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from repro.adds.library import merged_into, standard_source
-from repro.driver.batch import BatchDriver, BatchReport
+from repro.driver.batch import BatchDriver
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
     CHUNK_COST_TARGET,
     CHUNK_MAX_FUNCTIONS,
     CRASH_ENV_VAR,
     MAX_DEFAULT_JOBS,
+    PersistentExecutor,
     default_jobs,
     estimate_cost,
     pack_chunks,
@@ -120,37 +122,36 @@ class TestPackChunks:
         assert pack_chunks([]) == []
 
 
-class TestReadyQueueGating:
-    """The scheduler invariant: a component never becomes ready before every
-    callee component has landed — even when completions arrive in an
-    adversarial (work-stealing) order."""
+class TestUpFrontDispatch:
+    """Workers rebuild callee summaries from source, so no component waits
+    for another: every one with pending work is submitted before the first
+    result is polled."""
 
-    def _plan(self):
+    def test_every_component_is_submitted_before_the_first_poll(self, monkeypatch):
+        submitted: list = []
+        before_first_poll: list = []
+        real_submit = PersistentExecutor.submit
+        real_poll = PersistentExecutor.poll
+
+        def submit(self, task):
+            submitted.append(task)
+            real_submit(self, task)
+
+        def poll(self):
+            if not before_first_poll:
+                before_first_poll.extend(submitted)
+            return real_poll(self)
+
+        monkeypatch.setattr(PersistentExecutor, "submit", submit)
+        monkeypatch.setattr(PersistentExecutor, "poll", poll)
         driver = BatchDriver(jobs=2, cache_dir=None, simulate=False)
-        item = CorpusItem(name="chain", source=CHAIN_SRC)
-        return driver._plan_item(0, item, BatchReport())
-
-    def test_initial_ready_set_is_the_leaves(self):
-        plan = self._plan()
-        ready_names = {n for i in plan.ready for n in plan.cond.sccs[i]}
-        assert ready_names == {"tiny"}  # big -> mid -> tiny is a pure chain
-
-    def test_landing_in_lifo_order_never_frees_a_blocked_component(self):
-        plan = self._plan()
-        landed_names: set[str] = set()
-        ready = list(plan.ready)
-        plan.ready = []
-        while ready:
-            component = ready.pop()  # LIFO: adversarial vs submission order
-            for name in plan.cond.sccs[component]:
-                # every callee of the component must already have landed
-                callees = plan.cond.callee_components[component]
-                assert all(c in plan.landed for c in callees), name
-                landed_names.add(name)
-            plan.land(component)
-            ready.extend(plan.ready)
-            plan.ready = []
-        assert landed_names == {"tiny", "mid", "big"}
+        report = driver.analyze_corpus([CorpusItem(name="chain", source=CHAIN_SRC)])
+        # big -> mid -> tiny is a pure chain: three components
+        assert sorted(c for t in before_first_poll for c in t.components) == [0, 1, 2]
+        assert sorted(n for t in before_first_poll for n in t.functions) == [
+            "big", "mid", "tiny",
+        ]
+        assert not report.failed_functions()
 
 
 class TestProfileLayer:

@@ -17,6 +17,7 @@ from repro.adds.library import standard_source
 from repro.driver.batch import BatchDriver
 from repro.driver.corpus import CorpusItem, paper_corpus
 from repro.driver.executor import preferred_start_method
+from repro.driver import pipeline
 from repro.driver.faults import (
     FAULT_CRASH_EXIT,
     FAULTS_ENV_VAR,
@@ -25,7 +26,9 @@ from repro.driver.faults import (
     load_quarantine_record,
     parse_fault_spec,
     replay_quarantine_record,
+    write_quarantine_record,
 )
+from repro.driver.pipeline import PipelineOptions
 
 CHAIN_SRC = standard_source("ListNode") + """
 function tiny(p) { return p; }
@@ -201,15 +204,39 @@ class TestCrashRecovery:
 
     def test_sacrificial_run_rescues_a_flaky_function(self, monkeypatch):
         """A function whose crashes stop exactly when the retry budget runs
-        out completes in the sacrificial subprocess — no quarantine."""
+        out completes in the sacrificial subprocess — no quarantine.  The
+        chain's three components share one chunk, so ``mid`` crashes three
+        times before its budget runs out: in the chunk, in the bisected half
+        holding it, and alone; the sacrificial run is its fourth attempt."""
         report = _run_batch(
-            self._items(), "crash:function=mid,times=2", monkeypatch,
+            self._items(), "crash:function=mid,times=3", monkeypatch,
             jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
         )
         assert report.program("chain").functions["mid"].get("status") == "ok"
         assert report.resilience.sacrificial_runs == 1
         assert report.resilience.quarantined == 0
         assert not report.failed_functions()
+
+
+class TestQuarantineRecords:
+    def test_replay_runs_under_the_recorded_options(self, tmp_path, monkeypatch):
+        options = PipelineOptions(use_adds=False, pes=8)
+        path = write_quarantine_record(
+            tmp_path, "chain", CHAIN_SRC, ["mid", "big"], 2, FAULT_CRASH_EXIT, options
+        )
+        assert load_quarantine_record(path)["options"] == {
+            "use_adds": False, "pes": 8, "entry": "main",
+        }
+        seen = []
+        real = pipeline.function_report
+
+        def spy(analysis, function, run_options):
+            seen.append((function, run_options, analysis.use_adds))
+            return real(analysis, function, run_options)
+
+        monkeypatch.setattr(pipeline, "function_report", spy)
+        assert replay_quarantine_record(path) == {"mid": "ok", "big": "ok"}
+        assert seen == [("mid", options, False), ("big", options, False)]
 
 
 class TestDeadlines:

@@ -193,7 +193,7 @@ function extra(q)
         assert inc["recomputed"] == 1
         assert inc["reused"] == 3
         assert driver.cache.stage_counters["report"]["hits"] == 3
-        assert driver.cache.stage_counters["transforms"]["writes"] == 1
+        assert driver.cache.stage_counters["report"]["writes"] == 1
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
         loop = warm.program("prog").functions["extra"]["loops"][0]
         assert loop["transforms"]["strip_mine"]["applied"]
@@ -326,11 +326,12 @@ class TestUnchangedPrograms:
         healed = _run(BASE, tmp_path)
         assert parsed == [BASE]
         assert healed.resilience.cache_evictions == 1
-        assert healed.incremental["programs_unchanged"] == 0
-        assert healed.incremental["fixpoints_run"] == 0
-        assert healed.incremental["recomputed"] == 0
-        assert healed.incremental["reused"] == 3
-        assert _functions(healed) == _functions(cold)
+        assert healed.incremental == dict(
+            SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
+        )
+        assert json.dumps(_functions(healed), sort_keys=True) == json.dumps(
+            _functions(cold), sort_keys=True
+        )
         # the full path rewrote the report: served whole again
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
 
@@ -338,10 +339,14 @@ class TestUnchangedPrograms:
         cold = _run(BASE, tmp_path)
         sorted((tmp_path / "report").glob("*.json"))[-1].unlink()
         healed = _run(BASE, tmp_path)
-        assert healed.incremental["programs_unchanged"] == 0
-        assert healed.incremental["fixpoints_run"] == 0
         assert healed.resilience.cache_evictions == 0
-        assert _functions(healed) == _functions(cold)
+        assert healed.incremental == dict(
+            SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
+        )
+        assert json.dumps(_functions(healed), sort_keys=True) == json.dumps(
+            _functions(cold), sort_keys=True
+        )
+        assert _run(BASE, tmp_path).incremental == SERVED_BASE
 
     def test_manifest_without_source_digest_falls_through_and_is_rewritten(
         self, tmp_path, monkeypatch
@@ -452,7 +457,9 @@ class TestUnchangedPrograms:
 
 
 class TestRetiredStages:
-    """The ``parse`` and ``typecheck`` stages were written and never read."""
+    """The ``parse`` and ``typecheck`` stages were written and never read;
+    ``analysis``, ``loops`` and ``transforms`` were read only to rebuild a
+    lost report."""
 
     def test_cold_run_writes_no_parse_or_typecheck_artifacts(self, tmp_path):
         _run(BASE, tmp_path)
@@ -460,7 +467,29 @@ class TestRetiredStages:
         assert not (tmp_path / "parse").exists()
         assert not (tmp_path / "typecheck").exists()
 
-    @pytest.mark.parametrize("retired", ["parse", "typecheck"])
+    def test_cold_run_writes_one_report_per_function_and_nothing_else(self, tmp_path):
+        # five functions, each its own component; both programs record a
+        # simulation (BASE's says it has no entry)
+        items = [
+            CorpusItem(name="prog", source=BASE),
+            CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
+        ]
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path)
+        report = driver.analyze_corpus(items)
+        assert report.incremental["recomputed"] == 5
+        stages = {p.parent.name for p in tmp_path.rglob("*.json") if p.parent != tmp_path}
+        assert stages == {"summary", "report", "sim", "manifest"}
+        written = {
+            stage: counters["writes"]
+            for stage, counters in driver.cache.stage_counters.items()
+        }
+        assert written == {"summary": 5, "report": 5, "sim": 2, "manifest": 2}
+        for stage, count in written.items():
+            assert len(list((tmp_path / stage).glob("*.json"))) == count, stage
+
+    @pytest.mark.parametrize(
+        "retired", ["parse", "typecheck", "analysis", "loops", "transforms"]
+    )
     def test_clear_empties_a_store_that_has_them(self, tmp_path, capsys, retired):
         _run(BASE, tmp_path)
         stage_dir = tmp_path / retired

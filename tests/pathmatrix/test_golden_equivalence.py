@@ -20,8 +20,8 @@ from repro.pathmatrix import PathMatrixAnalysis, baseline_roundrobin
 
 def assert_solvers_agree(program, function_name: str, use_adds: bool = True):
     analysis = PathMatrixAnalysis(program, use_adds=use_adds)
-    rr = analysis.analyze_function(function_name, solver="roundrobin")
-    wl = analysis.analyze_function(function_name, solver="worklist")
+    rr = baseline_roundrobin(analysis, function_name)
+    wl = analysis.analyze_function(function_name)
 
     assert set(rr.entry_matrices) == set(wl.entry_matrices), function_name
     assert set(rr.exit_matrices) == set(wl.exit_matrices), function_name
@@ -108,8 +108,8 @@ class TestWorkAccounting:
     def test_worklist_strictly_less_work_on_acyclic_cfg(self):
         program = merged_into(self.ACYCLIC_SRC, "ListNode")
         analysis = PathMatrixAnalysis(program)
-        rr = analysis.analyze_function("straight", solver="roundrobin")
-        wl = analysis.analyze_function("straight", solver="worklist")
+        rr = baseline_roundrobin(analysis, "straight")
+        wl = analysis.analyze_function("straight")
         assert rr.blocks_transferred > 0 and wl.blocks_transferred > 0
         assert wl.blocks_transferred < rr.blocks_transferred
         assert wl.iterations <= rr.iterations
@@ -117,26 +117,11 @@ class TestWorkAccounting:
     def test_worklist_never_more_transfers_with_loops(self):
         program = merged_into(POLYNOMIAL_SCALE_SRC, "ListNode")
         analysis = PathMatrixAnalysis(program)
-        rr = analysis.analyze_function("scale", solver="roundrobin")
-        wl = analysis.analyze_function("scale", solver="worklist")
+        rr = baseline_roundrobin(analysis, "scale")
+        wl = analysis.analyze_function("scale")
         assert wl.blocks_transferred <= rr.blocks_transferred
-
-    def test_solver_is_recorded_on_results(self):
-        program = merged_into(POLYNOMIAL_SCALE_SRC, "ListNode")
-        analysis = PathMatrixAnalysis(program)
-        assert analysis.analyze_function("scale").solver == "worklist"
-        assert (
-            analysis.analyze_function("scale", solver="roundrobin").solver
-            == "roundrobin"
-        )
-
-    def test_unknown_solver_rejected(self):
-        program = merged_into(POLYNOMIAL_SCALE_SRC, "ListNode")
-        with pytest.raises(ValueError):
-            PathMatrixAnalysis(program).analyze_function("scale", solver="magic")
 
     def test_baseline_roundrobin_convenience(self):
         program = merged_into(POLYNOMIAL_SCALE_SRC, "ListNode")
-        result = baseline_roundrobin(program, "scale")
-        assert result.solver == "roundrobin"
+        result = baseline_roundrobin(PathMatrixAnalysis(program), "scale")
         assert result.iterations >= 1
