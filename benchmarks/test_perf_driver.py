@@ -1,22 +1,24 @@
 """Throughput benchmark for the whole-program batch driver.
 
 Times five configurations over the ``bench`` corpus (the built-in corpus
-plus a ~200-function call web, so scheduling and chunking actually matter)
+plus a ~200-function call web, so scheduling actually matters)
 and writes ``BENCH_driver.json`` at the repository root:
 
 * ``cold_serial``      — jobs=1, fresh cache (the inline, no-pool path),
 * ``warm_serial``      — jobs=1 over the cold run's cache (pure cache read),
 * ``cold_parallel_2/4/8`` — persistent worker pool, fresh cache each.
 
-Every cold scenario gets its own empty cache directory.  The serial path
-(the staged engine) must execute exactly one analysis per *distinct*
-function — corpus functions that are content-identical across programs
-(same body, types, and callee closure, e.g. the ``insert`` shared by the
-two tree examples) are served from the just-written shared ``report``
-artifact instead of re-solved.  The parallel path probes all plans up front, so a
-cold parallel run analyzes every function with zero hits.  The warm run
-must execute zero analyses.  All configurations must produce identical
-per-function reports (the parallel path is bit-identical to serial).
+Every cold scenario gets its own empty cache directory.  The serial run
+must execute exactly one analysis per *distinct* function — corpus
+functions that are content-identical across programs (same body, types,
+and callee closure, e.g. the ``insert`` shared by the two tree examples)
+are served from the just-written shared ``report`` artifact instead of
+re-solved.  A pooled run shares a duplicate the same way only when its
+first computation lands before another program's task reaches it, so it
+analyzes every distinct function at least once and each duplicate at most
+once more.  The warm run must execute zero analyses.  All configurations
+must produce identical per-function reports (the pooled runs are
+bit-identical to serial).
 
 Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
 records ``host_cpus`` so scaling ratios can be judged in context — on a
@@ -138,9 +140,9 @@ def test_corpus_is_substantial(measurements):
 
 def test_cold_runs_execute_every_function_exactly_once(measurements):
     """A cold run over an empty cache solves each *distinct* function once.
-    The staged serial engine serves content-identical duplicates from the
-    ``report`` artifacts written moments earlier; the parallel path probes all
-    plans before running anything, so it sees an empty cache throughout."""
+    The serial run serves content-identical duplicates from the ``report``
+    artifacts written moments earlier; a pooled run serves one only when
+    the program that computes it first has already stored it."""
     functions = measurements["cold"].function_count()
     duplicates = measurements["duplicates"]
     for row in measurements["rows"]:
@@ -150,8 +152,8 @@ def test_cold_runs_execute_every_function_exactly_once(measurements):
             assert row["cache_hits"] == duplicates, row["scenario"]
             assert row["analyses_executed"] == functions - duplicates, row["scenario"]
         else:
-            assert row["cache_hits"] == 0, row["scenario"]
-            assert row["analyses_executed"] == functions, row["scenario"]
+            assert row["analyses_executed"] + row["cache_hits"] == functions, row["scenario"]
+            assert functions - duplicates <= row["analyses_executed"], row["scenario"]
 
 
 def test_warm_run_is_fully_cached(measurements):

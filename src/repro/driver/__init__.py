@@ -4,24 +4,25 @@ Scales the per-function analysis core across whole programs and corpora:
 
 * :mod:`repro.driver.callgraph` — call graphs, SCCs, bottom-up parallel
   schedules (the order the paper validates Barnes–Hut in),
-* :mod:`repro.driver.cache`     — on-disk memoization keyed by function AST
-  + transitive callee summary digests,
+* :mod:`repro.driver.cache`     — the on-disk artifact store, keyed by
+  declaration text + callee summary digests,
 * :mod:`repro.driver.corpus`    — the built-in program corpus (paper
   examples, ``examples/corpus/*.ptr``, stress generators),
+* :mod:`repro.driver.stages`    — the staged incremental engine and
+  ``run_program``, the one per-program call every ``--jobs`` makes,
 * :mod:`repro.driver.pipeline`  — the per-function report and the
   whole-program simulation stage,
 * :mod:`repro.driver.executor`  — the self-healing persistent worker pool
   (per-task deadlines, targeted kill-and-respawn, sacrificial runs),
 * :mod:`repro.driver.faults`    — deterministic fault injection and
   poison-task quarantine records (see ``docs/robustness.md``),
-* :mod:`repro.driver.batch`     — the orchestrator packing call-graph
-  components into chunks for the pool, with retry/bisection/quarantine
-  policy,
+* :mod:`repro.driver.batch`     — the orchestrator: programs inline or one
+  pool task each, with the per-suspect retry/quarantine policy,
 * :mod:`repro.driver.cli`       — the ``python -m repro`` front end.
 """
 
 from repro.driver.batch import BatchDriver, BatchReport, ProgramReport
-from repro.driver.cache import ResultCache, function_digests, program_digest
+from repro.driver.cache import ResultCache, program_digest
 from repro.driver.callgraph import (
     CallGraph,
     bottom_up_waves,
@@ -47,7 +48,6 @@ __all__ = [
     "BatchReport",
     "ProgramReport",
     "ResultCache",
-    "function_digests",
     "program_digest",
     "CallGraph",
     "build_call_graph",

@@ -1,87 +1,78 @@
-"""The whole-program batch driver: chunk-scheduled, memoized, fault-tolerant.
+"""The whole-program batch driver: one staged engine at every ``--jobs``.
 
-For every corpus program the driver builds the call graph and condenses
-it into strongly-connected components (mutual recursion analyzes as a
-unit).  The bottom-up order the paper validates Barnes–Hut in (callees
-before callers) is each report's ``schedule``; the pooled path needs no
-dispatch order, because every function's report follows from its own body,
-the type declarations and its callees' summaries alone, and a pool worker
-rebuilds those summaries from source.
+For every corpus program the staged engine (:mod:`repro.driver.stages`)
+walks the call graph's SCC condensation bottom-up — callees before callers,
+the order the paper validates Barnes–Hut in, reported as each program's
+``schedule`` — and memoizes one ``summary`` per component, one ``report``
+per function and one ``manifest`` per program in the on-disk
+:class:`~repro.driver.cache.ResultCache`, keyed on callee summary digests.
+It parses only what changed since its last run: nothing for an unchanged
+program, the edited declarations and the callers their summaries reopen for
+an edited one.  A warm re-run performs no analysis at all (the acceptance
+test asserts exactly that).
 
-With ``jobs > 1`` every component with a cache-missed function is packed
-at plan time into cost-balanced chunks
-(:func:`repro.driver.executor.pack_chunks`, SCCs kept whole) and submitted
-up front, with the simulations, to a pool of persistent warm workers;
-components from *different programs* interleave freely on the pool.
-Every function's report is memoized in the on-disk
-:class:`~repro.driver.cache.ResultCache` keyed by its own declaration text
-and the unparsed bodies of its transitive callees.  ``jobs == 1`` bypasses
-the executor entirely and hands each program to the staged engine inline
-(:mod:`repro.driver.stages`: summary and report artifacts keyed on callee
-summary digests, easy profiling and debugging, zero multiprocessing
-overhead), which parses only what changed since its last run: nothing for
-an unchanged program, the edited declarations and the callers their
-summaries reopen for an edited one.  Either way a warm re-run performs no
-analysis at all (the acceptance test asserts exactly that).
+Every program runs through one call,
+:func:`~repro.driver.stages.run_program`.  ``jobs == 1`` makes it inline.
+``jobs > 1`` first serves every unchanged program whose simulation is
+cached, then submits each remaining program, largest source first, as one
+task to a pool of persistent workers (:mod:`repro.driver.executor`), each
+making the same call on its own engine over the same store; the
+coordinator merges the reports, counters and store counters they return.
+With nothing left to compute it starts no pool.
 
-Partial failure stays partial.  The pooled path reacts to the executor's
-``crashed``/``timeout`` events with an escalation ladder instead of aborting:
+Partial failure stays partial.  A worker notes each report it is about to
+compute, and the simulation (``@simulate``), before running it; a task that
+dies is charged to its last note, the *suspect*, and the coordinator walks
+an escalation ladder per suspect instead of aborting:
 
-1. a multi-component chunk that dies is **bisected** — the halves re-run,
-   isolating the offender while the innocents complete;
-2. a single-component task that dies is **retried with exponential
-   backoff**, up to ``max_retries`` times;
-3. a component that exhausts its retries runs once in a **sacrificial
-   single-task subprocess**; if it completes there, its results are used;
-4. if it kills the sacrificial runner too it is **quarantined**: its
-   functions are marked ``status="quarantined"``, a replayable JSON record
-   is written (see :mod:`repro.driver.faults`), and it is never
-   re-dispatched;
-5. a task that blows the per-task deadline is bisected the same way; a lone
-   component that keeps timing out through its retries is marked
-   ``status="timeout"`` — hangs never stall the batch.
+1. the program is **retried with exponential backoff**, up to
+   ``max_retries`` times;
+2. a suspect function that keeps crashing gets one **sacrificial run** of
+   the same task in a throwaway subprocess (with ``quarantine`` on); if it
+   completes there, its result is used;
+3. if it dies there too, the suspect is **quarantined** (a replayable JSON
+   record is written, see :mod:`repro.driver.faults`); a suspect that keeps
+   timing out, or crashing with quarantine off, is marked ``timeout`` or
+   ``crashed``;
+4. either way the program is resubmitted with the suspect's failure
+   payload, which the engine reports in its place and never stores; its
+   summary, its callers and the manifest are still computed.
 
-Failed functions are *reported* (and never cached, so the next run retries
-them); every healthy function still completes.  Only an unrecoverable pool
-(respawn failure, respawn budget exhausted) aborts the run.
+A task that dies before its first note (in parse, typecheck or summary
+resolution) is charged to the program, which reports an ``error`` naming
+the crash once its retries run out.  Only an unrecoverable pool (respawn
+failure, respawn budget exhausted) aborts the run.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from repro.lang.ast_nodes import Program
-from repro.lang.errors import LangError
-from repro.lang.split import function_texts, split_declarations
 from repro.pathmatrix.interproc import summaries_from_payloads
 
-from repro.driver.cache import ResultCache, function_digests, program_digest
-from repro.driver.callgraph import build_call_graph, condense
+# ``function_digests`` has no caller here: the end-to-end benchmark's trace
+# (benchmarks/e2e/trace.py) resolves ``repro.driver.batch.function_digests``
+# as a ``driver.key`` target and needs the name bound
+from repro.driver.cache import ResultCache, function_digests, program_digest  # noqa: F401
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
     PersistentExecutor,
     Task,
     TaskTiming,
-    estimate_cost,
-    pack_chunks,
+    WorkerEvent,
+    WorkerSetup,
     run_sacrificial,
-    warm_parsed_programs,
 )
 from repro.driver.faults import SIMULATE_TOKEN, write_quarantine_record
-from repro.driver.pipeline import (
-    PipelineOptions,
-    absolutize_report,
-    parsed_program,
-    relativize_report,
-    simulate_program,
-)
-from repro.driver.stages import IncrementalStats, ParseFailure, StagedEngine
+from repro.driver.pipeline import PipelineOptions
+from repro.driver.stages import IncrementalStats, ProgramRun, StagedEngine, run_program
 
-#: first retry of a crashed component waits this long; each further retry
-#: doubles it (pure backoff — the analysis itself is deterministic)
+#: first retry of a dead task waits this long; each further retry of the
+#: same suspect doubles it (pure backoff — the analysis is deterministic)
 RETRY_BACKOFF_BASE_S = 0.05
 
 #: function statuses that mean the driver could not produce a result
@@ -97,11 +88,11 @@ class ResilienceCounters:
     health counters.
     """
 
-    retries: int = 0  # task re-dispatches (retry or bisection half)
+    retries: int = 0  # task re-dispatches within a suspect's retry budget
     timeouts: int = 0  # deadline-watchdog kills
     worker_crashes: int = 0  # worker deaths attributed to a task
     worker_respawns: int = 0  # pool workers replaced
-    sacrificial_runs: int = 0  # suspect chunks verified in a throwaway process
+    sacrificial_runs: int = 0  # suspect tasks verified in a throwaway process
     quarantined: int = 0  # functions quarantined as poison
     cache_evictions: int = 0  # corrupt cache entries detected and removed
     cache_io_retries: int = 0  # cache reads that needed a second attempt
@@ -119,8 +110,7 @@ class ProgramReport:
 
     name: str
     functions: dict[str, dict] = field(default_factory=dict)
-    #: bottom-up schedule by depth, wave by wave (SCCs as name lists) —
-    #: a human-readable view; the pool runs chunks in any order
+    #: bottom-up schedule by depth, wave by wave (SCCs as name lists)
     schedule: list[list[list[str]]] = field(default_factory=list)
     simulation: dict | None = None
     error: str | None = None
@@ -162,9 +152,8 @@ class BatchReport:
     #: aggregate task timing breakdown; ``tasks`` detail only with profiling
     profile: dict | None = None
     resilience: ResilienceCounters = field(default_factory=ResilienceCounters)
-    #: staged-engine counters (inline runs only): reused / firewalled /
-    #: recomputed / dirty / fixpoints_run / programs_unchanged — see
-    #: driver/stages.py
+    #: staged-engine counters: reused / firewalled / recomputed / dirty /
+    #: fixpoints_run / programs_unchanged — see driver/stages.py
     incremental: dict | None = None
 
     def program(self, name: str) -> ProgramReport:
@@ -217,52 +206,54 @@ class BatchExecutionError(RuntimeError):
 
 @dataclass
 class _ProgramPlan:
-    """Coordinator-side scheduling state for one corpus program."""
+    """Coordinator-side state for one corpus program."""
 
     index: int
     item: CorpusItem
     report: ProgramReport
-    #: the parsed program (coordinator-side only, never pickled)
-    program: Program | None = None
-    digests: dict[str, str] = field(default_factory=dict)
-    #: component -> cache-missed functions still to analyze
-    pending: dict[int, list[str]] = field(default_factory=dict)
-    #: component -> estimated analysis cost of its pending functions
-    costs: dict[int, int] = field(default_factory=dict)
-    #: component -> how many times a task holding it crashed
-    crash_attempts: dict[int, int] = field(default_factory=dict)
-    sim_attempts: int = 0
-    sim_key: str | None = None
-    needs_simulation: bool = False
+    #: the program's name is the corpus's only one of that name
+    reuse: bool
+    #: suspect -> how many tasks of this program died charged to it
+    #: (``None``: the program itself, before its first note)
+    attempts: dict = field(default_factory=dict)
+    #: suspect -> the failure payload the engine reports in its place
+    failed: dict[str, dict] = field(default_factory=dict)
 
-    def base_line(self, function: str) -> int:
-        """The first line of ``function``: the base of its stored payload."""
-        assert self.program is not None
-        return self.program.function_named(function).line or 1
+    def task(self, task_id: int) -> Task:
+        return Task(
+            task_id=task_id,
+            program_index=self.index,
+            name=self.item.name,
+            source=self.item.source,
+            reuse=self.reuse,
+            attempts=dict(self.attempts),
+            failed=dict(self.failed),
+        )
 
 
 class BatchDriver:
     """Drive the full pipeline over many programs, in parallel, with caching.
 
-    ``jobs=1`` analyzes in-process (no pool); ``jobs>1`` submits
-    cost-balanced chunks of call-graph components to a persistent worker
-    pool, all at once.  ``cache_dir=None`` disables
-    memoization.  ``start_method`` picks the multiprocessing start method
-    (default: ``fork`` where available, else ``spawn``); ``profile=True``
-    keeps the per-task timing breakdown in the report.
+    ``jobs=1`` runs every program in-process (no pool); ``jobs>1`` runs
+    each program the store cannot serve whole as one task on a persistent
+    worker pool.  ``cache_dir=None`` disables memoization.
+    ``start_method`` picks the multiprocessing start method (default:
+    ``fork`` where available, else ``spawn``); ``profile=True`` keeps the
+    per-task timing breakdown in the report.
 
-    Fault tolerance (pooled path only — inline runs share the caller's
+    Fault tolerance (pooled runs only — inline runs share the caller's
     process and cannot be killed or respawned):
 
-    * ``task_timeout`` — per-task deadline in seconds; an overdue task's
-      worker is killed, the task bisected or marked ``timeout``.  ``None``
-      disables the watchdog (the executor's global stall backstop remains).
-    * ``max_retries`` — crashes a single component survives before the
-      sacrificial run (then quarantine).
+    * ``task_timeout`` — deadline in seconds, restarted at every note: an
+      overdue task's worker is killed and the task retried or its suspect
+      marked ``timeout``.  ``None`` disables the watchdog (the executor's
+      global stall backstop remains).
+    * ``max_retries`` — deaths one suspect survives before the sacrificial
+      run (then quarantine).
     * ``max_respawns`` — total worker replacements before the pool is
       declared unrecoverable (:class:`BatchExecutionError`); ``None`` means
       unbounded (the retry caps already guarantee termination).
-    * ``quarantine``/``quarantine_dir`` — whether poison components get the
+    * ``quarantine``/``quarantine_dir`` — whether poison functions get the
       sacrificial verification + quarantine treatment (otherwise they are
       marked ``crashed`` once retries exhaust), and where replayable
       quarantine records are written (``None``: statuses only, no records).
@@ -301,16 +292,17 @@ class BatchDriver:
     def analyze_corpus(self, items: list[CorpusItem]) -> BatchReport:
         report = BatchReport(jobs=self.jobs, host_cpus=os.cpu_count())
         started = time.perf_counter()
-
+        # a manifest records one program per name: a name the corpus shares
+        # neither reads nor writes one
+        names = Counter(item.name for item in items)
+        plans = [
+            _ProgramPlan(i, item, ProgramReport(name=item.name), names[item.name] == 1)
+            for i, item in enumerate(items)
+        ]
+        report.incremental = IncrementalStats().to_dict()
         if self.jobs > 1:
-            plans = [self._plan_item(i, item, report) for i, item in enumerate(items)]
             timings = self._run_parallel(plans, report)
         else:
-            # the staged engine parses (or serves) each program itself
-            plans = [
-                _ProgramPlan(index=i, item=item, report=ProgramReport(name=item.name))
-                for i, item in enumerate(items)
-            ]
             timings = self._run_inline(plans, report)
         report.profile = self._aggregate_profile(timings)
 
@@ -318,130 +310,49 @@ class BatchDriver:
         report.resilience.cache_evictions = self.cache.evictions
         report.resilience.cache_io_retries = self.cache.io_retries
         report.elapsed_s = time.perf_counter() - started
-        extra = {
-            "analyses_executed": report.analyses_executed,
-            "run_cache_hits": report.cache_hits,
-        }
-        if report.incremental is not None:
-            extra["incremental"] = report.incremental
-        self.cache.write_ledger(extra)
+        self.cache.write_ledger(
+            {
+                "analyses_executed": report.analyses_executed,
+                "run_cache_hits": report.cache_hits,
+                "incremental": report.incremental,
+            }
+        )
         return report
 
-    # -- planning ------------------------------------------------------------
-    def _probe_simulation(self, plan: _ProgramPlan, batch: BatchReport) -> None:
-        """Serve ``plan``'s simulation from the store, or mark it needed."""
-        if not self.simulate:
-            return
-        plan.sim_key = program_digest(plan.item.source, self.options.key())
-        self.cache.preload([plan.sim_key], stage="sim")
-        cached = self.cache.get(plan.sim_key, stage="sim")
-        if cached is not None:
-            plan.report.simulation = cached
-            batch.simulation_cache_hits += 1
-        else:
-            plan.needs_simulation = True
+    def _record(self, plan: _ProgramPlan, run: ProgramRun, batch: BatchReport) -> None:
+        plan.report.functions = run.functions
+        plan.report.schedule = run.schedule
+        plan.report.simulation = run.simulation
+        plan.report.error = run.error
+        for key, value in run.stats.to_dict().items():
+            batch.incremental[key] += value
+        batch.cache_hits += run.stats.reused
+        batch.analyses_executed += run.stats.recomputed
+        batch.simulation_cache_hits += run.simulation_cached
 
-    def _plan_item(self, index: int, item: CorpusItem, batch: BatchReport) -> _ProgramPlan:
-        """Pooled path: plan one program and probe its simulation."""
-        plan = _ProgramPlan(index=index, item=item, report=ProgramReport(name=item.name))
-        if self._plan_program(plan, batch):
-            self._probe_simulation(plan, batch)
-        return plan
-
-    def _plan_program(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
-        """Parse and condense ``plan``'s program and probe its body-keyed
-        reports.  ``False`` when it cannot be analyzed (the error is on the
-        report)."""
-        try:
-            program = parsed_program(plan.item.source)
-        except LangError as exc:
-            plan.report.error = f"parse error: {exc}"
-            return False
-        graph = build_call_graph(program)
-        cond = condense(graph)
-        plan.report.schedule = cond.waves()
-        plan.program = program
-        try:
-            declarations = split_declarations(plan.item.source)
-        except LangError:
-            declarations = None
-        plan.digests = function_digests(
-            program, graph, self.options.key(), function_texts(program, declarations)
-        )
-        self.cache.preload(plan.digests.values(), stage="report")
-
-        for i, scc in enumerate(cond.sccs):
-            pending: list[str] = []
-            cost = 0
-            for name in scc:
-                cached = self.cache.get(plan.digests[name], stage="report")
-                if cached is not None:
-                    plan.report.functions[name] = absolutize_report(
-                        cached, plan.base_line(name)
-                    )
-                    batch.cache_hits += 1
-                else:
-                    pending.append(name)
-                    cost += estimate_cost(program.function_named(name), program)
-            if pending:
-                plan.pending[i] = pending
-                plan.costs[i] = cost
-        return True
-
-    # -- inline execution (jobs == 1, the staged incremental engine) -----------
+    # -- inline execution (jobs == 1) -------------------------------------------
     def _run_inline(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
         batch.start_method = None
         batch.effective_jobs = 1
         work_started = time.perf_counter()
-        functions_run = 0
         simulations_run = 0
-        totals = IncrementalStats()
-
-        def count_reused(_name: str) -> None:
-            batch.cache_hits += 1
-
-        def count_recomputed(_name: str) -> None:
-            batch.analyses_executed += 1
-
-        # a manifest records one program per name: a name the corpus shares
-        # is never served from it
-        names = Counter(plan.item.name for plan in plans)
         for plan in plans:
-            try:
-                run = self.engine.run(
-                    plan.item.name,
-                    plan.item.source,
-                    plan.report.functions,
-                    on_reused=count_reused,
-                    on_recomputed=count_recomputed,
-                    reuse=names[plan.item.name] == 1,
-                )
-            except ParseFailure as failure:
-                plan.report.error = f"parse error: {failure.error}"
-                continue
-            plan.report.schedule = run.schedule
-            totals.merge(run.stats)
-            functions_run += run.stats.recomputed
-            self._probe_simulation(plan, batch)
-            if plan.needs_simulation:
-                simulations_run += 1
-                self._record_simulation(
-                    plan, simulate_program(plan.item.source, self.options, run.program)
-                )
-        batch.incremental = totals.to_dict()
-        analyze_s = time.perf_counter() - work_started
-        if not functions_run and not simulations_run:
+            run = run_program(
+                self.engine, plan.item.name, plan.item.source, plan.reuse, self.simulate
+            )
+            self._record(plan, run, batch)
+            simulations_run += run.simulation is not None and not run.simulation_cached
+        if not batch.analyses_executed and not simulations_run:
             return []
+        analyze_s = time.perf_counter() - work_started
         return [
             TaskTiming(
                 task_id=0,
                 kind="inline",
                 program="*",
-                functions=functions_run,
-                cost=0,
+                functions=batch.analyses_executed,
                 worker_pid=0,
                 queue_wait_s=0.0,
-                parse_s=0.0,
                 analyze_s=analyze_s,
                 transfer_s=0.0,
                 total_s=analyze_s,
@@ -449,276 +360,126 @@ class BatchDriver:
         ]
 
     # -- parallel execution (persistent workers) -------------------------------
+    def _serve_whole(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
+        """Serve an unchanged program, and its simulation, from the store
+        without dispatching it; ``False`` leaves it to the pool."""
+        simulation = None
+        if self.simulate:
+            key = program_digest(plan.item.source, self.options.key())
+            simulation = self.cache.get(key, stage="sim")
+            if simulation is None:
+                return False
+        run = self.engine.serve_unchanged(plan.item.name, plan.item.source) if plan.reuse else None
+        if run is None:
+            return False
+        run.simulation, run.simulation_cached = simulation, simulation is not None
+        self._record(plan, run, batch)
+        return True
+
     def _run_parallel(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
-        active = [
-            plan
-            for plan in plans
-            if plan.pending or plan.needs_simulation
-        ]
-        if not active:  # fully warm run: do not even start the pool
+        waiting = [plan for plan in plans if not self._serve_whole(plan, batch)]
+        if not waiting:  # nothing to compute: do not even start the pool
             batch.effective_jobs = 1
             return []
-        sources = [plan.item.source for plan in plans]
-        # pre-fork warm-up: forked workers inherit the parsed programs
-        # copy-on-write instead of each re-parsing the corpus
-        warm_parsed_programs([plan.item.source for plan in active])
+        # corpora put their largest programs last: start those first
+        waiting.sort(key=lambda plan: len(plan.item.source), reverse=True)
+        setup = WorkerSetup(self.cache.directory, self.options, self.simulate)
         timings: list[TaskTiming] = []
-        task_counter = 0
-
-        def next_task_id() -> int:
-            nonlocal task_counter
-            task_counter += 1
-            return task_counter
-
-        def analyze_task(plan: _ProgramPlan, components: list[int]) -> Task:
-            return Task(
-                task_id=next_task_id(),
-                kind="analyze",
-                program_index=plan.index,
-                program_name=plan.item.name,
-                functions=[n for m in components for n in plan.pending[m]],
-                components=components,
-                cost=sum(plan.costs[m] for m in components),
-                attempts={
-                    n: plan.crash_attempts.get(m, 0)
-                    for m in components
-                    for n in plan.pending[m]
-                },
-            )
-
-        def simulate_task(plan: _ProgramPlan) -> Task:
-            return Task(
-                task_id=next_task_id(),
-                kind="simulate",
-                program_index=plan.index,
-                program_name=plan.item.name,
-                attempts={SIMULATE_TOKEN: plan.sim_attempts},
-            )
-
-        def backoff(attempt: int) -> float:
-            return self.retry_backoff_s * (2 ** max(0, attempt - 1))
-
         with PersistentExecutor(
             self.jobs,
-            sources,
-            self.options,
+            setup,
             self.start_method,
             task_timeout=self.task_timeout,
             max_respawns=self.max_respawns,
         ) as executor:
             batch.start_method = executor.start_method
             batch.effective_jobs = executor.jobs
+            task_ids = itertools.count(1)
 
-            def mark_failed(
-                plan: _ProgramPlan, components: list[int], status: str, detail: str
-            ) -> None:
-                """Give every function of ``components`` a failure payload
-                (their callers are analyzed all the same: workers recompute
-                callee summaries from source)."""
-                for m in components:
-                    for name in plan.pending[m]:
-                        plan.report.functions[name] = _failure_payload(
-                            name, status, detail
-                        )
-                        if status == "quarantined":
-                            batch.resilience.quarantined += 1
+            def submit(plan: _ProgramPlan, delay: float = 0.0) -> None:
+                executor.submit_delayed(plan.task(next(task_ids)), delay)
 
-            def bisect_and_resubmit(plan: _ProgramPlan, task: Task, delay: float) -> None:
-                mid = len(task.components) // 2
-                for half in (task.components[:mid], task.components[mid:]):
-                    batch.resilience.retries += 1
-                    executor.submit_delayed(analyze_task(plan, half), delay)
-
-            def handle_done(task: Task, result: dict, timing: TaskTiming) -> None:
-                timings.append(timing)
-                plan = plans[task.program_index]
-                if task.kind == "simulate":
-                    self._record_simulation(plan, result["simulation"])
-                    return
-                for name in task.functions:
-                    self._record_result(plan, name, result["results"][name], batch)
-
-            def handle_crashed(task: Task, exitcode: int | None) -> None:
-                batch.resilience.worker_crashes += 1
-                plan = plans[task.program_index]
-                detail = f"worker died (exit {exitcode})"
-                if task.kind == "simulate":
-                    plan.sim_attempts += 1
-                    if plan.sim_attempts <= self.max_retries:
-                        batch.resilience.retries += 1
-                        executor.submit_delayed(
-                            simulate_task(plan), backoff(plan.sim_attempts)
-                        )
-                    else:
-                        plan.report.simulation = {
-                            "status": "crashed",
-                            "entry": self.options.entry,
-                            "error": f"{detail} after {plan.sim_attempts} attempt(s)",
-                        }
-                        plan.needs_simulation = False
-                    return
-                for m in task.components:
-                    plan.crash_attempts[m] = plan.crash_attempts.get(m, 0) + 1
-                if len(task.components) > 1:
-                    # isolate the offender; innocents complete along the way
-                    bisect_and_resubmit(plan, task, delay=0.0)
-                    return
-                (component,) = task.components
-                attempts = plan.crash_attempts[component]
-                if attempts <= self.max_retries:
-                    batch.resilience.retries += 1
-                    executor.submit_delayed(
-                        analyze_task(plan, [component]), backoff(attempts)
-                    )
-                    return
-                self._handle_exhausted(
-                    plan, component, exitcode, executor, batch, mark_failed
-                )
-
-            def handle_timeout(task: Task) -> None:
-                batch.resilience.timeouts += 1
-                plan = plans[task.program_index]
-                detail = (
-                    f"killed by the deadline watchdog after "
-                    f"{self.task_timeout:.0f}s"
-                    if self.task_timeout is not None
-                    else "killed by the deadline watchdog"
-                )
-                if task.kind == "simulate":
-                    plan.report.simulation = {
-                        "status": "timeout",
-                        "entry": self.options.entry,
-                        "error": detail,
-                    }
-                    plan.needs_simulation = False
-                    return
-                for m in task.components:
-                    plan.crash_attempts[m] = plan.crash_attempts.get(m, 0) + 1
-                if len(task.components) > 1:
-                    # one hung function must not take its chunk-mates down:
-                    # re-run the halves, each under a fresh deadline
-                    bisect_and_resubmit(plan, task, delay=0.0)
-                    return
-                (component,) = task.components
-                attempts = plan.crash_attempts[component]
-                if attempts <= self.max_retries:
-                    # a transient straggler (I/O stall, page-cache miss) may
-                    # well finish within a fresh deadline — give it the same
-                    # retry budget a crash gets
-                    batch.resilience.retries += 1
-                    executor.submit_delayed(
-                        analyze_task(plan, [component]), backoff(attempts)
-                    )
-                    return
-                mark_failed(
-                    plan,
-                    task.components,
-                    "timeout",
-                    f"{detail}; retries exhausted after {attempts} attempt(s)",
-                )
-
-            for plan in active:
-                # workers rebuild callee summaries from source, so no
-                # component waits for another: everything is submitted now
-                components = sorted(plan.pending)
-                groups = [(plan.pending[i], plan.costs[i]) for i in components]
-                for chunk in pack_chunks(groups):
-                    executor.submit(analyze_task(plan, [components[g] for g in chunk]))
-                if plan.needs_simulation:
-                    # simulation re-derives everything from source, so it has
-                    # no scheduling dependency: overlap it with analysis
-                    executor.submit(simulate_task(plan))
-            while True:
-                events = executor.poll()
-                if not events:
-                    break
+            for plan in waiting:
+                submit(plan)
+            while events := executor.poll():
                 for event in events:
+                    plan = plans[event.task.program_index]
                     if event.kind == "done":
-                        handle_done(event.task, event.result, event.timing)
-                    elif event.kind == "crashed":
-                        handle_crashed(event.task, event.exitcode)
+                        timings.append(event.timing)
+                        self._record_worker(plan, event.result, batch)
                     else:
-                        handle_timeout(event.task)
+                        self._handle_death(plan, event, submit, executor, batch)
             batch.resilience.worker_respawns = executor.respawns
         return timings
 
-    # -- escalation: retries exhausted -----------------------------------------
-    def _handle_exhausted(
+    def _record_worker(self, plan: _ProgramPlan, result: dict, batch: BatchReport) -> None:
+        """Merge a worker's result: the program's run and its store counters."""
+        self.cache.add_counters(result["counters"])
+        self._record(plan, result["run"], batch)
+
+    # -- the escalation ladder, per suspect -------------------------------------
+    def _handle_death(
         self,
         plan: _ProgramPlan,
-        component: int,
-        exitcode: int | None,
+        event: WorkerEvent,
+        submit,
         executor: PersistentExecutor,
         batch: BatchReport,
-        mark_failed,
     ) -> None:
-        functions = plan.pending[component]
-        attempts = plan.crash_attempts[component]
-        if not self.quarantine:
-            mark_failed(
-                plan,
-                [component],
-                "crashed",
-                f"worker died (exit {exitcode}) {attempts} time(s); retries exhausted",
-            )
+        suspect = event.suspect
+        if event.kind == "timeout":
+            batch.resilience.timeouts += 1
+            status, detail = "timeout", "killed by the deadline watchdog"
+            if self.task_timeout is not None:
+                detail += f" after {self.task_timeout:.0f}s"
+        else:
+            batch.resilience.worker_crashes += 1
+            status, detail = "crashed", f"worker died (exit {event.exitcode})"
+        attempts = plan.attempts[suspect] = plan.attempts.get(suspect, 0) + 1
+        if attempts <= self.max_retries:
+            # a transient fault (an OOM kill, an I/O stall) may well pass
+            batch.resilience.retries += 1
+            submit(plan, self.retry_backoff_s * 2 ** (attempts - 1))
             return
-        # last chance: one run in a throwaway subprocess, so a repeat crash
-        # costs nothing but the subprocess
-        batch.resilience.sacrificial_runs += 1
-        status, reports = run_sacrificial(
-            executor.ctx,
-            plan.item.source,
-            functions,
-            self.options,
-            {name: attempts for name in functions},
-            self.task_timeout,
-        )
-        if status == "ok":
-            for name in functions:
-                self._record_result(plan, name, reports[name], batch)
+        detail += f"; retries exhausted after {attempts} attempt(s)"
+        if suspect is None:
+            plan.report.error = f"{status} before its first report: {detail}"
             return
-        if status == "timeout":
-            mark_failed(
-                plan,
-                [component],
-                "timeout",
-                "sacrificial run killed by the deadline watchdog",
+        if status == "crashed" and self.quarantine and suspect != SIMULATE_TOKEN:
+            # last chance: one run in a throwaway subprocess, so a repeat
+            # crash costs nothing but the subprocess
+            batch.resilience.sacrificial_runs += 1
+            outcome, result = run_sacrificial(
+                executor.ctx, executor.setup, plan.task(0), self.task_timeout
             )
-            return
-        detail = (
-            f"poison task: killed {attempts} pool worker(s) and the "
-            "sacrificial runner"
-        )
-        if self.quarantine_dir is not None:
-            path = write_quarantine_record(
-                self.quarantine_dir,
-                plan.item.name,
-                plan.item.source,
-                functions,
-                attempts,
-                exitcode,
-                self.options,
-            )
-            detail += f"; record: {path}"
-        mark_failed(plan, [component], "quarantined", detail)
-
-    # -- result bookkeeping ---------------------------------------------------
-    def _record_result(
-        self, plan: _ProgramPlan, name: str, payload: dict, batch: BatchReport
-    ) -> None:
-        plan.report.functions[name] = payload
-        self.cache.put(
-            plan.digests[name],
-            relativize_report(payload, plan.base_line(name)),
-            stage="report",
-        )
-        batch.analyses_executed += 1
-
-    def _record_simulation(self, plan: _ProgramPlan, payload: dict) -> None:
-        plan.report.simulation = payload
-        if plan.sim_key is not None:
-            self.cache.put(plan.sim_key, payload, stage="sim")
-        plan.needs_simulation = False
+            if outcome == "ok":
+                self._record_worker(plan, result, batch)
+                return
+            if outcome == "timeout":
+                status, detail = "timeout", "sacrificial run killed by the deadline watchdog"
+            else:
+                status = "quarantined"
+                detail = (
+                    f"poison task: killed {attempts} pool worker(s) and the "
+                    "sacrificial runner"
+                )
+                if self.quarantine_dir is not None:
+                    path = write_quarantine_record(
+                        self.quarantine_dir,
+                        plan.item.name,
+                        plan.item.source,
+                        [suspect],
+                        attempts,
+                        event.exitcode,
+                        self.options,
+                    )
+                    detail += f"; record: {path}"
+                batch.resilience.quarantined += 1
+        if suspect == SIMULATE_TOKEN:
+            plan.failed[suspect] = {"status": status, "entry": self.options.entry, "error": detail}
+        else:
+            plan.failed[suspect] = _failure_payload(suspect, status, detail)
+        submit(plan)
 
     # -- profiling ------------------------------------------------------------
     def _aggregate_profile(self, timings: list[TaskTiming]) -> dict | None:
@@ -726,17 +487,15 @@ class BatchDriver:
             return None
         totals = {
             "tasks": len(timings),
-            "functions": sum(t.functions for t in timings if t.kind != "simulate"),
+            "functions": sum(t.functions for t in timings),
             "queue_wait_s": sum(t.queue_wait_s for t in timings),
-            "parse_s": sum(t.parse_s for t in timings),
             "analyze_s": sum(t.analyze_s for t in timings),
             "transfer_s": sum(t.transfer_s for t in timings),
         }
         # queue-wait is back-pressure (work waiting for a free core), not
-        # waste; the overhead a serial run would not pay is worker-side
-        # re-parsing plus result transfer
+        # waste; the overhead a serial run would not pay is result transfer
         busy = totals["analyze_s"]
-        overhead = totals["parse_s"] + totals["transfer_s"]
+        overhead = totals["transfer_s"]
         totals["overhead_fraction"] = (
             overhead / (busy + overhead) if busy + overhead > 0 else 0.0
         )

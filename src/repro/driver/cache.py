@@ -56,6 +56,9 @@ RETIRED_STAGES = ("parse", "typecheck", "analysis", "loops", "transforms")
 #: name of the (unchecksummed) per-run counter ledger at the store top level
 LEDGER_NAME = "last-run.json"
 
+#: the store-wide counters a :class:`ResultCache` keeps besides the per-stage ones
+_COUNTERS = ("hits", "misses", "writes", "evictions", "io_retries")
+
 
 def _sha(*parts: str) -> str:
     h = hashlib.sha256()
@@ -76,13 +79,13 @@ def function_digests(
     options_key: str,
     texts: dict[str, str] | None = None,
 ) -> dict[str, str]:
-    """Per-function cache keys: own declaration text + transitive callee
-    body hashes.
+    """Per-function content digests: own declaration text + transitive
+    callee body hashes.
 
-    This is the *legacy* (parallel-path) keying: callee bodies, not summary
-    digests, so editing a leaf invalidates its whole caller chain.  The
-    staged engine's keys (see :mod:`repro.driver.stages`) firewall callers
-    through callee summary artifacts instead.  ``texts`` maps each function
+    No store key uses these: the staged engine's keys (see
+    :mod:`repro.driver.stages`) cover callee summary artifacts, not bodies.
+    They remain a content-identity oracle: two functions with equal digests
+    share every input of their report.  ``texts`` maps each function
     to its exact declaration text (:func:`repro.lang.split.function_texts`);
     stored payloads are line-relative to the function's first line, so the
     key must fix the lines *inside* the function — a blank line added to a
@@ -167,9 +170,7 @@ class ResultCache:
         self.io_retries = 0  # reads that failed once and were retried
         #: per-stage {"hits", "misses", "writes"} counters
         self.stage_counters: dict[str, dict[str, int]] = {}
-        #: payloads already read (or written) this run, keyed (stage, key);
-        #: ``preload`` fills it in bulk so the scheduler's per-function
-        #: probes are dict lookups
+        #: payloads already read (or written) this run, keyed (stage, key)
         self._memory: dict[tuple[str, str], dict] = {}
         #: per-key read-attempt counts (drives deterministic transient-I/O
         #: fault injection; harmless bookkeeping otherwise)
@@ -219,27 +220,6 @@ class ResultCache:
                 return None
         return None
 
-    def preload(self, keys, stage: str) -> int:
-        """Bulk-load ``keys`` into the in-memory layer; returns how many hit.
-
-        The batch scheduler probes every function of a corpus up front; one
-        preload turns those probes (and a fully warm re-run) into dict
-        lookups instead of per-function file reads.  Counts neither hits nor
-        misses — the probes themselves do, via :meth:`get`.
-        """
-        if self.directory is None:
-            return 0
-        loaded = 0
-        for key in keys:
-            if (stage, key) in self._memory:
-                loaded += 1
-                continue
-            payload = self._load(key, stage)
-            if payload is not None:
-                self._memory[(stage, key)] = payload
-                loaded += 1
-        return loaded
-
     def get(self, key: str, stage: str) -> dict | None:
         counters = self._counters(stage)
         if self.directory is None:
@@ -273,8 +253,9 @@ class ResultCache:
             # in-memory copy above stays good — corruption bites the *next*
             # process, exactly like the real failure)
             text = text[: max(8, len(text) // 2)] + '"<<torn write>>'
-        # per-process tmp name: two runs racing on the same key must not
-        # share a scratch file, or one publishes the other's torn write
+        # per-process tmp name: two processes (pool workers, concurrent
+        # runs) racing on the same key must not share a scratch file, or one
+        # publishes the other's torn write
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
         tmp.write_text(text)
         try:
@@ -285,6 +266,26 @@ class ResultCache:
             return
         self.writes += 1
         self._counters(stage)["writes"] += 1
+
+    # -- counters across processes -------------------------------------------
+    def counters(self, since: dict | None = None) -> dict:
+        """Every counter, less the ``since`` snapshot when one is given."""
+        base = since or {"stages": {}}
+        snapshot = {name: getattr(self, name) - base.get(name, 0) for name in _COUNTERS}
+        snapshot["stages"] = {
+            stage: {k: v - base["stages"].get(stage, {}).get(k, 0) for k, v in counts.items()}
+            for stage, counts in self.stage_counters.items()
+        }
+        return snapshot
+
+    def add_counters(self, counters: dict) -> None:
+        """Add counters another process's store kept (a pool worker's task)."""
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + counters[name])
+        for stage, counts in counters["stages"].items():
+            mine = self._counters(stage)
+            for key, value in counts.items():
+                mine[key] += value
 
     # -- maintenance ---------------------------------------------------------
     def _stage_dirs(self):

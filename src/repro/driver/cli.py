@@ -26,7 +26,6 @@ Examples::
     python -m repro analyze examples/corpus/list_sum.ptr --format json
     python -m repro analyze --corpus paper --task-timeout 60 --max-retries 3
     python -m repro analyze --corpus paper --inject-faults 'crash:rate=0.1,seed=7'
-    python -m repro analyze --corpus builtin --incremental
     python -m repro corpus
     python -m repro cache stats
     python -m repro cache verify --evict
@@ -84,15 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes (default: cpu count capped at 8, here "
             f"{default_jobs()}; 1 runs inline with no worker pool)"
-        ),
-    )
-    analyze.add_argument(
-        "--incremental",
-        action="store_true",
-        help=(
-            "run the staged incremental engine (implies --jobs 1): reuse "
-            "per-stage artifacts from the cache across runs and report "
-            "reused/firewalled/recomputed counts"
         ),
     )
     analyze.add_argument(
@@ -345,7 +335,6 @@ def render_text(report: BatchReport) -> str:
         lines.append(
             f"profile: {totals['tasks']} task(s) — "
             f"queue-wait {totals['queue_wait_s']:.3f}s, "
-            f"parse {totals['parse_s']:.3f}s, "
             f"analyze {totals['analyze_s']:.3f}s, "
             f"transfer {totals['transfer_s']:.3f}s "
             f"({totals['overhead_fraction']:.1%} overhead)"
@@ -353,9 +342,8 @@ def render_text(report: BatchReport) -> str:
         for task in report.profile.get("tasks", []):
             lines.append(
                 f"  task {task['task_id']:>3} {task['kind']:<9} {task['program']:<28}"
-                f" {task['functions']:>3} fn  cost {task['cost']:>6}"
+                f" {task['functions']:>3} fn"
                 f"  wait {task['queue_wait_s']:.3f}s"
-                f"  parse {task['parse_s']:.3f}s"
                 f"  analyze {task['analyze_s']:.3f}s"
                 f"  transfer {task['transfer_s']:.3f}s"
                 f"  [pid {task['worker_pid']}]"
@@ -387,10 +375,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # workers (fork and spawn both) inherit the environment
         os.environ[FAULTS_ENV_VAR] = args.inject_faults
 
-    if args.incremental:
-        # the staged engine is the inline path; the artifact store is what
-        # carries state between runs, so jobs>1 would be the legacy scheme
-        args.jobs = 1
     cache_dir = None if args.no_cache else args.cache_dir
     quarantine_dir = args.quarantine_dir
     if quarantine_dir is None and cache_dir is not None:
@@ -435,14 +419,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _report_partial(report: BatchReport) -> bool:
     """Driver-level degradation: some functions carry a failure status
-    (timeout/crashed/quarantined), or a simulation was lost to a fault.
-    The batch completed and partial results were reported — exit
-    :data:`EXIT_PARTIAL`, distinct from both semantic failure (1) and
-    unrecoverable pool loss (3)."""
+    (timeout/crashed/quarantined), or a simulation or a whole program was
+    lost to a fault.  The batch completed and partial results were
+    reported — exit :data:`EXIT_PARTIAL`, distinct from both semantic
+    failure (1) and unrecoverable pool loss (3)."""
     if report.failed_functions():
         return True
     return any(
-        p.simulation is not None and p.simulation.get("status") in ("crashed", "timeout")
+        (p.simulation is not None and p.simulation.get("status") in ("crashed", "timeout"))
+        or (p.error is not None and p.error.split(" ", 1)[0] in FAILURE_STATUSES)
         for p in report.programs
     )
 

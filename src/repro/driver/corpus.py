@@ -176,15 +176,16 @@ def builtin_corpus(full: bool = False) -> list[CorpusItem]:
 def bench_corpus(full: bool = False) -> list[CorpusItem]:
     """The throughput-benchmark corpus: ``builtin`` plus a ~200-function
     call web, so parallel-scaling numbers are measured on a work mix where
-    scheduling and chunking actually matter (hundreds of cheap, dependent
-    work units — not just a handful of big ones)."""
+    scheduling actually matters (one program far larger than the rest, of
+    hundreds of cheap, dependent functions — not just a handful of big
+    ones)."""
     web = 240 if full else 200
     return builtin_corpus(full=full) + [
         CorpusItem(
             name=f"stress/callweb_{web}",
             source=standard_source("ListNode")
             + call_web_program_source(web, seed=11, prefix="bw"),
-            description="benchmark-sized call web (scheduler/chunking stress)",
+            description="benchmark-sized call web (scheduler stress)",
         )
     ]
 

@@ -26,11 +26,12 @@ semicolon-separated clauses, each ``kind:key=value,key=value``::
     hang:function=scale,times=99     # one analysis that never finishes
     slow:seconds=0.05                # every analysis takes 50ms longer
     cache:rate=0.5,seed=3            # ~half of cache writes are corrupted
-    cache:writes=1                   # exactly the first cache write is corrupted
+    cache:writes=1                   # each writing process's first cache write is corrupted
     io:rate=1.0,times=1              # every cache read fails once, then works
 
 Every decision is a pure function of the spec and the injection point (a
-function name or cache key, plus the attempt number the coordinator tracks),
+function name or cache key, plus the attempt number the coordinator tracks,
+or for ``cache:writes`` the writing process's own write count),
 so a faulted run is bit-reproducible: no RNG state, no wall clock.  A fault
 with ``times=N`` fires only on the first ``N`` attempts — that is what makes
 a fault *transient* (survivable by retry) versus *permanent* (``times`` high
@@ -53,8 +54,8 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 #: tracebacks and from the legacy test hook's exit 3)
 FAULT_CRASH_EXIT = 13
 
-#: pseudo-function token fault specs can name to target a program's
-#: machine-simulation task instead of a per-function analysis
+#: the note a worker sends before a program's machine simulation: fault
+#: specs name it to target the simulation instead of a function's report
 SIMULATE_TOKEN = "@simulate"
 
 
@@ -278,11 +279,15 @@ def replay_quarantine_record(path: str | Path) -> dict[str, str]:
     itself is the killer, the replay reproduces the crash in-process, under
     whatever debugger the caller attached — which is the point.
     """
-    from repro.driver.pipeline import PipelineOptions, analysis_for, function_report
+    from repro.driver.pipeline import PipelineOptions, function_report
+    from repro.lang.parser import parse_program
+    from repro.pathmatrix.analysis import PathMatrixAnalysis
 
     record = load_quarantine_record(path)
     options = PipelineOptions(**record["options"])
-    analysis = analysis_for(record["source"], options)
+    analysis = PathMatrixAnalysis(
+        parse_program(record["source"]), use_adds=options.use_adds, memoize_results=True
+    )
     outcomes: dict[str, str] = {}
     for name in record.get("functions", []):
         payload = function_report(analysis, name, options)

@@ -10,19 +10,15 @@ Three layers:
   of an analyzed program, returned as a plain JSON-serializable dict (the
   worker pool and the on-disk store both speak dicts).  A function's report
   follows from its own body, the type declarations and its callees'
-  summaries alone, so both execution paths build it with this one function:
-  the staged engine over the analysis of a component or of the whole
-  program, a pool worker over the analysis it rebuilt from source;
+  summaries alone, so the staged engine builds it over the analysis of a
+  component or of the whole program, and a quarantine replay over the
+  analysis of the recorded source;
 * :func:`simulate_program` — the whole-program tail of the pipeline: run
   the original on the reference interpreter, strip-mine every loop one
   dependence analysis of the program (under the run's ADDS setting) proves
   parallelizable, re-run on the simulated multiprocessor, and report the
   speedup and whether the heaps agree (the paper's semantics-preservation
   check).
-
-Workers keep a small per-process LRU of parsed programs and analysis
-objects so analyzing the thirty functions of one program does not re-parse
-it thirty times.
 
 :func:`relativize_report` / :func:`absolutize_report` rebase every source
 line a report mentions against the function's first line, so the store holds
@@ -34,7 +30,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.lang.ast_nodes import Call, IntLit, Program
@@ -60,39 +55,6 @@ class PipelineOptions:
 
     def key(self) -> str:
         return f"adds={self.use_adds};pes={self.pes};entry={self.entry}"
-
-
-# -- per-worker caches --------------------------------------------------------
-_PROGRAM_CACHE: "OrderedDict[str, Program]" = OrderedDict()
-_ANALYSIS_CACHE: "OrderedDict[tuple[str, str], PathMatrixAnalysis]" = OrderedDict()
-_CACHE_LIMIT = 64  # comfortably fits the bench corpus (sources are small)
-
-
-def _bounded(cache: OrderedDict, key, factory):
-    """LRU lookup: hits move to the back, overflow evicts only the oldest."""
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-        return value
-    value = factory()
-    cache[key] = value
-    if len(cache) > _CACHE_LIMIT:
-        cache.popitem(last=False)
-    return value
-
-
-def parsed_program(source: str) -> Program:
-    return _bounded(_PROGRAM_CACHE, source, lambda: parse_program(source))
-
-
-def analysis_for(source: str, options: PipelineOptions) -> PathMatrixAnalysis:
-    return _bounded(
-        _ANALYSIS_CACHE,
-        (source, options.key()),
-        lambda: PathMatrixAnalysis(
-            parsed_program(source), use_adds=options.use_adds, memoize_results=True
-        ),
-    )
 
 
 # -- the pipeline stages ------------------------------------------------------
@@ -367,7 +329,7 @@ def simulate_program(
     if program is None:
         if _lacks_entry(source, options.entry):
             return {"status": "no-entry", "entry": options.entry}
-        program = parsed_program(source)
+        program = parse_program(source)
     entry = program.function_named(options.entry)
     if entry is None or entry.params:
         return {"status": "no-entry", "entry": options.entry}

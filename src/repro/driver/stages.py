@@ -1,10 +1,12 @@
 """The staged, summary-firewalled incremental analysis engine.
 
-This is the inline (``jobs=1``) execution path of the batch driver, rebuilt
-as a two-phase walk over the call graph's SCC condensation that stores two
-content-addressed artifacts: one ``summary`` per component and one
-``report`` per function (see :mod:`repro.driver.cache` for the store and
-docs/incremental.md for the soundness argument):
+This is the batch driver's one execution engine, at every ``--jobs``:
+:func:`run_program` runs one corpus program through it, inline or on a
+pool worker.  The engine is a two-phase walk over the call graph's SCC
+condensation that stores two content-addressed artifacts: one ``summary``
+per component and one ``report`` per function (see
+:mod:`repro.driver.cache` for the store and docs/incremental.md for the
+soundness argument):
 
 **Phase 1 — bottom-up summary resolution.**  For each component (callees
 first), probe the ``summary`` stage under a key covering the members'
@@ -36,7 +38,8 @@ stale summary.
 run: the source digest, the type declarations' digest, the function order
 and schedule, and per function its declaration-text digest, direct callees,
 ``summary`` key and artifact digest, ``report`` key and first line.  A
-byte-identical source is served whole from the named ``report`` artifacts.
+byte-identical source is served whole from the named ``report`` artifacts
+(:meth:`StagedEngine.serve_unchanged`).
 Otherwise the source is cut into declarations
 (:func:`~repro.lang.split.split_declarations`) and only the *recompute
 cone* is parsed: the type declarations, the functions whose text changed,
@@ -50,12 +53,12 @@ every declaration parsed and every key probed.
 
 Stored payloads are line-relative (see
 :func:`~repro.driver.pipeline.relativize_report`); everything the engine
-returns to the report is absolute.
+returns to the report is absolute, and lists functions in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
 from repro.lang.callgraph import called_functions
@@ -72,13 +75,21 @@ from repro.pathmatrix.interproc import (
     summarize_scc,
 )
 
-from repro.driver.cache import CACHE_VERSION, ResultCache, _sha, payload_digest
+from repro.driver.cache import (
+    CACHE_VERSION,
+    ResultCache,
+    _sha,
+    payload_digest,
+    program_digest,
+)
 from repro.driver.callgraph import CallGraph, build_call_graph, condense
+from repro.driver.faults import SIMULATE_TOKEN
 from repro.driver.pipeline import (
     PipelineOptions,
     absolutize_report,
     function_report,
     relativize_report,
+    simulate_program,
 )
 
 
@@ -88,8 +99,8 @@ class IncrementalStats:
 
     #: functions served from a stored report, without running a fixpoint
     reused: int = 0
-    #: reused functions some *transitive callee body* of which changed — the
-    #: legacy body-keyed scheme would have re-analyzed these
+    #: reused functions some *transitive callee body* of which changed — a
+    #: key on callee bodies instead of summaries would have re-analyzed these
     firewalled: int = 0
     #: functions whose fixpoint/validation stage actually ran
     recomputed: int = 0
@@ -103,23 +114,27 @@ class IncrementalStats:
     #: programs served whole from their manifest, unparsed
     programs_unchanged: int = 0
 
-    def merge(self, other: "IncrementalStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 @dataclass
 class ProgramRun:
-    """What :meth:`StagedEngine.run` did for one program."""
+    """What one program's run produced: :meth:`StagedEngine.run` fills the
+    walk's fields, :func:`run_program` the simulation's."""
 
+    #: function name -> report (absolute lines), in declaration order
+    functions: dict[str, dict]
     stats: IncrementalStats
     #: the bottom-up schedule (``Condensation.waves``)
     schedule: list
-    #: the whole program when the run parsed all of it, else ``None``
+    #: the whole program when the walk parsed all of it, else ``None``
     program: Program | None = None
+    simulation: dict | None = None
+    #: the simulation was served from the ``sim`` stage
+    simulation_cached: bool = False
+    #: why the program could not be analyzed (it does not parse)
+    error: str | None = None
 
 
 class ParseFailure(Exception):
@@ -207,70 +222,70 @@ class StagedEngine:
     def _manifest_key(self, name: str) -> str:
         return _sha("manifest", str(CACHE_VERSION), self.options.key(), name)
 
+    def serve_unchanged(self, name: str, source: str) -> ProgramRun | None:
+        """Serve a program whose source is byte-identical to its manifest's
+        from the named ``report`` artifacts, unparsed; ``None`` when there is
+        no such manifest or one of its reports is missing or corrupt."""
+        manifest = self.cache.get(self._manifest_key(name), stage="manifest")
+        return self._serve(manifest, source)
+
     def run(
         self,
         name: str,
         source: str,
-        functions_out: dict[str, dict],
-        on_reused=None,
-        on_recomputed=None,
         reuse: bool = True,
+        failed: dict[str, dict] | None = None,
+        before=None,
     ) -> ProgramRun:
-        """Fill ``functions_out`` with per-function reports (absolute lines).
+        """Every function's report, served or computed, with the counters.
 
-        ``on_reused``/``on_recomputed`` are per-function callbacks for the
-        batch driver's counters (``cache_hits``/``analyses_executed``).
-        ``reuse=False`` ignores the manifest's record of the last run except
-        for dirty accounting (a corpus that gives two programs one name).
-        Raises :class:`ParseFailure` when the source does not parse.
+        ``reuse=False`` neither reads nor writes the program's manifest (a
+        corpus that gives two programs one name): every function counts
+        dirty.  ``failed`` maps a function to the failure payload reported
+        in place of computing it, which is never stored.  ``before(fn)`` is
+        called before each report is computed.  Raises
+        :class:`ParseFailure` when the source does not parse.
         """
-        manifest = self.cache.get(self._manifest_key(name), stage="manifest")
-        usable = reuse and manifest is not None
-        if usable and manifest.get("source") == _sha("source", source):
-            served = self._serve(manifest, functions_out, on_reused)
-            if served is not None:
-                return served
+        record = self._manifest_key(name) if reuse else None
+        manifest = self.cache.get(record, stage="manifest") if reuse else None
+        served = self._serve(manifest, source)
+        if served is not None:
+            return served
+        failed = failed or {}
         try:
             declarations = split_declarations(source)
         except LangError:
             declarations = None
-        if usable and declarations is not None:
+        if manifest is not None and declarations is not None:
             try:
                 cone = self._cone_source(manifest, declarations)
-                return self._walk(
-                    name, source, cone, manifest, functions_out, on_reused, on_recomputed
-                )
+                return self._walk(source, cone, manifest, record, failed, before)
             except _ConeUndecidable:
                 pass
         return self._walk(
-            name,
             source,
             self._whole_source(source, declarations),
             manifest,
-            functions_out,
-            on_reused,
-            on_recomputed,
+            record,
+            failed,
+            before,
         )
 
     # -- the three ways into a program ---------------------------------------
-    def _serve(self, manifest: dict, functions_out: dict, on_reused) -> ProgramRun | None:
-        """Serve a program whose source is byte-identical to its manifest's
-        from the named ``report`` artifacts; ``None`` if one is missing or
-        fails its checksum."""
+    def _serve(self, manifest: dict | None, source: str) -> ProgramRun | None:
+        if manifest is None or manifest.get("source") != _sha("source", source):
+            return None
         served: dict[str, dict] = {}
-        for fn, entry in manifest["functions"].items():
+        for fn in manifest["order"]:
+            entry = manifest["functions"][fn]
             cached = self.cache.get(entry["report"], stage="report")
             if cached is None:
                 return None
             served[fn] = absolutize_report(cached, entry["line"])
-        functions_out.update(served)
-        if on_reused is not None:
-            for fn in served:
-                on_reused(fn)
         stats = IncrementalStats(
             reused=len(served), summaries_reused=len(served), programs_unchanged=1
         )
-        return ProgramRun(stats, manifest["schedule"])
+        return ProgramRun(served, stats, manifest["schedule"])
 
     def _whole_source(self, source: str, declarations: list[Declaration] | None) -> _Source:
         """The full path: parse every declaration in one go."""
@@ -333,18 +348,18 @@ class StagedEngine:
     # -- the walk --------------------------------------------------------------
     def _walk(
         self,
-        name: str,
         source: str,
         src: _Source,
         manifest: dict | None,
-        functions_out: dict[str, dict],
-        on_reused,
-        on_recomputed,
+        record: str | None,
+        failed: dict[str, dict],
+        before,
     ) -> ProgramRun:
         """Both phases over ``src``.  On the full path (``src.program``
         set) every component is resolved and every function probed; on the
-        cone only what a change can reach.  Nothing is written, and no
-        function reported, until the cone can no longer give up."""
+        cone only what a change can reach.  Nothing is written until the
+        cone can no longer give up; the manifest goes under ``record``
+        (``None``: none is written)."""
         stats = IncrementalStats()
         opts = self.options.key()
         version = str(CACHE_VERSION)
@@ -398,7 +413,7 @@ class StagedEngine:
                 table[member] = FunctionSummary.from_dict(entry["summary"])
                 returns[member] = entry["return_type"]
 
-        def analysis_for(component: int) -> PathMatrixAnalysis:
+        def component_analysis(component: int) -> PathMatrixAnalysis:
             """The analysis a component's members run under: the whole
             program's, or (cone) one over the members alone that knows
             their callees by summary and return type."""
@@ -457,7 +472,7 @@ class StagedEngine:
                     art_digest[n] = _artifact(n, entry["summary"], returns[n])
                 stats.summaries_reused += len(members)
             else:
-                analysis = analysis_for(component)
+                analysis = component_analysis(component)
                 if full:
                     resolved = summarize_scc(
                         src.program, members, table, direct=direct, call_maps=call_maps
@@ -522,16 +537,15 @@ class StagedEngine:
             stats.reused += 1
             if fn not in dirty and fn in reaches_dirty:
                 stats.firewalled += 1
-            if on_reused is not None:
-                on_reused(fn)
 
         # -- phase 2: per-function report probe / compute -------------------
+        reports: dict[str, dict] = {}
         report_key: dict[str, str] = {}
         for component, members in enumerate(cond.sccs):
             for fn in members:
                 line = src.lines[fn]
                 if fn in served:
-                    functions_out[fn] = absolutize_report(served[fn], line)
+                    reports[fn] = absolutize_report(served[fn], line)
                     report_key[fn] = recorded[fn]["report"]
                     count_reused(fn)
                     continue
@@ -549,38 +563,81 @@ class StagedEngine:
                 )
                 cached = self.cache.get(rkey, stage="report")
                 if cached is not None:
-                    functions_out[fn] = absolutize_report(cached, line)
+                    reports[fn] = absolutize_report(cached, line)
                     count_reused(fn)
-                    continue
-                report = function_report(analysis_for(component), fn, self.options)
-                functions_out[fn] = report
-                self.cache.put(rkey, relativize_report(report, line), stage="report")
-                stats.recomputed += 1
-                if on_recomputed is not None:
-                    on_recomputed(fn)
+                elif fn in failed:
+                    reports[fn] = failed[fn]
+                else:
+                    if before is not None:
+                        before(fn)
+                    report = function_report(component_analysis(component), fn, self.options)
+                    reports[fn] = report
+                    self.cache.put(rkey, relativize_report(report, line), stage="report")
+                    stats.recomputed += 1
 
         # commit the manifest: the next run's dirty accounting and cone, and
         # what serves this program unparsed if it is unchanged
-        self.cache.put(
-            self._manifest_key(name),
-            {
-                "source": _sha("source", source),
-                "types": src.types_digest,
-                "order": list(src.texts),
-                "schedule": cond.waves(),
-                "functions": {
-                    n: {
-                        "text": text_digest[n],
-                        "callees": sorted(graph.callees(n)),
-                        "skey": summary_key[n],
-                        "summary": art_digest[n],
-                        "report": report_key[n],
-                        "line": src.lines[n],
-                    }
-                    for n in sorted(src.texts)
+        if record is not None:
+            self.cache.put(
+                record,
+                {
+                    "source": _sha("source", source),
+                    "types": src.types_digest,
+                    "order": list(src.texts),
+                    "schedule": cond.waves(),
+                    "functions": {
+                        n: {
+                            "text": text_digest[n],
+                            "callees": sorted(graph.callees(n)),
+                            "skey": summary_key[n],
+                            "summary": art_digest[n],
+                            "report": report_key[n],
+                            "line": src.lines[n],
+                        }
+                        for n in sorted(src.texts)
+                    },
                 },
-            },
-            stage="manifest",
-        )
+                stage="manifest",
+            )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return ProgramRun(stats, cond.waves(), src.program)
+        functions = {n: reports[n] for n in src.texts}
+        return ProgramRun(functions, stats, cond.waves(), src.program)
+
+
+def run_program(
+    engine: StagedEngine,
+    name: str,
+    source: str,
+    reuse: bool,
+    simulate: bool,
+    failed: dict[str, dict] | None = None,
+    before=None,
+) -> ProgramRun:
+    """One corpus program end to end: the engine's walk, then the
+    simulation, served from the ``sim`` stage when it is cached.
+
+    Every ``--jobs`` runs programs through this call: ``--jobs 1`` inline,
+    a pool worker on its own engine over the same store.  ``failed`` maps
+    a function, or :data:`~repro.driver.faults.SIMULATE_TOKEN` for the
+    simulation, to the failure payload reported in its place;
+    ``before(token)`` is called before each report is computed and before
+    the simulation runs.  The run returned holds no parsed program.
+    """
+    failed = failed or {}
+    try:
+        run = engine.run(name, source, reuse, failed, before)
+    except ParseFailure as failure:
+        return ProgramRun({}, IncrementalStats(), [], error=f"parse error: {failure.error}")
+    if simulate:
+        key = program_digest(source, engine.options.key())
+        run.simulation = engine.cache.get(key, stage="sim")
+        run.simulation_cached = run.simulation is not None
+        if run.simulation is None:
+            run.simulation = failed.get(SIMULATE_TOKEN)
+        if run.simulation is None:
+            if before is not None:
+                before(SIMULATE_TOKEN)
+            run.simulation = simulate_program(source, engine.options, run.program)
+            engine.cache.put(key, run.simulation, stage="sim")
+    run.program = None
+    return run

@@ -15,12 +15,13 @@ call sites:
 * which parameters' reachable structure it may write through.
 
 Summaries are computed to a transitive fixed point over the (possibly
-recursive) call graph — either globally (:func:`summarize_program`) or one
-strongly connected component at a time (:func:`summarize_scc`), which is how
-both :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` and the staged
-incremental engine resolve them bottom-up: a component's summaries depend
-only on its members' bodies and on the already-final summaries of external
-callees, so they can be content-addressed and reused across edits.
+recursive) call graph one strongly connected component at a time
+(:func:`summarize_scc`), bottom-up: a component's summaries depend only on
+its members' bodies and on the already-final summaries of external callees,
+so they can be content-addressed and reused across edits.
+:func:`summarize_program`,
+:class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` and the staged
+incremental engine all resolve them this way.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.lang.ast_nodes import (
     Return,
     iter_statements,
 )
+from repro.lang.callgraph import condensed_sccs
 
 
 @dataclass
@@ -277,9 +279,8 @@ def summarize_scc(
     ``members`` are the component's function names (one function, or a group
     of mutually recursive ones); ``external`` holds the final summaries of
     every function below the component in the bottom-up order.  Callees found
-    in neither (builtins) are skipped, exactly as in
-    :func:`summarize_program`, and the result is the same least fixpoint that
-    the global pass assigns the members — which is what lets summaries be
+    in neither (builtins) are skipped.  The result depends on nothing outside
+    the component but ``external`` — which is what lets summaries be
     computed (and cached) one component at a time.
 
     ``direct`` may supply precomputed :func:`direct_summaries` entries for
@@ -361,59 +362,15 @@ def summarize_scc(
 
 
 def summarize_program(program: Program) -> dict[str, FunctionSummary]:
-    """Compute transitive side-effect summaries for every function."""
-    pointer_fields = _pointer_field_names(program)
-    summaries = {
-        f.name: _summarize_one(program, f, pointer_fields) for f in program.functions
-    }
+    """Transitive side-effect summaries of every function: :func:`summarize_scc`
+    over the call graph's components, bottom-up (without the preservation
+    refinement :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` adds)."""
+    direct = direct_summaries(program)
     call_maps = _call_argument_map(program)
-
-    # propagate callee effects to callers until a fixed point
-    changed = True
-    iterations = 0
-    while changed and iterations < len(summaries) + 5:
-        changed = False
-        iterations += 1
-        for name, edges in call_maps.items():
-            caller = summaries[name]
-            for callee_name, mapping in edges:
-                callee = summaries.get(callee_name)
-                if callee is None:
-                    continue
-                for callee_idx, caller_idx in mapping.items():
-                    if callee_idx in callee.pointer_params and caller_idx not in caller.pointer_params:
-                        caller.pointer_params.add(caller_idx)
-                        changed = True
-        for summary in summaries.values():
-            for callee_name in list(summary.callees):
-                callee = summaries.get(callee_name)
-                if callee is None:
-                    continue  # builtin
-                before = (
-                    len(summary.data_fields_written),
-                    len(summary.pointer_fields_written),
-                    len(summary.fields_read),
-                    summary.allocates,
-                    summary.rearranges_shape,
-                )
-                summary.data_fields_written |= callee.data_fields_written
-                summary.pointer_fields_written |= callee.pointer_fields_written
-                summary.fields_read |= callee.fields_read
-                summary.allocates = summary.allocates or callee.allocates
-                summary.rearranges_shape = (
-                    summary.rearranges_shape or callee.rearranges_shape
-                )
-                if not callee.is_read_only:
-                    # the callee's writes go through structure we cannot map
-                    # back onto this function's own parameters
-                    summary.writes_through_unknown = True
-                after = (
-                    len(summary.data_fields_written),
-                    len(summary.pointer_fields_written),
-                    len(summary.fields_read),
-                    summary.allocates,
-                    summary.rearranges_shape,
-                )
-                if before != after:
-                    changed = True
-    return summaries
+    order = [f.name for f in program.functions]
+    summaries: dict[str, FunctionSummary] = {}
+    for members in condensed_sccs({n: set(direct[n].callees) for n in order}, order):
+        summaries.update(
+            summarize_scc(program, members, summaries, direct=direct, call_maps=call_maps)
+        )
+    return {name: summaries[name] for name in order}

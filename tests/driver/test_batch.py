@@ -180,12 +180,11 @@ class TestCaching:
         assert before["unrelated"] == after["unrelated"]
 
     def test_summary_preserving_edit_still_invalidates_callers(self):
-        """The *legacy* (parallel-path) keys are body-transitive: editing a
-        callee invalidates its callers even when the effect summary is
-        unchanged, because these keys carry no summary digest to firewall
-        on.  (The staged inline engine does better — see
-        tests/driver/test_incremental.py.)  Unrelated functions stay
-        cached."""
+        """Content digests are body-transitive: editing a callee changes its
+        callers' digests even when the effect summary is unchanged, because
+        they carry no summary digest to firewall on.  (The staged engine's
+        keys do better — see tests/driver/test_incremental.py.)  Unrelated
+        functions keep theirs."""
         edited = self.BASE.replace("return p->next;", "return p->next->next;")
         before, after = self._digests(self.BASE), self._digests(edited)
         assert before["leaf"] != after["leaf"]  # its own AST changed
@@ -202,7 +201,7 @@ class TestCaching:
 
     def test_warm_pooled_run_equals_cold(self, tmp_path):
         """``insert`` is byte-identical in two example programs at different
-        offsets, so both share one pooled cache entry; a warm run must still
+        offsets, so both share one ``report`` artifact; a warm run must still
         report each copy at its own lines."""
         items = corpus_named("builtin")
         cold = BatchDriver(jobs=2, cache_dir=tmp_path).analyze_corpus(items)
@@ -270,7 +269,7 @@ class TestParallelExecution:
             ), item.name
 
     def test_work_stealing_still_lands_components_bottom_up(self, tmp_path):
-        """With one slow program and one fast one sharing the pool, chunks
+        """With one slow program and one fast one sharing the pool, programs
         complete in an order unrelated to submission; the per-function
         reports must still equal a serial run (callees settled first)."""
         items = [

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.driver.batch import BatchDriver
+from repro.driver.cache import ResultCache
 from repro.driver.cli import EXIT_PARTIAL
 from repro.driver.corpus import paper_corpus
 from repro.driver.faults import FAULTS_ENV_VAR
@@ -20,8 +21,8 @@ from repro.driver.faults import FAULTS_ENV_VAR
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: ~10% of functions crash their worker once (transient), the polynomial
-#: corpus's ``scale`` hangs on every attempt, and the first cache write lands
-#: corrupted on disk
+#: corpus's ``scale`` hangs on every attempt, and each writing process's
+#: first cache write lands corrupted on disk
 CHAOS_SPEC = "crash:rate=0.1,seed=4;hang:function=scale,times=99,seconds=600;cache:writes=1"
 
 
@@ -74,13 +75,20 @@ class TestChaosConvergence:
         # every function is accounted for — failure stubs, not holes
         assert chaos.function_count() == baseline.function_count()
 
-        # uninjected warm run over the chaos cache: the torn write is
-        # evicted, the failed functions re-analyze, everything converges
+        # every pool worker tears its own first write
+        torn = len(ResultCache(chaos_cache).verify()["corrupt"])
+        assert torn >= 1
+
+        # uninjected warm run over the chaos cache: the torn writes it reads
+        # are evicted, the failed functions re-analyze, everything converges
         monkeypatch.delenv(FAULTS_ENV_VAR)
         warm = BatchDriver(jobs=2, cache_dir=chaos_cache).analyze_corpus(items)
         assert not warm.failed_functions()
-        assert warm.resilience.cache_evictions == 1
         assert _snapshot(warm) == _snapshot(baseline)
+        # each torn entry is evicted exactly once: by the warm run, or by the
+        # audit when no run reads it
+        evicted = ResultCache(chaos_cache).verify(evict=True)["evicted"]
+        assert warm.resilience.cache_evictions + evicted == torn
 
         # and a second warm run does no work at all
         settled = BatchDriver(jobs=2, cache_dir=chaos_cache).analyze_corpus(items)

@@ -176,7 +176,7 @@ def _sequence(seed: int) -> list[str]:
 
 
 class TestSeededEditSequence:
-    @pytest.mark.parametrize("seed", [5, 8])
+    @pytest.mark.parametrize("seed", [5, 8, 13])
     def test_every_step_equals_a_from_scratch_run(self, seed, tmp_path):
         for step, source in enumerate(_sequence(seed)):
             expected = _view(_run(source, None))
@@ -185,9 +185,40 @@ class TestSeededEditSequence:
             assert _view(inline) == expected, f"--jobs 1, step {step}"
             assert list(inline.programs[0].functions) == list(expected[0][1])
             assert _view(pooled) == expected, f"--jobs 2, step {step}"
+            # one engine: the same work, counted the same way, in one order
+            assert pooled.incremental == inline.incremental, f"step {step}"
+            assert list(pooled.programs[0].functions) == list(expected[0][1])
             if step == 3:  # the layout-only edit re-solves its function
                 assert inline.incremental["dirty"] == 1
                 assert inline.incremental["recomputed"] == 1
+
+
+class TestDeclarationOrder:
+    """A report lists its functions in declaration order, however they were
+    obtained: computed, served whole, through the cone, or by a worker."""
+
+    # declared neither in name order nor callees first
+    SOURCE = TYPES + (
+        "function zeta(h)\n{\n  return alpha(h);\n}\n\n"
+        "function mid(h)\n{\n  var t;\n  t = h;\n  return t;\n}\n\n"
+        "function alpha(h)\n{\n  return h;\n}\n"
+    )
+    ORDER = ["zeta", "mid", "alpha"]
+
+    @pytest.mark.parametrize("path", ["cold", "served", "cone", "pooled"])
+    def test_functions_are_listed_in_declaration_order(self, path, tmp_path):
+        source = self.SOURCE
+        report = _run(source, tmp_path, jobs=2 if path == "pooled" else 1)
+        if path == "served":
+            report = _run(source, tmp_path)
+            assert report.incremental["programs_unchanged"] == 1
+        elif path == "cone":
+            source = _pad(source, "mid")
+            report = _run(source, tmp_path)
+            assert report.incremental["recomputed"] == 1
+        assert report.programs[0].schedule[0] == [["alpha"], ["mid"]]
+        assert list(report.programs[0].functions) == self.ORDER
+        assert _view(report) == _view(_run(source, None))
 
 
 class TestFallbacks:
@@ -332,9 +363,8 @@ class TestStaleWarmResults:
         assert _view(warm) == _view(scratch)
         (loop,) = warm.programs[0].functions["total"]["loops"]
         assert loop["line"] == 30
-        if jobs == 1:
-            # one function re-solved; its callers stay firewalled behind the
-            # unchanged summary (the summary key covers the unparsed body)
-            inc = warm.incremental
-            assert (inc["dirty"], inc["recomputed"], inc["firewalled"]) == (1, 1, 1)
-            assert inc["summaries_recomputed"] == 0
+        # one function re-solved; its callers stay firewalled behind the
+        # unchanged summary (the summary key covers the unparsed body)
+        inc = warm.incremental
+        assert (inc["dirty"], inc["recomputed"], inc["firewalled"]) == (1, 1, 1)
+        assert inc["summaries_recomputed"] == 0

@@ -1,6 +1,6 @@
-"""Tests for the persistent-worker executor: cost model, chunking, defaults,
-up-front dispatch of every pending component, the profiling layer, and
-crash surfacing.
+"""Tests for the persistent-worker executor: defaults, up-front dispatch of
+every program the store cannot serve, the profiling layer, and crash
+surfacing.
 """
 
 import json
@@ -11,18 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.adds.library import merged_into, standard_source
+from repro.adds.library import standard_source
 from repro.driver.batch import BatchDriver
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
-    CHUNK_COST_TARGET,
-    CHUNK_MAX_FUNCTIONS,
     CRASH_ENV_VAR,
     MAX_DEFAULT_JOBS,
     PersistentExecutor,
     default_jobs,
-    estimate_cost,
-    pack_chunks,
     preferred_start_method,
 )
 
@@ -72,62 +68,13 @@ class TestDefaults:
         assert preferred_start_method() in multiprocessing.get_all_start_methods()
 
 
-class TestCostModel:
-    def test_cost_ranks_big_functions_above_tiny_ones(self):
-        program = merged_into(CHAIN_SRC, "ListNode")
-        costs = {
-            f.name: estimate_cost(program.function_named(f.name), program)
-            for f in program.functions
-        }
-        assert costs["tiny"] < costs["mid"] < costs["big"]
-        assert all(c >= 1 for c in costs.values())
-
-
-class TestPackChunks:
-    def _group(self, n_functions=1, cost=10):
-        return ([f"f{i}" for i in range(n_functions)], cost)
-
-    def test_cheap_groups_share_one_chunk(self):
-        chunks = pack_chunks([self._group(cost=5) for _ in range(4)])
-        assert chunks == [[0, 1, 2, 3]]
-
-    def test_cost_target_splits_chunks(self):
-        half = CHUNK_COST_TARGET // 2
-        chunks = pack_chunks([self._group(cost=half) for _ in range(4)])
-        assert chunks == [[0, 1], [2, 3]]
-
-    def test_function_cap_splits_chunks(self):
-        groups = [self._group(n_functions=1, cost=1) for _ in range(CHUNK_MAX_FUNCTIONS + 1)]
-        chunks = pack_chunks(groups)
-        assert len(chunks) == 2
-        assert len(chunks[0]) == CHUNK_MAX_FUNCTIONS
-
-    def test_expensive_group_ships_alone(self):
-        groups = [
-            self._group(cost=5),
-            self._group(cost=CHUNK_COST_TARGET * 3),
-            self._group(cost=5),
-        ]
-        chunks = pack_chunks(groups)
-        assert [0, 1] not in chunks  # the cheap leader is flushed first
-        assert [1] in chunks
-
-    def test_groups_are_kept_whole_and_covered_exactly_once(self):
-        groups = [self._group(n_functions=i % 3 + 1, cost=i * 7) for i in range(20)]
-        chunks = pack_chunks(groups)
-        flat = [g for chunk in chunks for g in chunk]
-        assert sorted(flat) == list(range(20))
-
-    def test_empty_input(self):
-        assert pack_chunks([]) == []
-
-
 class TestUpFrontDispatch:
-    """Workers rebuild callee summaries from source, so no component waits
-    for another: every one with pending work is submitted before the first
-    result is polled."""
+    """Each program the store cannot serve whole is one task, and every one
+    is submitted, largest source first, before the first result is polled."""
 
-    def test_every_component_is_submitted_before_the_first_poll(self, monkeypatch):
+    def test_every_unserved_program_is_submitted_before_the_first_poll(
+        self, monkeypatch, tmp_path
+    ):
         submitted: list = []
         before_first_poll: list = []
         real_submit = PersistentExecutor.submit
@@ -142,15 +89,21 @@ class TestUpFrontDispatch:
                 before_first_poll.extend(submitted)
             return real_poll(self)
 
+        served = CorpusItem(name="served", source=standard_source("ListNode"))
+        BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus([served])
+        items = [
+            served,
+            CorpusItem(name="tiny", source="function f(n) { return n; }\n"),
+            CorpusItem(name="chain", source=CHAIN_SRC),
+        ]
         monkeypatch.setattr(PersistentExecutor, "submit", submit)
         monkeypatch.setattr(PersistentExecutor, "poll", poll)
-        driver = BatchDriver(jobs=2, cache_dir=None, simulate=False)
-        report = driver.analyze_corpus([CorpusItem(name="chain", source=CHAIN_SRC)])
-        # big -> mid -> tiny is a pure chain: three components
-        assert sorted(c for t in before_first_poll for c in t.components) == [0, 1, 2]
-        assert sorted(n for t in before_first_poll for n in t.functions) == [
-            "big", "mid", "tiny",
-        ]
+        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
+        report = driver.analyze_corpus(items)
+        assert [t.name for t in before_first_poll] == ["chain", "tiny"]
+        assert [t.name for t in submitted] == ["chain", "tiny"]
+        assert report.incremental["programs_unchanged"] == 1
+        assert sorted(report.program("chain").functions) == ["big", "mid", "tiny"]
         assert not report.failed_functions()
 
 
@@ -164,14 +117,17 @@ class TestProfileLayer:
         profile = report.profile
         assert profile is not None
         totals = profile["totals"]
-        for key in ("tasks", "functions", "queue_wait_s", "parse_s",
-                    "analyze_s", "transfer_s", "overhead_fraction"):
-            assert key in totals
+        assert set(totals) == {
+            "tasks", "functions", "queue_wait_s", "analyze_s", "transfer_s",
+            "overhead_fraction",
+        }
         assert totals["functions"] == 3
         assert 0.0 <= totals["overhead_fraction"] <= 1.0
         tasks = profile["tasks"]
         assert tasks and all(t["worker_pid"] > 0 for t in tasks)
-        assert {t["kind"] for t in tasks} == {"analyze"}
+        assert [(t["kind"], t["program"], t["functions"]) for t in tasks] == [
+            ("program", "chain", 3)
+        ]
 
     def test_profile_detail_omitted_without_flag(self):
         driver = BatchDriver(jobs=2, cache_dir=None, simulate=False, profile=False)
@@ -232,7 +188,7 @@ class TestCrashSurfacing:
         proc = self._run_cli(source, env_extra={CRASH_ENV_VAR: "mid"})
         assert proc.returncode == 4, (proc.stdout, proc.stderr)
         assert "mid: QUARANTINED" in proc.stdout
-        # the innocent chunk-mates still completed
+        # the rest of its program still completed
         assert "tiny:" in proc.stdout and "big:" in proc.stdout
 
     def test_respawn_budget_exhaustion_is_unrecoverable_exit_3(self, tmp_path):

@@ -2,8 +2,9 @@
 
 Covers the spec grammar, the determinism of injection decisions, and — via
 real multi-process batch runs with injected faults — every rung of the
-driver's escalation ladder: retry with backoff, chunk bisection, sacrificial
-verification, quarantine (with replayable records), and deadline timeouts.
+driver's escalation ladder, charged to the dead task's suspect: retry with
+backoff, sacrificial verification, quarantine (with replayable records),
+deadline timeouts, and a death before the first note.
 The convergence tests pin the acceptance property: a run that survives
 transient faults is bit-identical to a run that never saw them.
 """
@@ -14,7 +15,9 @@ import os
 import pytest
 
 from repro.adds.library import standard_source
+from repro.driver import stages
 from repro.driver.batch import BatchDriver
+from repro.driver.cli import _report_partial
 from repro.driver.corpus import CorpusItem, paper_corpus
 from repro.driver.executor import preferred_start_method
 from repro.driver import pipeline
@@ -181,7 +184,7 @@ class TestCrashRecovery:
         assert "poison" in payload["fault"]
         assert report.resilience.quarantined == 1
         assert report.resilience.sacrificial_runs == 1
-        # healthy functions completed despite sharing chunks with the poison
+        # healthy functions completed despite sharing a program with the poison
         assert report.program("chain").functions["tiny"].get("status") == "ok"
         assert report.program("chain").functions["big"].get("status") == "ok"
         # the record replays: without the fault env the analysis is healthy
@@ -204,18 +207,38 @@ class TestCrashRecovery:
 
     def test_sacrificial_run_rescues_a_flaky_function(self, monkeypatch):
         """A function whose crashes stop exactly when the retry budget runs
-        out completes in the sacrificial subprocess — no quarantine.  The
-        chain's three components share one chunk, so ``mid`` crashes three
-        times before its budget runs out: in the chunk, in the bisected half
-        holding it, and alone; the sacrificial run is its fourth attempt."""
+        out completes in the sacrificial subprocess — no quarantine.  ``mid``
+        dies in its program's task and in the retry; the sacrificial run is
+        its third attempt."""
         report = _run_batch(
-            self._items(), "crash:function=mid,times=3", monkeypatch,
+            self._items(), "crash:function=mid,times=2", monkeypatch,
             jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
         )
         assert report.program("chain").functions["mid"].get("status") == "ok"
         assert report.resilience.sacrificial_runs == 1
         assert report.resilience.quarantined == 0
         assert not report.failed_functions()
+
+    def test_death_before_the_first_note_is_charged_to_the_program(self, monkeypatch):
+        """A worker that dies in parse, typecheck or summary resolution has
+        sent no note: once the retries run out, the program reports an error
+        naming the crash, and the run is partial, not failed."""
+        monkeypatch.setattr(stages, "parse_program", lambda *args: os._exit(7))
+        report = _run_batch(
+            self._items(), None, monkeypatch,
+            jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
+            start_method="fork",
+        )
+        (program,) = report.programs
+        assert program.error == (
+            "crashed before its first report: worker died (exit 7); "
+            "retries exhausted after 2 attempt(s)"
+        )
+        assert program.functions == {}
+        assert report.resilience.worker_crashes == 2
+        assert report.resilience.retries == 1
+        assert report.resilience.sacrificial_runs == 0
+        assert _report_partial(report)
 
 
 class TestQuarantineRecords:
@@ -252,11 +275,11 @@ class TestDeadlines:
         payload = report.program("chain").functions["mid"]
         assert payload["status"] == "timeout"
         assert report.resilience.timeouts >= 2  # initial attempt + retry
-        # chunk-mates of the hung function were not lost
+        # the rest of the hung function's program was not lost
         assert report.program("chain").functions["tiny"].get("status") == "ok"
         assert report.program("chain").functions["big"].get("status") == "ok"
 
-    def test_transient_hang_is_survived_by_bisection_retry(self, monkeypatch):
+    def test_transient_hang_is_survived_by_a_retry(self, monkeypatch):
         """A hang that fires only once costs a timeout event, then the
         re-dispatched task completes: no failure statuses."""
         report = _run_batch(
@@ -265,6 +288,17 @@ class TestDeadlines:
         )
         assert not report.failed_functions()
         assert report.resilience.timeouts >= 1
+
+    def test_the_deadline_restarts_at_every_note(self, monkeypatch):
+        """The deadline bounds one function's report, not a whole program:
+        three reports of 0.4 s each fit a 1 s deadline."""
+        report = _run_batch(
+            self._items(), "slow:seconds=0.4", monkeypatch,
+            jobs=2, simulate=False, task_timeout=1.0, retry_backoff_s=0.01,
+        )
+        assert report.resilience.timeouts == 0
+        assert not report.failed_functions()
+        assert report.analyses_executed == 3
 
 
 class TestSimulationFaults:

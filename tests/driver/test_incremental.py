@@ -2,7 +2,7 @@
 (early cutoff), soundness of the firewall (summary- and return-type-changing
 edits must invalidate callers), unchanged programs served whole from their
 manifest and every fallback from that shortcut, line-relative artifact
-sharing across offsets, and the per-worker LRU bound.
+sharing across offsets, and one store shared by every ``--jobs``.
 
 The acceptance property throughout: an incremental run's report is
 **bit-identical** to the same analysis from scratch — incrementality may
@@ -11,17 +11,15 @@ never change an answer, only skip work.
 
 import json
 import shutil
-from collections import OrderedDict
 
 import pytest
 
-from repro.driver import batch as batch_module
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import ResultCache, decode_entry, encode_entry
 from repro.driver.cli import main
-from repro.driver.corpus import CorpusItem
-from repro.driver.pipeline import _CACHE_LIMIT, PipelineOptions, _bounded
+from repro.driver.corpus import CorpusItem, corpus_named
+from repro.driver.pipeline import PipelineOptions
 from repro.lang.split import split_declarations
 
 TYPES = """
@@ -76,8 +74,8 @@ function reverse(p)
 """
 
 
-def _run(source, tmp_path, name="prog"):
-    driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+def _run(source, tmp_path, name="prog", jobs=1):
+    driver = BatchDriver(jobs=jobs, cache_dir=tmp_path, simulate=False)
     report = driver.analyze_corpus([CorpusItem(name=name, source=source)])
     return report
 
@@ -216,23 +214,16 @@ SERVED_BASE = {
 
 
 def _count_parses(monkeypatch) -> list:
-    """Record every source text the batch driver parses: whole programs and
-    single declarations through the staged engine, whole programs on the
-    pooled path."""
+    """Record every source text the staged engine parses: whole programs and
+    single declarations."""
     parsed: list = []
-    real_engine = stages_module.parse_program
-    real_pooled = batch_module.parsed_program
+    real = stages_module.parse_program
 
-    def counting_engine(source, first_line=1):
+    def counting(source, first_line=1):
         parsed.append(source)
-        return real_engine(source, first_line)
+        return real(source, first_line)
 
-    def counting_pooled(source):
-        parsed.append(source)
-        return real_pooled(source)
-
-    monkeypatch.setattr(stages_module, "parse_program", counting_engine)
-    monkeypatch.setattr(batch_module, "parsed_program", counting_pooled)
+    monkeypatch.setattr(stages_module, "parse_program", counting)
     return parsed
 
 
@@ -251,8 +242,8 @@ def _functions(report) -> list:
 
 
 class TestUnchangedPrograms:
-    """A ``--jobs 1`` run serves a program whose source is byte-identical to
-    its manifest's record straight from the named ``report`` artifacts, and
+    """A run serves a program whose source is byte-identical to its
+    manifest's record straight from the named ``report`` artifacts, and
     falls through to the full path on every kind of mismatch."""
 
     def test_unchanged_program_is_served_unparsed_and_untypechecked(
@@ -263,7 +254,6 @@ class TestUnchangedPrograms:
         def forbidden(*args, **kwargs):
             raise AssertionError("an unchanged program was parsed or typechecked")
 
-        monkeypatch.setattr(batch_module, "parsed_program", forbidden)
         monkeypatch.setattr(stages_module, "parse_program", forbidden)
         monkeypatch.setattr("repro.pathmatrix.analysis.check_program", forbidden)
         warm = _run(BASE, tmp_path)
@@ -375,20 +365,23 @@ class TestUnchangedPrograms:
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
         assert parsed == [BASE]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_programs_sharing_a_name_are_never_served_each_others_reports(
-        self, tmp_path
+        self, tmp_path, jobs
     ):
         expected = [_scratch(BASE)["prog"], _scratch(OTHER)["prog"]]
         items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="prog", source=OTHER)]
         for _ in range(3):
-            driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+            driver = BatchDriver(jobs=jobs, cache_dir=tmp_path, simulate=False)
             report = driver.analyze_corpus(items)
             assert _functions(report) == expected
-            # one name, one manifest: a shared name is never served whole
+            # one name, one manifest: a shared name neither reads nor writes
+            # it, so it is never served whole and every function is dirty
             assert report.incremental["programs_unchanged"] == 0
+            assert report.incremental["dirty"] == 3 + 1
+        assert not (tmp_path / "manifest").exists()
 
-        # alone, a program is served only from a record of its own source:
-        # the manifest now records OTHER, the corpus's last item
+        # alone, a program is served only from a record of its own source
         base = _run(BASE, tmp_path)
         assert base.incremental["programs_unchanged"] == 0
         assert _functions(base) == [expected[0]]
@@ -412,13 +405,20 @@ class TestUnchangedPrograms:
         ).analyze_corpus([CorpusItem(name="prog", source=BASE)])
         assert _functions(report) == _functions(no_adds)
 
-    def test_pooled_runs_are_never_served(self, tmp_path, monkeypatch):
-        _run(BASE, tmp_path)
-        parsed = _count_parses(monkeypatch)
-        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
-        report = driver.analyze_corpus([CorpusItem(name="prog", source=BASE)])
-        assert parsed == [BASE]
-        assert report.incremental is None
+    def test_pooled_run_serves_an_unchanged_program_without_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _run(BASE, tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unchanged program was parsed")
+
+        monkeypatch.setattr(stages_module, "parse_program", forbidden)
+        warm = _run(BASE, tmp_path, jobs=2)
+        assert warm.incremental == SERVED_BASE
+        assert warm.effective_jobs == 1
+        assert warm.start_method is None
+        assert _functions(warm) == _functions(cold)
 
     def test_resimulation_of_a_served_program_keeps_the_profile(self, tmp_path):
         """A run that re-simulated but recomputed no function still reports
@@ -439,7 +439,7 @@ class TestUnchangedPrograms:
         source = tmp_path / "prog.ptr"
         source.write_text(BASE)
         store = str(tmp_path / "store")
-        argv = ["analyze", str(source), "--incremental", "--no-simulate", "--cache-dir", store]
+        argv = ["analyze", str(source), "--jobs", "1", "--no-simulate", "--cache-dir", store]
         assert main(argv) == 0
         assert "0 program(s) served unchanged" in capsys.readouterr().out
         assert main(argv) == 0
@@ -541,27 +541,43 @@ class TestLineRelativeSharing:
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
 
 
-class TestBoundedLRU:
-    def test_hit_refreshes_and_overflow_evicts_only_the_oldest(self):
-        cache = OrderedDict()
-        for i in range(_CACHE_LIMIT):
-            _bounded(cache, i, lambda i=i: f"v{i}")
-        # a hit must not recompute, and must refresh recency
-        assert _bounded(cache, 0, lambda: "recomputed") == "v0"
-        # one insert past the limit evicts exactly one entry — the coldest
-        # (key 1), not the just-refreshed key 0 and not the whole cache
-        _bounded(cache, "fresh", lambda: "vf")
-        assert len(cache) == _CACHE_LIMIT
-        assert 0 in cache
-        assert 1 not in cache
-        assert "fresh" in cache
+class TestOneStoreAtEveryJobs:
+    """Every ``--jobs`` runs the same engine over the same keys, so a run
+    at one job count reuses everything a run at another wrote."""
 
-    def test_steady_state_keeps_working_set_warm(self):
-        # the pre-fix behavior cleared *all* entries on overflow, so a scan
-        # over limit+1 keys thrashed every one of them; real LRU keeps the
-        # most recent limit keys resident
-        cache = OrderedDict()
-        for i in range(_CACHE_LIMIT + 10):
-            _bounded(cache, i, lambda i=i: i)
-        assert len(cache) == _CACHE_LIMIT
-        assert set(cache) == set(range(10, _CACHE_LIMIT + 10))
+    @pytest.mark.parametrize("first, second", [(1, 2), (2, 1)])
+    def test_a_rerun_at_another_job_count_analyzes_nothing(
+        self, tmp_path, first, second
+    ):
+        items = corpus_named("builtin")
+        cold = BatchDriver(jobs=first, cache_dir=tmp_path).analyze_corpus(items)
+        warm = BatchDriver(jobs=second, cache_dir=tmp_path).analyze_corpus(items)
+        assert warm.analyses_executed == 0
+        assert warm.incremental["fixpoints_run"] == 0
+        assert warm.incremental["programs_unchanged"] == len(items)
+        assert warm.effective_jobs == 1  # no pool started
+        assert warm.to_dict()["programs"] == cold.to_dict()["programs"]
+
+    def test_an_edit_after_a_pooled_run_is_firewalled(self, tmp_path):
+        _run(BASE, tmp_path, jobs=2)
+        warm = _run(PADDED, tmp_path)
+        inc = warm.incremental
+        assert (inc["dirty"], inc["recomputed"], inc["fixpoints_run"], inc["firewalled"]) == (
+            1, 1, 1, 1,
+        )
+        assert _functions(warm) == [_scratch(PADDED)["prog"]]
+
+    def test_a_pooled_cold_run_writes_what_a_serial_one_writes(self, tmp_path):
+        """Pool workers write summaries, reports, simulations and manifests
+        themselves; the ledger counts their writes."""
+        items = [
+            CorpusItem(name="prog", source=BASE),
+            CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
+        ]
+        writes = {}
+        for jobs in (1, 2):
+            store = tmp_path / f"jobs{jobs}"
+            BatchDriver(jobs=jobs, cache_dir=store).analyze_corpus(items)
+            ledger = ResultCache(store).read_ledger()
+            writes[jobs] = {stage: c["writes"] for stage, c in ledger["stages"].items()}
+        assert writes[2] == writes[1] == {"summary": 5, "report": 5, "sim": 2, "manifest": 2}

@@ -188,6 +188,37 @@ class TestSummaryEdgeCases:
         assert not summary.is_read_only
 
 
+def _paper_sources():
+    from repro.driver.corpus import paper_corpus
+
+    return [item.source for item in paper_corpus()]
+
+
+def _web_sources():
+    from repro.adds.library import standard_source
+    from repro.bench.stress import call_web_program_source
+
+    return [standard_source("ListNode") + call_web_program_source(60, 7, prefix="w")]
+
+
+@pytest.mark.parametrize("sources", [_paper_sources, _web_sources], ids=["paper", "web60"])
+def test_summarize_program_is_the_analysis_resolution_without_refinement(sources):
+    """One propagation: the global pass and the analysis's per-component
+    resolution agree on every field the refinement does not settle."""
+    from repro.lang.parser import parse_program
+    from repro.pathmatrix import PathMatrixAnalysis
+
+    for source in sources():
+        program = parse_program(source)
+        resolved = PathMatrixAnalysis(parse_program(source)).summaries
+        summaries = summarize_program(program)
+        assert list(summaries) == [f.name for f in program.functions]
+        assert set(resolved) == set(summaries)
+        for name, summary in summaries.items():
+            expected = dict(resolved[name].to_dict(), preserves_abstraction=False)
+            assert summary.to_dict() == expected, name
+
+
 class TestValidationThroughCalls:
     def test_call_to_unanalyzable_shape_changer_invalidates(self):
         source = """
