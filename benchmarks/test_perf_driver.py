@@ -86,13 +86,15 @@ def _content_duplicate_count(items) -> int:
     from repro.driver.callgraph import build_call_graph
     from repro.driver.pipeline import PipelineOptions
     from repro.lang.parser import parse_program
-    from repro.lang.split import function_texts, split_declarations
+    from repro.lang.split import split_declarations
 
     seen: set[str] = set()
     duplicates = 0
     for item in items:
         program = parse_program(item.source)
-        texts = function_texts(program, split_declarations(item.source))
+        texts = {
+            d.name: d.text for d in split_declarations(item.source) if d.kind == "function"
+        }
         digests = function_digests(
             program, build_call_graph(program), PipelineOptions().key(), texts
         )

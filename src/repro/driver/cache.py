@@ -86,7 +86,8 @@ def function_digests(
     :mod:`repro.driver.stages`) cover callee summary artifacts, not bodies.
     They remain a content-identity oracle: two functions with equal digests
     share every input of their report.  ``texts`` maps each function
-    to its exact declaration text (:func:`repro.lang.split.function_texts`);
+    to its exact declaration text (its
+    :func:`~repro.lang.split.split_declarations` entry's);
     stored payloads are line-relative to the function's first line, so the
     key must fix the lines *inside* the function — a blank line added to a
     body moves its loops — while the file offset is deliberately *not* an

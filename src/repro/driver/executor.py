@@ -52,11 +52,6 @@ MAX_DEFAULT_JOBS = 8
 #: before this backstop)
 WAIT_TIMEOUT_S = 300.0
 
-#: test hook: a worker about to compute the report of a function with this
-#: name hard-exits, so the crash-recovery path can be exercised end to end
-#: (see tests/driver)
-CRASH_ENV_VAR = "REPRO_DRIVER_TEST_CRASH"
-
 
 class WorkerPoolError(RuntimeError):
     """The worker pool is unrecoverable (respawn failed or budget exhausted)."""
@@ -152,9 +147,6 @@ class WorkerEvent:
 def _maybe_inject(token: str, attempt: int) -> None:
     """Apply any configured worker-side fault for one injection point."""
     plan = active_plan()
-    crash_function = os.environ.get(CRASH_ENV_VAR)
-    if crash_function and token == crash_function:
-        os._exit(3)  # legacy hook: simulate a hard worker death every attempt
     if not plan.enabled:
         return
     if plan.should_crash(token, attempt):

@@ -51,7 +51,7 @@ from pathlib import Path
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 #: exit code an injected worker crash dies with (distinct from real bugs'
-#: tracebacks and from the legacy test hook's exit 3)
+#: tracebacks and from the CLI's exit 3 for an unrecoverable pool)
 FAULT_CRASH_EXIT = 13
 
 #: the note a worker sends before a program's machine simulation: fault

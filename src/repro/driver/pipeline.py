@@ -10,13 +10,13 @@ Three layers:
   of an analyzed program, returned as a plain JSON-serializable dict (the
   worker pool and the on-disk store both speak dicts).  A function's report
   follows from its own body, the type declarations and its callees'
-  summaries alone, so the staged engine builds it over the analysis of a
-  component or of the whole program, and a quarantine replay over the
-  analysis of the recorded source;
+  summaries alone, so the staged engine builds it over the analysis of
+  its component, and a quarantine replay or the fuzzer over the analysis
+  of the whole program;
 * :func:`simulate_program` — the whole-program tail of the pipeline: run
-  the original on the reference interpreter, strip-mine every loop one
-  dependence analysis of the program (under the run's ADDS setting) proves
-  parallelizable, re-run on the simulated multiprocessor, and report the
+  the original on the reference interpreter, strip-mine the loops the
+  reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`; nothing
+  is decided again), re-run on the simulated multiprocessor, and report the
   speedup and whether the heaps agree (the paper's semantics-preservation
   check).
 
@@ -32,7 +32,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from repro.lang.ast_nodes import Call, IntLit, Program
+from repro.lang.ast_nodes import Program
 from repro.lang.errors import InterpreterLimitError, LangError
 from repro.lang.interpreter import Interpreter, run_program
 from repro.lang.parser import parse_program
@@ -189,6 +189,18 @@ def function_report(
     )
 
 
+def strip_mined_loops(reports: dict[str, dict]) -> list[tuple[str, int]]:
+    """The ``(function, loop index)`` pairs whose report says
+    ``strip_mine.applied``, in report order: the loops the paper strip-mines
+    (section 4.3.3), decided once by :func:`function_report`."""
+    return [
+        (function, loop["index"])
+        for function, report in reports.items()
+        for loop in report["loops"]
+        if loop["transforms"].get("strip_mine", {}).get("applied")
+    ]
+
+
 def _transform_applicability(program: Program, function: str, index: int) -> dict:
     """Which of the three transformations apply to one parallelizable loop."""
     outcomes: dict = {}
@@ -315,36 +327,25 @@ def _lacks_entry(source: str, entry: str) -> bool:
 
 
 def simulate_program(
-    source: str, options: PipelineOptions, program: Program | None = None
+    source: str, options: PipelineOptions, loops: list[tuple[str, int]]
 ) -> dict:
-    """Transform and replay one program on the simulated multiprocessor.
+    """Replay one program, ``loops`` strip-mined, on the simulated
+    multiprocessor.
 
-    ``program`` is ``source`` parsed, when the caller already has it;
-    otherwise a program without a parameterless entry is reported without
-    being parsed.  Returns a report dict; the ``status`` field is one of
-    ``"simulated"``, ``"no-entry"``, ``"no-parallel-loops"``, ``"limit"``
-    (a resource budget was exhausted — see :data:`SIMULATION_MAX_STEPS`),
-    or ``"error"``.
+    ``loops`` are the ``(function, loop index)`` pairs the program's
+    reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`); only a
+    program with a parameterless entry and at least one of them is parsed.
+    Returns a report dict; the ``status`` field is one of ``"simulated"``,
+    ``"no-entry"``, ``"no-parallel-loops"``, ``"limit"`` (a resource budget
+    was exhausted — see :data:`SIMULATION_MAX_STEPS`), or ``"error"``.
     """
-    if program is None:
-        if _lacks_entry(source, options.entry):
-            return {"status": "no-entry", "entry": options.entry}
-        program = parse_program(source)
-    entry = program.function_named(options.entry)
-    if entry is None or entry.params:
+    if _lacks_entry(source, options.entry):
         return {"status": "no-entry", "entry": options.entry}
-
-    stripped = strip_mine_program(program, use_adds=options.use_adds)
-    transformed, transformed_functions = stripped.program, stripped.functions
-    if not transformed_functions:
+    if not loops:
         return {"status": "no-parallel-loops", "entry": options.entry}
-
-    # the strip-mined functions take the processor count as a new trailing
-    # argument: patch every call site in the transformed program
-    for func in transformed.functions:
-        for node in func.body.walk():
-            if isinstance(node, Call) and node.func in transformed_functions:
-                node.args.append(IntLit(options.pes))
+    program = parse_program(source)
+    stripped = strip_mine_program(program, loops, options.pes)
+    transformed, transformed_functions = stripped.program, stripped.functions
 
     def interpret():
         _, original = run_program(

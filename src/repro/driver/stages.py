@@ -34,22 +34,23 @@ function's new summary digest is always compared against its callers' cached
 inputs — there is no window where a caller could be firewalled against a
 stale summary.
 
-**Declaration-level reuse.**  The per-program ``manifest`` records the last
-run: the source digest, the type declarations' digest, the function order
-and schedule, and per function its declaration-text digest, direct callees,
-``summary`` key and artifact digest, ``report`` key and first line.  A
-byte-identical source is served whole from the named ``report`` artifacts
-(:meth:`StagedEngine.serve_unchanged`).
-Otherwise the source is cut into declarations
-(:func:`~repro.lang.split.split_declarations`) and only the *recompute
-cone* is parsed: the type declarations, the functions whose text changed,
-and the callers a moved summary digest reopens.  Every other function is
-served from its recorded ``report`` key at its new first line, and the
-cone's functions are typechecked and analyzed one component at a time over
-a partial program that knows their callees by summary only.  Whatever the
-cone cannot decide (no usable manifest, a changed set of names or types, a
-declaration that does not parse, a missing artifact) takes the full path:
-every declaration parsed and every key probed.
+**One walk over declarations.**  The per-program ``manifest`` records the
+last run: the source digest, the type declarations' digest, the function
+order and schedule, and per function its declaration-text digest, direct
+callees, ``summary`` key and artifact digest, ``report`` key and first line.
+A byte-identical source is served whole from the named ``report`` artifacts
+(:meth:`StagedEngine.serve_unchanged`).  Otherwise the source is cut into
+declarations (:func:`~repro.lang.split.split_declarations`), each parsed at
+its own lines the first time the walk needs it, and the walk *reopens* the
+components an edit can reach: those whose text changed, and the callers a
+moved summary digest reopens.  Every other function is served from its
+recorded ``report`` key at its new first line, and each reopened component
+is typechecked and analyzed over its own members, knowing its callees by
+summary and return type only.  A cold run is this walk with nothing
+recorded.  Whatever the record cannot decide (no usable manifest, a changed
+set of names or types, a missing artifact) reopens every component on the
+same walk.  A source that does not split, parse or typecheck reports the
+whole source's first diagnostic.
 
 Stored payloads are line-relative (see
 :func:`~repro.driver.pipeline.relativize_report`); everything the engine
@@ -58,22 +59,17 @@ returns to the report is absolute, and lists functions in declaration order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
 from repro.lang.callgraph import called_functions
-from repro.lang.errors import LangError
+from repro.lang.errors import LangError, ParseError, TypeCheckError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
-from repro.lang.split import Declaration, function_texts, split_declarations
-from repro.lang.typecheck import inferred_return_type
+from repro.lang.split import Declaration, split_declarations
+from repro.lang.typecheck import check_program, inferred_return_type
 from repro.pathmatrix.analysis import PathMatrixAnalysis, fixpoint_run_count
-from repro.pathmatrix.interproc import (
-    FunctionSummary,
-    _call_argument_map,
-    direct_summaries,
-    summarize_scc,
-)
+from repro.pathmatrix.interproc import FunctionSummary, summarize_scc
 
 from repro.driver.cache import (
     CACHE_VERSION,
@@ -82,7 +78,7 @@ from repro.driver.cache import (
     payload_digest,
     program_digest,
 )
-from repro.driver.callgraph import CallGraph, build_call_graph, condense
+from repro.driver.callgraph import CallGraph, condense
 from repro.driver.faults import SIMULATE_TOKEN
 from repro.driver.pipeline import (
     PipelineOptions,
@@ -90,6 +86,7 @@ from repro.driver.pipeline import (
     function_report,
     relativize_report,
     simulate_program,
+    strip_mined_loops,
 )
 
 
@@ -128,56 +125,66 @@ class ProgramRun:
     stats: IncrementalStats
     #: the bottom-up schedule (``Condensation.waves``)
     schedule: list
-    #: the whole program when the walk parsed all of it, else ``None``
-    program: Program | None = None
     simulation: dict | None = None
     #: the simulation was served from the ``sim`` stage
     simulation_cached: bool = False
-    #: why the program could not be analyzed (it does not parse)
+    #: why the program could not be analyzed (it does not parse or typecheck)
     error: str | None = None
 
 
-class ParseFailure(Exception):
-    """The program does not parse; ``error`` is the parser's diagnostic."""
-
-    def __init__(self, error: LangError):
-        super().__init__(str(error))
-        self.error = error
+class ProgramError(Exception):
+    """The program does not split, parse or typecheck; the message is the
+    report's ``error``."""
 
 
-class _ConeUndecidable(Exception):
-    """The recompute cone cannot be served from the store: take the full path."""
+def _program_error(source: str, found: LangError) -> ProgramError:
+    """The error of a program whose walk found ``found`` in one declaration
+    or component: the whole source's first diagnostic, so that it does not
+    depend on which walk found it (``found`` when the source has none)."""
+    try:
+        check_program(parse_program(source))
+    except LangError as exc:
+        found = exc
+    kind = "type" if isinstance(found, TypeCheckError) else "parse"
+    return ProgramError(f"{kind} error: {found}")
+
+
+class _ReopenAll(Exception):
+    """The manifest cannot serve a function it names: reopen everything."""
 
 
 @dataclass
 class _Source:
-    """One program as the walk sees it; the cone parses declarations only
-    when the walk first needs them."""
+    """One program cut into declarations, each parsed the first time the
+    walk needs it."""
 
-    #: function name -> the text its stage keys cover, in source order
-    texts: dict[str, str]
-    #: function name -> first line
-    lines: dict[str, int]
-    graph: CallGraph
+    source: str
+    #: function name -> declaration, in source order
+    declarations: dict[str, Declaration]
+    type_declarations: list[Declaration]
     #: function name -> declaration, for the functions parsed so far
-    parsed: dict[str, FunctionDecl]
-    #: digest of the type declarations' text (``None``: not known)
-    types_digest: str | None
-    #: the whole program (full path only)
-    program: Program | None = None
-    #: the unparsed declarations (cone only)
-    declarations: dict[str, Declaration] | None = None
-    type_declarations: list[Declaration] | None = None
+    parsed: dict[str, FunctionDecl] = field(default_factory=dict)
     _types: list[TypeDecl] | None = None
     _types_src: str | None = None
 
+    @classmethod
+    def split(cls, source: str) -> "_Source":
+        try:
+            declarations = split_declarations(source)
+        except LangError as exc:
+            raise _program_error(source, exc) from None
+        functions = {d.name: d for d in declarations if d.kind == "function"}
+        types = [d for d in declarations if d.kind == "type"]
+        if len(functions) + len(types) != len(declarations):
+            raise _program_error(source, TypeCheckError("a function is declared twice"))
+        return cls(source, functions, types)
+
+    def types_digest(self) -> str:
+        return _sha("types", *(d.text for d in self.type_declarations))
+
     def types(self) -> list[TypeDecl]:
         if self._types is None:
-            self._types = (
-                self.program.types
-                if self.program is not None
-                else [_parse_declaration(d) for d in self.type_declarations]
-            )
+            self._types = [self._parse(d) for d in self.type_declarations]
         return self._types
 
     def types_source(self) -> str:
@@ -188,24 +195,41 @@ class _Source:
 
     def function(self, name: str) -> FunctionDecl:
         if name not in self.parsed:
-            self.parsed[name] = _parse_declaration(self.declarations[name])
+            self.parsed[name] = self._parse(self.declarations[name])
         return self.parsed[name]
 
+    def _parse(self, decl: Declaration) -> TypeDecl | FunctionDecl:
+        """One declaration, parsed at its lines."""
+        try:
+            program = parse_program(decl.text, decl.line)
+        except LangError as exc:
+            raise _program_error(self.source, exc) from None
+        nodes = program.types + program.functions
+        if [node.name for node in nodes] != [decl.name]:
+            error = ParseError(f"cannot delimit {decl.name!r}", decl.line)
+            raise _program_error(self.source, error)
+        return nodes[0]
 
-def _parse_declaration(decl: Declaration) -> TypeDecl | FunctionDecl:
-    """Parse one declaration at its lines, or raise :class:`_ConeUndecidable`."""
-    try:
-        program = parse_program(decl.text, decl.line)
-    except LangError:
-        raise _ConeUndecidable from None
-    nodes = program.types + program.functions
-    if len(nodes) != 1 or nodes[0].name != decl.name:
-        raise _ConeUndecidable
-    return nodes[0]
 
-
-#: what the manifest records per function (the cone needs all of it)
+#: what the manifest records per function (reopening less needs all of it)
 _MANIFEST_FIELDS = frozenset({"text", "callees", "skey", "summary", "report", "line"})
+
+
+def _usable_record(manifest: dict | None, src: _Source) -> dict[str, dict]:
+    """The manifest's per-function record when it can decide what an edit
+    reopens (every field recorded, the same function names and type
+    declarations); else nothing, which reopens every component."""
+    try:
+        recorded, order, types = manifest["functions"], manifest["order"], manifest["types"]
+    except (KeyError, TypeError):
+        return {}
+    if (
+        all(_MANIFEST_FIELDS <= entry.keys() for entry in recorded.values())
+        and set(src.declarations) == set(order)
+        and src.types_digest() == types
+    ):
+        return recorded
+    return {}
 
 
 def _artifact(name: str, summary: dict, return_type: str | None) -> str:
@@ -244,34 +268,29 @@ class StagedEngine:
         dirty.  ``failed`` maps a function to the failure payload reported
         in place of computing it, which is never stored.  ``before(fn)`` is
         called before each report is computed.  Raises
-        :class:`ParseFailure` when the source does not parse.
+        :class:`ProgramError` when the source does not split, parse or
+        typecheck.
         """
         record = self._manifest_key(name) if reuse else None
         manifest = self.cache.get(record, stage="manifest") if reuse else None
         served = self._serve(manifest, source)
         if served is not None:
             return served
+        src = _Source.split(source)
+        recorded = manifest.get("functions", {}) if manifest is not None else {}
         failed = failed or {}
         try:
-            declarations = split_declarations(source)
-        except LangError:
-            declarations = None
-        if manifest is not None and declarations is not None:
+            if not src.declarations:  # no component parses or checks the types
+                check_program(Program(types=src.types(), functions=[]))
             try:
-                cone = self._cone_source(manifest, declarations)
-                return self._walk(source, cone, manifest, record, failed, before)
-            except _ConeUndecidable:
-                pass
-        return self._walk(
-            source,
-            self._whole_source(source, declarations),
-            manifest,
-            record,
-            failed,
-            before,
-        )
+                return self._walk(
+                    src, recorded, _usable_record(manifest, src), record, failed, before
+                )
+            except _ReopenAll:
+                return self._walk(src, recorded, {}, record, failed, before)
+        except TypeCheckError as exc:
+            raise _program_error(source, exc) from None
 
-    # -- the three ways into a program ---------------------------------------
     def _serve(self, manifest: dict | None, source: str) -> ProgramRun | None:
         if manifest is None or manifest.get("source") != _sha("source", source):
             return None
@@ -287,93 +306,43 @@ class StagedEngine:
         )
         return ProgramRun(served, stats, manifest["schedule"])
 
-    def _whole_source(self, source: str, declarations: list[Declaration] | None) -> _Source:
-        """The full path: parse every declaration in one go."""
-        try:
-            program = parse_program(source)
-        except LangError as exc:
-            raise ParseFailure(exc) from exc
-        texts = function_texts(program, declarations)
-        types_digest = None
-        if texts is None:
-            texts = {f.name: unparse(f) for f in program.functions}
-        else:
-            types_digest = _sha("types", *(d.text for d in declarations if d.kind == "type"))
-        return _Source(
-            texts=texts,
-            lines={f.name: f.line or 1 for f in program.functions},
-            graph=build_call_graph(program),
-            parsed={f.name: f for f in program.functions},
-            types_digest=types_digest,
-            program=program,
-        )
-
-    def _cone_source(self, manifest: dict, declarations: list[Declaration]) -> _Source:
-        """The declaration-level path: parse the types and the functions whose
-        text changed; everything else is known from the manifest."""
-        try:
-            recorded = manifest["functions"]
-            order = manifest["order"]
-            types_digest = manifest["types"]
-        except (KeyError, TypeError):
-            raise _ConeUndecidable from None
-        if not all(_MANIFEST_FIELDS <= entry.keys() for entry in recorded.values()):
-            raise _ConeUndecidable
-        functions = {d.name: d for d in declarations if d.kind == "function"}
-        type_decls = [d for d in declarations if d.kind == "type"]
-        if (
-            len(functions) != len(declarations) - len(type_decls)
-            or set(functions) != set(order)
-            or _sha("types", *(d.text for d in type_decls)) != types_digest
-        ):
-            raise _ConeUndecidable
-        parsed: dict[str, FunctionDecl] = {}
-        edges: dict[str, set[str]] = {}
-        for fn, decl in functions.items():
-            if _sha("text", decl.text) == recorded[fn]["text"]:
-                edges[fn] = set(recorded[fn]["callees"])
-            else:
-                parsed[fn] = _parse_declaration(decl)
-                edges[fn] = called_functions(parsed[fn], functions)
-        return _Source(
-            texts={fn: d.text for fn, d in functions.items()},
-            lines={fn: d.line for fn, d in functions.items()},
-            graph=CallGraph(functions=list(functions), edges=edges),
-            parsed=parsed,
-            types_digest=types_digest,
-            declarations=functions,
-            type_declarations=type_decls,
-        )
-
     # -- the walk --------------------------------------------------------------
     def _walk(
         self,
-        source: str,
         src: _Source,
-        manifest: dict | None,
+        recorded: dict[str, dict],
+        known: dict[str, dict],
         record: str | None,
         failed: dict[str, dict],
         before,
     ) -> ProgramRun:
-        """Both phases over ``src``.  On the full path (``src.program``
-        set) every component is resolved and every function probed; on the
-        cone only what a change can reach.  Nothing is written until the
-        cone can no longer give up; the manifest goes under ``record``
+        """Both phases over ``src``.  ``recorded`` is the manifest's
+        per-function record, which counts the dirty functions; ``known`` is
+        the part of it the walk may trust (nothing: every component is
+        reopened and every function probed).  Nothing is written until the
+        walk can no longer give up; the manifest goes under ``record``
         (``None``: none is written)."""
         stats = IncrementalStats()
         opts = self.options.key()
         version = str(CACHE_VERSION)
-        full = src.program is not None
-        recorded = manifest.get("functions", {}) if manifest is not None else {}
-        text_digest = {n: _sha("text", t) for n, t in src.texts.items()}
-        dirty = {
-            n for n in src.texts if recorded.get(n, {}).get("text") != text_digest[n]
-        }
+        names = list(src.declarations)
+        text_digest = {n: _sha("text", d.text) for n, d in src.declarations.items()}
+        dirty = {n for n in names if recorded.get(n, {}).get("text") != text_digest[n]}
         stats.dirty = len(dirty)
-        graph = src.graph
+        # the functions the record does not vouch for: parsed for their callees
+        stale = {n for n in names if known.get(n, {}).get("text") != text_digest[n]}
+        graph = CallGraph(
+            functions=names,
+            edges={
+                n: called_functions(src.function(n), src.declarations)
+                if n in stale
+                else set(known[n]["callees"])
+                for n in names
+            },
+        )
         cond = condense(graph)
-        callers: dict[str, set[str]] = {n: set() for n in src.texts}
-        for caller in src.texts:
+        callers: dict[str, set[str]] = {n: set() for n in names}
+        for caller in names:
             for callee in graph.callees(caller):
                 callers[callee].add(caller)
 
@@ -384,16 +353,6 @@ class StagedEngine:
         moved: set[str] = set()
         pending_puts: list[tuple[str, dict]] = []
         fixpoints_before = fixpoint_run_count()
-
-        if full:
-            shared = PathMatrixAnalysis(
-                src.program,
-                use_adds=self.options.use_adds,
-                memoize_results=True,
-                summaries=table,
-            )
-            direct = direct_summaries(src.program)
-            call_maps = _call_argument_map(src.program)
         analyses: dict[int, PathMatrixAnalysis] = {}
 
         def externals_of(members: list[str]) -> list[str]:
@@ -406,26 +365,23 @@ class StagedEngine:
             """Reintern an unreopened component's summaries from its artifact."""
             if function in table:
                 return
-            cached = self.cache.get(recorded[function]["skey"], stage="summary")
+            cached = self.cache.get(known[function]["skey"], stage="summary")
             if cached is None:
-                raise _ConeUndecidable
+                raise _ReopenAll
             for member, entry in cached["functions"].items():
                 table[member] = FunctionSummary.from_dict(entry["summary"])
                 returns[member] = entry["return_type"]
 
         def component_analysis(component: int) -> PathMatrixAnalysis:
-            """The analysis a component's members run under: the whole
-            program's, or (cone) one over the members alone that knows
-            their callees by summary and return type."""
-            if full:
-                return shared
+            """The analysis a component's members run under: over the
+            members alone, knowing their callees by summary and return type."""
             if component not in analyses:
                 members = cond.sccs[component]
                 externals = externals_of(members)
                 for callee in externals:
                     load_summaries(callee)
                 analyses[component] = PathMatrixAnalysis(
-                    Program(types=src.types(), functions=[src.parsed[n] for n in members]),
+                    Program(types=src.types(), functions=[src.function(n) for n in members]),
                     use_adds=self.options.use_adds,
                     memoize_results=True,
                     summaries=table,
@@ -433,27 +389,24 @@ class StagedEngine:
                 )
             return analyses[component]
 
+        group_size: dict[str, int] = {}
+        for entry in known.values():
+            group_size[entry["skey"]] = group_size.get(entry["skey"], 0) + 1
+
         def reopened(members: list[str], externals: list[str]) -> bool:
-            if full or any(n in dirty for n in members):
-                return True
-            if any(c in moved for c in externals):
+            if any(n in stale for n in members) or any(c in moved for c in externals):
                 return True
             # the component gained or lost members since the last run
-            keys = {recorded[n]["skey"] for n in members}
+            keys = {known[n]["skey"] for n in members}
             return len(keys) != 1 or group_size[keys.pop()] != len(members)
-
-        group_size: dict[str, int] = {}
-        if not full:
-            for entry in recorded.values():
-                group_size[entry["skey"]] = group_size.get(entry["skey"], 0) + 1
 
         # -- phase 1: bottom-up summary resolution over the condensation -----
         for component, members in enumerate(cond.sccs):
             externals = externals_of(members)
             if not reopened(members, externals):
                 for n in members:
-                    art_digest[n] = recorded[n]["summary"]
-                    summary_key[n] = recorded[n]["skey"]
+                    art_digest[n] = known[n]["summary"]
+                    summary_key[n] = known[n]["skey"]
                 stats.summaries_reused += len(members)
                 continue
             scc_blob = ";".join(
@@ -473,13 +426,7 @@ class StagedEngine:
                 stats.summaries_reused += len(members)
             else:
                 analysis = component_analysis(component)
-                if full:
-                    resolved = summarize_scc(
-                        src.program, members, table, direct=direct, call_maps=call_maps
-                    )
-                else:
-                    resolved = summarize_scc(analysis.program, members, table)
-                table.update(resolved)
+                table.update(summarize_scc(analysis.program, members, table))
                 analysis.refine_preservation(members)
                 payload: dict = {"functions": {}}
                 for n in members:
@@ -496,26 +443,23 @@ class StagedEngine:
                 stats.summaries_recomputed += len(members)
             for n in members:
                 summary_key[n] = skey
-                if recorded.get(n, {}).get("summary") != art_digest[n]:
+                if known.get(n, {}).get("summary") != art_digest[n]:
                     moved.add(n)
 
         # the functions whose report key can have moved; the rest are served
         # from the keys the manifest names
-        if full:
-            probed = set(src.texts)
-        else:
-            probed = dirty | moved
-            for n in moved:
-                probed |= callers[n]
+        probed = stale | moved
+        for n in moved:
+            probed |= callers[n]
         served: dict[str, dict] = {}
-        for n in src.texts:
+        for n in names:
             if n not in probed:
-                cached = self.cache.get(recorded[n]["report"], stage="report")
+                cached = self.cache.get(known[n]["report"], stage="report")
                 if cached is None:
-                    raise _ConeUndecidable
+                    raise _ReopenAll
                 served[n] = cached
         for members in cond.sccs:
-            if not full and any(n in probed for n in members):
+            if any(n in probed for n in members):
                 for callee in externals_of(members):
                     load_summaries(callee)
 
@@ -543,10 +487,10 @@ class StagedEngine:
         report_key: dict[str, str] = {}
         for component, members in enumerate(cond.sccs):
             for fn in members:
-                line = src.lines[fn]
+                decl = src.declarations[fn]
                 if fn in served:
-                    reports[fn] = absolutize_report(served[fn], line)
-                    report_key[fn] = recorded[fn]["report"]
+                    reports[fn] = absolutize_report(served[fn], decl.line)
+                    report_key[fn] = known[fn]["report"]
                     count_reused(fn)
                     continue
                 callee_blob = ";".join(
@@ -557,13 +501,13 @@ class StagedEngine:
                     version,
                     opts,
                     src.types_source(),
-                    src.texts[fn],
+                    decl.text,
                     art_digest[fn],
                     callee_blob,
                 )
                 cached = self.cache.get(rkey, stage="report")
                 if cached is not None:
-                    reports[fn] = absolutize_report(cached, line)
+                    reports[fn] = absolutize_report(cached, decl.line)
                     count_reused(fn)
                 elif fn in failed:
                     reports[fn] = failed[fn]
@@ -572,18 +516,18 @@ class StagedEngine:
                         before(fn)
                     report = function_report(component_analysis(component), fn, self.options)
                     reports[fn] = report
-                    self.cache.put(rkey, relativize_report(report, line), stage="report")
+                    self.cache.put(rkey, relativize_report(report, decl.line), stage="report")
                     stats.recomputed += 1
 
-        # commit the manifest: the next run's dirty accounting and cone, and
-        # what serves this program unparsed if it is unchanged
+        # commit the manifest: the next run's dirty accounting and reopening,
+        # and what serves this program unparsed if it is unchanged
         if record is not None:
             self.cache.put(
                 record,
                 {
-                    "source": _sha("source", source),
-                    "types": src.types_digest,
-                    "order": list(src.texts),
+                    "source": _sha("source", src.source),
+                    "types": src.types_digest(),
+                    "order": names,
                     "schedule": cond.waves(),
                     "functions": {
                         n: {
@@ -592,16 +536,15 @@ class StagedEngine:
                             "skey": summary_key[n],
                             "summary": art_digest[n],
                             "report": report_key[n],
-                            "line": src.lines[n],
+                            "line": src.declarations[n].line,
                         }
-                        for n in sorted(src.texts)
+                        for n in sorted(names)
                     },
                 },
                 stage="manifest",
             )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        functions = {n: reports[n] for n in src.texts}
-        return ProgramRun(functions, stats, cond.waves(), src.program)
+        return ProgramRun({n: reports[n] for n in names}, stats, cond.waves())
 
 
 def run_program(
@@ -614,20 +557,23 @@ def run_program(
     before=None,
 ) -> ProgramRun:
     """One corpus program end to end: the engine's walk, then the
-    simulation, served from the ``sim`` stage when it is cached.
+    simulation of the loops its reports strip-mine, served from the ``sim``
+    stage when it is cached.
 
     Every ``--jobs`` runs programs through this call: ``--jobs 1`` inline,
     a pool worker on its own engine over the same store.  ``failed`` maps
     a function, or :data:`~repro.driver.faults.SIMULATE_TOKEN` for the
     simulation, to the failure payload reported in its place;
     ``before(token)`` is called before each report is computed and before
-    the simulation runs.  The run returned holds no parsed program.
+    the simulation runs.  A simulation run while a failure payload stands
+    in for some report is reported but never stored: the payload hides
+    that function's loops.
     """
     failed = failed or {}
     try:
         run = engine.run(name, source, reuse, failed, before)
-    except ParseFailure as failure:
-        return ProgramRun({}, IncrementalStats(), [], error=f"parse error: {failure.error}")
+    except ProgramError as exc:
+        return ProgramRun({}, IncrementalStats(), [], error=str(exc))
     if simulate:
         key = program_digest(source, engine.options.key())
         run.simulation = engine.cache.get(key, stage="sim")
@@ -637,7 +583,8 @@ def run_program(
         if run.simulation is None:
             if before is not None:
                 before(SIMULATE_TOKEN)
-            run.simulation = simulate_program(source, engine.options, run.program)
-            engine.cache.put(key, run.simulation, stage="sim")
-    run.program = None
+            loops = strip_mined_loops(run.functions)
+            run.simulation = simulate_program(source, engine.options, loops)
+            if not any(report is failed.get(fn) for fn, report in run.functions.items()):
+                engine.cache.put(key, run.simulation, stage="sim")
     return run

@@ -5,7 +5,8 @@ way to run it):
 
 * ``reference``      — the original program on the plain interpreter; its
   observation is ground truth.
-* ``strip-mine``     — every parallelizable loop rewritten by
+* ``strip-mine``     — every loop the per-function reports mark
+  ``strip_mine.applied`` rewritten by
   :func:`~repro.transform.stripmine.strip_mine_program`, run sequentially.
 * ``machine-sim``    — the same strip-mined program driven through the
   simulated multiprocessor (:class:`~repro.machine.MachineSimulator`), i.e.
@@ -14,12 +15,15 @@ way to run it):
   applied regardless of classification).
 * ``software-pipeline`` — every DOALL loop software-pipelined.
 
-Variant construction mirrors :func:`repro.driver.pipeline.simulate_program`
-(both strip-mine through the same helper, with ADDS here): strip-mined
-functions gain a trailing processor-count argument, patched into every call
-site (and into the entry call when ``main`` itself was rewritten).  A variant
-whose transforms all refuse simply isn't run — refusing is the transforms'
-way of being correct, and the reasons for refusal are recorded in the plan.
+Variant construction mirrors :func:`repro.driver.pipeline.simulate_program`:
+both take the loops to strip-mine from
+:func:`~repro.driver.pipeline.function_report` (here over one analysis of
+the whole program, with ADDS), and strip-mined functions gain a trailing
+processor-count argument, passed at every call site by
+:func:`~repro.transform.stripmine.strip_mine_program` (and to the entry
+when ``main`` itself was rewritten).  A variant whose transforms all refuse
+simply isn't run — refusing is the transforms' way of being correct, and
+the unroll and pipelining refusals are recorded in the plan.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from repro.lang.ast_nodes import Call, IntLit, Program
+from repro.driver.pipeline import PipelineOptions, function_report, strip_mined_loops
+from repro.lang.ast_nodes import Program
 from repro.machine import SEQUENT_LIKE, MachineSimulator
+from repro.pathmatrix.analysis import PathMatrixAnalysis
 from repro.transform.dependence import find_while_loops
 from repro.transform.pipeline import software_pipeline_loop
 from repro.transform.stripmine import TransformError, strip_mine_program
@@ -56,14 +62,13 @@ class ExecutionPlan:
 
 
 def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
-    stripped = strip_mine_program(program)
-    transformed, names, skipped = stripped.program, stripped.functions, stripped.refusals
+    analysis = PathMatrixAnalysis(program, memoize_results=True)
+    options = PipelineOptions(pes=pes, entry=entry)
+    reports = {f.name: function_report(analysis, f.name, options) for f in program.functions}
+    stripped = strip_mine_program(program, strip_mined_loops(reports), pes)
+    transformed, names = stripped.program, stripped.functions
     if not names:
         return []
-    for func in transformed.functions:
-        for node in func.body.walk():
-            if isinstance(node, Call) and node.func in names:
-                node.args.append(IntLit(pes))
     entry_args: tuple = (pes,) if entry in names else ()
     return [
         ExecutionPlan(
@@ -71,7 +76,6 @@ def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
             program=transformed,
             entry_args=entry_args,
             transformed=names,
-            skipped=skipped,
         ),
         ExecutionPlan(
             name="machine-sim",
@@ -79,7 +83,6 @@ def _strip_mined(program: Program, entry: str, pes: int) -> list[ExecutionPlan]:
             entry_args=entry_args,
             machine_pes=pes,
             transformed=list(names),
-            skipped=list(skipped),
         ),
     ]
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.lang.ast_nodes import Program
 from repro.lang.errors import ParseError
 
 #: whitespace and comments, as the lexer skips them between tokens
@@ -97,19 +96,3 @@ def split_declarations(source: str) -> list[Declaration]:
         )
         line += source.count("\n", start, pos)
 
-
-def function_texts(
-    program: Program, declarations: list[Declaration] | None
-) -> dict[str, str] | None:
-    """Each function of ``program`` mapped to the text it was parsed from.
-
-    ``declarations`` is the split of the source ``program`` was parsed from
-    (``None`` if the split failed).  Returns ``None`` unless the split
-    names the program's functions in order.
-    """
-    if declarations is None:
-        return None
-    split = [d for d in declarations if d.kind == "function"]
-    if [d.name for d in split] != [f.name for f in program.functions]:
-        return None
-    return {d.name: d.text for d in split}

@@ -60,7 +60,6 @@ from repro.lang.ast_nodes import (
     While,
     iter_statements,
 )
-from repro.pathmatrix.analysis import PathMatrixAnalysis
 from repro.transform.dependence import DependenceTest, LoopClassification, classify_loop, find_while_loops
 
 
@@ -213,17 +212,10 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 
 def _require_doall(
-    program: Program,
-    function_name: str,
-    loop: While,
-    refusal: str,
-    use_adds: bool,
-    analysis: PathMatrixAnalysis | None = None,
+    program: Program, function_name: str, loop: While, refusal: str, use_adds: bool
 ) -> DependenceTest:
     """The path-matrix dependence gate shared by strip-mining and pipelining."""
-    dependence = classify_loop(
-        program, function_name, loop, use_adds=use_adds, analysis=analysis
-    )
+    dependence = classify_loop(program, function_name, loop, use_adds=use_adds)
     if dependence.classification is not LoopClassification.DOALL_AFTER_TRAVERSAL:
         raise TransformError(f"{refusal}: " + "; ".join(dependence.reasons))
     return dependence
@@ -429,65 +421,54 @@ def strip_mine_loop(
 
 @dataclass
 class StripMinedProgram:
-    """The outcome of strip-mining every parallelizable loop of a program."""
+    """The outcome of strip-mining the given loops of a program."""
 
     program: Program
     #: the functions with at least one strip-mined loop, in program order;
-    #: each takes the processor count as a new trailing parameter
+    #: each takes the processor count as a new trailing parameter, which
+    #: every call of it in ``program`` already passes
     functions: list[str]
-    #: ``"<function> loop #<n>: <reason>"`` for every loop left alone
-    refusals: list[str] = field(default_factory=list)
 
 
-def strip_mine_program(program: Program, use_adds: bool = True) -> StripMinedProgram:
-    """Strip-mine every parallelizable while loop of ``program``.
+def strip_mine_program(
+    program: Program, loops: list[tuple[str, int]], pes: int
+) -> StripMinedProgram:
+    """Strip-mine the given ``(function, loop index)`` pairs of ``program``.
 
-    Which loops are DOALL is decided once, on ``program`` itself, with one
-    memoizing :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` (the
-    paper decides on the analyzed program, section 4.3.3);
-    :func:`strip_mine_loop` then rewrites each DOALL loop without repeating
-    that test.  Functions go in program order and the loops of each in
-    pre-order, every rewrite applying to the result of the earlier ones.  A
-    rewrite moves the loops nested in the strip-mined body into its
-    iteration procedure, so those are skipped and the later loops of the
-    function move up as many indices: a loop's label and refusal number
-    come from its index when it is reached.  ``program`` is never modified,
-    and is returned itself when no loop is strip-mined.
+    The pairs are loops already shown DOALL and strip-minable (the reports'
+    ``strip_mine.applied``: the paper decides on the analyzed program,
+    section 4.3.3), so no analysis is built and the dependence test is not
+    repeated; :func:`strip_mine_loop` rewrites each.  Functions go in
+    program order and the loops of each in pre-order, every rewrite
+    applying to the result of the earlier ones.  A rewrite moves the loops
+    nested in the strip-mined body into its iteration procedure, so those
+    are skipped and the later loops of the function move up as many
+    indices: a loop's label comes from its index when it is reached.  Every
+    call of a strip-mined function gets ``pes`` as its new trailing
+    argument.  ``program`` is never modified, and is returned itself when
+    no loop is strip-mined.
     """
+    chosen = set(loops)
     current = program
     functions: list[str] = []
-    refusals: list[str] = []
-    analysis: PathMatrixAnalysis | None = None
     for func in program.functions:
         moved: set[int] = set()
         for index, loop in enumerate(find_while_loops(program, func.name)):
-            if id(loop) in moved:
+            if id(loop) in moved or (func.name, index) not in chosen:
                 continue
             current_index = index - len(moved)
-            if analysis is None:  # a program without loops is never analyzed
-                analysis = PathMatrixAnalysis(
-                    program, use_adds=use_adds, memoize_results=True
-                )
-            try:
-                _require_doall(
-                    program,
-                    func.name,
-                    loop,
-                    "loop is not parallelizable",
-                    use_adds=use_adds,
-                    analysis=analysis,
-                )
-                current = strip_mine_loop(
-                    current,
-                    func.name,
-                    loop_index=current_index,
-                    label=f"{func.name}_L{current_index + 1}",
-                    check_dependences=False,
-                ).program
-            except TransformError as exc:
-                refusals.append(f"{func.name} loop #{current_index + 1}: {exc}")
-                continue
+            current = strip_mine_loop(
+                current,
+                func.name,
+                loop_index=current_index,
+                label=f"{func.name}_L{current_index + 1}",
+                check_dependences=False,
+            ).program
             moved.update(id(s) for s in iter_statements(loop.body) if isinstance(s, While))
             if func.name not in functions:
                 functions.append(func.name)
-    return StripMinedProgram(program=current, functions=functions, refusals=refusals)
+    for func in current.functions:
+        for node in func.body.walk():
+            if isinstance(node, Call) and node.func in functions:
+                node.args.append(IntLit(pes))
+    return StripMinedProgram(program=current, functions=functions)

@@ -9,7 +9,9 @@ The headline guarantees:
 * a parallel run produces exactly the serial run's reports.
 """
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +20,14 @@ import repro.pathmatrix.analysis
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import function_digests
 from repro.driver.callgraph import build_call_graph
-from repro.driver.corpus import CorpusItem, corpus_named, paper_corpus
+from repro.driver.cli import main
+from repro.driver.corpus import CorpusItem, corpus_named, load_source_file, paper_corpus
 from repro.driver.pipeline import (
     PipelineOptions,
     analysis_payload,
     loops_payload,
     simulate_program,
+    strip_mined_loops,
     transforms_payload,
 )
 from repro.fuzz.generator import generate_program
@@ -42,6 +46,13 @@ def paper_items():
 def _function_payloads(report):
     """Only the per-function dicts, for whole-run equality comparisons."""
     return {p.name: p.functions for p in report.programs}
+
+
+def _loops(source, options=PipelineOptions()):
+    """The loops ``source``'s reports strip-mine, as the simulation takes them."""
+    driver = BatchDriver(jobs=1, cache_dir=None, options=options, simulate=False)
+    batch = driver.analyze_corpus([CorpusItem(name="program", source=source)])
+    return strip_mined_loops(batch.programs[0].functions)
 
 
 class TestFidelity:
@@ -284,9 +295,16 @@ class TestParallelExecution:
 
 
 class TestSimulationStage:
-    def test_polynomial_program_simulates_with_speedup(self, paper_items):
+    def test_polynomial_program_simulates_with_speedup(self, paper_items, monkeypatch):
         item = next(i for i in paper_items if i.name == "paper/polynomial_scale")
-        sim = simulate_program(item.source, PipelineOptions())
+        loops = _loops(item.source)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the simulation built an analysis")
+
+        # it replays the reports' verdicts: no typecheck, no analysis
+        monkeypatch.setattr(repro.pathmatrix.analysis, "check_program", forbidden)
+        sim = simulate_program(item.source, PipelineOptions(), loops)
         assert sim["status"] == "simulated"
         assert sim["heaps_match"]
         assert sim["speedup"] > 1.0
@@ -296,7 +314,7 @@ class TestSimulationStage:
         """Per-iteration costs are interpreter operation counts: the
         simulated schedule must not move when the interpreter changes."""
         item = next(i for i in paper_items if i.name == "paper/barnes_hut")
-        sim = simulate_program(item.source, PipelineOptions())
+        sim = simulate_program(item.source, PipelineOptions(), _loops(item.source))
         assert sim["transformed_functions"] == ["bh_force_pass", "bh_update_pass"]
         assert (sim["sequential_cost"], sim["parallel_steps"]) == (122288.0, 16)
         assert sim["parallel_elapsed"] == pytest.approx(34018.16)
@@ -342,10 +360,13 @@ class TestSimulationStage:
         }}
         """
 
+        loops = _loops(source)
+        assert loops == [("scale", 0)]
+
         def nested(depth):
             if depth:
                 return nested(depth - 1)
-            return simulate_program(source, PipelineOptions())
+            return simulate_program(source, PipelineOptions(), loops)
 
         for depth in (0, 700):
             sim = nested(depth)
@@ -354,7 +375,7 @@ class TestSimulationStage:
 
     def test_program_without_entry_reports_no_entry(self, paper_items):
         item = next(i for i in paper_items if i.name == "paper/subtree_move")
-        sim = simulate_program(item.source, PipelineOptions())
+        sim = simulate_program(item.source, PipelineOptions(), _loops(item.source))
         assert sim["status"] == "no-entry"
 
     def test_program_without_parallel_loops(self):
@@ -363,7 +384,8 @@ class TestSimulationStage:
         source = standard_source("ListNode") + (
             "function main() { var p; p = new ListNode; p->coef = 1; return p; }"
         )
-        sim = simulate_program(source, PipelineOptions())
+        assert _loops(source) == []
+        sim = simulate_program(source, PipelineOptions(), [])
         assert sim["status"] == "no-parallel-loops"
 
     @pytest.mark.parametrize("use_adds", [True, False], ids=["adds", "no-adds"])
@@ -400,8 +422,71 @@ class TestRobustness:
         report = batch.program("bad")
         assert report.error is not None and "parse" in report.error
 
+    def test_a_type_declaration_that_does_not_parse_is_reported(self, tmp_path):
+        """Even in a program without functions, where no component parses
+        the type declarations."""
+        items = [CorpusItem(name="bad", source="type T { int ; };\n")]
+        batch = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
+        assert batch.program("bad").error == (
+            "parse error: expected field name, found ';' (line 1, col 14)"
+        )
+
     def test_bad_program_does_not_abort_the_batch(self, paper_items):
         items = [CorpusItem(name="bad", source="type T {")] + [paper_items[0]]
         batch = BatchDriver(jobs=1, cache_dir=None).analyze_corpus(items)
         assert batch.program("bad").error is not None
         assert batch.program(paper_items[0].name).functions
+
+    #: a program that does not typecheck, one way for each declaration check
+    TYPE_ERRORS = {
+        "function": ("function f() { return 1; }\nfunction f() { return 2; }\n",
+                     "duplicate function 'f' (line 2)"),
+        "type": ("type T { int a; };\ntype T { int b; };\nfunction f() { return 1; }\n",
+                 "duplicate type declaration 'T' (line 2)"),
+        "field": ("type T { int a;\n int a; };\nfunction f() { return 1; }\n",
+                  "duplicate field 'a' in type 'T' (line 2)"),
+        "parameter": ("function f(a,\n a) { return a; }\n",
+                      "duplicate parameter 'a' in f (line 2)"),
+        "unknown field type": ("type T { U *next; };\nfunction f() { return 1; }\n",
+                               "field T.next has unknown type 'U' (line 1)"),
+        "pointer to a scalar": ("type T { int *a; };\nfunction f() { return 1; }\n",
+                                "field T.a: pointers to scalars are not supported (line 1)"),
+        "ADDS on a scalar": ("type T [X] { int a is forward along X; };\n"
+                             "function f() { return 1; }\n",
+                             "field T.a: ADDS annotations only apply to pointer fields (line 1)"),
+        "types only": ("type T { int a; };\ntype T { int b; };\n",
+                       "duplicate type declaration 'T' (line 2)"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TYPE_ERRORS))
+    def test_type_error_is_reported_not_raised(self, kind, tmp_path):
+        source, error = self.TYPE_ERRORS[kind]
+        items = [CorpusItem(name="bad", source=source)]
+        batch = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
+        assert batch.program("bad").error == f"type error: {error}"
+        assert batch.program("bad").functions == {}
+        assert not (tmp_path / "manifest").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_type_error_does_not_abort_the_batch(self, jobs, tmp_path):
+        """The program's error is the whole source's first diagnostic; every
+        other program completes, no manifest records the broken one, and
+        the CLI exits 1."""
+        bad = tmp_path / "dup.ptr"
+        bad.write_text(
+            "function f() { var x; x = 1; }\n"
+            "function f() { var y; y = 2; }\n"
+            "function main() { f(); }\n"
+        )
+        good = Path(__file__).resolve().parents[2] / "examples" / "corpus" / "list_sum.ptr"
+        store, output = tmp_path / "store", tmp_path / "report.json"
+        argv = ["analyze", str(bad), str(good), "--jobs", str(jobs)]
+        argv += ["--cache-dir", str(store), "--output", str(output)]
+        assert main(argv) == 1
+        programs = json.loads(output.read_text())["programs"]
+        assert [p["name"] for p in programs] == ["dup", "list_sum"]
+        assert programs[0]["error"] == "type error: duplicate function 'f' (line 2)"
+        alone = BatchDriver(jobs=1, cache_dir=None).analyze_corpus([load_source_file(good)])
+        assert programs[1] == json.loads(json.dumps(alone.programs[0].to_dict()))
+        assert programs[1]["simulation"]["status"] == "simulated"
+        assert len(list((store / "manifest").glob("*.json"))) == 1

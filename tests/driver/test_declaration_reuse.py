@@ -1,7 +1,7 @@
 """Declaration-level reuse in the staged engine: an edit parses, typechecks
-and re-keys only the declarations it touched, every fallback takes the full
-path with the full path's counters, and whatever path a run takes, its
-report equals a from-scratch run's.
+and re-keys only the declarations it touched, every fallback reopens every
+component on the same walk a cold run takes, and whatever a run reopens,
+its report equals a from-scratch run's.
 """
 
 import random
@@ -16,8 +16,8 @@ from repro.bench.stress import call_web_program_source
 from repro.driver import pipeline as pipeline_module
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import decode_entry
-from repro.driver.corpus import CorpusItem
+from repro.driver.cache import decode_entry, encode_entry
+from repro.driver.corpus import CorpusItem, corpus_named
 from repro.lang.split import split_declarations
 from repro.pathmatrix import analysis as analysis_module
 
@@ -70,14 +70,18 @@ def _record_typechecks(monkeypatch) -> list:
     return checked
 
 
-def _full_path_only(monkeypatch) -> None:
-    """Make every run take the full path, as the engine did before
-    declaration-level reuse."""
+def _declaration_texts(source: str) -> list:
+    return sorted(d.text for d in split_declarations(source))
 
-    def undecidable(self, manifest, declarations):
-        raise stages_module._ConeUndecidable
 
-    monkeypatch.setattr(stages_module.StagedEngine, "_cone_source", undecidable)
+def _distrust_manifests(store) -> None:
+    """Make each manifest record other type declarations than its program
+    has: the next run reopens every component, and counts dirty only the
+    functions whose text changed."""
+    for path in (store / "manifest").glob("*.json"):
+        manifest = decode_entry(path.read_text())
+        manifest["types"] = "other type declarations"
+        path.write_text(encode_entry(manifest))
 
 
 class TestWorkCounts:
@@ -222,22 +226,23 @@ class TestDeclarationOrder:
 
 
 class TestFallbacks:
-    """Each fallback gives the counters of the full path (what every run
-    computed before declaration-level reuse) and a from-scratch report."""
+    """Each fallback reopens every component, with the counters of a run
+    whose manifest cannot decide what to reopen, and a from-scratch
+    report; each declaration is parsed once."""
 
     def _compare(self, tmp_path, monkeypatch, before, after, damage=None):
         """Run ``before`` then ``after`` on one store, and on a copy of it
-        with the cone disabled; return the normal run's report."""
+        whose manifest records other type declarations; return the normal
+        run's report and what it parsed."""
         _run(before, tmp_path / "store")
         if damage is not None:
             damage(tmp_path / "store")
         shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        _distrust_manifests(tmp_path / "copy")
         parsed = _record_parses(monkeypatch)
         report = _run(after, tmp_path / "store")
         parsed = list(parsed)
-        with monkeypatch.context() as m:
-            _full_path_only(m)
-            reference = _run(after, tmp_path / "copy")
+        reference = _run(after, tmp_path / "copy")
         assert report.incremental == reference.incremental
         assert report.cache_hits == reference.cache_hits
         assert report.analyses_executed == reference.analyses_executed
@@ -252,16 +257,18 @@ class TestFallbacks:
             shutil.rmtree(store / "manifest")
 
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited, drop_manifest)
-        assert parsed == [edited]
+        assert sorted(parsed) == _declaration_texts(edited)
         assert report.incremental["dirty"] == 12
 
     def test_parse_error_in_an_edited_declaration(self, tmp_path, monkeypatch):
         source = _web(12)
         broken = _pad(source, "w4", "  var ;\n")
-        report, _ = self._compare(tmp_path, monkeypatch, source, broken)
+        report, parsed = self._compare(tmp_path, monkeypatch, source, broken)
         assert report.programs[0].error.startswith("parse error:")
         assert report.incremental == stages_module.IncrementalStats().to_dict()
-        # the store is intact: the fixed source takes the cone again
+        # the diagnostic is the whole source's, which is parsed for it
+        assert parsed[-1] == broken
+        # the store is intact: the fixed source reopens one function again
         healed = _run(_pad(source, "w4"), tmp_path / "store")
         assert healed.incremental["recomputed"] == 1
 
@@ -269,13 +276,15 @@ class TestFallbacks:
         source = _web(12)
         renamed = source.replace("function w11(h)", "function w11b(h)")
         report, parsed = self._compare(tmp_path, monkeypatch, source, renamed)
-        assert parsed == [renamed]
+        assert sorted(parsed) == _declaration_texts(renamed)
+        assert report.incremental["dirty"] == 1
 
     def test_type_edit(self, tmp_path, monkeypatch):
         source = _web(12)
         edited = source.replace("  int exp;\n", "  int exp;\n  int spare;\n")
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited)
-        assert parsed == [edited]
+        assert sorted(parsed) == _declaration_texts(edited)
+        assert report.incremental["dirty"] == 0
 
     @pytest.mark.parametrize("stage", ["summary", "report"])
     def test_missing_artifact_in_the_cone(self, stage, tmp_path, monkeypatch):
@@ -295,8 +304,49 @@ class TestFallbacks:
             (store / stage / f"{key}.json").unlink()
 
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited, drop_artifact)
-        assert edited in parsed  # the full path ran
+        # every declaration parsed once: those the first try parsed are kept
+        assert sorted(parsed) == _declaration_texts(edited)
         assert report.incremental["dirty"] == 1
+
+
+class TestOneWalk:
+    """A cold run is the walk with nothing recorded: each declaration is
+    parsed on its own, and every fixpoint solved is the engine's."""
+
+    def test_a_cold_run_parses_each_declaration_once(self, tmp_path, monkeypatch):
+        items = corpus_named("builtin")
+        parsed = _record_parses(monkeypatch)
+        report = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
+        assert not [p.error for p in report.programs if p.error]
+        expected = [text for item in items for text in _declaration_texts(item.source)]
+        assert sorted(parsed) == sorted(expected)
+        assert not {item.source for item in items} & set(parsed)
+
+    def test_the_simulation_solves_no_fixpoint(self, tmp_path):
+        """It replays the reports' loop verdicts instead of deciding again."""
+        before = analysis_module.fixpoint_run_count()
+        report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(corpus_named("builtin"))
+        solved = analysis_module.fixpoint_run_count() - before
+        assert solved == report.incremental["fixpoints_run"] > 0
+        assert [p.simulation["status"] for p in report.programs].count("simulated") == 4
+
+
+class TestTypeErrors:
+    def test_an_edit_that_breaks_one_function_through_the_cone(self, tmp_path):
+        source = _web(12)
+        _run(source, tmp_path)
+        (manifest,) = (tmp_path / "manifest").glob("*.json")
+        recorded = manifest.read_text()
+        edited = source.replace("function w4(h)", "function w4(h, h)")
+        report = _run(edited, tmp_path)
+        line = next(d.line for d in split_declarations(edited) if d.name == "w4")
+        error = f"type error: duplicate parameter 'h' in w4 (line {line})"
+        assert report.programs[0].error == error
+        assert report.programs[0].functions == {}
+        assert _view(report) == _view(_run(edited, None)) == _view(_run(edited, tmp_path, jobs=2))
+        # no manifest records the broken source: the original is still served
+        assert manifest.read_text() == recorded
+        assert _run(source, tmp_path).incremental["programs_unchanged"] == 1
 
 
 class TestSimulation:
@@ -325,7 +375,8 @@ class TestSimulation:
 
         monkeypatch.setattr(pipeline_module, "parse_program", forbidden)
         source = TYPES + "function main(n)\n{ return n; }\n"
-        sim = pipeline_module.simulate_program(source, pipeline_module.PipelineOptions())
+        options = pipeline_module.PipelineOptions()
+        sim = pipeline_module.simulate_program(source, options, [("main", 0)])
         assert sim == {"status": "no-entry", "entry": "main"}
 
 

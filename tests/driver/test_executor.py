@@ -15,7 +15,6 @@ from repro.adds.library import standard_source
 from repro.driver.batch import BatchDriver
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
-    CRASH_ENV_VAR,
     MAX_DEFAULT_JOBS,
     PersistentExecutor,
     default_jobs,
@@ -161,16 +160,22 @@ class TestProfileLayer:
 
 
 class TestCrashSurfacing:
-    def _run_cli(self, source_path, *extra, env_extra=None):
+    """A worker hard-dying mid-task (OOM kill, segfault), injected with
+    ``--inject-faults``: the tests assert the CLI's exits, not the worker's
+    exit code."""
+
+    CRASH_MID = "crash:function=mid,times=99"
+
+    def _run_cli(self, source_path, *extra):
         env = {
             "PYTHONPATH": str(REPO_ROOT / "src"),
             "PATH": "/usr/bin:/bin",
         }
-        env.update(env_extra or {})
         return subprocess.run(
             [
                 sys.executable, "-m", "repro", "analyze", str(source_path),
-                "--jobs", "2", "--no-cache", "--no-simulate", *extra,
+                "--jobs", "2", "--no-cache", "--no-simulate",
+                "--inject-faults", self.CRASH_MID, *extra,
             ],
             capture_output=True,
             text=True,
@@ -180,12 +185,12 @@ class TestCrashSurfacing:
         )
 
     def test_worker_death_completes_with_quarantine(self, tmp_path):
-        """A worker hard-dying mid-task (OOM kill, segfault) must surface as
-        the completed-with-failures exit with the poison function quarantined
-        and every healthy function analyzed — not a hang, not an abort."""
+        """The completed-with-failures exit, with the poison function
+        quarantined and every healthy function analyzed — not a hang, not
+        an abort."""
         source = tmp_path / "chain.ptr"
         source.write_text(CHAIN_SRC)
-        proc = self._run_cli(source, env_extra={CRASH_ENV_VAR: "mid"})
+        proc = self._run_cli(source)
         assert proc.returncode == 4, (proc.stdout, proc.stderr)
         assert "mid: QUARANTINED" in proc.stdout
         # the rest of its program still completed
@@ -196,8 +201,6 @@ class TestCrashSurfacing:
         unrecoverable: the hard exit 3 is reserved for exactly this."""
         source = tmp_path / "chain.ptr"
         source.write_text(CHAIN_SRC)
-        proc = self._run_cli(
-            source, "--max-respawns", "0", env_extra={CRASH_ENV_VAR: "mid"}
-        )
+        proc = self._run_cli(source, "--max-respawns", "0")
         assert proc.returncode == 3, (proc.stdout, proc.stderr)
         assert "batch execution failed" in proc.stderr

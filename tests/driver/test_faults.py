@@ -315,6 +315,31 @@ class TestSimulationFaults:
         assert sim["status"] == "simulated"
         assert report.resilience.worker_crashes >= 1
 
+    def test_a_simulation_beside_a_failure_payload_is_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """``scale`` crashes every time, so a failure payload stands in for
+        its report and the simulation cannot strip-mine its loop.  That
+        simulation is reported but not stored: the next clean run simulates
+        again, to the clean baseline."""
+        items = self._items()
+        baseline = BatchDriver(jobs=1, cache_dir=None).analyze_corpus(items)
+        clean_sim = baseline.programs[0].simulation
+        assert "scale" in clean_sim["transformed_functions"]
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:function=scale,times=99")
+        faulty = BatchDriver(
+            jobs=2, cache_dir=tmp_path, max_retries=1, retry_backoff_s=0.01, quarantine=False
+        ).analyze_corpus(items)
+        assert faulty.programs[0].functions["scale"]["status"] == "crashed"
+        assert faulty.programs[0].simulation != clean_sim
+        assert not list((tmp_path / "sim").glob("*.json"))
+
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        healed = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
+        assert healed.simulation_cache_hits == 0
+        assert healed.to_dict()["programs"] == baseline.to_dict()["programs"]
+        assert len(list((tmp_path / "sim").glob("*.json"))) == 1
+
     def test_permanent_simulate_crash_reports_crashed_status(self, monkeypatch):
         report = _run_batch(
             self._items(), "crash:function=@simulate,times=99", monkeypatch,

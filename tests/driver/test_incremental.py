@@ -244,7 +244,8 @@ def _functions(report) -> list:
 class TestUnchangedPrograms:
     """A run serves a program whose source is byte-identical to its
     manifest's record straight from the named ``report`` artifacts, and
-    falls through to the full path on every kind of mismatch."""
+    falls through to the walk on every kind of mismatch, which reopens
+    every component when the record cannot serve what it names."""
 
     def test_unchanged_program_is_served_unparsed_and_untypechecked(
         self, tmp_path, monkeypatch
@@ -289,8 +290,8 @@ class TestUnchangedPrograms:
         assert [p.schedule for p in warm.programs] == [p.schedule for p in scratch.programs]
 
     def test_reverted_edit_is_not_served_whole(self, tmp_path):
-        """A -> B -> A: the manifest records B, so the third run takes the
-        full path and counts exactly what the engine always counted."""
+        """A -> B -> A: the manifest records B, so the third run walks the
+        declarations and counts exactly what the engine always counted."""
         _run(BASE, tmp_path)
         _run(PADDED, tmp_path)
         reverted = _run(BASE, tmp_path)
@@ -314,7 +315,8 @@ class TestUnchangedPrograms:
 
         parsed = _count_parses(monkeypatch)
         healed = _run(BASE, tmp_path)
-        assert parsed == [BASE]
+        # the walk reopened every component: each declaration parsed once
+        assert sorted(parsed) == sorted(_declaration_texts(BASE, "leaf", "caller", "unrelated"))
         assert healed.resilience.cache_evictions == 1
         assert healed.incremental == dict(
             SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
@@ -322,7 +324,7 @@ class TestUnchangedPrograms:
         assert json.dumps(_functions(healed), sort_keys=True) == json.dumps(
             _functions(cold), sort_keys=True
         )
-        # the full path rewrote the report: served whole again
+        # the walk rewrote the report: served whole again
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
 
     def test_missing_report_falls_through(self, tmp_path):
@@ -356,14 +358,15 @@ class TestUnchangedPrograms:
 
         parsed = _count_parses(monkeypatch)
         warm = _run(BASE, tmp_path)
-        assert parsed == [BASE]
+        every_declaration = sorted(_declaration_texts(BASE, "leaf", "caller", "unrelated"))
+        assert sorted(parsed) == every_declaration
         # with no declaration digests recorded, every function counts dirty
         assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0, dirty=3)
         assert _functions(warm) == _functions(cold)
         assert decode_entry(manifest_path.read_text()) == manifest
 
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
-        assert parsed == [BASE]
+        assert sorted(parsed) == every_declaration
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_programs_sharing_a_name_are_never_served_each_others_reports(

@@ -8,7 +8,7 @@ from repro.fuzz.generator import generate_program
 from repro.lang.errors import LangError, ParseError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
-from repro.lang.split import function_texts, split_declarations
+from repro.lang.split import split_declarations
 from repro.lang.typecheck import check_program, inferred_return_type
 from repro.lang.types import (
     BOOL,
@@ -105,21 +105,13 @@ class TestSplit:
                 program = parse_program(source)
             except LangError:
                 continue
-            decls = split_declarations(source)
-            texts = function_texts(program, decls)
-            assert texts is not None
-            assert [d.line for d in decls if d.kind == "function"] == [
-                f.line for f in program.functions
+            decls = [d for d in split_declarations(source) if d.kind == "function"]
+            assert [(d.name, d.line) for d in decls] == [
+                (f.name, f.line) for f in program.functions
             ]
-            for func in program.functions:
-                alone = parse_program(texts[func.name], func.line).functions[0]
+            for decl, func in zip(decls, program.functions):
+                alone = parse_program(decl.text, decl.line).functions[0]
                 assert unparse(alone) == unparse(func)
-
-    def test_function_texts_needs_a_matching_split(self):
-        program = parse_program("function a() { return 1; }")
-        other = split_declarations("function b() { return 1; }")
-        assert function_texts(program, other) is None
-        assert function_texts(program, None) is None
 
 
 class TestTypeStrings:

@@ -10,7 +10,12 @@ import pytest
 import repro.pathmatrix.analysis
 from repro.adds.library import merged_into
 from repro.driver.corpus import builtin_corpus, corpus_named
-from repro.driver.pipeline import PipelineOptions, simulate_program
+from repro.driver.pipeline import (
+    PipelineOptions,
+    function_report,
+    simulate_program,
+    strip_mined_loops,
+)
 from repro.fuzz.generator import generate_program
 from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, While
 from repro.lang.interpreter import run_program
@@ -369,10 +374,11 @@ class TestLegalityChecks:
         assert ("PEs" in [p.name for p in params]) is added
 
 
-def _strip_mine_loop_by_loop(program):
+def _strip_mine_loop_by_loop(program, pes=4):
     """The reference for :func:`strip_mine_program`: every loop of every
     function through :func:`strip_mine_loop` with its own dependence test,
-    each on the program the earlier rewrites produced."""
+    each on the program the earlier rewrites produced, then ``pes`` passed
+    at every call of a rewritten function."""
     current = program
     functions = []
     for func in program.functions:
@@ -385,7 +391,18 @@ def _strip_mine_loop_by_loop(program):
                 continue
             if func.name not in functions:
                 functions.append(func.name)
+    for name in functions:
+        patch_call(current, name, pes)
     return current, functions
+
+
+def _applied_loops(program, use_adds=True):
+    """The loops the program's reports mark ``strip_mine.applied``."""
+    analysis = PathMatrixAnalysis(program, use_adds=use_adds, memoize_results=True)
+    options = PipelineOptions(use_adds=use_adds)
+    return strip_mined_loops(
+        {f.name: function_report(analysis, f.name, options) for f in program.functions}
+    )
 
 
 #: two loop shapes no corpus program has: sibling strip-minable loops, and a
@@ -460,7 +477,7 @@ class TestStripMineProgram:
             program = parse_program(source)
             before = unparse(program)
             expected_program, expected_functions = _strip_mine_loop_by_loop(program)
-            result = strip_mine_program(program)
+            result = strip_mine_program(program, _applied_loops(program), 4)
             assert result.functions == expected_functions
             assert unparse(result.program) == unparse(expected_program)
             assert unparse(program) == before
@@ -469,8 +486,11 @@ class TestStripMineProgram:
 
     def test_sibling_and_nested_loops(self):
         program = merged_into(SIBLING_LOOPS_SRC, "ListNode")
-        expected_program, expected_functions = _strip_mine_loop_by_loop(program)
-        result = strip_mine_program(program)
+        expected_program, expected_functions = _strip_mine_loop_by_loop(program, pes=3)
+        # build's counting loop and the nested while are not parallelizable
+        loops = _applied_loops(program)
+        assert loops == [("siblings", 0), ("siblings", 1), ("nested", 0), ("nested", 2)]
+        result = strip_mine_program(program, loops, 3)
         assert result.functions == expected_functions == ["siblings", "nested"]
         assert unparse(result.program) == unparse(expected_program)
         procedures = [f.name for f in result.program.functions if f.is_procedure]
@@ -481,15 +501,17 @@ class TestStripMineProgram:
             "_nested_L2_iteration",
         ]
         # the nested while moved into the first iteration procedure and is
-        # not visited: the only loop left alone is build's counting loop
+        # not visited
         assert len(find_while_loops(result.program, "nested")) == 2
         assert len(find_while_loops(result.program, "_nested_L1_iteration")) == 1
-        assert [r.split(":")[0] for r in result.refusals] == ["build loop #1"]
-        sim = simulate_program(unparse(program), PipelineOptions())
+        main = unparse(result.program.function_named("main"))
+        assert "siblings(h, 3, 3)" in main and "nested(h, 2, 3)" in main
+        sim = simulate_program(unparse(program), PipelineOptions(), loops)
         assert sim["transformed_functions"] == ["siblings", "nested"]
         assert sim["heaps_match"]
 
-    def test_one_analysis_per_program(self, bh_program, monkeypatch):
+    def test_builds_no_analysis(self, bh_program, monkeypatch):
+        loops = _applied_loops(bh_program)
         calls = []
         original = repro.pathmatrix.analysis.check_program
         monkeypatch.setattr(
@@ -497,12 +519,12 @@ class TestStripMineProgram:
             "check_program",
             lambda program, *rest: calls.append(program) or original(program, *rest),
         )
-        result = strip_mine_program(bh_program)
+        result = strip_mine_program(bh_program, loops, 4)
         assert result.functions == [BHL1_FUNCTION, BHL2_FUNCTION]
-        assert calls == [bh_program]
+        assert calls == []
 
     def test_no_adds_strip_mines_nothing_on_scale(self, scale_program):
-        result = strip_mine_program(scale_program, use_adds=False)
+        assert _applied_loops(scale_program, use_adds=False) == []
+        result = strip_mine_program(scale_program, [], 4)
         assert result.functions == []
         assert result.program is scale_program
-        assert any("not parallelizable" in r for r in result.refusals)
