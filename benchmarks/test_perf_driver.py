@@ -83,7 +83,6 @@ def _content_duplicate_count(items) -> int:
     serial engine serves these from the shared ``report`` artifact instead
     of re-solving them."""
     from repro.driver.cache import function_digests
-    from repro.driver.callgraph import build_call_graph
     from repro.driver.pipeline import PipelineOptions
     from repro.lang.parser import parse_program
     from repro.lang.split import split_declarations
@@ -95,9 +94,7 @@ def _content_duplicate_count(items) -> int:
         texts = {
             d.name: d.text for d in split_declarations(item.source) if d.kind == "function"
         }
-        digests = function_digests(
-            program, build_call_graph(program), PipelineOptions().key(), texts
-        )
+        digests = function_digests(program, PipelineOptions().key(), texts)
         for digest in digests.values():
             if digest in seen:
                 duplicates += 1

@@ -37,8 +37,8 @@ from pathlib import Path
 import pytest
 
 from repro.driver.batch import BatchDriver
-from repro.driver.callgraph import build_call_graph
 from repro.driver.corpus import CorpusItem, corpus_named
+from repro.lang.callgraph import call_graph, reachable
 from repro.lang.parser import parse_program
 
 
@@ -55,13 +55,12 @@ WEB_NAME = "stress/callweb_200"
 
 def _dependents(source: str) -> dict[str, set[str]]:
     """function -> the functions that transitively call it."""
-    program = parse_program(source)
-    graph = build_call_graph(program)
-    dependents: dict[str, set[str]] = {f.name: set() for f in program.functions}
-    for caller in dependents:
-        for callee in graph.transitive_callees(caller):
-            dependents[callee].add(caller)
-    return dependents
+    callees = call_graph(parse_program(source))
+    callers: dict[str, set[str]] = {name: set() for name in callees}
+    for caller, called in callees.items():
+        for callee in called:
+            callers[callee].add(caller)
+    return {name: reachable(callers, [name]) for name in callees}
 
 
 def _pad(source: str, function: str) -> str:

@@ -2,13 +2,13 @@
 
 Scales the per-function analysis core across whole programs and corpora:
 
-* :mod:`repro.driver.callgraph` — call graphs, SCCs, bottom-up parallel
-  schedules (the order the paper validates Barnes–Hut in),
 * :mod:`repro.driver.cache`     — the on-disk artifact store, keyed by
   declaration text + callee summary digests,
 * :mod:`repro.driver.corpus`    — the built-in program corpus (paper
   examples, ``examples/corpus/*.ptr``, stress generators),
-* :mod:`repro.driver.stages`    — the staged incremental engine and
+* :mod:`repro.driver.stages`    — the staged incremental engine, which
+  walks each program's call-graph components bottom-up (the order the
+  paper validates Barnes–Hut in, from :mod:`repro.lang.callgraph`), and
   ``run_program``, the one per-program call every ``--jobs`` makes,
 * :mod:`repro.driver.pipeline`  — the per-function report and the
   whole-program simulation stage,
@@ -23,12 +23,6 @@ Scales the per-function analysis core across whole programs and corpora:
 
 from repro.driver.batch import BatchDriver, BatchReport, ProgramReport
 from repro.driver.cache import ResultCache, program_digest
-from repro.driver.callgraph import (
-    CallGraph,
-    bottom_up_waves,
-    build_call_graph,
-    strongly_connected_components,
-)
 from repro.driver.corpus import (
     CorpusItem,
     builtin_corpus,
@@ -49,10 +43,6 @@ __all__ = [
     "ProgramReport",
     "ResultCache",
     "program_digest",
-    "CallGraph",
-    "build_call_graph",
-    "strongly_connected_components",
-    "bottom_up_waves",
     "CorpusItem",
     "builtin_corpus",
     "corpus_named",

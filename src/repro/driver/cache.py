@@ -36,9 +36,9 @@ import os
 from pathlib import Path
 
 from repro.lang.ast_nodes import Program
+from repro.lang.callgraph import call_graph, reachable
 from repro.lang.pretty import unparse
 
-from repro.driver.callgraph import CallGraph
 from repro.driver.faults import active_plan
 
 #: bump when the per-function report schema or analysis semantics change
@@ -74,10 +74,7 @@ def program_digest(source: str, options_key: str) -> str:
 
 
 def function_digests(
-    program: Program,
-    graph: CallGraph,
-    options_key: str,
-    texts: dict[str, str] | None = None,
+    program: Program, options_key: str, texts: dict[str, str] | None = None
 ) -> dict[str, str]:
     """Per-function content digests: own declaration text + transitive
     callee body hashes.
@@ -99,11 +96,12 @@ def function_digests(
     if texts is None:
         texts = unparsed
     body_digests = {name: _sha("body", src) for name, src in unparsed.items()}
+    callees = call_graph(program)
     digests: dict[str, str] = {}
     for func in program.functions:
-        callees = sorted(graph.transitive_callees(func.name))
         callee_part = ";".join(
-            f"{c}:{body_digests.get(c, '?')}" for c in callees
+            f"{c}:{body_digests.get(c, '?')}"
+            for c in sorted(reachable(callees, [func.name]))
         )
         digests[func.name] = _sha(
             "function",

@@ -62,7 +62,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
-from repro.lang.callgraph import called_functions
+from repro.lang.callgraph import (
+    bottom_up_waves,
+    called_functions,
+    condensed_sccs,
+    reachable,
+)
 from repro.lang.errors import LangError, ParseError, TypeCheckError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
@@ -78,7 +83,6 @@ from repro.driver.cache import (
     payload_digest,
     program_digest,
 )
-from repro.driver.callgraph import CallGraph, condense
 from repro.driver.faults import SIMULATE_TOKEN
 from repro.driver.pipeline import (
     PipelineOptions,
@@ -123,7 +127,7 @@ class ProgramRun:
     #: function name -> report (absolute lines), in declaration order
     functions: dict[str, dict]
     stats: IncrementalStats
-    #: the bottom-up schedule (``Condensation.waves``)
+    #: the bottom-up schedule (:func:`~repro.lang.callgraph.bottom_up_waves`)
     schedule: list
     simulation: dict | None = None
     #: the simulation was served from the ``sim`` stage
@@ -331,19 +335,17 @@ class StagedEngine:
         stats.dirty = len(dirty)
         # the functions the record does not vouch for: parsed for their callees
         stale = {n for n in names if known.get(n, {}).get("text") != text_digest[n]}
-        graph = CallGraph(
-            functions=names,
-            edges={
-                n: called_functions(src.function(n), src.declarations)
-                if n in stale
-                else set(known[n]["callees"])
-                for n in names
-            },
-        )
-        cond = condense(graph)
+        callees = {
+            n: called_functions(src.function(n), src.declarations)
+            if n in stale
+            else set(known[n]["callees"])
+            for n in names
+        }
+        sccs = condensed_sccs(callees, names)
+        schedule = bottom_up_waves(sccs, callees)
         callers: dict[str, set[str]] = {n: set() for n in names}
         for caller in names:
-            for callee in graph.callees(caller):
+            for callee in callees[caller]:
                 callers[callee].add(caller)
 
         table: dict[str, FunctionSummary] = {}
@@ -358,7 +360,7 @@ class StagedEngine:
         def externals_of(members: list[str]) -> list[str]:
             member_set = set(members)
             return sorted(
-                {c for n in members for c in graph.callees(n) if c not in member_set}
+                {c for n in members for c in callees[n] if c not in member_set}
             )
 
         def load_summaries(function: str) -> None:
@@ -376,7 +378,7 @@ class StagedEngine:
             """The analysis a component's members run under: over the
             members alone, knowing their callees by summary and return type."""
             if component not in analyses:
-                members = cond.sccs[component]
+                members = sccs[component]
                 externals = externals_of(members)
                 for callee in externals:
                     load_summaries(callee)
@@ -401,7 +403,7 @@ class StagedEngine:
             return len(keys) != 1 or group_size[keys.pop()] != len(members)
 
         # -- phase 1: bottom-up summary resolution over the condensation -----
-        for component, members in enumerate(cond.sccs):
+        for component, members in enumerate(sccs):
             externals = externals_of(members)
             if not reopened(members, externals):
                 for n in members:
@@ -458,7 +460,7 @@ class StagedEngine:
                 if cached is None:
                     raise _ReopenAll
                 served[n] = cached
-        for members in cond.sccs:
+        for members in sccs:
             if any(n in probed for n in members):
                 for callee in externals_of(members):
                     load_summaries(callee)
@@ -469,13 +471,7 @@ class StagedEngine:
 
         # reused functions a dirty function is reachable from (one reverse
         # walk instead of one transitive-callee set per function)
-        reaches_dirty: set[str] = set()
-        stack = list(dirty)
-        while stack:
-            for caller in callers[stack.pop()]:
-                if caller not in reaches_dirty:
-                    reaches_dirty.add(caller)
-                    stack.append(caller)
+        reaches_dirty = reachable(callers, dirty)
 
         def count_reused(fn: str) -> None:
             stats.reused += 1
@@ -485,7 +481,7 @@ class StagedEngine:
         # -- phase 2: per-function report probe / compute -------------------
         reports: dict[str, dict] = {}
         report_key: dict[str, str] = {}
-        for component, members in enumerate(cond.sccs):
+        for component, members in enumerate(sccs):
             for fn in members:
                 decl = src.declarations[fn]
                 if fn in served:
@@ -494,7 +490,7 @@ class StagedEngine:
                     count_reused(fn)
                     continue
                 callee_blob = ";".join(
-                    f"{c}={art_digest[c]}" for c in sorted(graph.callees(fn))
+                    f"{c}={art_digest[c]}" for c in sorted(callees[fn])
                 )
                 rkey = report_key[fn] = _sha(
                     "report",
@@ -528,11 +524,11 @@ class StagedEngine:
                     "source": _sha("source", src.source),
                     "types": src.types_digest(),
                     "order": names,
-                    "schedule": cond.waves(),
+                    "schedule": schedule,
                     "functions": {
                         n: {
                             "text": text_digest[n],
-                            "callees": sorted(graph.callees(n)),
+                            "callees": sorted(callees[n]),
                             "skey": summary_key[n],
                             "summary": art_digest[n],
                             "report": report_key[n],
@@ -544,7 +540,7 @@ class StagedEngine:
                 stage="manifest",
             )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return ProgramRun({n: reports[n] for n in names}, stats, cond.waves())
+        return ProgramRun({n: reports[n] for n in names}, stats, schedule)
 
 
 def run_program(

@@ -12,17 +12,15 @@ and recursive functions.  This subpackage provides that substrate:
   extensions to type declarations),
 * :mod:`repro.lang.split` — cuts a source into its top-level declarations
   without parsing it (the incremental driver parses only what changed),
-* :mod:`repro.lang.callgraph` — call edges and the bottom-up SCC order the
-  type checker, the summaries and the driver share,
+* :mod:`repro.lang.callgraph` — call edges, the bottom-up SCC order the
+  type checker, the summaries and the driver share, and its grouping into
+  the waves of the schedule each report shows,
 * :mod:`repro.lang.types` — the type system (records, pointers, scalars),
-* :mod:`repro.lang.symbols` — scopes and symbol tables,
 * :mod:`repro.lang.cfg` — per-function control flow graphs,
 * :mod:`repro.lang.heap` / :mod:`repro.lang.interpreter` — a reference
   interpreter with an explicit heap, used to check that the parallelizing
   transformations are semantics preserving,
-* :mod:`repro.lang.pretty` — an unparser,
-* :mod:`repro.lang.builder` — a small fluent API for building programs from
-  Python code (handy in tests).
+* :mod:`repro.lang.pretty` — an unparser.
 """
 
 from repro.lang.errors import (
@@ -81,13 +79,11 @@ from repro.lang.types import (
     VOID,
     STRING,
 )
-from repro.lang.symbols import Symbol, Scope, SymbolTable
 from repro.lang.typecheck import TypeChecker, check_program
 from repro.lang.cfg import CFG, BasicBlock, build_cfg
 from repro.lang.heap import Heap, HeapCell, NULL_REF
 from repro.lang.interpreter import Interpreter, run_program
 from repro.lang.pretty import PrettyPrinter, unparse
-from repro.lang.builder import ProgramBuilder
 
 __all__ = [
     "InterpreterLimitError",
@@ -142,9 +138,6 @@ __all__ = [
     "BOOL",
     "VOID",
     "STRING",
-    "Symbol",
-    "Scope",
-    "SymbolTable",
     "TypeChecker",
     "check_program",
     "CFG",
@@ -157,5 +150,4 @@ __all__ = [
     "run_program",
     "PrettyPrinter",
     "unparse",
-    "ProgramBuilder",
 ]

@@ -494,24 +494,14 @@ class Program(Node):
 LValue = Union[Name, FieldAccess, IndexAccess]
 
 
-def is_pointer_copy(stmt: Stmt) -> bool:
-    """True for statements of the form ``p = q``."""
-    return isinstance(stmt, Assign) and isinstance(stmt.value, Name)
-
-
-def is_field_load(stmt: Stmt) -> bool:
-    """True for statements of the form ``p = q->f`` (possibly indexed)."""
-    return isinstance(stmt, Assign) and isinstance(stmt.value, (FieldAccess, IndexAccess))
-
-
-def is_null_assign(stmt: Stmt) -> bool:
-    """True for ``p = NULL``."""
-    return isinstance(stmt, Assign) and isinstance(stmt.value, NullLit)
-
-
-def is_allocation(stmt: Stmt) -> bool:
-    """True for ``p = new T``."""
-    return isinstance(stmt, Assign) and isinstance(stmt.value, New)
+def is_traversal_update(stmt: Stmt) -> bool:
+    """True for the pointer-chasing update ``p = p->f``."""
+    return (
+        isinstance(stmt, Assign)
+        and isinstance(stmt.value, FieldAccess)
+        and isinstance(stmt.value.base, Name)
+        and stmt.value.base.ident == stmt.target
+    )
 
 
 def iter_statements(block: Block) -> Iterator[Stmt]:

@@ -394,13 +394,6 @@ class Interpreter:
     def _evaluate_array_lit(self, expr: ArrayLit, frame: Frame) -> Any:
         return [self.evaluate(e, frame) for e in expr.elements]
 
-    def _field_is_pointer(self, type_name: str, field_name: str) -> bool:
-        decl = self._type_decls.get(type_name)
-        if decl is None:
-            return False
-        fdecl = decl.field_named(field_name)
-        return fdecl is not None and fdecl.is_pointer
-
     def _evaluate_field_access(self, expr: FieldAccess, frame: Frame) -> Any:
         base = self.evaluate(expr.base, frame)
         if base == NULL_REF:

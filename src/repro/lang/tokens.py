@@ -129,6 +129,3 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.col})"
-
-    def is_keyword(self) -> bool:
-        return self.kind.name.startswith("KW_")

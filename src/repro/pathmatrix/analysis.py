@@ -36,17 +36,13 @@ from repro.lang.ast_nodes import (
     VarDecl,
     While,
     collect_pointer_variables,
+    is_traversal_update,
     iter_statements,
 )
-from repro.lang.callgraph import condensed_sccs
+from repro.lang.callgraph import call_graph, condensed_sccs
 from repro.lang.cfg import CFG, build_cfg
 from repro.lang.typecheck import check_program
-from repro.pathmatrix.interproc import (
-    FunctionSummary,
-    _call_argument_map,
-    direct_summaries,
-    summarize_scc,
-)
+from repro.pathmatrix.interproc import FunctionSummary, summarize_scc
 from repro.pathmatrix.matrix import PathMatrix
 from repro.pathmatrix.paths import PathEntry
 from repro.pathmatrix.rules import TransferContext, apply_block, apply_statement
@@ -92,9 +88,6 @@ class AnalysisResult:
     def matrix_at_entry(self, block_index: int) -> PathMatrix:
         return self.entry_matrices[block_index]
 
-    def matrix_at_exit(self, block_index: int) -> PathMatrix:
-        return self.exit_matrices[block_index]
-
     def final_matrix(self) -> PathMatrix:
         try:
             return self.exit_matrices[self.cfg.exit]
@@ -111,16 +104,6 @@ class AnalysisResult:
                 return self.entry_matrices[block.index]
         raise KeyError(f"loop at line {loop.line} not found in CFG of {self.function}")
 
-    def abstraction_valid_everywhere(self, type_name: str) -> bool:
-        """True when no program point carries an outstanding violation for ``type_name``."""
-        for pm in list(self.entry_matrices.values()) + list(self.exit_matrices.values()):
-            if not pm.validation.is_valid_for(type_name):
-                return False
-        return True
-
-    def abstraction_valid_at_exit(self, type_name: str) -> bool:
-        return self.final_matrix().validation.is_valid_for(type_name)
-
     def violations(self) -> list:
         return sorted(set(self.final_matrix().validation.violations), key=str)
 
@@ -132,7 +115,6 @@ class PathMatrixAnalysis:
         self,
         program: Program,
         use_adds: bool = True,
-        compute_summaries: bool = True,
         memoize_results: bool = False,
         summaries: dict[str, FunctionSummary] | None = None,
         external_returns: dict[str, str | None] | None = None,
@@ -157,11 +139,9 @@ class PathMatrixAnalysis:
             # resolves summaries itself (from cached artifacts where
             # possible) and hands the finished table in
             self.summaries = summaries
-        elif compute_summaries:
-            self.summaries = {}
-            self._resolve_summaries()
         else:
             self.summaries = {}
+            self._resolve_summaries()
 
     # -- context construction ------------------------------------------------
     def _context_for(self, func: FunctionDecl) -> TransferContext:
@@ -263,45 +243,20 @@ class PathMatrixAnalysis:
         return {f.name: self.analyze_function(f.name) for f in self.program.functions}
 
     # -- abstraction-preservation of whole functions -----------------------------
-    def _transitive_callees(self, name: str) -> set[str]:
-        """Every function reachable from ``name`` through the call graph."""
-        seen: set[str] = set()
-        summary = self.summaries.get(name)
-        stack = list(summary.callees) if summary is not None else []
-        while stack:
-            callee = stack.pop()
-            if callee in seen:
-                continue
-            seen.add(callee)
-            callee_summary = self.summaries.get(callee)
-            if callee_summary is not None:
-                stack.extend(callee_summary.callees)
-        return seen
-
     def _resolve_summaries(self) -> None:
         """Resolve transitive summaries bottom-up over the SCC condensation.
 
-        Produces the same table as :func:`summarize_program` followed by the
-        preservation marking, but one strongly connected component at a time:
-        each component's summaries (effects *and* ``preserves_abstraction``)
+        The loop of :func:`summarize_program`, with each component's
+        preservation marking settled before the next component: each
+        component's summaries (effects *and* ``preserves_abstraction``)
         are final before any caller component is touched.  This is exactly
         the unit the staged incremental engine content-addresses and caches,
         so computing it the same way here keeps the inline and incremental
         paths from drifting apart.
         """
-        direct = direct_summaries(self.program)
-        call_maps = _call_argument_map(self.program)
-        order = [f.name for f in self.program.functions]
-        callee_graph = {name: set(direct[name].callees) for name in order}
-        for members in condensed_sccs(callee_graph, order):
-            resolved = summarize_scc(
-                self.program,
-                members,
-                self.summaries,
-                direct=direct,
-                call_maps=call_maps,
-            )
-            self.summaries.update(resolved)
+        callees = call_graph(self.program)
+        for members in condensed_sccs(callees, list(callees)):
+            self.summaries.update(summarize_scc(self.program, members, self.summaries))
             self.refine_preservation(members)
 
     def refine_preservation(self, members: list[str]) -> None:
@@ -407,20 +362,26 @@ PRIME_SUFFIX = "'"
 
 
 def _find_traversal_updates(body: Block) -> dict[str, str]:
-    """Pointer-induction updates ``p = p->f`` appearing directly in ``body``."""
-    updates: dict[str, str] = {}
-    for stmt in iter_statements(body):
-        if isinstance(stmt, Assign) and isinstance(stmt.value, FieldAccess):
-            value = stmt.value
-            if isinstance(value.base, Name) and value.base.ident == stmt.target:
-                updates[stmt.target] = value.field
-    return updates
+    """Pointer-induction updates ``p = p->f`` appearing anywhere in ``body``."""
+    return {
+        stmt.target: stmt.value.field
+        for stmt in iter_statements(body)
+        if is_traversal_update(stmt)
+    }
 
 
 def _collect_accesses(
     body: Block, summaries: dict[str, FunctionSummary]
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """(writes, reads) as (variable, field) pairs, including callee effects."""
+    """(writes, reads) as (variable, field) pairs, including callee effects,
+    each listed once, in first-occurrence order.
+
+    A statement nested ``d`` levels deep is walked as itself and again
+    inside each of its ``d`` enclosing statements, so accesses repeat before
+    they are deduplicated; a read-modify-write's own read
+    (``q->coef = q->coef + 1``) is skipped only where the assignment is
+    walked as itself.
+    """
     writes: list[tuple[str, str]] = []
     reads: list[tuple[str, str]] = []
     for stmt in iter_statements(body):
@@ -459,22 +420,12 @@ def _collect_accesses(
                             reads.append((arg.ident, fld))
                     else:
                         reads.append((arg.ident, "*"))
-    return writes, reads
+    return list(dict.fromkeys(writes)), list(dict.fromkeys(reads))
 
 
 def _expr_reads(expr) -> set[str]:
     """Every variable name referenced anywhere inside an expression."""
     return {n.ident for n in expr.walk() if isinstance(n, Name)}
-
-
-def _is_induction_update(stmt: Stmt) -> bool:
-    """``p = p->f`` — the pointer-chasing update form."""
-    return (
-        isinstance(stmt, Assign)
-        and isinstance(stmt.value, FieldAccess)
-        and isinstance(stmt.value.base, Name)
-        and stmt.value.base.ident == stmt.target
-    )
 
 
 def _scan_scalar_reads(
@@ -560,7 +511,7 @@ def _scalar_loop_dependences(
     """
     assigned: set[str] = set()
     for stmt in iter_statements(loop.body):
-        if isinstance(stmt, Assign) and not _is_induction_update(stmt):
+        if isinstance(stmt, Assign) and not is_traversal_update(stmt):
             assigned.add(stmt.target)
         elif isinstance(stmt, VarDecl):
             assigned.add(stmt.name)
@@ -762,12 +713,10 @@ def _conflicts_across_iterations(
         ):
             if not fields_overlap(w_field, o_field):
                 continue
+            # when neither access depends on an induction variable, both refer
+            # to loop-invariant nodes: a genuine conflict only if they may
+            # alias (and then it is loop-carried as well)
             prev_var = primed_of(o_var)
-            if prev_var == o_var and o_var not in primes and w_var not in primes:
-                # neither access depends on an induction variable: both refer
-                # to loop-invariant nodes, a genuine conflict only if they may
-                # alias (and then it is loop-carried as well)
-                pass
             if pm.may_alias(w_var, prev_var):
                 key = (w_var, w_field, o_var, o_field, kind)
                 if key in seen:

@@ -16,10 +16,11 @@ call sites:
 
 Summaries are computed to a transitive fixed point over the (possibly
 recursive) call graph one strongly connected component at a time
-(:func:`summarize_scc`), bottom-up: a component's summaries depend only on
-its members' bodies and on the already-final summaries of external callees,
-so they can be content-addressed and reused across edits.
-:func:`summarize_program`,
+(:func:`summarize_scc`), in the bottom-up order of
+:mod:`repro.lang.callgraph`: a component's summaries depend only on its
+members' bodies, which are all it scans, and on the already-final summaries
+of external callees, so they can be content-addressed and reused across
+edits.  :func:`summarize_program`,
 :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` and the staged
 incremental engine all resolve them this way.
 """
@@ -43,7 +44,7 @@ from repro.lang.ast_nodes import (
     Return,
     iter_statements,
 )
-from repro.lang.callgraph import condensed_sccs
+from repro.lang.callgraph import call_graph, condensed_sccs
 
 
 @dataclass
@@ -170,13 +171,13 @@ def _pointer_field_names(program: Program) -> set[str]:
 
 
 def _summarize_one(
-    program: Program, func: FunctionDecl, pointer_fields: set[str] | None = None
-) -> FunctionSummary:
-    """Direct (non-transitive) effects of ``func``."""
-    if pointer_fields is None:
-        pointer_fields = _pointer_field_names(program)
+    func: FunctionDecl, pointer_fields: set[str]
+) -> tuple[FunctionSummary, list[tuple[str, dict[int, int]]]]:
+    """Direct (non-transitive) effects of ``func``, and the calls it makes,
+    each with a callee-param -> caller-param map."""
     summary = FunctionSummary(name=func.name)
     param_names = {p.name: i for i, p in enumerate(func.params)}
+    calls: list[tuple[str, dict[int, int]]] = []
     returns_values: list[Expr] = []
     locally_fresh: set[str] = set()
 
@@ -207,6 +208,12 @@ def _summarize_one(
                     summary.pointer_params.add(param_names[node.base.ident])
             elif isinstance(node, Call):
                 summary.callees.add(node.func)
+                mapping = {
+                    j: param_names[arg.ident]
+                    for j, arg in enumerate(node.args)
+                    if isinstance(arg, Name) and arg.ident in param_names
+                }
+                calls.append((node.func, mapping))
         if isinstance(stmt, Assign):
             if isinstance(stmt.value, New):
                 summary.allocates = True
@@ -238,70 +245,30 @@ def _summarize_one(
             elif isinstance(value, (FieldAccess, IndexAccess, Call)):
                 summary.may_return_params |= set(param_names.values())
     summary.rearranges_shape = bool(summary.pointer_fields_written)
-    return summary
-
-
-def _call_argument_map(program: Program) -> dict[str, list[tuple[str, dict[int, int]]]]:
-    """For each function, the calls it makes with a callee-param -> caller-param map."""
-    result: dict[str, list[tuple[str, dict[int, int]]]] = {}
-    for func in program.functions:
-        param_names = {p.name: i for i, p in enumerate(func.params)}
-        edges: list[tuple[str, dict[int, int]]] = []
-        for stmt in iter_statements(func.body):
-            for node in stmt.walk():
-                if isinstance(node, Call):
-                    mapping: dict[int, int] = {}
-                    for j, arg in enumerate(node.args):
-                        if isinstance(arg, Name) and arg.ident in param_names:
-                            mapping[j] = param_names[arg.ident]
-                    edges.append((node.func, mapping))
-        result[func.name] = edges
-    return result
-
-
-def direct_summaries(program: Program) -> dict[str, FunctionSummary]:
-    """Direct (non-transitive) effect summaries of every function."""
-    pointer_fields = _pointer_field_names(program)
-    return {
-        f.name: _summarize_one(program, f, pointer_fields) for f in program.functions
-    }
+    return summary, calls
 
 
 def summarize_scc(
-    program: Program,
-    members: list[str],
-    external: dict[str, FunctionSummary],
-    direct: dict[str, FunctionSummary] | None = None,
-    call_maps: dict[str, list[tuple[str, dict[int, int]]]] | None = None,
+    program: Program, members: list[str], external: dict[str, FunctionSummary]
 ) -> dict[str, FunctionSummary]:
     """Transitive summaries of one call-graph component, given its callees'.
 
     ``members`` are the component's function names (one function, or a group
     of mutually recursive ones); ``external`` holds the final summaries of
     every function below the component in the bottom-up order.  Callees found
-    in neither (builtins) are skipped.  The result depends on nothing outside
-    the component but ``external`` — which is what lets summaries be
-    computed (and cached) one component at a time.
-
-    ``direct`` may supply precomputed :func:`direct_summaries` entries for
-    the members (they are refined in place); ``call_maps`` may supply a
-    precomputed :func:`_call_argument_map` so per-component calls do not
-    rescan the whole program.
+    in neither (builtins) are skipped.  Only the members' bodies are scanned,
+    and the result depends on nothing outside the component but ``external``
+    — which is what lets summaries be computed (and cached) one component at
+    a time.
     """
-    if call_maps is None:
-        call_maps = _call_argument_map(program)
-    pointer_fields = None
+    pointer_fields = _pointer_field_names(program)
     summaries: dict[str, FunctionSummary] = {}
+    calls: dict[str, list[tuple[str, dict[int, int]]]] = {}
     for name in members:
-        if direct is not None and name in direct:
-            summaries[name] = direct[name]
-            continue
         func = program.function_named(name)
         if func is None:
             raise KeyError(f"no function named {name!r}")
-        if pointer_fields is None:
-            pointer_fields = _pointer_field_names(program)
-        summaries[name] = _summarize_one(program, func, pointer_fields)
+        summaries[name], calls[name] = _summarize_one(func, pointer_fields)
 
     def lookup(callee_name: str) -> FunctionSummary | None:
         local = summaries.get(callee_name)
@@ -309,14 +276,15 @@ def summarize_scc(
             return local
         return external.get(callee_name)
 
+    # every update below is a set union or a false-to-true flag, bounded by
+    # the members' parameters and the program's field names: the sweeps
+    # reach the fixpoint without a cap
     changed = True
-    iterations = 0
-    while changed and iterations < len(members) + 5:
+    while changed:
         changed = False
-        iterations += 1
         for name in members:
             caller = summaries[name]
-            for callee_name, mapping in call_maps.get(name, ()):
+            for callee_name, mapping in calls[name]:
                 callee = lookup(callee_name)
                 if callee is None:
                     continue
@@ -365,12 +333,8 @@ def summarize_program(program: Program) -> dict[str, FunctionSummary]:
     """Transitive side-effect summaries of every function: :func:`summarize_scc`
     over the call graph's components, bottom-up (without the preservation
     refinement :class:`~repro.pathmatrix.analysis.PathMatrixAnalysis` adds)."""
-    direct = direct_summaries(program)
-    call_maps = _call_argument_map(program)
-    order = [f.name for f in program.functions]
+    callees = call_graph(program)
     summaries: dict[str, FunctionSummary] = {}
-    for members in condensed_sccs({n: set(direct[n].callees) for n in order}, order):
-        summaries.update(
-            summarize_scc(program, members, summaries, direct=direct, call_maps=call_maps)
-        )
-    return {name: summaries[name] for name in order}
+    for members in condensed_sccs(callees, list(callees)):
+        summaries.update(summarize_scc(program, members, summaries))
+    return {name: summaries[name] for name in callees}

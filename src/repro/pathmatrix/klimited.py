@@ -42,6 +42,7 @@ from repro.lang.ast_nodes import (
     VarDecl,
     While,
     collect_pointer_variables,
+    is_traversal_update,
     iter_statements,
 )
 from repro.lang.cfg import build_cfg
@@ -353,15 +354,11 @@ class KLimitedAnalysis:
         state = self.state_before_loop(name, loop)
         pointer_vars = self._pointer_vars(func)
         # simulate one iteration with a primed copy
-        updates: dict[str, str] = {}
-        for stmt in iter_statements(loop.body):
-            if (
-                isinstance(stmt, Assign)
-                and isinstance(stmt.value, FieldAccess)
-                and isinstance(stmt.value.base, Name)
-                and stmt.value.base.ident == stmt.target
-            ):
-                updates[stmt.target] = stmt.value.field
+        updates = {
+            stmt.target: stmt.value.field
+            for stmt in iter_statements(loop.body)
+            if is_traversal_update(stmt)
+        }
         if not updates:
             return True
         sim = state.copy()

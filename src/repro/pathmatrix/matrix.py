@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.pathmatrix.paths import EMPTY_ENTRY, PathEntry, Relation
+from repro.pathmatrix.paths import EMPTY_ENTRY, PathEntry
 from repro.pathmatrix.validation import ValidationState
 
 
@@ -107,9 +107,6 @@ class PathMatrix:
                 index.setdefault(row, set()).add(key)
                 index.setdefault(col, set()).add(key)
             self._entries[key] = entry
-
-    def add_relation(self, row: str, col: str, relation: Relation) -> None:
-        self.set(row, col, self.get(row, col).add(relation))
 
     def clear_row_and_column(self, name: str) -> None:
         """Remove every relationship involving ``name`` (used when killing a var).

@@ -146,10 +146,6 @@ class TransferContext:
     def is_tracked(self, var: str) -> bool:
         return var in self.pointer_vars
 
-    def fresh_temp(self) -> str:
-        self._temp_counter += 1
-        return f"@t{self._temp_counter}"
-
     def temp_for(self, node) -> str:
         """A temp name that is stable across re-applications of ``node``.
 

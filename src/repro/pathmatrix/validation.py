@@ -131,9 +131,6 @@ class ValidationState:
     def is_valid_for(self, type_name: str) -> bool:
         return not any(v.type_name == type_name for v in self.violations)
 
-    def violations_for(self, type_name: str) -> list[Violation]:
-        return [v for v in self.violations if v.type_name == type_name]
-
     # -- lattice --------------------------------------------------------------------
     def join(self, other: "ValidationState") -> "ValidationState":
         """At a control-flow merge a violation outstanding on either path remains."""

@@ -58,6 +58,7 @@ from repro.lang.ast_nodes import (
     Stmt,
     VarDecl,
     While,
+    is_traversal_update,
     iter_statements,
 )
 from repro.transform.dependence import DependenceTest, LoopClassification, classify_loop, find_while_loops
@@ -99,12 +100,7 @@ def _find_traversal_update(body: Block) -> tuple[int, str, str] | None:
     """
     for idx in range(len(body.statements) - 1, -1, -1):
         stmt = body.statements[idx]
-        if (
-            isinstance(stmt, Assign)
-            and isinstance(stmt.value, FieldAccess)
-            and isinstance(stmt.value.base, Name)
-            and stmt.value.base.ident == stmt.target
-        ):
+        if is_traversal_update(stmt):
             return idx, stmt.target, stmt.value.field
     return None
 
@@ -119,16 +115,6 @@ def _is_null_check(cond: Expr, var: str) -> bool:
         isinstance(left, Name) and left.ident == var and isinstance(right, NullLit)
     ) or (
         isinstance(right, Name) and right.ident == var and isinstance(left, NullLit)
-    )
-
-
-def _is_induction_update(stmt: Stmt) -> bool:
-    """``p = p->f`` — the pointer-chasing update form."""
-    return (
-        isinstance(stmt, Assign)
-        and isinstance(stmt.value, FieldAccess)
-        and isinstance(stmt.value.base, Name)
-        and stmt.value.base.ident == stmt.target
     )
 
 
@@ -149,7 +135,7 @@ def _check_traversal_shape(loop: While, update_idx: int, traversal_var: str) -> 
             "body; statements after it operate on the next node"
         )
     top_updates = [
-        i for i, s in enumerate(loop.body.statements) if _is_induction_update(s)
+        i for i, s in enumerate(loop.body.statements) if is_traversal_update(s)
     ]
     if top_updates != [update_idx]:
         raise TransformError(

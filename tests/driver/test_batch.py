@@ -19,7 +19,6 @@ import repro.lang.typecheck
 import repro.pathmatrix.analysis
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import function_digests
-from repro.driver.callgraph import build_call_graph
 from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem, corpus_named, load_source_file, paper_corpus
 from repro.driver.pipeline import (
@@ -81,6 +80,19 @@ class TestFidelity:
             (loop,) = functions[name]["loops"]
             assert loop["classification"] == "doall-after-traversal"
             assert loop["transforms"]["strip_mine"]["applied"]
+
+    def test_reported_summaries_match_the_whole_program_analysis(self):
+        """The engine summarizes one call-graph component at a time; each
+        reported summary still equals the whole-program analysis's, for
+        every function of every builtin program."""
+        items = corpus_named("builtin")
+        batch = BatchDriver(jobs=1, cache_dir=None, simulate=False).analyze_corpus(items)
+        for item in items:
+            summaries = PathMatrixAnalysis(parse_program(item.source)).summaries
+            functions = batch.program(item.name).functions
+            assert set(functions) == set(summaries), item.name
+            for name, function in functions.items():
+                assert function["summary"] == summaries[name].to_dict(), (item.name, name)
 
 
 def _full_transform_applicability(program, function, index):
@@ -168,11 +180,7 @@ class TestCaching:
         from repro.adds.library import standard_source
 
         program = parse_program(standard_source("ListNode") + src)
-        return function_digests(
-            program,
-            build_call_graph(program),
-            PipelineOptions().key(),
-        )
+        return function_digests(program, PipelineOptions().key())
 
     BASE = """
     function leaf(p) { return p->next; }
@@ -200,6 +208,17 @@ class TestCaching:
         before, after = self._digests(self.BASE), self._digests(edited)
         assert before["leaf"] != after["leaf"]  # its own AST changed
         assert before["caller"] != after["caller"]  # callee body changed
+        assert before["unrelated"] == after["unrelated"]
+
+    def test_an_edit_two_calls_down_invalidates_every_caller(self):
+        """A digest covers the function's whole callee closure: editing
+        ``leaf`` changes ``top``, which reaches it only through ``caller``."""
+        source = self.BASE + "function top(p) { return caller(p); }\n"
+        edited = source.replace("return p->next; }", "return p->next->next; }", 1)
+        before, after = self._digests(source), self._digests(edited)
+        assert before["leaf"] != after["leaf"]
+        assert before["caller"] != after["caller"]
+        assert before["top"] != after["top"]
         assert before["unrelated"] == after["unrelated"]
 
     def test_identical_text_at_different_lines_shares_keys(self):

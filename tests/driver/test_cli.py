@@ -258,3 +258,29 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "from cache" in proc.stdout
+
+    def test_cli_import_loads_a_pinned_module_count(self):
+        """Every CLI start imports ``repro.driver.cli``, so every module it
+        pulls in is start-up cost.  The count is pinned: a change that adds
+        or removes an import on that path updates the number here."""
+        expected = 71
+        code = (
+            "import sys\n"
+            "import repro.driver.cli\n"
+            "print(sum(1 for m in sys.modules if m == 'repro' or m.startswith('repro.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=str(REPO_ROOT),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = int(proc.stdout)
+        assert loaded == expected, (
+            f"a fresh `import repro.driver.cli` loads {loaded} repro modules, "
+            f"not {expected}; if the change is intended, update `expected` in "
+            f"this test"
+        )

@@ -1,9 +1,8 @@
-"""Tests for the CFG builder, the type inferencer, the pretty-printer and the builder API."""
+"""Tests for the CFG builder, the type inferencer and the pretty-printer."""
 
 import pytest
 
 from repro.lang.ast_nodes import Assign, While
-from repro.lang.builder import E, ProgramBuilder, S
 from repro.lang.cfg import build_cfg
 from repro.lang.errors import TypeCheckError
 from repro.lang.interpreter import run_program
@@ -123,36 +122,3 @@ class TestPrettyPrinterRoundTrip:
         assert set(map(tuple, reparsed.types[0].independences)) == {
             ("sub", "down"), ("sub", "leaves"),
         }
-
-
-class TestProgramBuilder:
-    def test_build_and_run_a_program(self):
-        pb = ProgramBuilder()
-        pb.type("Node", dimensions=["X"]).data("v").pointer(
-            "next", dimension="X", direction="forward", unique=True
-        )
-        pb.function(
-            "main",
-            [],
-            [
-                S.var("a", E.new("Node")),
-                S.store("a", "v", 41),
-                S.store("a", "v", E.add(E.field("a", "v"), 1)),
-                S.ret(E.field("a", "v")),
-            ],
-        )
-        program = pb.build()
-        result, _ = run_program(program)
-        assert result == 42
-
-    def test_builder_adds_metadata_matches_parser(self):
-        pb = ProgramBuilder()
-        pb.type("L", dimensions=["X"]).data("v").pointer(
-            "next", dimension="X", direction="forward", unique=True
-        )
-        built = pb.build().types[0]
-        parsed = parse_program(
-            "type L [X] { int v; L *next is uniquely forward along X; };"
-        ).types[0]
-        assert built.dimensions == parsed.dimensions
-        assert built.field_named("next").adds == parsed.field_named("next").adds

@@ -1,11 +1,10 @@
-"""Additional coverage: the heap model, error formatting, symbol tables."""
+"""Additional coverage: the heap model, error formatting, type helpers."""
 
 import pytest
 
 from repro.lang.errors import LangError, LexError, ParseError, TypeCheckError
 from repro.lang.heap import Heap, NULL_REF, _pointer_values
 from repro.lang.errors import RuntimeLangError
-from repro.lang.symbols import Scope, Symbol, SymbolTable
 from repro.lang.types import (
     BOOL,
     FLOAT,
@@ -74,38 +73,6 @@ class TestHeapModel:
         assert list(_pointer_values(True)) == []
         assert list(_pointer_values(7)) == [7]
         assert list(_pointer_values([3, True, 5])) == [3, 5]
-
-
-class TestSymbolTables:
-    def test_nested_scopes(self):
-        table = SymbolTable()
-        table.declare_global(Symbol("g", "var", INT))
-        table.push("f")
-        table.declare(Symbol("x", "param", FLOAT))
-        assert table.lookup("x").type is FLOAT
-        assert table.lookup("g").type is INT
-        assert "x" in table
-        table.pop()
-        assert table.lookup("x") is None
-
-    def test_redeclaration_rejected(self):
-        scope = Scope()
-        scope.declare(Symbol("a", "var"))
-        with pytest.raises(TypeCheckError):
-            scope.declare(Symbol("a", "var"))
-        scope.declare(Symbol("a", "var"), allow_redeclare=True)
-
-    def test_cannot_pop_global(self):
-        table = SymbolTable()
-        with pytest.raises(RuntimeError):
-            table.pop()
-
-    def test_scope_iteration(self):
-        scope = Scope()
-        scope.declare(Symbol("a", "var"))
-        scope.declare(Symbol("b", "var"))
-        assert scope.local_names() == ["a", "b"]
-        assert len(list(iter(scope))) == 2
 
 
 class TestTypeHelpers:

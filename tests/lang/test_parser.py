@@ -16,6 +16,7 @@ from repro.lang.ast_nodes import (
     ParallelFor,
     Return,
     While,
+    is_traversal_update,
 )
 from repro.lang.errors import ParseError
 from repro.lang.parser import parse_expression, parse_program
@@ -135,6 +136,18 @@ class TestStatements:
     def test_boolean_connectives(self):
         expr = parse_expression("a < b and not c or d == e")
         assert isinstance(expr, BinOp) and expr.op == "or"
+
+    def test_traversal_update_is_exactly_p_gets_p_field(self):
+        """``p = p->f`` is the pointer-chasing step every loop test keys on;
+        any other base, a store, a plain copy or an indexed load is not."""
+        program = parse_program(
+            "procedure f(p, q) { p = p->next; p = q->next; p->next = p; p = p; "
+            "p = g(p)->next; p = p->subtrees[0]; q = q->down; }"
+        )
+        stmts = program.functions[0].body.statements
+        assert [is_traversal_update(s) for s in stmts] == [
+            True, False, False, False, False, False, True,
+        ]
 
 
 class TestErrors:

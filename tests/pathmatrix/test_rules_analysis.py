@@ -188,6 +188,38 @@ class TestLoopDependence:
         # loop-carried dependence
         assert not report.parallelizable
 
+    def test_nested_reads_are_collected_once(self):
+        """A read nested two levels deep is walked three times, once inside
+        each enclosing statement; the conflict test sees each access once,
+        in first-occurrence order, and keeps every reason (the read of
+        ``q->coef`` in its own read-modify-write included)."""
+        source = """
+        function bump(q, head)
+        { var p;
+          p = head;
+          while p <> NULL
+          { if p->coef > 0 then
+            { if q->exp > p->exp then
+              { q->coef = q->coef + p->coef;
+              }
+            }
+            p = p->next;
+          }
+          return q;
+        }
+        """
+        program = merged_into(source, "ListNode")
+        report = analyze_loop_dependence(program, "bump")
+        assert report.writes == [("q", "coef")]
+        assert report.reads == [
+            ("p", "coef"), ("q", "exp"), ("p", "exp"), ("q", "coef"), ("p", "next"),
+        ]
+        assert report.carried_dependences == [
+            "write q->coef may conflict with previous-iteration write q->coef",
+            "write q->coef may conflict with previous-iteration read p->coef",
+            "write q->coef may conflict with previous-iteration read q->coef",
+        ]
+
     def test_shape_changing_loop_is_not_parallelizable(self):
         source = """
         function reverse(head)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.adds.library import merged_into
 from repro.pathmatrix import analyze_function
-from repro.pathmatrix.interproc import FunctionSummary, summarize_program
+from repro.pathmatrix.interproc import FunctionSummary, summarize_program, summarize_scc
 from repro.pathmatrix.validation import ValidationState, Violation
 
 
@@ -175,6 +175,64 @@ class TestSummaryEdgeCases:
         summaries = summarize_program(program)
         assert "coef" in summaries["odd"].data_fields_written  # via even
         assert summaries["even"].callees == {"odd"}
+
+    def test_rotating_mutual_recursion_reaches_the_fixpoint(self):
+        """f and g rotate ten pointer parameters, so g's write reaches each
+        of f's parameters only after eleven sweeps over the component.  A
+        sweep cap that stops earlier leaves f's argument 0 scalar, and the
+        loop reads as DOALL although every iteration writes ``q->coef``."""
+        source = """
+        procedure f(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, n)
+        { if n > 0 then g(a1, a2, a3, a4, a5, a6, a7, a8, a9, a0, n);
+        }
+        procedure g(b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, n)
+        { b0->coef = b0->coef + 1;
+          f(b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, n - 1);
+        }
+        function walk(q, p)
+        { while p <> NULL
+          { f(q, p, p, p, p, p, p, p, p, p, 20);
+            p = p->next;
+          }
+          return q;
+        }
+        """
+        from repro.transform.dependence import LoopClassification, classify_loop
+
+        program = merged_into(source, "ListNode")
+        assert summarize_program(program)["f"].pointer_params == set(range(10))
+        test = classify_loop(program, "walk")
+        assert test.classification is LoopClassification.SEQUENTIAL
+        assert (
+            "write q->coef may conflict with previous-iteration write q->coef"
+            in test.reasons
+        )
+
+    def test_a_component_is_summarized_from_its_members_alone(self):
+        """``summarize_scc`` scans only the component's bodies: given its
+        callees' summaries, functions outside it (here an unrelated writer
+        and a caller) change nothing, and only the members come back."""
+        core = """
+        function leaf(p) { p->exp = 0; return p->next; }
+        function even(p, n) { if n == 0 then return leaf(p); p->coef = n; return odd(p, n - 1); }
+        function odd(p, n) { if n == 0 then return NULL; return even(p->next, n - 1); }
+        """
+        extra = """
+        function unrelated(q) { q->next = NULL; return q; }
+        function top(p) { return even(p, 4); }
+        """
+        alone = merged_into(core, "ListNode")
+        whole = merged_into(core + extra, "ListNode")
+        external = {"leaf": summarize_program(alone)["leaf"]}
+        component = summarize_scc(alone, ["even", "odd"], external)
+        assert set(component) == {"even", "odd"}
+        assert {n: s.to_dict() for n, s in component.items()} == {
+            n: s.to_dict()
+            for n, s in summarize_scc(whole, ["even", "odd"], external).items()
+        }
+        for name in ("even", "odd"):
+            assert component[name].to_dict() == summarize_program(whole)[name].to_dict()
+        assert "exp" in component["odd"].data_fields_written  # via even, via leaf
 
     def test_describe_renders(self):
         program = merged_into("function f(p) { p->coef = 1; return p; }", "ListNode")
