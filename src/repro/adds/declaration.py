@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator
 
 from repro.lang.ast_nodes import Program, TypeDecl
 
@@ -88,10 +87,6 @@ class Dimension:
         """A dimension is acyclic iff no field traverses it in an unknown direction."""
         return not self.unknown_fields
 
-    @property
-    def has_unique_forward(self) -> bool:
-        return any(f.unique for f in self.forward_fields)
-
 
 @dataclass
 class AddsType:
@@ -143,10 +138,6 @@ class AddsType:
         spec = self.fields.get(field_name)
         return spec is not None and spec.is_acyclic
 
-    def is_unique_field(self, field_name: str) -> bool:
-        spec = self.fields.get(field_name)
-        return spec is not None and spec.unique
-
     def independent(self, dim_a: str, dim_b: str) -> bool:
         """True when the two dimensions were declared independent (``A||B``)."""
         if dim_a == dim_b:
@@ -160,17 +151,6 @@ class AddsType:
         dim = self.dimensions.get(dimension)
         return dim.all_fields() if dim is not None else []
 
-    def sibling_fields(self, field_name: str) -> list[FieldSpec]:
-        """Fields co-declared with ``field_name`` (the disjoint-subtree hint)."""
-        spec = self.fields.get(field_name)
-        if spec is None or spec.group is None:
-            return []
-        return [
-            other
-            for other in self.fields.values()
-            if other.group == spec.group and other.name != field_name
-        ]
-
     def same_dimension(self, field_a: str, field_b: str) -> bool:
         da, db = self.dimension_of(field_a), self.dimension_of(field_b)
         return da is not None and da == db
@@ -181,9 +161,6 @@ class AddsType:
             return False
         dirs = {self.direction_of(field_a), self.direction_of(field_b)}
         return dirs == {Direction.FORWARD, Direction.BACKWARD}
-
-    def recursive_field_names(self) -> list[str]:
-        return list(self.fields)
 
     def describe(self) -> str:
         """Human-readable summary (used in reports and examples)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.adds.declaration import AddsType, from_type_decl, program_adds_types
+from repro.adds.declaration import AddsType, from_type_decl
 from repro.lang.ast_nodes import Program, TypeDecl
 from repro.lang.parser import parse_program
 

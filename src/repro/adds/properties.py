@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adds.declaration import AddsType, Direction, FieldSpec
+from repro.adds.declaration import AddsType, Direction
 
 
 @dataclass

@@ -24,7 +24,7 @@ counterpart of "the abstraction is valid at this program point").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.adds.declaration import AddsType, Direction

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.machine.costmodel import MachineConfig, SEQUENT_LIKE
 from repro.machine.simulator import MachineSimulator, SimulationTrace
 from repro.nbody.datasets import make_particles
-from repro.nbody.parallel import StripMinedParallelSimulation
 from repro.nbody.simulation import BarnesHutSimulation, SimulationConfig
 from repro.bench.tables import DEFAULT_DISTRIBUTION, DEFAULT_SEED, DEFAULT_STEPS, DEFAULT_THETA
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adds.library import merged_into
-from repro.lang.ast_nodes import Assign, FieldAssign, Program
-from repro.lang.parser import parse_program
+from repro.lang.ast_nodes import Assign, FieldAssign
 from repro.nbody.toy_program import BHL1_FUNCTION, barnes_hut_toy_program
 from repro.pathmatrix.analysis import PathMatrixAnalysis, analyze_loop_dependence
 from repro.pathmatrix.baseline import ConservativeOracle, conservative_matrix_for
 from repro.pathmatrix.klimited import KLimitedAnalysis, KLimitedOracle
 from repro.pathmatrix.matrix import PathMatrix
-from repro.pathmatrix.rules import TransferContext, apply_statement
+from repro.pathmatrix.rules import apply_statement
 from repro.pathmatrix.alias import AliasOracle
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.expected import PAPER_NS, PAPER_SPEEDUPS, PAPER_TIMES
+from repro.bench.expected import PAPER_NS, PAPER_SPEEDUPS
 from repro.machine.costmodel import MachineConfig, SEQUENT_LIKE
 from repro.nbody.datasets import make_particles
 from repro.nbody.parallel import StripMinedParallelSimulation
@@ -41,9 +41,6 @@ class SpeedupCell:
     elapsed_units: float
     speedup: float
 
-    def scaled_seconds(self, scale: float) -> float:
-        return self.elapsed_units * scale
-
 
 @dataclass
 class SpeedupTable:
@@ -59,9 +56,6 @@ class SpeedupTable:
 
     def speedup(self, n: int, pes: int) -> float:
         return self.cells[(n, pes)].speedup
-
-    def sequential_units(self, n: int) -> float:
-        return self.cells[(n, 1)].elapsed_units
 
     def calibration_scale(self, reference_n: int = 128, reference_seconds: float = 188.0) -> float:
         """Seconds per work unit so that seq(reference_n) == reference_seconds."""

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from repro.fuzz.executors import REFERENCE, build_plans
 from repro.fuzz.generator import GENERATOR_VERSION, generate_program
 from repro.fuzz.observation import (
-    ERROR,
     EXHAUSTED,
     OK,
     Observation,

@@ -18,7 +18,7 @@ by a budget is ``"exhausted"``, never ``"diverged"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.lang.ast_nodes import Program

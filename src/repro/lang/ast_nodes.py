@@ -17,7 +17,7 @@ distinguish (section 3.3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Union
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +502,16 @@ def is_traversal_update(stmt: Stmt) -> bool:
         and isinstance(stmt.value.base, Name)
         and stmt.value.base.ident == stmt.target
     )
+
+
+def traversal_updates(body: Block) -> dict[str, str]:
+    """The updates ``p = p->f`` anywhere in ``body``: each traversal
+    variable mapped to the field it follows."""
+    return {
+        stmt.target: stmt.value.field
+        for stmt in iter_statements(body)
+        if is_traversal_update(stmt)
+    }
 
 
 def iter_statements(block: Block) -> Iterator[Stmt]:

@@ -31,17 +31,14 @@ from repro.lang.ast_nodes import (
     ArrayLit,
     Assign,
     BinOp,
-    Block,
     BoolLit,
     Call,
     Expr,
-    ExprStmt,
     FieldAccess,
     FieldAssign,
     FloatLit,
     For,
     FunctionDecl,
-    If,
     IndexAccess,
     IntLit,
     Name,
@@ -54,7 +51,6 @@ from repro.lang.ast_nodes import (
     StringLit,
     UnaryOp,
     VarDecl,
-    While,
     iter_statements,
 )
 from repro.lang.callgraph import condensed_sccs
@@ -65,7 +61,6 @@ from repro.lang.types import (
     INT,
     NULL_POINTER,
     STRING,
-    VOID,
     ArrayType,
     PointerType,
     RecordType,

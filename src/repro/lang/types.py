@@ -8,7 +8,7 @@ pointers to records, and fixed-size arrays of pointers (used by the octree's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -12,7 +12,7 @@ the observed 4-processor speedup to ~2.5–2.8 and the 7-processor speedup to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class MachineConfig:
 
     def with_pes(self, num_pes: int) -> "MachineConfig":
         return replace(self, num_pes=num_pes)
-
-    def with_scheduling(self, scheduling: str) -> "MachineConfig":
-        return replace(self, scheduling=scheduling)
 
     def with_sync_cost(self, sync_cost: float) -> "MachineConfig":
         return replace(self, sync_cost=sync_cost)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass

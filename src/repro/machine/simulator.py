@@ -41,10 +41,6 @@ class ParallelStepResult:
     sync: float
     idle: list[float]
 
-    @property
-    def max_busy(self) -> float:
-        return max(self.busy) if self.busy else 0.0
-
 
 @dataclass
 class SimulationTrace:
@@ -92,9 +88,6 @@ class SimulationTrace:
     def speedup_against(self, sequential_elapsed: float) -> float:
         return sequential_elapsed / self.elapsed if self.elapsed > 0 else float("inf")
 
-    def efficiency_against(self, sequential_elapsed: float) -> float:
-        return self.speedup_against(sequential_elapsed) / self.config.num_pes
-
     def seconds(self) -> float:
         return self.elapsed / self.config.units_per_second
 
@@ -117,10 +110,6 @@ class MachineSimulator:
         self.config = config
 
     # -- elementary models -----------------------------------------------------
-    def simulate_sequential(self, costs: Sequence[float]) -> float:
-        """Total time of running all tasks on one processor (no overheads)."""
-        return float(sum(costs))
-
     def _step(self, group: Sequence[float]) -> ParallelStepResult:
         """One strip-mined parallel step: task ``j`` of the group runs on PE ``j``."""
         num_pes = self.config.num_pes

@@ -9,7 +9,6 @@ which is what tree codes of that era typically did between tree rebuilds.
 from __future__ import annotations
 
 from repro.nbody.particle import Particle
-from repro.nbody.vector import Vec3
 
 
 #: work units charged per particle for the BHL2 update (a handful of flops,

@@ -89,9 +89,6 @@ class OctreeNode:
             return 1
         return 1 + max(child.depth() for child in children)
 
-    def count_nodes(self) -> int:
-        return sum(1 for _ in self.walk())
-
     def count_particles(self) -> int:
         return sum(1 for node in self.walk() if node.particle is not None)
 

@@ -31,7 +31,7 @@ from repro.machine.costmodel import MachineConfig, SEQUENT_LIKE
 from repro.machine.executor import SequentialBackend, ThreadPoolExecutorBackend
 from repro.machine.simulator import MachineSimulator, SimulationTrace
 from repro.nbody.force import compute_force_on_particle
-from repro.nbody.integrate import UPDATE_WORK_UNITS, compute_new_vel_pos
+from repro.nbody.integrate import compute_new_vel_pos
 from repro.nbody.particle import Particle, link_particles
 from repro.nbody.simulation import BarnesHutSimulation, SimulationConfig, StepStats
 

@@ -25,10 +25,6 @@ class Particle:
     next: "Particle | None" = None
     interactions: int = 0
 
-    def reset_force(self) -> None:
-        self.force = Vec3.zero()
-        self.interactions = 0
-
     def kinetic_energy(self) -> float:
         return 0.5 * self.mass * self.velocity.norm_squared()
 

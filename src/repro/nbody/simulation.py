@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.nbody.build import BuildStats, build_tree
 from repro.nbody.force import compute_force_on_particle, direct_forces
-from repro.nbody.integrate import UPDATE_WORK_UNITS, compute_new_vel_pos
-from repro.nbody.particle import Particle, iterate_list, link_particles
+from repro.nbody.integrate import compute_new_vel_pos
+from repro.nbody.particle import Particle, link_particles
 from repro.nbody.octree import OctreeNode
 
 
@@ -71,10 +71,6 @@ class SequentialRunResult:
     @property
     def total_work(self) -> float:
         return sum(s.total_work for s in self.steps)
-
-    @property
-    def total_interactions(self) -> int:
-        return sum(s.interactions for s in self.steps)
 
     @property
     def build_fraction(self) -> float:
@@ -149,6 +145,3 @@ class BarnesHutSimulation:
             result.steps.append(stats)
         result.final_states = [p.state() for p in self.particles]
         return result
-
-    def particle_states(self) -> list[tuple]:
-        return [p.state() for p in self.particles]

@@ -2,13 +2,16 @@
 
 :class:`PathMatrixAnalysis` runs the transfer rules of
 :mod:`repro.pathmatrix.rules` to a fixed point over a function's CFG and
-exposes the resulting matrices per program point.  It also implements the
-*primed-variable* loop analysis the paper uses to argue about loop-carried
-dependences: a copy ``p'`` of each pointer variable updated in the loop body
-is introduced at the top of the body (aliasing the current value), the body's
-transfer functions are applied once, and the resulting entry ``PM[p'][p]``
-tells us how the values of ``p`` in consecutive iterations relate — a
-definite acyclic path with no alias possibility means consecutive (and by
+exposes the resulting matrices per program point; a solve that stops at the
+sweep cap without converging raises :class:`AnalysisError`.  It also
+implements the *primed-variable* loop analysis the paper uses to argue about
+loop-carried dependences: a copy ``p'`` of each pointer variable updated in
+the loop body is introduced at the top of the body (aliasing the current
+value), one iteration of the body is analyzed — a solve of the body's own
+CFG from the loop-header matrix on the same worklist solver, so a nested
+loop reaches its own fixpoint — and the resulting entry ``PM[p'][p]`` tells
+us how the values of ``p`` in consecutive iterations relate: a definite
+acyclic path with no alias possibility means consecutive (and by
 transitivity, all distinct) iterations operate on distinct nodes.
 """
 
@@ -27,7 +30,6 @@ from repro.lang.ast_nodes import (
     For,
     FunctionDecl,
     If,
-    IndexAccess,
     Name,
     ParallelFor,
     Program,
@@ -38,6 +40,7 @@ from repro.lang.ast_nodes import (
     collect_pointer_variables,
     is_traversal_update,
     iter_statements,
+    traversal_updates,
 )
 from repro.lang.callgraph import call_graph, condensed_sccs
 from repro.lang.cfg import CFG, build_cfg
@@ -45,11 +48,12 @@ from repro.lang.typecheck import check_program
 from repro.pathmatrix.interproc import FunctionSummary, summarize_scc
 from repro.pathmatrix.matrix import PathMatrix
 from repro.pathmatrix.paths import PathEntry
-from repro.pathmatrix.rules import TransferContext, apply_block, apply_statement
-from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_worklist
+from repro.pathmatrix.rules import TransferContext, apply_block
+from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_body, solve_worklist
 
 
-#: process-wide count of fixpoints actually solved (memo hits excluded).
+#: process-wide count of function fixpoints actually solved (memo hits and
+#: the loop test's body solves excluded).
 #: The incremental engine's acceptance test — "editing one leaf re-runs
 #: exactly one fixpoint" — asserts against deltas of this counter.
 _FIXPOINT_RUNS = 0
@@ -58,6 +62,15 @@ _FIXPOINT_RUNS = 0
 def fixpoint_run_count() -> int:
     """Total path-matrix fixpoints solved in this process so far."""
     return _FIXPOINT_RUNS
+
+
+def _block_transfer(ctx: TransferContext):
+    """The block transfer the solvers run under ``ctx``."""
+
+    def transfer(block, state: PathMatrix) -> PathMatrix:
+        return apply_block(state, block.statements, ctx)
+
+    return transfer
 
 
 class AnalysisError(RuntimeError):
@@ -221,16 +234,18 @@ class PathMatrixAnalysis:
         init = initial.copy() if initial is not None else self.initial_matrix(func, ctx)
         result = AnalysisResult(function=name, cfg=cfg, ctx=ctx)
 
-        def transfer(block, state):
-            return apply_block(state, block.statements, ctx)
-
         entry, exit_, stats = solve_worklist(
-            cfg, init, transfer, PathMatrix.join, PathMatrix.equivalent,
+            cfg, init, _block_transfer(ctx), PathMatrix.join, PathMatrix.equivalent,
             max_iterations=MAX_FIXPOINT_ITERATIONS,
         )
 
         global _FIXPOINT_RUNS
         _FIXPOINT_RUNS += 1
+        if not stats.converged:
+            raise AnalysisError(
+                f"analysis of {name!r} did not reach a fixpoint within "
+                f"MAX_FIXPOINT_ITERATIONS = {MAX_FIXPOINT_ITERATIONS} sweeps"
+            )
         result.iterations = stats.iterations
         result.blocks_transferred = stats.blocks_transferred
         result.entry_matrices = entry
@@ -361,15 +376,6 @@ class LoopDependenceReport:
 PRIME_SUFFIX = "'"
 
 
-def _find_traversal_updates(body: Block) -> dict[str, str]:
-    """Pointer-induction updates ``p = p->f`` appearing anywhere in ``body``."""
-    return {
-        stmt.target: stmt.value.field
-        for stmt in iter_statements(body)
-        if is_traversal_update(stmt)
-    }
-
-
 def _collect_accesses(
     body: Block, summaries: dict[str, FunctionSummary]
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
@@ -493,6 +499,10 @@ def _scan_scalar_reads(
     return priv
 
 
+def _at_line(line: int | None) -> str:
+    return f" (line {line})" if line is not None else ""
+
+
 def _scalar_loop_dependences(
     func: FunctionDecl, loop: While, induction_vars: set[str]
 ) -> list[str]:
@@ -528,12 +538,9 @@ def _scalar_loop_dependences(
         flagged.setdefault(name, loop.line)
     _scan_scalar_reads(loop.body.statements, set(), tracked, flagged)
 
-    def at(line: int | None) -> str:
-        return f" (line {line})" if line is not None else ""
-
     deps = [
         f"scalar variable {name!r} carries a value across iterations: "
-        f"read{at(line)} before an unconditional assignment"
+        f"read{_at_line(line)} before an unconditional assignment"
         for name, line in sorted(flagged.items())
     ]
 
@@ -595,7 +602,7 @@ def analyze_loop_dependence(
     pm_entry = result.matrix_before_loop(loop)
 
     report = LoopDependenceReport(loop_line=loop.line, matrix_at_entry=pm_entry)
-    report.induction_vars = _find_traversal_updates(loop.body)
+    report.induction_vars = traversal_updates(loop.body)
 
     # abstraction validity at loop entry, restricted to the types whose ADDS
     # properties the traversal relies on
@@ -610,7 +617,7 @@ def analyze_loop_dependence(
         pm_entry.validation.is_valid_for(t) for t in relevant_types
     )
 
-    # primed-variable pass over one loop body execution
+    # primed-variable pass: one iteration of the loop body
     pm = pm_entry.copy()
     primes: dict[str, str] = {}
     for var in report.induction_vars:
@@ -618,9 +625,16 @@ def analyze_loop_dependence(
         primes[var] = primed
         pm.ensure_variable(primed)
         pm.copy_variable(primed, var)
-    for stmt in loop.body.statements:
-        pm = _apply_nested(pm, stmt, ctx)
+    pm, stats = solve_body(
+        loop.body, pm, _block_transfer(ctx), PathMatrix.join, PathMatrix.equivalent,
+        max_iterations=MAX_FIXPOINT_ITERATIONS,
+    )
     report.matrix_after_body = pm
+    if not stats.converged:
+        report.carried_dependences.append(
+            "the primed-variable pass over the loop body did not reach a fixpoint "
+            f"within MAX_FIXPOINT_ITERATIONS = {MAX_FIXPOINT_ITERATIONS} sweeps"
+        )
 
     for var, primed in primes.items():
         if pm.definitely_not_alias(primed, var):
@@ -642,6 +656,14 @@ def analyze_loop_dependence(
         _scalar_loop_dependences(func, loop, set(report.induction_vars))
     )
 
+    # parallel iterations would all run, even those after one that returns
+    for stmt in iter_statements(loop.body):
+        if isinstance(stmt, Return):
+            report.carried_dependences.append(
+                f"return statement{_at_line(stmt.line)}: a later iteration runs "
+                "only if this one does not return"
+            )
+
     # a write to a field some induction variable chases rewires the very
     # chain the parallel iterations would be distributed over
     traversal_fields = set(report.induction_vars.values())
@@ -655,33 +677,6 @@ def analyze_loop_dependence(
             "ADDS abstraction not valid at loop entry; traversal properties unusable"
         )
     return report
-
-
-def _apply_nested(pm: PathMatrix, stmt: Stmt, ctx: TransferContext) -> PathMatrix:
-    """Apply a statement including (conservatively) nested control flow."""
-    from repro.lang.ast_nodes import For, If, ParallelFor
-
-    if isinstance(stmt, If):
-        taken = pm
-        for inner in stmt.then_body.statements:
-            taken = _apply_nested(taken, inner, ctx)
-        other = pm
-        if stmt.else_body is not None:
-            for inner in stmt.else_body.statements:
-                other = _apply_nested(other, inner, ctx)
-        return taken.join(other)
-    if isinstance(stmt, (While, For, ParallelFor)):
-        body_pm = pm
-        for _ in range(2):  # small unrolled fixed point
-            nxt = body_pm
-            for inner in stmt.body.statements:
-                nxt = _apply_nested(nxt, inner, ctx)
-            nxt = body_pm.join(nxt)
-            if nxt.equivalent(body_pm):
-                break
-            body_pm = nxt
-        return pm.join(body_pm)
-    return apply_statement(pm, stmt, ctx)
 
 
 def _conflicts_across_iterations(

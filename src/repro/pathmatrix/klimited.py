@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.lang.ast_nodes import (
     Assign,
-    Call,
     Expr,
-    ExprStmt,
     FieldAccess,
     FieldAssign,
     FunctionDecl,
@@ -37,17 +35,16 @@ from repro.lang.ast_nodes import (
     New,
     NullLit,
     Program,
-    Return,
     Stmt,
     VarDecl,
     While,
     collect_pointer_variables,
-    is_traversal_update,
     iter_statements,
+    traversal_updates,
 )
 from repro.lang.cfg import build_cfg
 from repro.pathmatrix.alias import AccessPath, AliasAnswer
-from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_worklist
+from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_body, solve_worklist
 
 
 #: the single summary location all k-limited nodes collapse into
@@ -279,6 +276,33 @@ class KLimitedAnalysis:
                 state.add_edge(loc, stmt.field, new_targets)
 
     # -- fixed point ----------------------------------------------------------------
+    def _block_transfer(self, pointer_vars: set[str]):
+        def transfer(block, state: StorageGraph) -> StorageGraph:
+            for stmt in block.statements:
+                state = self.transfer(state, stmt, pointer_vars)
+            return state
+
+        return transfer
+
+    def _function(self, name: str) -> FunctionDecl:
+        func = self.program.function_named(name)
+        if func is None:
+            raise KeyError(f"no function named {name!r}")
+        return func
+
+    def _solve(self, func: FunctionDecl):
+        """``(cfg, entry states, exit states)`` of ``func``'s fixpoint."""
+        cfg = build_cfg(func)
+        entry, exit_, _stats = solve_worklist(
+            cfg,
+            self.initial_state(func),
+            self._block_transfer(self._pointer_vars(func)),
+            StorageGraph.join,
+            StorageGraph.__eq__,
+            max_iterations=MAX_FIXPOINT_ITERATIONS,
+        )
+        return cfg, entry, exit_
+
     def analyze_function(self, name: str) -> dict[int, StorageGraph]:
         """Return the storage graph at every basic-block exit.
 
@@ -286,90 +310,60 @@ class KLimitedAnalysis:
         :mod:`repro.pathmatrix.worklist`): only blocks whose inputs changed
         are re-transferred.
         """
-        func = self.program.function_named(name)
-        if func is None:
-            raise KeyError(f"no function named {name!r}")
-        pointer_vars = self._pointer_vars(func)
-        cfg = build_cfg(func)
-        init = self.initial_state(func)
-
-        def transfer(block, state: StorageGraph) -> StorageGraph:
-            for stmt in block.statements:
-                state = self.transfer(state, stmt, pointer_vars)
-            return state
-
-        _entry, exit_, _stats = solve_worklist(
-            cfg,
-            init,
-            transfer,
-            StorageGraph.join,
-            StorageGraph.__eq__,
-            max_iterations=MAX_FIXPOINT_ITERATIONS,
-        )
-        return exit_
+        return self._solve(self._function(name))[2]
 
     def final_state(self, name: str) -> StorageGraph:
-        func = self.program.function_named(name)
-        assert func is not None
-        cfg = build_cfg(func)
-        states = self.analyze_function(name)
-        return states.get(cfg.exit, self.initial_state(func))
+        func = self._function(name)
+        cfg, _entry, exit_ = self._solve(func)
+        return exit_.get(cfg.exit, self.initial_state(func))
 
     def state_before_loop(self, name: str, loop: While | None = None) -> StorageGraph:
-        """The state at the entry of the first (or given) while loop of ``name``."""
-        func = self.program.function_named(name)
-        if func is None:
-            raise KeyError(f"no function named {name!r}")
+        """The solver's entry state at the header of the first (or given)
+        while loop of ``name``."""
+        func = self._function(name)
         if loop is None:
             loops = [s for s in iter_statements(func.body) if isinstance(s, While)]
             if not loops:
                 raise ValueError(f"function {name!r} contains no while loop")
             loop = loops[0]
-        cfg = build_cfg(func)
-        states = self.analyze_function(name)
+        cfg, entry, exit_ = self._solve(func)
         for block in cfg.blocks:
-            if block.loop_header_of is loop:
-                preds = [states[p] for p in block.predecessors if p in states]
-                if preds:
-                    merged = preds[0]
-                    for other in preds[1:]:
-                        merged = merged.join(other)
-                    return merged
-        return self.final_state(name)
+            if block.loop_header_of is loop and block.index in entry:
+                return entry[block.index]
+        return exit_.get(cfg.exit, self.initial_state(func))
 
     def loop_traversal_independent(self, name: str, loop: While | None = None) -> bool:
         """Can the analysis prove ``p = p->f`` visits a new node each iteration?
 
-        With k-limiting the answer is "no" as soon as the traversal reaches
-        the summary region — the limitation the paper's approach removes.
+        One iteration of the loop body, with a primed copy of each traversal
+        variable, is solved on the body's own CFG.  With k-limiting the
+        answer is "no" as soon as the traversal reaches the summary region —
+        the limitation the paper's approach removes.
         """
-        func = self.program.function_named(name)
-        if func is None:
-            raise KeyError(f"no function named {name!r}")
+        func = self._function(name)
         if loop is None:
             loops = [s for s in iter_statements(func.body) if isinstance(s, While)]
             if not loops:
                 return True
             loop = loops[0]
-        state = self.state_before_loop(name, loop)
-        pointer_vars = self._pointer_vars(func)
-        # simulate one iteration with a primed copy
-        updates = {
-            stmt.target: stmt.value.field
-            for stmt in iter_statements(loop.body)
-            if is_traversal_update(stmt)
-        }
+        updates = traversal_updates(loop.body)
         if not updates:
             return True
-        sim = state.copy()
-        primes = {}
-        for var in updates:
-            primed = var + "'"
-            primes[var] = primed
+        sim = self.state_before_loop(name, loop).copy()
+        primes = {var: var + "'" for var in updates}
+        for var, primed in primes.items():
             sim.set_var(primed, sim.targets(var))
-        for stmt in loop.body.statements:
-            sim = self.transfer(sim, stmt, pointer_vars | set(primes.values()))
-        return all(not sim.may_alias(primes[var], var) for var in updates)
+        sim, stats = solve_body(
+            loop.body,
+            sim,
+            self._block_transfer(self._pointer_vars(func) | set(primes.values())),
+            StorageGraph.join,
+            StorageGraph.__eq__,
+            max_iterations=MAX_FIXPOINT_ITERATIONS,
+        )
+        return stats.converged and all(
+            not sim.may_alias(primed, var) for var, primed in primes.items()
+        )
 
 
 class KLimitedOracle:

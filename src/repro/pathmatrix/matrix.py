@@ -9,7 +9,6 @@ dataflow analysis joins them at control-flow merge points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.pathmatrix.paths import EMPTY_ENTRY, PathEntry

@@ -81,8 +81,10 @@ class TransferContext:
     #: when False, ADDS information is ignored and every rule is conservative
     use_adds: bool = True
     _temp_counter: int = 0
-    #: memoized statement-relevance verdicts, keyed by id(stmt) (the AST is
-    #: stable and outlives the context, so ids cannot be recycled mid-analysis)
+    #: memoized statement-relevance verdicts: id(stmt) -> (stmt, verdict).
+    #: Each entry holds its statement, so the id cannot be recycled while the
+    #: context lives: a loop body's CFG synthesizes a ``for`` loop's init and
+    #: step assignments afresh on every build.
     _relevance: dict = dc_field(default_factory=dict)
     _field_owner_cache: dict = dc_field(default_factory=dict)
     _temp_names: dict = dc_field(default_factory=dict)
@@ -238,9 +240,9 @@ def statement_touches_matrix(stmt: Stmt, ctx: TransferContext) -> bool:
     key = id(stmt)
     cached = ctx._relevance.get(key)
     if cached is None:
-        cached = _compute_relevance(stmt, ctx)
+        cached = (stmt, _compute_relevance(stmt, ctx))
         ctx._relevance[key] = cached
-    return cached
+    return cached[1]
 
 
 def apply_block(pm: PathMatrix, statements: list, ctx: TransferContext) -> PathMatrix:

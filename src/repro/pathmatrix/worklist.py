@@ -3,21 +3,29 @@
 Two interchangeable engines, shared by the path-matrix analysis and the
 k-limited storage-graph baseline:
 
-* :func:`solve_worklist` — the fast engine.  Sweeps run in reverse-postorder
-  priority, but a block is only re-joined and re-transferred when the exit
-  state of one of its predecessors actually changed (tracked by object
-  identity: states are immutable values, so unchanged predecessor objects
-  mean an unchanged input).  On an acyclic CFG every block is transferred
-  exactly once; with loops, only the blocks inside the changed region are
-  revisited.
+* :func:`solve_worklist` — the engine every production fixpoint runs on.
+  Sweeps run in reverse-postorder priority, but a block is only re-joined
+  and re-transferred when the exit state of one of its predecessors
+  actually changed (tracked by object identity: states are immutable
+  values, so unchanged predecessor objects mean an unchanged input).  On an
+  acyclic CFG every block is transferred exactly once; with loops, only the
+  blocks inside the changed region are revisited.  It solves a function's
+  CFG for ``PathMatrixAnalysis.analyze_function`` and for
+  ``KLimitedAnalysis``, and, through :func:`solve_body`, one iteration of a
+  loop body with primed traversal variables for ``analyze_loop_dependence``
+  and ``KLimitedAnalysis.loop_traversal_independent``.
 
 * :func:`solve_roundrobin` — the seed's original engine, retained as the
-  comparison baseline: sweep **every** block in reverse postorder, repeat
-  until a whole sweep changes nothing.
+  reference the tests compare against (``baseline_roundrobin``): sweep
+  **every** block in reverse postorder, repeat until a whole sweep changes
+  nothing.
 
 Both engines are parameterized over the abstract state: ``transfer(block,
 state) -> state`` applies a basic block, ``join(a, b) -> state`` merges
-control flow, and ``same(a, b) -> bool`` detects convergence.
+control flow, and ``same(a, b) -> bool`` detects convergence.  Both stop
+after ``max_iterations`` sweeps; :attr:`SolveStats.converged` says whether
+the last sweep changed nothing, i.e. whether the states returned are a
+fixpoint at all.
 
 The two engines see **identical state trajectories**, not merely equivalent
 fixpoints, by construction: skipping a block whose input is unchanged cannot
@@ -35,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, TypeVar
 
-from repro.lang.cfg import CFG, BasicBlock
+from repro.lang.ast_nodes import Block, FunctionDecl
+from repro.lang.cfg import CFG, BasicBlock, build_cfg
 
 
 State = TypeVar("State")
@@ -52,12 +61,15 @@ class SolveStats:
     (including the final sweep that observes no change); the worklist engine
     skips stable blocks *within* a sweep, which ``blocks_transferred`` —
     the count of transfer-function applications, directly comparable
-    between the two engines — makes visible.
+    between the two engines — makes visible.  ``converged`` is True when
+    the last sweep changed nothing; False means the solve stopped at the
+    sweep cap and its states are not a fixpoint.
     """
 
     solver: str
     iterations: int = 0
     blocks_transferred: int = 0
+    converged: bool = False
 
 
 def _merged_input(
@@ -112,6 +124,7 @@ def solve_roundrobin(
                 changed = True
         stats.iterations = iteration + 1
         if not changed:
+            stats.converged = True
             break
     return entry, exits, stats
 
@@ -183,5 +196,29 @@ def solve_worklist(
                 changed = True
         stats.iterations = sweep + 1
         if not changed:
+            stats.converged = True
             break
     return entry, exits, stats
+
+
+def solve_body(
+    body: Block,
+    init: State,
+    transfer: Callable[[BasicBlock, State], State],
+    join: Callable[[State, State], State],
+    same: Callable[[State, State], bool],
+    max_iterations: int = MAX_FIXPOINT_ITERATIONS,
+) -> Tuple[State, SolveStats]:
+    """One iteration of a loop body: the state at the body's exit.
+
+    The body gets its own CFG, solved from ``init`` by
+    :func:`solve_worklist`, so a loop nested in the body is iterated exactly
+    as a function's fixpoint iterates it, and branches, bare blocks and
+    ``return`` statements are lowered as they are there (a ``return`` jumps
+    to the body's exit).  Check ``converged`` on the stats returned.
+    """
+    cfg = build_cfg(FunctionDecl(name="<loop body>", body=body))
+    _entry, exits, stats = solve_worklist(
+        cfg, init, transfer, join, same, max_iterations=max_iterations
+    )
+    return exits[cfg.exit], stats

@@ -10,7 +10,7 @@ exercise real traversals and allocations over the analyzable heap.
 
 from __future__ import annotations
 
-from repro.lang.heap import Heap, NULL_REF
+from repro.lang.heap import Heap
 from repro.structures.linked_list import OneWayList
 
 

@@ -128,15 +128,6 @@ class PointRegionQuadTree:
             (self.heap.load(r, "x"), self.heap.load(r, "y")) for r in self.leaf_refs()
         ]
 
-    def node_refs(self) -> Iterator[int]:
-        stack = [self.root]
-        while stack:
-            ref = stack.pop()
-            yield ref
-            for child in self.heap.load(ref, "subtrees"):
-                if child != NULL_REF:
-                    stack.append(child)
-
     def depth(self) -> int:
         def go(ref: int) -> int:
             children = [c for c in self.heap.load(ref, "subtrees") if c != NULL_REF]

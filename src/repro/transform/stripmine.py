@@ -45,7 +45,6 @@ from repro.lang.ast_nodes import (
     Expr,
     ExprStmt,
     FieldAccess,
-    FieldAssign,
     For,
     FunctionDecl,
     If,

@@ -15,7 +15,10 @@ from repro.adds.library import merged_into
 from repro.bench.figures import POLYNOMIAL_SCALE_SRC, SUBTREE_MOVE_SRC
 from repro.bench.stress import deep_program, random_program, wide_program
 from repro.nbody.toy_program import barnes_hut_toy_program
+from repro.lang.cfg import build_cfg
+from repro.lang.parser import parse_program
 from repro.pathmatrix import PathMatrixAnalysis, baseline_roundrobin
+from repro.pathmatrix.worklist import solve_body, solve_roundrobin, solve_worklist
 
 
 def assert_solvers_agree(program, function_name: str, use_adds: bool = True):
@@ -125,3 +128,65 @@ class TestWorkAccounting:
         program = merged_into(POLYNOMIAL_SCALE_SRC, "ListNode")
         result = baseline_roundrobin(PathMatrixAnalysis(program), "scale")
         assert result.iterations >= 1
+
+
+class TestConvergence:
+    """Both engines report whether their last sweep changed nothing."""
+
+    LOOP_SRC = """
+    function f(n)
+    { var i;
+      i = 0;
+      while i < n
+      { i = i + 1; }
+      return i;
+    }
+    """
+
+    @pytest.mark.parametrize("solve", [solve_roundrobin, solve_worklist])
+    def test_a_transfer_that_never_stabilises_does_not_converge(self, solve):
+        cfg = build_cfg(parse_program(self.LOOP_SRC).function_named("f"))
+        _entry, _exits, stats = solve(
+            cfg, 0, lambda block, n: n + 1, max, lambda a, b: a == b,
+            max_iterations=10,
+        )
+        assert stats.iterations == 10
+        assert not stats.converged
+
+    @pytest.mark.parametrize("solve", [solve_roundrobin, solve_worklist])
+    def test_a_stabilising_transfer_converges(self, solve):
+        cfg = build_cfg(parse_program(self.LOOP_SRC).function_named("f"))
+        _entry, _exits, stats = solve(
+            cfg, 0, lambda block, n: min(n + 1, 3), max, lambda a, b: a == b,
+            max_iterations=10,
+        )
+        assert stats.iterations < 10
+        assert stats.converged
+
+    def test_a_loop_body_is_solved_like_a_function(self):
+        """``solve_body`` iterates a nested loop to its fixpoint and joins a
+        ``return``'s state into the body's exit."""
+        source = (
+            "function f(n)\n"
+            "{ var i; var j;\n"
+            "  while i < n\n"
+            "  { j = 0;\n"                                  # line 4
+            "    while j < n { j = j + 1; }\n"              # line 5
+            "    if j > 5 then { return j; }\n"             # line 6
+            "    i = i + 1;\n"                              # line 7
+            "  }\n"
+            "  return i;\n"
+            "}\n"
+        )
+        loop = parse_program(source).function_named("f").body.statements[2]
+
+        def transfer(block, lines):
+            return lines | {stmt.line for stmt in block.statements}
+
+        lines, stats = solve_body(
+            loop.body, frozenset(), transfer, frozenset.union, frozenset.__eq__
+        )
+        assert lines == {4, 5, 6, 7}
+        assert stats.converged
+        # sweep 2 follows the inner loop's back edge, sweep 3 changes nothing
+        assert stats.iterations == 3

@@ -3,13 +3,22 @@
 import pytest
 
 from repro.adds.library import merged_into
+from repro.driver.corpus import builtin_corpus
+from repro.driver.pipeline import PipelineOptions, function_report
+from repro.lang.ast_nodes import Assign, Call, IntLit, Program, Return, iter_statements
 from repro.lang.parser import parse_program
 from repro.pathmatrix import (
+    KLimitedAnalysis,
     PathMatrixAnalysis,
     analyze_function,
     analyze_loop_dependence,
 )
+from repro.pathmatrix import analysis as analysis_module
+from repro.pathmatrix import klimited, worklist
 from repro.pathmatrix.interproc import summarize_program
+from repro.pathmatrix.rules import TransferContext, statement_touches_matrix
+from repro.pathmatrix.worklist import solve_worklist
+from repro.transform.dependence import LoopClassification, classify_loop, find_while_loops
 
 
 def analyze_last_matrix(source: str, function: str = "f", use_adds: bool = True,
@@ -67,6 +76,16 @@ class TestBasicRules:
             "function f(a) { var b; b = new ListNode; a->next = b; return a; }"
         )
         assert "next" in pm.get("a", "b").path_fields()
+
+    def test_relevance_memo_never_answers_for_a_freed_statement(self):
+        """A loop body's CFG synthesizes a ``for`` loop's init and step
+        assignments afresh on every build; the verdict memoized for a freed
+        one must not answer for a new statement that reuses its id."""
+        ctx = TransferContext(program=Program())
+        for value in [IntLit(0), Call("f", [])] * 20:
+            stmt = Assign(target="i", value=value)
+            assert statement_touches_matrix(stmt, ctx) is isinstance(value, Call)
+            del stmt
 
 
 class TestAbstractionValidation:
@@ -252,3 +271,159 @@ class TestLoopDependence:
         for func in bh_program.functions:
             result = analysis.analyze_function(func.name)
             assert result.iterations < 30
+
+
+def _loop_entries(source: str, function: str) -> list[dict]:
+    """The ``loops`` of ``function``'s report: classification, reasons and
+    transform outcomes."""
+    program = merged_into(source, "ListNode")
+    analysis = PathMatrixAnalysis(program, memoize_results=True)
+    return function_report(analysis, function, PipelineOptions())["loops"]
+
+
+class TestLoopBodySolve:
+    """The primed-variable pass solves one iteration of the loop body on the
+    body's own CFG, so every statement form is lowered as in a function."""
+
+    def test_update_in_a_bare_block_is_a_doall_traversal(self):
+        (loop,) = _loop_entries(
+            """
+            function zero(head)
+            { var p;
+              p = head;
+              while p <> NULL
+              { p->coef = 0;
+                { p = p->next; }
+              }
+              return head;
+            }
+            """,
+            "zero",
+        )
+        assert loop["classification"] == "doall-after-traversal"
+        # the transforms rewrite a top-level traversal update only
+        assert loop["transforms"]
+        assert not any(t["applied"] for t in loop["transforms"].values())
+
+    def test_braces_around_a_statement_keep_the_reasons(self):
+        template = """
+        function copy_next(head)
+        {{ var p; var q;
+          p = head;
+          while p <> NULL
+          {{ {load}
+            if q <> NULL then
+            {{ q->coef = p->coef; }}
+            p = p->next;
+          }}
+          return head;
+        }}
+        """
+        (braced,) = _loop_entries(template.format(load="{ q = p->next; }"), "copy_next")
+        (plain,) = _loop_entries(template.format(load="q = p->next;"), "copy_next")
+        assert braced["reasons"] == plain["reasons"] == [
+            "write q->coef may conflict with previous-iteration write q->coef"
+        ]
+
+    def test_a_loop_body_that_returns_is_sequential(self):
+        """Strip-mining would move the ``return`` into the iteration
+        procedure, where it ends only that procedure."""
+        source = """
+        function scale(head, c)
+        { var q;
+          q = head;
+          while q <> NULL
+          { q->coef = q->coef * c;
+            if q->exp > 2 { return head; }
+            q = q->next;
+          }
+          return head;
+        }
+        """
+        program = merged_into(source, "ListNode")
+        (loop,) = find_while_loops(program, "scale")
+        (ret,) = [s for s in iter_statements(loop.body) if isinstance(s, Return)]
+        test = classify_loop(program, "scale", loop)
+        assert test.classification is LoopClassification.SEQUENTIAL
+        assert (
+            f"return statement (line {ret.line}): a later iteration runs only "
+            "if this one does not return"
+        ) in test.reasons
+
+
+class TestFixpointConvergence:
+    """Every solve either converges or says that it did not."""
+
+    NESTED_SRC = """
+    function f(head, n)
+    { var p; var r; var i;
+      p = head;
+      while p <> NULL
+      { i = 0;
+        while i < n
+        { r = p->next;
+          i = i + 1;
+        }
+        p->coef = 0;
+        p = p->next;
+      }
+      return head;
+    }
+    """
+
+    def test_a_function_solve_that_runs_out_is_an_error(self, monkeypatch, scale_program):
+        monkeypatch.setattr(analysis_module, "MAX_FIXPOINT_ITERATIONS", 1)
+        analysis = PathMatrixAnalysis(scale_program, memoize_results=True)
+        report = function_report(analysis, "scale", PipelineOptions())
+        assert report["status"] == "error"
+        assert report["analysis"]["error"] == (
+            "analysis of 'scale' did not reach a fixpoint within "
+            "MAX_FIXPOINT_ITERATIONS = 1 sweeps"
+        )
+        assert report["loops"] == []
+
+    def test_a_body_solve_that_runs_out_makes_the_loop_sequential(self, monkeypatch):
+        program = merged_into(self.NESTED_SRC, "ListNode")
+        analysis = PathMatrixAnalysis(program, memoize_results=True)
+        outer, inner = find_while_loops(program, "f")
+        assert analyze_loop_dependence(program, "f", outer, analysis=analysis).parallelizable
+
+        # the function's fixpoint stays memoized; only the body solves are capped
+        monkeypatch.setattr(analysis_module, "MAX_FIXPOINT_ITERATIONS", 2)
+        nested = analyze_loop_dependence(program, "f", outer, analysis=analysis)
+        assert nested.carried_dependences == [
+            "the primed-variable pass over the loop body did not reach a "
+            "fixpoint within MAX_FIXPOINT_ITERATIONS = 2 sweeps"
+        ]
+        # a straight-line body converges in two sweeps
+        flat = analyze_loop_dependence(program, "f", inner, analysis=analysis)
+        assert not any("primed-variable pass" in r for r in flat.carried_dependences)
+
+    def test_every_solve_over_the_builtin_corpus_converges(self, monkeypatch):
+        solves = []
+
+        def recording(*args, **kwargs):
+            entry, exits, stats = solve_worklist(*args, **kwargs)
+            solves.append(stats)
+            return entry, exits, stats
+
+        for module in (worklist, analysis_module, klimited):
+            monkeypatch.setattr(module, "solve_worklist", recording)
+        loops = 0
+        for item in builtin_corpus():
+            program = parse_program(item.source)
+            for use_adds in (True, False):
+                analysis = PathMatrixAnalysis(program, use_adds=use_adds, memoize_results=True)
+                for func in program.functions:
+                    analysis.analyze_function(func.name)
+                    for loop in find_while_loops(program, func.name):
+                        analyze_loop_dependence(
+                            program, func.name, loop, use_adds=use_adds, analysis=analysis
+                        )
+                        loops += 1
+            k_limited = KLimitedAnalysis(program)
+            for func in program.functions:
+                for loop in find_while_loops(program, func.name):
+                    k_limited.loop_traversal_independent(func.name, loop)
+        assert loops
+        assert solves and all(stats.converged for stats in solves)
