@@ -17,8 +17,11 @@ Stored payloads are *line-relative* (diagnostic line numbers are rebased to
 the function's first line), so byte-identical function bodies at different
 file offsets share one entry; the driver re-absolutizes on probe.
 
-Entries are stored wrapped with a SHA-256 checksum of the canonical-JSON
-payload.  A truncated, garbled, or bit-flipped file — crashed writer, bad
+Each entry is encoded once: the file is the JSON object ``{"payload": P,
+"sha256": H}`` whose ``P`` is, byte for byte, the payload's canonical JSON
+(:func:`canonical_json`) and ``H`` the SHA-256 of those bytes.  A read
+hashes the bytes it found and parses them once; it never re-encodes.  A
+truncated, garbled, re-formatted or bit-flipped file — crashed writer, bad
 sector, an overeager ``sed`` — is therefore *detected* at read time, evicted
 from disk, and counted, and the stage is simply recomputed (a lost
 ``report`` costs one recompute of its function); it can never feed a
@@ -44,7 +47,7 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 10  # v10: the report is the only per-function artifact
+CACHE_VERSION = 11  # v11: an entry's payload bytes are the bytes its checksum covers
 
 #: stage namespaces of the artifact store, one subdirectory each
 STAGES = ("summary", "report", "sim", "manifest")
@@ -118,38 +121,69 @@ class CorruptEntryError(ValueError):
     """A cache file failed its integrity check."""
 
 
+def canonical_json(payload: dict) -> str:
+    """The one canonical JSON text of ``payload``: sorted keys, the default
+    separators, no indentation (so the C encoder writes it)."""
+    return json.dumps(payload, sort_keys=True)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def payload_digest(payload: dict) -> str:
-    """SHA-256 of the canonical JSON of ``payload``.
+    """SHA-256 of :func:`canonical_json` of ``payload``.
 
     Doubles as the integrity checksum of stored entries and as the artifact
     digest callers fold into their own stage keys (the firewall test is
     "is the callee's artifact byte-identical?" — i.e. digest-identical).
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical_json(payload))
+
+
+#: an entry is ``_HEAD + canonical payload + _MID + checksum + _TAIL``, which
+#: is also the canonical JSON of ``{"payload": ..., "sha256": ...}``
+_HEAD = '{"payload": '
+_MID = ', "sha256": "'
+_TAIL = '"}'
+_DIGEST_LEN = 64
 
 
 def encode_entry(payload: dict) -> str:
     """Wrap ``payload`` with its checksum for on-disk storage."""
-    return json.dumps(
-        {"sha256": payload_digest(payload), "payload": payload},
-        indent=1,
-        sort_keys=True,
-    )
+    canonical = canonical_json(payload)
+    return f"{_HEAD}{canonical}{_MID}{_sha256(canonical)}{_TAIL}"
 
 
 def decode_entry(text: str) -> dict:
     """Unwrap a stored entry, raising :class:`CorruptEntryError` if it is
-    truncated, not a checksum wrapper, or fails the checksum."""
+    truncated, not a checksum wrapper, or fails the checksum.
+
+    An intact entry is hashed as read and parsed once.  Anything else is
+    parsed whole only to say what is wrong with it; a wrapper whose payload
+    bytes are not the ones its checksum covers (re-indented, or written
+    before :data:`CACHE_VERSION` 11) fails the checksum.
+    """
+    payload_end = len(text) - len(_MID) - _DIGEST_LEN - len(_TAIL)
+    if (
+        payload_end >= len(_HEAD)
+        and text.startswith(_HEAD)
+        and text.startswith(_MID, payload_end)
+        and text.endswith(_TAIL)
+    ):
+        canonical = text[len(_HEAD) : payload_end]
+        if _sha256(canonical) == text[payload_end + len(_MID) : -len(_TAIL)]:
+            try:
+                return json.loads(canonical)
+            except json.JSONDecodeError as exc:
+                raise CorruptEntryError(f"not valid JSON ({exc})") from None
     try:
         wrapper = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptEntryError(f"not valid JSON ({exc})") from None
     if not isinstance(wrapper, dict) or set(wrapper) != {"payload", "sha256"}:
         raise CorruptEntryError("missing checksum wrapper")
-    if payload_digest(wrapper["payload"]) != wrapper["sha256"]:
-        raise CorruptEntryError("checksum mismatch")
-    return wrapper["payload"]
+    raise CorruptEntryError("checksum mismatch")
 
 
 class ResultCache:
@@ -385,7 +419,7 @@ class ResultCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             tmp = self.directory / f"{LEDGER_NAME}.{os.getpid()}.tmp"
-            tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+            tmp.write_text(canonical_json(payload))
             tmp.replace(self.directory / LEDGER_NAME)
         except OSError:
             return

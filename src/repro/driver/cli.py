@@ -46,6 +46,7 @@ from repro.driver.batch import (
     BatchExecutionError,
     BatchReport,
 )
+from repro.driver.cache import canonical_json
 from repro.driver.corpus import CORPORA, corpus_named, load_source_file
 from repro.driver.executor import WorkerPoolError, default_jobs
 from repro.driver.faults import FAULTS_ENV_VAR, FaultSpecError, parse_fault_spec
@@ -161,7 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    analyze.add_argument("--output", help="also write the JSON report to this file")
+    analyze.add_argument(
+        "--output", help="also write the JSON report to this file (compact JSON)"
+    )
     analyze.add_argument(
         "--full", action="store_true", help="paper-sized stress corpus instead of quick"
     )
@@ -405,11 +408,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: batch execution failed: {exc}", file=sys.stderr)
         return 3
 
+    report_dict = report.to_dict()
     if args.output:
+        # unindented, so that the C encoder writes it; stdout stays indented
         with open(args.output, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write(canonical_json(report_dict))
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report_dict, indent=2, sort_keys=True))
     else:
         print(render_text(report))
     if _report_partial(report):

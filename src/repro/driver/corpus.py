@@ -21,12 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.adds.library import standard_source
-from repro.bench.stress import (
-    call_web_program_source,
-    deep_program_source,
-    random_program_source,
-    wide_program_source,
-)
 from repro.lang.pretty import unparse
 
 #: file extension of on-disk toy-language programs
@@ -136,6 +130,15 @@ def load_source_file(path: str | Path) -> CorpusItem:
 def stress_corpus(full: bool = False) -> list[CorpusItem]:
     import random
 
+    # imported here: ``repro.bench`` loads the paper's whole experiment
+    # harness, which a CLI start that names no generated corpus never needs
+    from repro.bench.stress import (
+        call_web_program_source,
+        deep_program_source,
+        random_program_source,
+        wide_program_source,
+    )
+
     wide = 50 if full else 24
     depth, segment, deep_vars = (8, 6, 30) if full else (4, 4, 12)
     web = 96 if full else 48
@@ -179,6 +182,8 @@ def bench_corpus(full: bool = False) -> list[CorpusItem]:
     scheduling actually matters (one program far larger than the rest, of
     hundreds of cheap, dependent functions — not just a handful of big
     ones)."""
+    from repro.bench.stress import call_web_program_source
+
     web = 240 if full else 200
     return builtin_corpus(full=full) + [
         CorpusItem(

@@ -227,6 +227,10 @@ _LINE_REF_RE = re.compile(r"line (\d+)")
 #: dict keys whose integer values are source line numbers
 _LINE_KEYS = frozenset({"line", "loop_line"})
 
+#: the parts of a report that can mention a source line; the others hold
+#: names, statuses, flags and the summary, which has no lines
+_LINE_PARTS = ("analysis", "loops")
+
 
 def _shift_lines(value, delta: int, key=None):
     if isinstance(value, bool):
@@ -244,6 +248,15 @@ def _shift_lines(value, delta: int, key=None):
     return value
 
 
+def _shift_report(report: dict, delta: int) -> dict:
+    """``report`` with the lines of its line-holding parts shifted by
+    ``delta``; the other parts are shared, not copied."""
+    shifted = dict(report)
+    for part in _LINE_PARTS:
+        shifted[part] = _shift_lines(report[part], delta, part)
+    return shifted
+
+
 def relativize_report(report: dict, base_line: int) -> dict:
     """Rebase every source line in ``report`` to be relative to ``base_line``.
 
@@ -251,12 +264,12 @@ def relativize_report(report: dict, base_line: int) -> dict:
     function" so byte-identical bodies at different file offsets share one
     artifact.  In-process and user-facing reports stay absolute.
     """
-    return _shift_lines(report, 1 - base_line)
+    return _shift_report(report, 1 - base_line)
 
 
 def absolutize_report(report: dict, base_line: int) -> dict:
     """Inverse of :func:`relativize_report` for the probing caller's offset."""
-    return _shift_lines(report, base_line - 1)
+    return _shift_report(report, base_line - 1)
 
 
 # -- whole-program simulation -------------------------------------------------

@@ -195,6 +195,8 @@ class KLimitedAnalysis:
     def __init__(self, program: Program, k: int = 2):
         self.program = program
         self.k = k
+        #: function name -> ``(cfg, entry states, exit states)`` of its solve
+        self._solved: dict[str, tuple] = {}
 
     def _pointer_vars(self, func: FunctionDecl) -> set[str]:
         pointer_vars = collect_pointer_variables(func, self.program)
@@ -291,17 +293,21 @@ class KLimitedAnalysis:
         return func
 
     def _solve(self, func: FunctionDecl):
-        """``(cfg, entry states, exit states)`` of ``func``'s fixpoint."""
-        cfg = build_cfg(func)
-        entry, exit_, _stats = solve_worklist(
-            cfg,
-            self.initial_state(func),
-            self._block_transfer(self._pointer_vars(func)),
-            StorageGraph.join,
-            StorageGraph.__eq__,
-            max_iterations=MAX_FIXPOINT_ITERATIONS,
-        )
-        return cfg, entry, exit_
+        """``(cfg, entry states, exit states)`` of ``func``'s fixpoint, solved
+        once per function; the states are shared, so hand out copies."""
+        solved = self._solved.get(func.name)
+        if solved is None:
+            cfg = build_cfg(func)
+            entry, exit_, _stats = solve_worklist(
+                cfg,
+                self.initial_state(func),
+                self._block_transfer(self._pointer_vars(func)),
+                StorageGraph.join,
+                StorageGraph.__eq__,
+                max_iterations=MAX_FIXPOINT_ITERATIONS,
+            )
+            solved = self._solved[func.name] = (cfg, entry, exit_)
+        return solved
 
     def analyze_function(self, name: str) -> dict[int, StorageGraph]:
         """Return the storage graph at every basic-block exit.
@@ -310,12 +316,14 @@ class KLimitedAnalysis:
         :mod:`repro.pathmatrix.worklist`): only blocks whose inputs changed
         are re-transferred.
         """
-        return self._solve(self._function(name))[2]
+        exit_ = self._solve(self._function(name))[2]
+        return {index: state.copy() for index, state in exit_.items()}
 
     def final_state(self, name: str) -> StorageGraph:
         func = self._function(name)
         cfg, _entry, exit_ = self._solve(func)
-        return exit_.get(cfg.exit, self.initial_state(func))
+        state = exit_.get(cfg.exit)
+        return state.copy() if state is not None else self.initial_state(func)
 
     def state_before_loop(self, name: str, loop: While | None = None) -> StorageGraph:
         """The solver's entry state at the header of the first (or given)
@@ -326,11 +334,11 @@ class KLimitedAnalysis:
             if not loops:
                 raise ValueError(f"function {name!r} contains no while loop")
             loop = loops[0]
-        cfg, entry, exit_ = self._solve(func)
+        cfg, entry, _exit = self._solve(func)
         for block in cfg.blocks:
             if block.loop_header_of is loop and block.index in entry:
-                return entry[block.index]
-        return exit_.get(cfg.exit, self.initial_state(func))
+                return entry[block.index].copy()
+        return self.final_state(name)
 
     def loop_traversal_independent(self, name: str, loop: While | None = None) -> bool:
         """Can the analysis prove ``p = p->f`` visits a new node each iteration?
@@ -349,7 +357,7 @@ class KLimitedAnalysis:
         updates = traversal_updates(loop.body)
         if not updates:
             return True
-        sim = self.state_before_loop(name, loop).copy()
+        sim = self.state_before_loop(name, loop)
         primes = {var: var + "'" for var in updates}
         for var, primed in primes.items():
             sim.set_var(primed, sim.targets(var))

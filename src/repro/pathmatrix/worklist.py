@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, TypeVar
 
-from repro.lang.ast_nodes import Block, FunctionDecl
+from repro.lang.ast_nodes import Block, FunctionDecl, Return
 from repro.lang.cfg import CFG, BasicBlock, build_cfg
 
 
@@ -209,16 +209,23 @@ def solve_body(
     same: Callable[[State, State], bool],
     max_iterations: int = MAX_FIXPOINT_ITERATIONS,
 ) -> Tuple[State, SolveStats]:
-    """One iteration of a loop body: the state at the body's exit.
+    """One iteration of a loop body: the state the next iteration sees.
 
     The body gets its own CFG, solved from ``init`` by
     :func:`solve_worklist`, so a loop nested in the body is iterated exactly
-    as a function's fixpoint iterates it, and branches, bare blocks and
-    ``return`` statements are lowered as they are there (a ``return`` jumps
-    to the body's exit).  Check ``converged`` on the stats returned.
+    as a function's fixpoint iterates it, and branches and bare blocks are
+    lowered as they are there.  A ``return`` leaves the loop, so only the
+    path that falls through the body's end reaches the next iteration; a
+    body that returns on every path has none, and its exit state (the join
+    of its returns) is returned instead.  Check ``converged`` on the stats
+    returned.
     """
     cfg = build_cfg(FunctionDecl(name="<loop body>", body=body))
     _entry, exits, stats = solve_worklist(
         cfg, init, transfer, join, same, max_iterations=max_iterations
     )
+    for pred in cfg.block(cfg.exit).predecessors:
+        statements = cfg.block(pred).statements
+        if pred in exits and not (statements and isinstance(statements[-1], Return)):
+            return exits[pred], stats
     return exits[cfg.exit], stats

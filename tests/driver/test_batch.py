@@ -23,14 +23,17 @@ from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem, corpus_named, load_source_file, paper_corpus
 from repro.driver.pipeline import (
     PipelineOptions,
+    absolutize_report,
     analysis_payload,
     loops_payload,
+    relativize_report,
     simulate_program,
     strip_mined_loops,
     transforms_payload,
 )
 from repro.fuzz.generator import generate_program
 from repro.lang.parser import parse_program
+from repro.lang.split import split_declarations
 from repro.pathmatrix import PathMatrixAnalysis
 from repro.pathmatrix.analysis import fixpoint_run_count
 from repro.transform import software_pipeline_loop, strip_mine_loop, unroll_loop
@@ -241,6 +244,43 @@ class TestCaching:
         insert = warm.program("examples/tree_insert").functions["insert"]
         violations = " ".join(insert["analysis"]["violations"])
         assert set(re.findall(r"line (\d+)", violations)) == {"18", "20"}
+
+    def test_relocation_equals_a_whole_report_walk(self):
+        """Relocation walks only the report parts that can hold a line
+        (``analysis`` and ``loops``); on every report of the ``bench`` corpus
+        it agrees with a walk over the whole report."""
+
+        def shift_everywhere(value, delta, key=None):
+            if isinstance(value, bool):
+                return value
+            if isinstance(value, int) and key in ("line", "loop_line"):
+                return value + delta
+            if isinstance(value, str):
+                return re.sub(
+                    r"line (\d+)", lambda m: f"line {int(m.group(1)) + delta}", value
+                )
+            if isinstance(value, list):
+                return [shift_everywhere(v, delta, key) for v in value]
+            if isinstance(value, dict):
+                return {k: shift_everywhere(v, delta, k) for k, v in value.items()}
+            return value
+
+        items = corpus_named("bench")
+        batch = BatchDriver(jobs=1, cache_dir=None, simulate=False).analyze_corpus(items)
+        checked = relocated = 0
+        for item, program in zip(items, batch.programs, strict=True):
+            first_lines = {
+                d.name: d.line for d in split_declarations(item.source) if d.kind == "function"
+            }
+            for name, report in program.functions.items():
+                base = first_lines[name]
+                relative = relativize_report(report, base)
+                assert relative == shift_everywhere(report, 1 - base), (program.name, name)
+                assert absolutize_report(relative, base) == report
+                checked += 1
+                relocated += relative != report
+        assert checked == batch.function_count()
+        assert relocated
 
     def test_options_partition_the_cache(self, tmp_path, paper_items):
         item = [paper_items[0]]

@@ -4,6 +4,7 @@ convergence property (a run whose cache writes were corrupted re-analyzes and
 converges on the next run instead of serving garbage).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from repro.driver.cache import (
     ResultCache,
     decode_entry,
     encode_entry,
+    payload_digest,
 )
 from repro.driver.corpus import CorpusItem
 from repro.driver.faults import FAULTS_ENV_VAR
@@ -55,6 +57,64 @@ class TestChecksumCodec:
         flipped = text.replace('"iterations": 3', '"iterations": 4')
         with pytest.raises(CorruptEntryError, match="checksum mismatch"):
             decode_entry(flipped)
+
+
+def _no_json_encoder(monkeypatch):
+    """Make every ``json`` encoder call, C or pure Python, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON encoder ran")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+
+
+class TestOneEncoding:
+    """An entry is encoded once: its payload bytes are the bytes its checksum
+    covers, so a read hashes what it found and parses it once."""
+
+    PAYLOAD = {"function": "f", "loops": [{"line": 3, "reasons": ["a"]}], "iterations": 3}
+
+    def test_entry_is_the_canonical_json_of_its_wrapper(self):
+        text = encode_entry(self.PAYLOAD)
+        canonical = json.dumps(self.PAYLOAD, sort_keys=True)
+        assert text == json.dumps(
+            {"payload": self.PAYLOAD, "sha256": payload_digest(self.PAYLOAD)}, sort_keys=True
+        )
+        assert canonical in text
+        assert payload_digest(self.PAYLOAD) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_store_read_calls_no_json_encoder(self, tmp_path, monkeypatch):
+        ResultCache(tmp_path).put("k1", self.PAYLOAD, stage="report")
+        _no_json_encoder(monkeypatch)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get("k1", stage="report") == self.PAYLOAD
+        assert fresh.verify()["ok"] == 1
+
+    def test_reindented_payload_fails_the_checksum(self):
+        text = encode_entry(self.PAYLOAD)
+        canonical = json.dumps(self.PAYLOAD, sort_keys=True)
+        reindented = text.replace(canonical, json.dumps(self.PAYLOAD, sort_keys=True, indent=2))
+        assert reindented != text
+        assert json.loads(reindented) == json.loads(text)
+        with pytest.raises(CorruptEntryError, match="checksum mismatch"):
+            decode_entry(reindented)
+
+    def test_reformatted_wrapper_fails_the_checksum(self):
+        # what an entry written before cache version 11 looks like: an
+        # indented wrapper whose checksum covers a compact encoding
+        legacy = json.dumps(
+            {
+                "payload": self.PAYLOAD,
+                "sha256": hashlib.sha256(
+                    json.dumps(self.PAYLOAD, sort_keys=True, separators=(",", ":")).encode()
+                ).hexdigest(),
+            },
+            indent=1,
+            sort_keys=True,
+        )
+        with pytest.raises(CorruptEntryError, match="checksum mismatch"):
+            decode_entry(legacy)
 
 
 class TestCorruptionRecovery:

@@ -1,11 +1,22 @@
 """Tests for the pointer transfer rules and the dataflow/loop analyses."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.adds.library import merged_into
 from repro.driver.corpus import builtin_corpus
 from repro.driver.pipeline import PipelineOptions, function_report
-from repro.lang.ast_nodes import Assign, Call, IntLit, Program, Return, iter_statements
+from repro.lang.ast_nodes import (
+    Assign,
+    Call,
+    IntLit,
+    Program,
+    Return,
+    iter_statements,
+    traversal_updates,
+)
 from repro.lang.parser import parse_program
 from repro.pathmatrix import (
     KLimitedAnalysis,
@@ -19,6 +30,8 @@ from repro.pathmatrix.interproc import summarize_program
 from repro.pathmatrix.rules import TransferContext, statement_touches_matrix
 from repro.pathmatrix.worklist import solve_worklist
 from repro.transform.dependence import LoopClassification, classify_loop, find_while_loops
+
+REGRESSIONS = Path(__file__).resolve().parents[1] / "fuzz_regressions"
 
 
 def analyze_last_matrix(source: str, function: str = "f", use_adds: bool = True,
@@ -349,6 +362,99 @@ class TestLoopBodySolve:
             f"return statement (line {ret.line}): a later iteration runs only "
             "if this one does not return"
         ) in test.reasons
+
+    def test_only_the_fall_through_path_reaches_the_next_iteration(self):
+        """A ``return`` leaves the loop, so its state is not joined into the
+        state the next iteration sees: the early-return regression program's
+        ``scale`` gets the ``return`` reason and no other."""
+        record = json.loads((REGRESSIONS / "stripmine_early_return.json").read_text())
+        program = parse_program(record["source"])
+        (loop,) = find_while_loops(program, "scale")
+        (ret,) = [s for s in iter_statements(loop.body) if isinstance(s, Return)]
+        test = classify_loop(program, "scale", loop)
+        assert test.classification is LoopClassification.SEQUENTIAL
+        assert test.reasons == [
+            f"return statement (line {ret.line}): a later iteration runs only "
+            "if this one does not return"
+        ]
+
+    def test_a_body_that_returns_on_every_path_is_sequential(self):
+        program = merged_into(
+            """
+            function second(head)
+            { var q;
+              q = head;
+              while q <> NULL
+              { q->coef = 0;
+                q = q->next;
+                return q;
+              }
+              return head;
+            }
+            """,
+            "ListNode",
+        )
+        (loop,) = find_while_loops(program, "second")
+        test = classify_loop(program, "second", loop)
+        assert test.classification is LoopClassification.SEQUENTIAL
+        assert any(reason.startswith("return statement") for reason in test.reasons)
+
+
+class TestKLimitedSolves:
+    """The k-limited baseline solves each function once, whatever it is
+    asked about it."""
+
+    def _traversal_loops(self, program):
+        return [
+            (func.name, loop)
+            for func in program.functions
+            for loop in find_while_loops(program, func.name)
+            if traversal_updates(loop.body)
+        ]
+
+    def test_a_sweep_over_the_builtin_corpus_solves_each_function_once(self, monkeypatch):
+        programs = [parse_program(item.source) for item in builtin_corpus()]
+        expected = [
+            KLimitedAnalysis(program).loop_traversal_independent(name, loop)
+            for program in programs
+            for name, loop in self._traversal_loops(program)
+        ]
+        solved = []
+
+        def recording(cfg, *args, **kwargs):
+            solved.append(cfg.function)
+            return solve_worklist(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(klimited, "solve_worklist", recording)
+        answers = []
+        for program in programs:
+            k_limited = KLimitedAnalysis(program)
+            first = len(solved)
+            for name, loop in self._traversal_loops(program):
+                answers.append(k_limited.loop_traversal_independent(name, loop))
+            assert sorted(solved[first:]) == sorted(
+                {name for name, _ in self._traversal_loops(program)}
+            )
+        assert answers == expected
+        # 31 loops with a traversal update, in 21 functions
+        assert len(expected) == 31
+        assert len(solved) == 21
+
+    def test_callers_may_mutate_the_states_they_get(self, scale_program):
+        analysis = KLimitedAnalysis(scale_program, k=2)
+        before = analysis.state_before_loop("scale")
+        final = analysis.final_state("scale")
+        exits = analysis.analyze_function("scale")
+        for state in (before, final, *exits.values()):
+            state.set_var("p", frozenset())
+            state.edges.clear()
+        assert analysis.state_before_loop("scale") == KLimitedAnalysis(
+            scale_program, k=2
+        ).state_before_loop("scale")
+        assert analysis.final_state("scale") == KLimitedAnalysis(
+            scale_program, k=2
+        ).final_state("scale")
+        assert not analysis.loop_traversal_independent("scale")
 
 
 class TestFixpointConvergence:
