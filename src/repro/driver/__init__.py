@@ -13,11 +13,12 @@ Scales the per-function analysis core across whole programs and corpora:
 * :mod:`repro.driver.pipeline`  — the per-function report and the
   whole-program simulation stage,
 * :mod:`repro.driver.executor`  — the self-healing persistent worker pool
-  (per-task deadlines, targeted kill-and-respawn, sacrificial runs),
+  (per-task deadlines, targeted kill-and-respawn),
 * :mod:`repro.driver.faults`    — deterministic fault injection and
   poison-task quarantine records (see ``docs/robustness.md``),
 * :mod:`repro.driver.batch`     — the orchestrator: programs inline or one
-  pool task each, with the per-suspect retry/quarantine policy,
+  pool task each, with the per-suspect retry/quarantine policy (every
+  retry is one more pool task),
 * :mod:`repro.driver.cli`       — the ``python -m repro`` front end.
 """
 

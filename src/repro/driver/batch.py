@@ -23,20 +23,20 @@ With nothing left to compute it starts no pool.
 Partial failure stays partial.  A worker notes each report it is about to
 compute, and the simulation (``@simulate``), before running it; a task that
 dies is charged to its last note, the *suspect*, and the coordinator walks
-an escalation ladder per suspect instead of aborting:
+an escalation ladder per suspect instead of aborting.  Every attempt is an
+ordinary pool task, so the pool keeps dispatching and checking deadlines
+while a suspect is retried:
 
 1. the program is **retried with exponential backoff**, up to
    ``max_retries`` times;
-2. a suspect function that keeps crashing gets one **sacrificial run** of
-   the same task in a throwaway subprocess (with ``quarantine`` on); if it
-   completes there, its result is used;
-3. if it dies there too, the suspect is **quarantined** (a replayable JSON
-   record is written, see :mod:`repro.driver.faults`); a suspect that keeps
-   timing out, or crashing with quarantine off, is marked ``timeout`` or
-   ``crashed``;
-4. either way the program is resubmitted with the suspect's failure
-   payload, which the engine reports in its place and never stores; its
-   summary, its callers and the manifest are still computed.
+2. at the next death a suspect function that crashed is **quarantined**
+   (with a replayable JSON record when a quarantine directory is set, see
+   :mod:`repro.driver.faults`), and one that timed out is marked
+   ``timeout``;
+3. the program is resubmitted with the suspect's failure payload, which
+   the engine reports in its place and never stores; its summary, its
+   callers and the manifest are still computed.  An exhausted
+   ``@simulate`` gives the simulation ``status`` ``crashed`` or ``timeout``.
 
 A task that dies before its first note (in parse, typecheck or summary
 resolution) is charged to the program, which reports an ``error`` naming
@@ -65,7 +65,6 @@ from repro.driver.executor import (
     TaskTiming,
     WorkerEvent,
     WorkerSetup,
-    run_sacrificial,
 )
 from repro.driver.faults import SIMULATE_TOKEN, write_quarantine_record
 from repro.driver.pipeline import PipelineOptions
@@ -75,7 +74,10 @@ from repro.driver.stages import IncrementalStats, ProgramRun, StagedEngine, run_
 #: same suspect doubles it (pure backoff — the analysis is deterministic)
 RETRY_BACKOFF_BASE_S = 0.05
 
-#: function statuses that mean the driver could not produce a result
+#: what a fault leaves in place of a result: a function ends ``timeout``
+#: or ``quarantined``, a simulation ``timeout`` or ``crashed``, and a
+#: program that died before its first note has an error that starts with
+#: ``timeout`` or ``crashed``
 FAILURE_STATUSES = ("timeout", "crashed", "quarantined")
 
 
@@ -92,7 +94,6 @@ class ResilienceCounters:
     timeouts: int = 0  # deadline-watchdog kills
     worker_crashes: int = 0  # worker deaths attributed to a task
     worker_respawns: int = 0  # pool workers replaced
-    sacrificial_runs: int = 0  # suspect tasks verified in a throwaway process
     quarantined: int = 0  # functions quarantined as poison
     cache_evictions: int = 0  # corrupt cache entries detected and removed
     cache_io_retries: int = 0  # cache reads that needed a second attempt
@@ -248,15 +249,15 @@ class BatchDriver:
       overdue task's worker is killed and the task retried or its suspect
       marked ``timeout``.  ``None`` disables the watchdog (the executor's
       global stall backstop remains).
-    * ``max_retries`` — deaths one suspect survives before the sacrificial
-      run (then quarantine).
+    * ``max_retries`` — deaths (crashes and timeouts) one suspect survives;
+      at the next one a crashing function is quarantined and a hanging one
+      marked ``timeout``.  Retries wait :data:`RETRY_BACKOFF_BASE_S`,
+      doubled per retry of the same suspect.
     * ``max_respawns`` — total worker replacements before the pool is
       declared unrecoverable (:class:`BatchExecutionError`); ``None`` means
       unbounded (the retry caps already guarantee termination).
-    * ``quarantine``/``quarantine_dir`` — whether poison functions get the
-      sacrificial verification + quarantine treatment (otherwise they are
-      marked ``crashed`` once retries exhaust), and where replayable
-      quarantine records are written (``None``: statuses only, no records).
+    * ``quarantine_dir`` — where replayable quarantine records are written
+      (``None``: statuses only, no records).
     """
 
     def __init__(
@@ -270,9 +271,7 @@ class BatchDriver:
         task_timeout: float | None = None,
         max_retries: int = 2,
         max_respawns: int | None = None,
-        quarantine: bool = True,
         quarantine_dir=None,
-        retry_backoff_s: float = RETRY_BACKOFF_BASE_S,
     ):
         self.jobs = max(1, int(jobs))
         self.options = options or PipelineOptions()
@@ -284,9 +283,7 @@ class BatchDriver:
         self.task_timeout = task_timeout
         self.max_retries = max(0, int(max_retries))
         self.max_respawns = max_respawns
-        self.quarantine = quarantine
         self.quarantine_dir = quarantine_dir
-        self.retry_backoff_s = retry_backoff_s
 
     # -- public entry points -------------------------------------------------
     def analyze_corpus(self, items: list[CorpusItem]) -> BatchReport:
@@ -408,7 +405,7 @@ class BatchDriver:
                         timings.append(event.timing)
                         self._record_worker(plan, event.result, batch)
                     else:
-                        self._handle_death(plan, event, submit, executor, batch)
+                        self._handle_death(plan, event, submit, batch)
             batch.resilience.worker_respawns = executor.respawns
         return timings
 
@@ -419,13 +416,11 @@ class BatchDriver:
 
     # -- the escalation ladder, per suspect -------------------------------------
     def _handle_death(
-        self,
-        plan: _ProgramPlan,
-        event: WorkerEvent,
-        submit,
-        executor: PersistentExecutor,
-        batch: BatchReport,
+        self, plan: _ProgramPlan, event: WorkerEvent, submit, batch: BatchReport
     ) -> None:
+        """Charge a dead task to its suspect and resubmit the program: as a
+        retry, or with the suspect's failure payload once its retries are
+        spent.  It only decides, so the pool never waits on it."""
         suspect = event.suspect
         if event.kind == "timeout":
             batch.resilience.timeouts += 1
@@ -439,30 +434,18 @@ class BatchDriver:
         if attempts <= self.max_retries:
             # a transient fault (an OOM kill, an I/O stall) may well pass
             batch.resilience.retries += 1
-            submit(plan, self.retry_backoff_s * 2 ** (attempts - 1))
+            submit(plan, RETRY_BACKOFF_BASE_S * 2 ** (attempts - 1))
             return
         detail += f"; retries exhausted after {attempts} attempt(s)"
         if suspect is None:
             plan.report.error = f"{status} before its first report: {detail}"
             return
-        if status == "crashed" and self.quarantine and suspect != SIMULATE_TOKEN:
-            # last chance: one run in a throwaway subprocess, so a repeat
-            # crash costs nothing but the subprocess
-            batch.resilience.sacrificial_runs += 1
-            outcome, result = run_sacrificial(
-                executor.ctx, executor.setup, plan.task(0), self.task_timeout
-            )
-            if outcome == "ok":
-                self._record_worker(plan, result, batch)
-                return
-            if outcome == "timeout":
-                status, detail = "timeout", "sacrificial run killed by the deadline watchdog"
-            else:
+        if suspect == SIMULATE_TOKEN:
+            plan.failed[suspect] = {"status": status, "entry": self.options.entry, "error": detail}
+        else:
+            if status == "crashed":
                 status = "quarantined"
-                detail = (
-                    f"poison task: killed {attempts} pool worker(s) and the "
-                    "sacrificial runner"
-                )
+                detail = f"poison task: killed {attempts} pool worker(s)"
                 if self.quarantine_dir is not None:
                     path = write_quarantine_record(
                         self.quarantine_dir,
@@ -475,9 +458,6 @@ class BatchDriver:
                     )
                     detail += f"; record: {path}"
                 batch.resilience.quarantined += 1
-        if suspect == SIMULATE_TOKEN:
-            plan.failed[suspect] = {"status": status, "entry": self.options.entry, "error": detail}
-        else:
             plan.failed[suspect] = _failure_payload(suspect, status, detail)
         submit(plan)
 

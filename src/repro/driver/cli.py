@@ -58,8 +58,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: disables the watchdog entirely
 DEFAULT_TASK_TIMEOUT_S = 300.0
 
-#: exit code for "the batch completed, but some functions have driver-level
-#: failure statuses (timeout/crashed/quarantined)" — partial results exist
+#: exit code for "the batch completed, but a fault cost some functions,
+#: simulations or programs their results" — partial results exist
 EXIT_PARTIAL = 4
 
 
@@ -122,8 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help=(
-            "crashes a single task survives (with exponential backoff) before "
-            "the sacrificial run and quarantine (default 2)"
+            "deaths (worker crashes and timeouts alike) one suspect survives, "
+            "each followed by a retry with exponential backoff; at the next "
+            "death a crashing function is quarantined and a hanging one "
+            "marked timeout (default 2)"
         ),
     )
     analyze.add_argument(
@@ -322,7 +324,6 @@ def render_text(report: BatchReport) -> str:
             f"{resilience.retries} retrie(s), {resilience.timeouts} timeout(s), "
             f"{resilience.worker_crashes} worker crash(es), "
             f"{resilience.worker_respawns} respawn(s), "
-            f"{resilience.sacrificial_runs} sacrificial run(s), "
             f"{resilience.quarantined} quarantined, "
             f"{resilience.cache_evictions} cache eviction(s), "
             f"{resilience.cache_io_retries} cache I/O retrie(s)"
@@ -424,14 +425,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _report_partial(report: BatchReport) -> bool:
     """Driver-level degradation: some functions carry a failure status
-    (timeout/crashed/quarantined), or a simulation or a whole program was
-    lost to a fault.  The batch completed and partial results were
-    reported — exit :data:`EXIT_PARTIAL`, distinct from both semantic
-    failure (1) and unrecoverable pool loss (3)."""
+    (timeout/quarantined), or a simulation or a whole program was lost to a
+    fault.  The batch completed and partial results were reported — exit
+    :data:`EXIT_PARTIAL`, distinct from both semantic failure (1) and
+    unrecoverable pool loss (3)."""
     if report.failed_functions():
         return True
     return any(
-        (p.simulation is not None and p.simulation.get("status") in ("crashed", "timeout"))
+        (p.simulation is not None and p.simulation.get("status") in FAILURE_STATUSES)
         or (p.error is not None and p.error.split(" ", 1)[0] in FAILURE_STATUSES)
         for p in report.programs
     )

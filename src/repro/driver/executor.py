@@ -15,10 +15,8 @@ The pool manages its own workers so partial failure stays partial:
   never wedges;
 * **an event API** — :meth:`PersistentExecutor.poll` surfaces ``done`` /
   ``crashed`` / ``timeout`` events and leaves *policy* (retry, backoff,
-  quarantine) to :mod:`repro.driver.batch`;
-* **a sacrificial runner** — :func:`run_sacrificial` executes one suspect
-  task in a throwaway subprocess so a poison task can be confirmed without
-  risking a pool worker.
+  quarantine) to :mod:`repro.driver.batch`, which resubmits every attempt
+  of a dying task to this pool.
 
 A task is one corpus program.  Workers are created once per batch run; each
 runs :func:`~repro.driver.stages.run_program` — the call ``--jobs 1`` makes
@@ -179,21 +177,9 @@ def _run_task(conn, engine: StagedEngine, setup: WorkerSetup, task: Task) -> dic
     }
 
 
-def _answer(conn, engine: StagedEngine, setup: WorkerSetup, task: Task) -> bool:
-    """Run ``task`` and send its outcome; ``False`` once the pipe is gone."""
-    try:
-        message = ("done", _run_task(conn, engine, setup, task))
-    except Exception as exc:  # a bug, not a fault: report it, don't die
-        message = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        return False
-    return True
-
-
 def _worker_main(conn, setup: WorkerSetup) -> None:
-    """Top-level worker loop: pull tasks until told to stop."""
+    """Top-level worker loop: pull tasks and send their outcomes until told
+    to stop or the pipe is gone."""
     engine = StagedEngine(ResultCache(setup.cache_dir), setup.options)
     active_plan()  # malformed fault specs fail loudly at startup, not mid-task
     while True:
@@ -201,52 +187,16 @@ def _worker_main(conn, setup: WorkerSetup) -> None:
             task = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None or not _answer(conn, engine, setup, task):
+        if task is None:
             return
-
-
-def _sacrificial_main(conn, setup: WorkerSetup, task: Task) -> None:
-    """Entry point of the throwaway single-task verification subprocess.
-
-    Runs the same call as a pool worker — including fault injection, so a
-    poison task still behaves like poison here — but nothing shares its
-    fate: if it dies, only this process dies.
-    """
-    _answer(conn, StagedEngine(ResultCache(setup.cache_dir), setup.options), setup, task)
-
-
-def run_sacrificial(
-    ctx, setup: WorkerSetup, task: Task, timeout: float | None
-) -> tuple[str, dict | None]:
-    """Run one suspect task in a throwaway subprocess.
-
-    Returns ``("ok", result)`` when the task completes, ``("crashed",
-    None)`` when the subprocess dies, ``("timeout", None)`` when it goes
-    ``timeout`` seconds without a note (it is then killed).
-    """
-    parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_sacrificial_main, args=(child, setup, task), daemon=True)
-    proc.start()
-    child.close()
-    budget = timeout if timeout is not None else WAIT_TIMEOUT_S
-    try:
-        while True:
-            if not parent.poll(budget):
-                return ("timeout", None)
-            kind, value = parent.recv()
-            if kind == "done":
-                return ("ok", value)
-            if kind == "error":
-                raise WorkerTaskError(
-                    f"task for {task.name} raised in the sacrificial runner: {value}"
-                )
-    except (EOFError, OSError):
-        return ("crashed", None)
-    finally:
-        if proc.is_alive():
-            proc.kill()
-        proc.join(5)
-        parent.close()
+        try:
+            message = ("done", _run_task(conn, engine, setup, task))
+        except Exception as exc:  # a bug, not a fault: report it, don't die
+            message = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(message)
+        except (BrokenPipeError, OSError):
+            return
 
 
 # -- coordinator side ---------------------------------------------------------

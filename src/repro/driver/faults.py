@@ -19,7 +19,9 @@ chaos job can drive them on demand:
 Faults are configured by a spec string, either via the ``REPRO_FAULTS``
 environment variable (workers inherit it under both start methods) or the
 ``--inject-faults`` CLI flag (which just sets the variable).  The grammar is
-semicolon-separated clauses, each ``kind:key=value,key=value``::
+semicolon-separated clauses, each ``kind:key=value,key=value``; each kind
+and each key may appear at most once, since a repeat would silently
+overwrite the fields the first one set::
 
     crash:rate=0.1,seed=7            # ~10% of functions crash their worker once
     crash:function=mid,times=99      # one poison function, crashes every attempt
@@ -157,8 +159,10 @@ _CLAUSES = {
 
 
 def parse_fault_spec(spec: str) -> FaultPlan:
-    """Parse a fault spec string; raises :class:`FaultSpecError` on nonsense."""
+    """Parse a fault spec string; raises :class:`FaultSpecError` on nonsense,
+    a repeated clause kind or a repeated key included."""
     plan = NO_FAULTS
+    kinds: set[str] = set()
     for clause in filter(None, (c.strip() for c in spec.split(";"))):
         kind, _, body = clause.partition(":")
         kind = kind.strip()
@@ -167,8 +171,12 @@ def parse_fault_spec(spec: str) -> FaultPlan:
             raise FaultSpecError(
                 f"unknown fault kind {kind!r} (expected one of {', '.join(sorted(_CLAUSES))})"
             )
+        if kind in kinds:
+            raise FaultSpecError(f"fault kind {kind!r} appears in more than one clause")
+        kinds.add(kind)
         if not body.strip():
             raise FaultSpecError(f"fault clause {clause!r} has no parameters")
+        names: set[str] = set()
         for param in filter(None, (p.strip() for p in body.split(","))):
             name, sep, raw = param.partition("=")
             name = name.strip()
@@ -177,6 +185,9 @@ def parse_fault_spec(spec: str) -> FaultPlan:
                     f"bad parameter {param!r} for fault kind {kind!r} "
                     f"(expected {', '.join(sorted(keys))})"
                 )
+            if name in names:
+                raise FaultSpecError(f"{kind}:{name} is given more than once")
+            names.add(name)
             field_name, convert = keys[name]
             try:
                 value = convert(raw.strip())
@@ -243,10 +254,7 @@ def write_quarantine_record(
         "seed": None,
         "scenario": "driver/poison-task",
         "status": "poison",
-        "description": (
-            f"analysis of {', '.join(functions)} killed {attempts} worker(s) "
-            "and the sacrificial single-task runner"
-        ),
+        "description": f"analysis of {', '.join(functions)} killed {attempts} worker(s)",
         "source": source,
         "shrunk_source": None,
         "divergences": [],

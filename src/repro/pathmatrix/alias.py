@@ -3,9 +3,9 @@
 Transformation passes ask questions like "may ``p->force`` and ``q->mass``
 refer to the same memory location?".  :class:`AliasOracle` answers them from
 a :class:`~repro.pathmatrix.matrix.PathMatrix`, falling back to conservative
-answers for variables the matrix does not track.  The same interface is
-implemented by the baselines (:mod:`repro.pathmatrix.baseline`,
-:mod:`repro.pathmatrix.klimited`) so precision comparisons can swap oracles.
+answers for variables the matrix does not track.  The baselines
+(:mod:`repro.pathmatrix.baseline`, :mod:`repro.pathmatrix.klimited`) answer
+the same :class:`AliasQueries` so precision comparisons can swap oracles.
 """
 
 from __future__ import annotations
@@ -42,26 +42,19 @@ class AccessPath:
         return self.var if self.field is None else f"{self.var}->{self.field}"
 
 
-class AliasOracle:
-    """Answer alias queries from a path matrix."""
+class AliasQueries:
+    """The queries every alias oracle answers the same way.
 
-    name = "adds+gpm"
+    An oracle supplies :meth:`alias` and ``variables``, the variables its
+    precision report ranges over; every other query derives from those two.
+    """
 
-    def __init__(self, matrix: PathMatrix):
-        self.matrix = matrix
+    variables: list[str]
+
+    def alias(self, a: str, b: str) -> AliasAnswer:
+        raise NotImplementedError
 
     # -- variable-level queries ----------------------------------------------
-    def alias(self, a: str, b: str) -> AliasAnswer:
-        if a == b:
-            return AliasAnswer.MUST if not self.matrix.is_nil(a) else AliasAnswer.NO
-        if a not in self.matrix.variables or b not in self.matrix.variables:
-            return AliasAnswer.MAY
-        if self.matrix.must_alias(a, b):
-            return AliasAnswer.MUST
-        if self.matrix.may_alias(a, b):
-            return AliasAnswer.MAY
-        return AliasAnswer.NO
-
     def may_alias(self, a: str, b: str) -> bool:
         return self.alias(a, b).possible
 
@@ -94,7 +87,7 @@ class AliasOracle:
     def not_aliased_pairs(self) -> list[tuple[str, str]]:
         """All variable pairs proven non-aliasing (used by precision reports)."""
         pairs = []
-        variables = self.matrix.variables
+        variables = self.variables
         for i, a in enumerate(variables):
             for b in variables[i + 1:]:
                 if not self.may_alias(a, b):
@@ -103,12 +96,31 @@ class AliasOracle:
 
     def precision_score(self) -> float:
         """Fraction of distinct variable pairs proven non-aliasing (0..1)."""
-        variables = [v for v in self.matrix.variables if not v.startswith("@")]
-        total = 0
-        proven = 0
-        for i, a in enumerate(variables):
-            for b in variables[i + 1:]:
-                total += 1
-                if not self.may_alias(a, b):
-                    proven += 1
-        return proven / total if total else 1.0
+        count = len(self.variables)
+        total = count * (count - 1) // 2
+        return len(self.not_aliased_pairs()) / total if total else 1.0
+
+
+class AliasOracle(AliasQueries):
+    """Answer alias queries from a path matrix."""
+
+    name = "adds+gpm"
+
+    def __init__(self, matrix: PathMatrix):
+        self.matrix = matrix
+
+    @property
+    def variables(self) -> list[str]:
+        """The matrix's variables, less the analysis's ``@`` temporaries."""
+        return [v for v in self.matrix.variables if not v.startswith("@")]
+
+    def alias(self, a: str, b: str) -> AliasAnswer:
+        if a == b:
+            return AliasAnswer.MUST if not self.matrix.is_nil(a) else AliasAnswer.NO
+        if a not in self.matrix.variables or b not in self.matrix.variables:
+            return AliasAnswer.MAY
+        if self.matrix.must_alias(a, b):
+            return AliasAnswer.MUST
+        if self.matrix.may_alias(a, b):
+            return AliasAnswer.MAY
+        return AliasAnswer.NO

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.lang.ast_nodes import Program, collect_pointer_variables
 from repro.lang.cfg import build_cfg
-from repro.pathmatrix.alias import AccessPath, AliasAnswer
+from repro.pathmatrix.alias import AliasAnswer, AliasQueries
 from repro.pathmatrix.analysis import AnalysisResult, PathMatrixAnalysis
 from repro.pathmatrix.matrix import PathMatrix, cellwise_equivalent
 from repro.pathmatrix.rules import apply_statement
@@ -80,7 +80,7 @@ def conservative_matrix_for(program: Program, function_name: str) -> PathMatrix:
     return conservative_matrix(sorted(pointer_vars))
 
 
-class ConservativeOracle:
+class ConservativeOracle(AliasQueries):
     """An alias oracle that can never say "no"."""
 
     name = "conservative"
@@ -90,27 +90,3 @@ class ConservativeOracle:
 
     def alias(self, a: str, b: str) -> AliasAnswer:
         return AliasAnswer.MUST if a == b else AliasAnswer.MAY
-
-    def may_alias(self, a: str, b: str) -> bool:
-        return True
-
-    def must_alias(self, a: str, b: str) -> bool:
-        return a == b
-
-    def access_conflict(self, a: AccessPath, b: AccessPath) -> AliasAnswer:
-        if a.field is None and b.field is None:
-            return AliasAnswer.MUST if a.var == b.var else AliasAnswer.NO
-        if a.field is None or b.field is None:
-            return AliasAnswer.NO
-        if a.field != "*" and b.field != "*" and a.field != b.field:
-            return AliasAnswer.NO
-        return self.alias(a.var, b.var)
-
-    def may_conflict(self, a: AccessPath, b: AccessPath) -> bool:
-        return self.access_conflict(a, b).possible
-
-    def not_aliased_pairs(self) -> list[tuple[str, str]]:
-        return []
-
-    def precision_score(self) -> float:
-        return 0.0

@@ -43,7 +43,7 @@ from repro.lang.ast_nodes import (
     traversal_updates,
 )
 from repro.lang.cfg import build_cfg
-from repro.pathmatrix.alias import AccessPath, AliasAnswer
+from repro.pathmatrix.alias import AliasAnswer, AliasQueries
 from repro.pathmatrix.worklist import MAX_FIXPOINT_ITERATIONS, solve_body, solve_worklist
 
 
@@ -374,7 +374,7 @@ class KLimitedAnalysis:
         )
 
 
-class KLimitedOracle:
+class KLimitedOracle(AliasQueries):
     """Alias oracle backed by a k-limited storage graph."""
 
     name = "k-limited"
@@ -382,50 +382,17 @@ class KLimitedOracle:
     def __init__(self, state: StorageGraph):
         self.state = state
 
+    @property
+    def variables(self) -> list[str]:
+        """The graph's variables, less the primed copies."""
+        return [v for v in self.state.var_targets if not v.endswith("'")]
+
     def alias(self, a: str, b: str) -> AliasAnswer:
         if self.state.must_alias(a, b):
             return AliasAnswer.MUST
         if self.state.may_alias(a, b):
             return AliasAnswer.MAY
         return AliasAnswer.NO
-
-    def may_alias(self, a: str, b: str) -> bool:
-        return self.state.may_alias(a, b)
-
-    def must_alias(self, a: str, b: str) -> bool:
-        return self.state.must_alias(a, b)
-
-    def access_conflict(self, a: AccessPath, b: AccessPath) -> AliasAnswer:
-        if a.field is None and b.field is None:
-            return AliasAnswer.MUST if a.var == b.var else AliasAnswer.NO
-        if a.field is None or b.field is None:
-            return AliasAnswer.NO
-        if a.field != "*" and b.field != "*" and a.field != b.field:
-            return AliasAnswer.NO
-        return self.alias(a.var, b.var)
-
-    def may_conflict(self, a: AccessPath, b: AccessPath) -> bool:
-        return self.access_conflict(a, b).possible
-
-    def not_aliased_pairs(self) -> list[tuple[str, str]]:
-        variables = [v for v in self.state.var_targets if not v.endswith("'")]
-        pairs = []
-        for i, a in enumerate(variables):
-            for b in variables[i + 1:]:
-                if not self.may_alias(a, b):
-                    pairs.append((a, b))
-        return pairs
-
-    def precision_score(self) -> float:
-        variables = [v for v in self.state.var_targets if not v.endswith("'")]
-        total = 0
-        proven = 0
-        for i, a in enumerate(variables):
-            for b in variables[i + 1:]:
-                total += 1
-                if not self.may_alias(a, b):
-                    proven += 1
-        return proven / total if total else 1.0
 
 
 def _as_field_load(value: Expr):

@@ -13,8 +13,7 @@ plus the loop dependence test that gates them:
   speculative traversability to skip the NULL checks,
 * :mod:`repro.transform.unroll` — unrolls a traversal loop by a factor k,
 * :mod:`repro.transform.pipeline` — software-pipelines a traversal loop into
-  a prologue / steady-state kernel / epilogue,
-* :mod:`repro.transform.report` — human-readable transformation reports.
+  a prologue / steady-state kernel / epilogue.
 
 Each transformation has a read-only ``check_*`` twin that raises exactly the
 error the transformation would raise and returns its notes, without copying
@@ -39,7 +38,6 @@ from repro.transform.pipeline import (
     check_software_pipeline,
     software_pipeline_loop,
 )
-from repro.transform.report import TransformationReport
 
 __all__ = [
     "DependenceTest",
@@ -56,5 +54,4 @@ __all__ = [
     "PipelineResult",
     "check_software_pipeline",
     "software_pipeline_loop",
-    "TransformationReport",
 ]

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.driver import batch
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import ResultCache
 from repro.driver.cli import EXIT_PARTIAL
@@ -50,13 +51,13 @@ class TestChaosConvergence:
 
         # the chaos run: crashes + a permanent hang + a torn cache write
         monkeypatch.setenv(FAULTS_ENV_VAR, CHAOS_SPEC)
+        monkeypatch.setattr(batch, "RETRY_BACKOFF_BASE_S", 0.01)
         chaos_cache = tmp_path / "chaos-cache"
         chaos = BatchDriver(
             jobs=2,
             cache_dir=chaos_cache,
             task_timeout=1.5,
             max_retries=1,
-            retry_backoff_s=0.01,
             quarantine_dir=tmp_path / "quarantine",
         ).analyze_corpus(items)
 
@@ -106,7 +107,6 @@ class TestChaosConvergence:
             simulate=False,
             task_timeout=1.0,
             max_retries=0,
-            retry_backoff_s=0.01,
         ).analyze_corpus(items)
         assert chaos.program(items[0].name).functions["scale"]["status"] == "timeout"
         monkeypatch.delenv(FAULTS_ENV_VAR)

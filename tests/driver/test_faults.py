@@ -3,19 +3,20 @@
 Covers the spec grammar, the determinism of injection decisions, and — via
 real multi-process batch runs with injected faults — every rung of the
 driver's escalation ladder, charged to the dead task's suspect: retry with
-backoff, sacrificial verification, quarantine (with replayable records),
-deadline timeouts, and a death before the first note.
+backoff, quarantine (with replayable records), deadline timeouts, and a
+death before the first note.  Every attempt runs on the pool.
 The convergence tests pin the acceptance property: a run that survives
 transient faults is bit-identical to a run that never saw them.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.adds.library import standard_source
-from repro.driver import stages
+from repro.driver import batch, stages
 from repro.driver.batch import BatchDriver
 from repro.driver.cli import _report_partial
 from repro.driver.corpus import CorpusItem, paper_corpus
@@ -79,6 +80,8 @@ class TestSpecGrammar:
             "crash:seed=x",  # unconvertible
             "crash:rate=1.5",  # out of range
             "hang:rate=0.5",  # wrong key for kind
+            "crash:rate=0.1,seed=4;crash:function=mid,times=99",  # repeated kind
+            "crash:rate=0.1,rate=0.9",  # repeated key
         ],
     )
     def test_nonsense_specs_raise(self, bad):
@@ -128,6 +131,7 @@ def _run_batch(items, faults, monkeypatch, **kwargs):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
     else:
         monkeypatch.setenv(FAULTS_ENV_VAR, faults)
+    monkeypatch.setattr(batch, "RETRY_BACKOFF_BASE_S", 0.01)
     driver = BatchDriver(cache_dir=None, **kwargs)
     return driver.analyze_corpus(items)
 
@@ -158,7 +162,6 @@ class TestCrashRecovery:
         faulted = _run_batch(
             self._items(), "crash:rate=1.0,times=1", monkeypatch,
             jobs=2, simulate=False, start_method=start_method,
-            retry_backoff_s=0.01,
         )
         assert faulted.resilience.worker_crashes > 0
         assert faulted.resilience.retries > 0
@@ -175,15 +178,13 @@ class TestCrashRecovery:
         qdir = tmp_path / "quarantine"
         report = _run_batch(
             self._items(), "crash:function=mid,times=99", monkeypatch,
-            jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
-            quarantine_dir=qdir,
+            jobs=2, simulate=False, max_retries=1, quarantine_dir=qdir,
         )
         payload = report.program("chain").functions["mid"]
         assert payload["status"] == "quarantined"
         assert payload["summary"] is None
         assert "poison" in payload["fault"]
         assert report.resilience.quarantined == 1
-        assert report.resilience.sacrificial_runs == 1
         # healthy functions completed despite sharing a program with the poison
         assert report.program("chain").functions["tiny"].get("status") == "ok"
         assert report.program("chain").functions["big"].get("status") == "ok"
@@ -195,29 +196,30 @@ class TestCrashRecovery:
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         assert replay_quarantine_record(record_path) == {"mid": "ok"}
 
-    def test_no_quarantine_marks_crashed(self, monkeypatch):
+    def test_every_attempt_of_a_poison_function_runs_on_the_pool(
+        self, monkeypatch, tmp_path
+    ):
+        """With ``max_retries=1``, ``mid`` is quarantined after its second
+        pool death: its record says two attempts, and the run starts no
+        process beyond the pool's workers and their respawns."""
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(process):
+            started.append(process.name)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         report = _run_batch(
             self._items(), "crash:function=mid,times=99", monkeypatch,
-            jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
-            quarantine=False,
+            jobs=2, simulate=False, max_retries=1, quarantine_dir=tmp_path,
         )
-        assert report.program("chain").functions["mid"]["status"] == "crashed"
-        assert report.resilience.sacrificial_runs == 0
-        assert report.resilience.quarantined == 0
-
-    def test_sacrificial_run_rescues_a_flaky_function(self, monkeypatch):
-        """A function whose crashes stop exactly when the retry budget runs
-        out completes in the sacrificial subprocess — no quarantine.  ``mid``
-        dies in its program's task and in the retry; the sacrificial run is
-        its third attempt."""
-        report = _run_batch(
-            self._items(), "crash:function=mid,times=2", monkeypatch,
-            jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
-        )
-        assert report.program("chain").functions["mid"].get("status") == "ok"
-        assert report.resilience.sacrificial_runs == 1
-        assert report.resilience.quarantined == 0
-        assert not report.failed_functions()
+        assert report.program("chain").functions["mid"]["status"] == "quarantined"
+        assert report.resilience.worker_crashes == 2
+        assert report.resilience.worker_respawns == 2
+        (record_path,) = sorted(tmp_path.glob("*.json"))
+        assert load_quarantine_record(record_path)["attempts"] == 2
+        assert len(started) == 2 + report.resilience.worker_respawns
 
     def test_death_before_the_first_note_is_charged_to_the_program(self, monkeypatch):
         """A worker that dies in parse, typecheck or summary resolution has
@@ -226,8 +228,7 @@ class TestCrashRecovery:
         monkeypatch.setattr(stages, "parse_program", lambda *args: os._exit(7))
         report = _run_batch(
             self._items(), None, monkeypatch,
-            jobs=2, simulate=False, max_retries=1, retry_backoff_s=0.01,
-            start_method="fork",
+            jobs=2, simulate=False, max_retries=1, start_method="fork",
         )
         (program,) = report.programs
         assert program.error == (
@@ -237,7 +238,6 @@ class TestCrashRecovery:
         assert program.functions == {}
         assert report.resilience.worker_crashes == 2
         assert report.resilience.retries == 1
-        assert report.resilience.sacrificial_runs == 0
         assert _report_partial(report)
 
 
@@ -270,7 +270,6 @@ class TestDeadlines:
         report = _run_batch(
             self._items(), "hang:function=mid,times=99,seconds=600", monkeypatch,
             jobs=2, simulate=False, task_timeout=1.5, max_retries=1,
-            retry_backoff_s=0.01,
         )
         payload = report.program("chain").functions["mid"]
         assert payload["status"] == "timeout"
@@ -284,7 +283,7 @@ class TestDeadlines:
         re-dispatched task completes: no failure statuses."""
         report = _run_batch(
             self._items(), "hang:function=mid,times=1,seconds=600", monkeypatch,
-            jobs=2, simulate=False, task_timeout=1.5, retry_backoff_s=0.01,
+            jobs=2, simulate=False, task_timeout=1.5,
         )
         assert not report.failed_functions()
         assert report.resilience.timeouts >= 1
@@ -294,7 +293,7 @@ class TestDeadlines:
         three reports of 0.4 s each fit a 1 s deadline."""
         report = _run_batch(
             self._items(), "slow:seconds=0.4", monkeypatch,
-            jobs=2, simulate=False, task_timeout=1.0, retry_backoff_s=0.01,
+            jobs=2, simulate=False, task_timeout=1.0,
         )
         assert report.resilience.timeouts == 0
         assert not report.failed_functions()
@@ -309,7 +308,7 @@ class TestSimulationFaults:
     def test_transient_simulate_crash_retries_to_success(self, monkeypatch):
         report = _run_batch(
             self._items(), "crash:function=@simulate,times=1", monkeypatch,
-            jobs=2, retry_backoff_s=0.01,
+            jobs=2,
         )
         sim = report.programs[0].simulation
         assert sim["status"] == "simulated"
@@ -327,10 +326,9 @@ class TestSimulationFaults:
         clean_sim = baseline.programs[0].simulation
         assert "scale" in clean_sim["transformed_functions"]
         monkeypatch.setenv(FAULTS_ENV_VAR, "crash:function=scale,times=99")
-        faulty = BatchDriver(
-            jobs=2, cache_dir=tmp_path, max_retries=1, retry_backoff_s=0.01, quarantine=False
-        ).analyze_corpus(items)
-        assert faulty.programs[0].functions["scale"]["status"] == "crashed"
+        monkeypatch.setattr(batch, "RETRY_BACKOFF_BASE_S", 0.01)
+        faulty = BatchDriver(jobs=2, cache_dir=tmp_path, max_retries=1).analyze_corpus(items)
+        assert faulty.programs[0].functions["scale"]["status"] == "quarantined"
         assert faulty.programs[0].simulation != clean_sim
         assert not list((tmp_path / "sim").glob("*.json"))
 
@@ -343,7 +341,7 @@ class TestSimulationFaults:
     def test_permanent_simulate_crash_reports_crashed_status(self, monkeypatch):
         report = _run_batch(
             self._items(), "crash:function=@simulate,times=99", monkeypatch,
-            jobs=2, max_retries=1, retry_backoff_s=0.01,
+            jobs=2, max_retries=1,
         )
         sim = report.programs[0].simulation
         assert sim["status"] == "crashed"

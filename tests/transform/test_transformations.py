@@ -25,7 +25,6 @@ from repro.nbody.toy_program import BHL1_FUNCTION, BHL2_FUNCTION, barnes_hut_toy
 from repro.pathmatrix import PathMatrixAnalysis
 from repro.transform import (
     LoopClassification,
-    TransformationReport,
     check_software_pipeline,
     check_strip_mine,
     check_unroll,
@@ -230,23 +229,6 @@ class TestSoftwarePipelining:
         program = merged_into(source, "ListNode")
         with pytest.raises(TransformError):
             software_pipeline_loop(program, "sum_into")
-
-
-class TestTransformationReport:
-    def test_report_rendering(self, scale_program):
-        result = strip_mine_loop(scale_program, "scale")
-        report = TransformationReport(
-            name="strip-mining",
-            function_name="scale",
-            original=scale_program,
-            transformed=result.program,
-            dependence=result.dependence,
-            notes=result.notes,
-        )
-        text = report.render()
-        assert "original" in text and "transformed" in text
-        assert result.iteration_procedure in text
-        assert "speculative traversability" in text
 
 
 def _outcome(attempt):
