@@ -5,9 +5,9 @@ Usage::
 
     python benchmarks/compare_bench.py OLD.json NEW.json [--threshold 0.2]
                                        [--key worklist_s]
-    python benchmarks/compare_bench.py --check-scaling BENCH_driver.json
+    python benchmarks/compare_bench.py --check-scaling .bench/BENCH_driver.json
                                        [--min-ratio 1.0]
-    python benchmarks/compare_bench.py --check-incremental BENCH_incremental.json
+    python benchmarks/compare_bench.py --check-incremental .bench/BENCH_incremental.json
                                        [--min-speedup 10.0]
 
 **Diff mode** (two positional snapshots): scenarios are matched by name.  A

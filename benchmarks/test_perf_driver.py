@@ -2,7 +2,8 @@
 
 Times five configurations over the ``bench`` corpus (the built-in corpus
 plus a ~200-function call web, so scheduling actually matters)
-and writes ``BENCH_driver.json`` at the repository root:
+and writes ``.bench/BENCH_driver.json`` (git-ignored; the committed
+``BENCH_driver.json`` at the repository root is refreshed by copying it):
 
 * ``cold_serial``      — jobs=1, fresh cache (the inline, no-pool path),
 * ``warm_serial``      — jobs=1 over the cold run's cache (pure cache read),
@@ -24,7 +25,7 @@ Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
 records ``host_cpus`` so scaling ratios can be judged in context — on a
 single-core container the parallel scenarios measure pure overhead and land
 near 1.0x.  ``python benchmarks/compare_bench.py --check-scaling
-BENCH_driver.json`` gates on that ratio host-awarely.
+.bench/BENCH_driver.json`` gates on that ratio host-awarely.
 
 Set ``REPRO_FULL=1`` for the paper-sized corpus.
 """
@@ -48,7 +49,8 @@ def full_runs_requested() -> bool:
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_driver.json"
+#: a fresh snapshot, untracked; refresh the committed one with a plain copy
+BENCH_PATH = REPO_ROOT / ".bench" / "BENCH_driver.json"
 
 PARALLEL_JOBS = (2, 4, 8)
 
@@ -200,6 +202,7 @@ def test_emit_bench_json(measurements):
         "scenarios": rows,
         "scaling": scaling,
     }
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     written = json.loads(BENCH_PATH.read_text())
     assert written["scenarios"], "benchmark file must record at least one scenario"

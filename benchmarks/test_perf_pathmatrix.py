@@ -3,9 +3,11 @@
 Times fixpoint solving on generated stress programs (wide matrices with many
 live pointer variables; deep CFGs with nested loops and branches) for both
 fixpoint engines and asserts the worklist+interned engine achieves at least a
-3x median speedup.  Results are written to ``BENCH_pathmatrix.json`` at the
-repository root so future PRs have a performance trajectory; compare two
-snapshots with ``python benchmarks/compare_bench.py OLD.json NEW.json``.
+3x median speedup.  Results are written to ``.bench/BENCH_pathmatrix.json``
+(git-ignored); the committed ``BENCH_pathmatrix.json`` at the repository
+root is the trajectory, refreshed by copying the fresh file over it.
+Compare two snapshots with ``python benchmarks/compare_bench.py OLD.json
+NEW.json``.
 
 Set ``REPRO_FULL=1`` for the larger workloads.
 """
@@ -28,7 +30,8 @@ def full_runs_requested() -> bool:
     return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_pathmatrix.json"
+#: a fresh snapshot, untracked; refresh the committed one with a plain copy
+BENCH_PATH = REPO_ROOT / ".bench" / "BENCH_pathmatrix.json"
 
 #: required median speedup of the worklist engine over the baseline
 SPEEDUP_TARGET = 3.0
@@ -122,6 +125,7 @@ def test_emit_bench_json(measurements):
         "median_speedup": statistics.median(r["speedup"] for r in measurements),
         "scenarios": measurements,
     }
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     written = json.loads(BENCH_PATH.read_text())
     assert written["scenarios"], "benchmark file must record at least one scenario"

@@ -13,12 +13,12 @@ Three layers:
   summaries alone, so the staged engine builds it over the analysis of
   its component, and a quarantine replay or the fuzzer over the analysis
   of the whole program;
-* :func:`simulate_program` — the whole-program tail of the pipeline: run
-  the original on the reference interpreter, strip-mine the loops the
-  reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`; nothing
-  is decided again), re-run on the simulated multiprocessor, and report the
-  speedup and whether the heaps agree (the paper's semantics-preservation
-  check).
+* :func:`simulate_program` — the whole-program tail of the pipeline, over
+  the declarations the staged walk parsed: run the original on the
+  reference interpreter, strip-mine the loops the reports mark
+  ``strip_mine.applied`` (:func:`strip_mined_loops`; nothing is decided
+  again), re-run on the simulated multiprocessor, and report the speedup
+  and whether the heaps agree (the paper's semantics-preservation check).
 
 :func:`relativize_report` / :func:`absolutize_report` rebase every source
 line a report mentions against the function's first line, so the store holds
@@ -31,18 +31,20 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.lang.ast_nodes import Program
 from repro.lang.errors import InterpreterLimitError, LangError
 from repro.lang.interpreter import Interpreter, run_program
-from repro.lang.parser import parse_program
-from repro.lang.split import split_declarations
 from repro.machine import SEQUENT_LIKE, MachineSimulator
 from repro.pathmatrix.analysis import AnalysisError, PathMatrixAnalysis
 from repro.transform.dependence import classify_loop, find_while_loops
 from repro.transform.pipeline import check_software_pipeline
 from repro.transform.stripmine import TransformError, check_strip_mine, strip_mine_program
 from repro.transform.unroll import check_unroll
+
+if TYPE_CHECKING:
+    from repro.driver.stages import _Source
 
 
 @dataclass(frozen=True)
@@ -326,39 +328,34 @@ def _on_fresh_stack(run):
     return outcome["value"]
 
 
-def _lacks_entry(source: str, entry: str) -> bool:
-    """Whether ``source`` has no parameterless ``entry`` function, decided
-    from its declarations without parsing it (``False`` if undecidable)."""
-    try:
-        declarations = split_declarations(source)
-    except LangError:
-        return False
-    for decl in declarations:
-        if decl.kind == "function" and decl.name == entry:
-            return decl.takes_parameters()
-    return True
-
-
 def simulate_program(
-    source: str, options: PipelineOptions, loops: list[tuple[str, int]]
+    src: "_Source", options: PipelineOptions, loops: list[tuple[str, int]]
 ) -> dict:
     """Replay one program, ``loops`` strip-mined, on the simulated
     multiprocessor.
 
+    ``src`` is the program cut into declarations
+    (:class:`~repro.driver.stages._Source`): the declarations the staged
+    walk parsed are reused, and only the others are parsed here.
     ``loops`` are the ``(function, loop index)`` pairs the program's
-    reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`); only a
-    program with a parameterless entry and at least one of them is parsed.
-    Returns a report dict; the ``status`` field is one of ``"simulated"``,
-    ``"no-entry"``, ``"no-parallel-loops"``, ``"limit"`` (a resource budget
-    was exhausted — see :data:`SIMULATION_MAX_STEPS`), or ``"error"``.
+    reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`); a
+    program without a parameterless entry or without such a loop is
+    decided from the split alone.  The reference interpretation runs
+    first, and only its heap fingerprint is kept: that interpreter and its
+    compiled code are freed before the program is strip-mined and run on
+    the simulated machine.  Returns a report dict;
+    the ``status`` field is one of ``"simulated"``, ``"no-entry"``,
+    ``"no-parallel-loops"``, ``"limit"`` (a resource budget was exhausted
+    — see :data:`SIMULATION_MAX_STEPS`), or ``"error"``.
     """
-    if _lacks_entry(source, options.entry):
+    entry = src.declarations.get(options.entry)
+    if entry is None or entry.takes_parameters():
         return {"status": "no-entry", "entry": options.entry}
     if not loops:
         return {"status": "no-parallel-loops", "entry": options.entry}
-    program = parse_program(source)
-    stripped = strip_mine_program(program, loops, options.pes)
-    transformed, transformed_functions = stripped.program, stripped.functions
+    program = Program(
+        types=src.types(), functions=[src.function(name) for name in src.declarations]
+    )
 
     def interpret():
         _, original = run_program(
@@ -367,21 +364,24 @@ def simulate_program(
             max_steps=SIMULATION_MAX_STEPS,
             max_call_depth=SIMULATION_MAX_CALL_DEPTH,
         )
+        reference = _heap_fingerprint(original)
+        del original
+        stripped = strip_mine_program(program, loops, options.pes)
         interp = Interpreter(
-            transformed,
+            stripped.program,
             max_steps=SIMULATION_MAX_STEPS,
             max_call_depth=SIMULATION_MAX_CALL_DEPTH,
         )
         simulator = MachineSimulator(SEQUENT_LIKE.with_pes(options.pes))
         executor = simulator.attach_to_interpreter(interp)
         entry_args: tuple = ()
-        if options.entry in transformed_functions:
+        if options.entry in stripped.functions:
             entry_args = (options.pes,)
         interp.call_function(options.entry, *entry_args)
-        return original, interp, executor
+        return stripped.functions, executor, _heap_fingerprint(interp) == reference
 
     try:
-        original, interp, executor = _on_fresh_stack(interpret)
+        transformed_functions, executor, heaps_match = _on_fresh_stack(interpret)
     except InterpreterLimitError as exc:
         # exhausted is not diverged: report the budget separately so the CLI
         # (and the fuzzer) never confuse a cut-off run with a wrong one
@@ -402,5 +402,5 @@ def simulate_program(
         "parallel_elapsed": trace.elapsed,
         "sequential_cost": executor.sequential_cost,
         "speedup": speedup,
-        "heaps_match": _heap_fingerprint(interp) == _heap_fingerprint(original),
+        "heaps_match": heaps_match,
     }

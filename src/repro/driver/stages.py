@@ -134,6 +134,10 @@ class ProgramRun:
     simulation_cached: bool = False
     #: why the program could not be analyzed (it does not parse or typecheck)
     error: str | None = None
+    #: the walk's split and parsed declarations, which the simulation
+    #: reuses; :func:`run_program` drops them, so that parsed ASTs never
+    #: leave the process that parsed them
+    split: _Source | None = None
 
 
 class ProgramError(Exception):
@@ -540,7 +544,7 @@ class StagedEngine:
                 stage="manifest",
             )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return ProgramRun({n: reports[n] for n in names}, stats, schedule)
+        return ProgramRun({n: reports[n] for n in names}, stats, schedule, split=src)
 
 
 def run_program(
@@ -563,13 +567,15 @@ def run_program(
     ``before(token)`` is called before each report is computed and before
     the simulation runs.  A simulation run while a failure payload stands
     in for some report is reported but never stored: the payload hides
-    that function's loops.
+    that function's loops.  The simulation takes the declarations the walk
+    parsed; a program served whole from its manifest is split for it.
     """
     failed = failed or {}
     try:
         run = engine.run(name, source, reuse, failed, before)
     except ProgramError as exc:
         return ProgramRun({}, IncrementalStats(), [], error=str(exc))
+    split, run.split = run.split, None
     if simulate:
         key = program_digest(source, engine.options.key())
         run.simulation = engine.cache.get(key, stage="sim")
@@ -580,7 +586,9 @@ def run_program(
             if before is not None:
                 before(SIMULATE_TOKEN)
             loops = strip_mined_loops(run.functions)
-            run.simulation = simulate_program(source, engine.options, loops)
+            if split is None:
+                split = _Source.split(source)
+            run.simulation = simulate_program(split, engine.options, loops)
             if not any(report is failed.get(fn) for fn, report in run.functions.items()):
                 engine.cache.put(key, run.simulation, stage="sim")
     return run

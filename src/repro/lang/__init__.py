@@ -61,7 +61,7 @@ from repro.lang.ast_nodes import (
     New,
     ArrayLit,
 )
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_program
 from repro.lang.types import (
     Type,
@@ -120,7 +120,6 @@ __all__ = [
     "UnaryOp",
     "New",
     "ArrayLit",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_program",

@@ -12,6 +12,12 @@ The interpreter serves three purposes in the reproduction:
    multiprocessor (:mod:`repro.machine`) uses as the work metric when
    replaying strip-mined schedules.
 
+A function is compiled on its first call into one closure per AST node
+(:func:`_compiler`).  Each closure counts its node in
+:class:`ExecutionStats`, tests the step budget and then does its node's
+work, so a node executed costs one Python frame, and every counter and the
+step at which ``max_steps`` raises are those of a node-by-node walk.
+
 Speculative traversability (paper section 3.2) is supported: following a
 *pointer field* of NULL yields NULL instead of faulting, exactly as the
 transformed Barnes–Hut loops require (the ``FOR1``/``FOR2`` loops may walk
@@ -21,8 +27,11 @@ Reading a *data* field of NULL is still an error.
 
 from __future__ import annotations
 
+import math
+import operator
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, NoReturn, Optional
+from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
 from repro.lang.ast_nodes import (
     ArrayLit,
@@ -119,17 +128,21 @@ class Frame:
     function: str
     locals: dict[str, Any] = field(default_factory=dict)
 
-    def get(self, name: str) -> Any:
-        if name not in self.locals:
-            raise RuntimeLangError(f"use of undefined variable {name!r} in {self.function}")
-        return self.locals[name]
 
-    def set(self, name: str, value: Any) -> None:
-        self.locals[name] = value
+#: a compiled statement, block or expression: ``code(locals)`` runs it over
+#: the running function's variables (and returns an expression's value)
+Code = Callable[[dict], Any]
 
 
 class Interpreter:
-    """Execute programs of the toy language over an explicit heap."""
+    """Execute programs of the toy language over an explicit heap.
+
+    Each function is compiled on its first call (:func:`_compiler`), with
+    the ``max_steps`` and ``speculative_traversal`` given here.  The
+    compiled code and the compile rules reach the interpreter only through
+    a weak reference, so an interpreter dropped by its last user is freed
+    at once, with its code, its rules and its heap.
+    """
 
     def __init__(
         self,
@@ -152,7 +165,13 @@ class Interpreter:
         self._parallel_executor: Optional[
             Callable[["Interpreter", ParallelFor, Frame], None]
         ] = None
+        #: function name -> its parameter names and compiled body
+        self._compiled: dict[str, tuple[tuple[str, ...], Code]] = {}
+        #: ``id(block)`` -> the block, held so that its id stays its own, and
+        #: its compiled code
+        self._blocks: dict[int, tuple[Block, Code]] = {}
         self._register_default_builtins()
+        self._rules = _compiler(self)
 
     # -- configuration ----------------------------------------------------
     def register_builtin(self, name: str, func: Callable[..., Any]) -> None:
@@ -167,12 +186,14 @@ class Interpreter:
         The machine simulator uses this hook to schedule iterations onto
         simulated processing elements; by default iterations run sequentially
         (which is the correct reference semantics of a doall loop whose
-        iterations are independent).
+        iterations are independent).  The executor gets the loop's frame,
+        whose ``locals`` are the running function's variables.
         """
         self._parallel_executor = executor
 
     def _register_default_builtins(self) -> None:
-        self.builtins["print"] = self._builtin_print
+        output = self.output  # not a bound method: no cycle through ``self``
+        self.builtins["print"] = lambda *args: output.append(" ".join(str(a) for a in args))
         self.builtins["abs"] = abs
         self.builtins["min"] = min
         self.builtins["max"] = max
@@ -181,25 +202,27 @@ class Interpreter:
         self.builtins["float_of"] = float
         self.builtins["int_of"] = int
 
-    def _builtin_print(self, *args: Any) -> None:
-        self.output.append(" ".join(str(a) for a in args))
-
     # -- entry points -------------------------------------------------------
     def call_function(self, name: str, *args: Any) -> Any:
         """Call the interpreted function ``name`` with already-evaluated args."""
-        func = self._functions.get(name)
-        if func is None:
-            builtin = self.builtins.get(name)
-            if builtin is not None:
-                return builtin(*args)
-            raise RuntimeLangError(f"call to undefined function {name!r}")
-        if len(args) != len(func.params):
-            raise RuntimeLangError(
-                f"{name} expects {len(func.params)} arguments, got {len(args)}"
+        compiled = self._compiled.get(name)
+        if compiled is None:
+            func = self._functions.get(name)
+            if func is None:
+                builtin = self.builtins.get(name)
+                if builtin is not None:
+                    return builtin(*args)
+                raise RuntimeLangError(f"call to undefined function {name!r}")
+            compiled = self._compiled[name] = (
+                tuple(param.name for param in func.params),
+                self._block_code(func.body, name),
             )
-        frame = Frame(function=name)
-        for param, value in zip(func.params, args):
-            frame.set(param.name, value)
+        params, body = compiled
+        if len(args) != len(params):
+            raise RuntimeLangError(
+                f"{name} expects {len(params)} arguments, got {len(args)}"
+            )
+        local_vars = dict(zip(params, args))
         self.stats.calls += 1
         if self.max_call_depth is not None and self._call_depth >= self.max_call_depth:
             raise InterpreterLimitError(
@@ -209,7 +232,7 @@ class Interpreter:
             )
         self._call_depth += 1
         try:
-            self.execute_block(func.body, frame)
+            body(local_vars)
         except _ReturnSignal as ret:
             return ret.value
         except RecursionError:
@@ -223,6 +246,36 @@ class Interpreter:
         finally:
             self._call_depth -= 1
         return None
+
+    def execute_block(self, block: Block, frame: Frame) -> None:
+        """Run ``block``'s statements in ``frame``."""
+        self._block_code(block, frame.function)(frame.locals)
+
+    def run_counted_loop(
+        self, stmt: For | ParallelFor, frame: Frame, body=None
+    ) -> None:
+        """The shared reference semantics of both counted-loop forms.
+
+        ``body`` replaces the plain body execution of one iteration — the
+        machine simulator's parallel executor wraps it in cost measurement.
+        Routing every executor through this one loop is what guarantees a
+        simulated run can never diverge from the reference interpreter on
+        step handling, descending bounds, or the loop-variable re-read.
+        """
+        if body is None:
+            iteration = self._block_code(stmt.body, frame.function)
+        else:
+            def iteration(local_vars: dict) -> None:
+                body()
+        self._rules.counted_loop(stmt, frame.function)(frame.locals, iteration)
+
+    def _block_code(self, block: Block, function: str) -> Code:
+        """``block`` compiled, once per interpreter, as part of ``function``
+        (which names it in undefined-variable errors)."""
+        entry = self._blocks.get(id(block))
+        if entry is None:
+            entry = self._blocks[id(block)] = (block, self._rules.block(block, function))
+        return entry[1]
 
     # -- allocation ------------------------------------------------------------
     def default_field_value(self, type_name: str, is_pointer: bool, array_size: int | None) -> Any:
@@ -256,269 +309,519 @@ class Interpreter:
         self.stats.allocations += 1
         return self.heap.allocate(type_name, fields)
 
+
+def _truthy(value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    if value is None:
+        return False
+    if isinstance(value, (int, float)):
+        return value != 0
+    return bool(value)
+
+
+def _nothing(local_vars: dict) -> None:
+    """The code of an empty block."""
+
+
+#: a binary operator that evaluates both operands and applies one function
+_BINARY: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+class _Compiler(NamedTuple):
+    """The compile rules of one interpreter (see :func:`_compiler`)."""
+
+    #: ``block(block, function)`` -> the code of a function's block
+    block: Callable[[Block, str], Code]
+    #: ``counted_loop(loop, function)`` -> ``run(locals, iteration)``, the
+    #: iterations of a ``for`` loop, each one ``iteration(locals)``
+    counted_loop: Callable[[For | ParallelFor, str], Callable[[dict, Code], None]]
+    #: node class -> its compile rule
+    statements: dict[type, Callable[[Any, str], Code]]
+    expressions: dict[type, Callable[[Any, str], Code]]
+
+
+def _compiler(interp: Interpreter) -> _Compiler:
+    """Compile rules that turn each AST node into one closure.
+
+    A compiled node is ``code(locals)``, over the running function's
+    variables.  It counts itself in ``interp.stats`` and tests the step
+    budget inline, then does its work, calling the codes of its children:
+    one Python frame per node executed.  The rules are closures of this one
+    call, so every code they make shares its cells for the interpreter's
+    state (the counters, the budget, the heap) instead of holding copies.
+    They reach the interpreter itself (to call a function, allocate a
+    record, run a ``ParallelFor`` or find a rule) through a weak reference:
+    the interpreter holds its code and its rules, and a strong reference
+    back would make a cycle that only the garbage collector frees.
+    """
+    stats = interp.stats
+    # statements + expressions together bound every loop shape: a
+    # `while true { }` body executes no statements, but its condition is
+    # re-evaluated every iteration and burns expression steps
+    max_steps = interp.max_steps
+    limit = max_steps if max_steps is not None else math.inf
+    speculative = interp.speculative_traversal
+    load = interp.heap.load
+    store = interp.heap.store
+    owner = weakref.ref(interp)
+
+    def exhausted() -> NoReturn:
+        raise InterpreterLimitError(f"step budget of {max_steps} exhausted", kind="steps")
+
+    def block(node: Block, function: str) -> Code:
+        codes = tuple(statement(s, function) for s in node.statements)
+        if not codes:
+            return _nothing
+        if len(codes) == 1:
+            return codes[0]
+
+        def run(local_vars: dict) -> None:
+            for code in codes:
+                code(local_vars)
+        return run
+
+    # the rule tables are reached through the interpreter too: tables held
+    # here would hold the rules that call these two, a cycle
+    def statement(node: Stmt, function: str) -> Code:
+        rule = owner()._rules.statements.get(type(node), unknown_statement)
+        return rule(node, function)
+
+    def expression(node: Expr, function: str) -> Code:
+        rule = owner()._rules.expressions.get(type(node), unknown_expression)
+        return rule(node, function)
+
     # -- statements ---------------------------------------------------------
-    def execute_block(self, block: Block, frame: Frame) -> None:
-        for stmt in block.statements:
-            self.execute_statement(stmt, frame)
+    def unknown_statement(node: Stmt, function: str) -> Code:
+        kind = type(node).__name__
 
-    def _steps_exhausted(self) -> NoReturn:
-        raise InterpreterLimitError(f"step budget of {self.max_steps} exhausted", kind="steps")
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            raise RuntimeLangError(f"cannot execute statement {kind}")
+        return run
 
-    def execute_statement(self, stmt: Stmt, frame: Frame) -> None:
-        stats = self.stats
-        stats.statements += 1
-        # statements + expressions together bound every loop shape: a
-        # `while true { }` body executes no statements, but its condition is
-        # re-evaluated every iteration and burns expression steps.  The test
-        # is inline here and in ``evaluate``: a call per step would cost a
-        # Python frame per step.
-        if self.max_steps is not None and stats.statements + stats.expressions > self.max_steps:
-            self._steps_exhausted()
-        execute = _EXECUTE.get(type(stmt))
-        if execute is None:
-            raise RuntimeLangError(f"cannot execute statement {type(stmt).__name__}")
-        execute(self, stmt, frame)
+    def var_decl(node: VarDecl, function: str) -> Code:
+        name = node.name
+        if node.init is None:
+            def run(local_vars: dict) -> None:
+                stats.statements += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                local_vars[name] = NULL_REF
+            return run
+        init = expression(node.init, function)
 
-    def _execute_var_decl(self, stmt: VarDecl, frame: Frame) -> None:
-        value = self.evaluate(stmt.init, frame) if stmt.init is not None else NULL_REF
-        frame.set(stmt.name, value)
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            local_vars[name] = init(local_vars)
+        return run
 
-    def _execute_assign(self, stmt: Assign, frame: Frame) -> None:
-        frame.set(stmt.target, self.evaluate(stmt.value, frame))
+    def assign(node: Assign, function: str) -> Code:
+        target = node.target
+        value = expression(node.value, function)
 
-    def _execute_expr_stmt(self, stmt: ExprStmt, frame: Frame) -> None:
-        self.evaluate(stmt.expr, frame)
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            local_vars[target] = value(local_vars)
+        return run
 
-    def _execute_return(self, stmt: Return, frame: Frame) -> None:
-        value = self.evaluate(stmt.value, frame) if stmt.value is not None else None
-        raise _ReturnSignal(value)
+    def expr_stmt(node: ExprStmt, function: str) -> Code:
+        expr = expression(node.expr, function)
 
-    def _execute_if(self, stmt: If, frame: Frame) -> None:
-        if self._truthy(self.evaluate(stmt.cond, frame)):
-            self.execute_block(stmt.then_body, frame)
-        elif stmt.else_body is not None:
-            self.execute_block(stmt.else_body, frame)
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            expr(local_vars)
+        return run
 
-    def _execute_while(self, stmt: While, frame: Frame) -> None:
-        while self._truthy(self.evaluate(stmt.cond, frame)):
-            self.stats.loop_iterations += 1
-            self.execute_block(stmt.body, frame)
+    def return_stmt(node: Return, function: str) -> Code:
+        value = expression(node.value, function) if node.value is not None else None
 
-    def _execute_field_assign(self, stmt: FieldAssign, frame: Frame) -> None:
-        base = self.evaluate(stmt.base, frame)
-        if base == NULL_REF:
-            raise RuntimeLangError("field store through NULL pointer", stmt.line)
-        value = self.evaluate(stmt.value, frame)
-        self.stats.field_writes += 1
-        if stmt.index is not None:
-            index = self.evaluate(stmt.index, frame)
-            array = self.heap.load(base, stmt.field)
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            raise _ReturnSignal(value(local_vars) if value is not None else None)
+        return run
+
+    def block_stmt(node: Block, function: str) -> Code:
+        body = block(node, function)
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            body(local_vars)
+        return run
+
+    def if_stmt(node: If, function: str) -> Code:
+        cond = expression(node.cond, function)
+        then_body = block(node.then_body, function)
+        else_body = block(node.else_body, function) if node.else_body is not None else None
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            test = cond(local_vars)
+            if test is True or (test is not False and _truthy(test)):
+                then_body(local_vars)
+            elif else_body is not None:
+                else_body(local_vars)
+        return run
+
+    def while_stmt(node: While, function: str) -> Code:
+        cond = expression(node.cond, function)
+        body = block(node.body, function)
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            test = cond(local_vars)
+            while test is True or (test is not False and _truthy(test)):
+                stats.loop_iterations += 1
+                body(local_vars)
+                test = cond(local_vars)
+        return run
+
+    def field_assign(node: FieldAssign, function: str) -> Code:
+        base = expression(node.base, function)
+        value = expression(node.value, function)
+        name = node.field
+        line = node.line
+        if node.index is None:
+            def run(local_vars: dict) -> None:
+                stats.statements += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                ref = base(local_vars)
+                if ref == NULL_REF:
+                    raise RuntimeLangError("field store through NULL pointer", line)
+                stored = value(local_vars)
+                stats.field_writes += 1
+                store(ref, name, stored)
+            return run
+        index = expression(node.index, function)
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            ref = base(local_vars)
+            if ref == NULL_REF:
+                raise RuntimeLangError("field store through NULL pointer", line)
+            stored = value(local_vars)
+            stats.field_writes += 1
+            at = index(local_vars)
+            array = load(ref, name)
             if not isinstance(array, list):
+                raise RuntimeLangError(f"indexed store to non-array field {name!r}", line)
+            if not (0 <= at < len(array)):
                 raise RuntimeLangError(
-                    f"indexed store to non-array field {stmt.field!r}", stmt.line
+                    f"array index {at} out of bounds for field {name!r}", line
                 )
-            if not (0 <= index < len(array)):
-                raise RuntimeLangError(
-                    f"array index {index} out of bounds for field {stmt.field!r}", stmt.line
-                )
-            array[index] = value
-        else:
-            self.heap.store(base, stmt.field, value)
+            array[at] = stored
+        return run
 
-    def run_counted_loop(
-        self, stmt: For | ParallelFor, frame: Frame, body=None
-    ) -> None:
-        """The shared reference semantics of both counted-loop forms.
+    def counted_loop(node: For | ParallelFor, function: str) -> Callable[[dict, Code], None]:
+        lo = expression(node.lo, function)
+        hi = expression(node.hi, function)
+        step = expression(node.step, function) if node.step is not None else None
+        var = node.var
+        line = node.line
 
-        ``body`` replaces the plain body execution of one iteration — the
-        machine simulator's parallel executor wraps it in cost measurement.
-        Routing every executor through this one loop is what guarantees a
-        simulated run can never diverge from the reference interpreter on
-        step handling, descending bounds, or the loop-variable re-read.
-        """
-        if body is None:
-            def body() -> None:
-                self.execute_block(stmt.body, frame)
-        lo = self.evaluate(stmt.lo, frame)
-        hi = self.evaluate(stmt.hi, frame)
-        step = self.evaluate(stmt.step, frame) if stmt.step is not None else 1
-        if step == 0:
-            raise RuntimeLangError("for-loop step of zero", stmt.line)
-        i = lo
-        while (step > 0 and i <= hi) or (step < 0 and i >= hi):
-            frame.set(stmt.var, i)
-            self.stats.loop_iterations += 1
-            body()
-            i = frame.get(stmt.var) + step
+        def run(local_vars: dict, iteration: Code) -> None:
+            i = lo(local_vars)
+            end = hi(local_vars)
+            by = step(local_vars) if step is not None else 1
+            if by == 0:
+                raise RuntimeLangError("for-loop step of zero", line)
+            while (by > 0 and i <= end) or (by < 0 and i >= end):
+                local_vars[var] = i
+                stats.loop_iterations += 1
+                iteration(local_vars)
+                i = local_vars[var] + by
+        return run
 
-    def _execute_parallel_for(self, stmt: ParallelFor, frame: Frame) -> None:
-        self.stats.parallel_loops += 1
-        if self._parallel_executor is not None:
-            self._parallel_executor(self, stmt, frame)
-            return
-        # Reference semantics: a doall loop whose iterations are independent
-        # computes the same result when run sequentially — with exactly the
-        # ``for`` semantics (step, descending bounds, loop variable re-read
-        # after the body).
-        self.run_counted_loop(stmt, frame)
+    def for_stmt(node: For, function: str) -> Code:
+        loop = counted_loop(node, function)
+        body = block(node.body, function)
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            loop(local_vars, body)
+        return run
+
+    def parallel_for(node: ParallelFor, function: str) -> Code:
+        loop = counted_loop(node, function)
+        # an executor runs the body through ``execute_block``, which finds it
+        body = owner()._block_code(node.body, function)
+
+        def run(local_vars: dict) -> None:
+            stats.statements += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            stats.parallel_loops += 1
+            interpreter = owner()
+            executor = interpreter._parallel_executor
+            if executor is not None:
+                executor(interpreter, node, Frame(function, local_vars))
+            else:
+                # Reference semantics: a doall loop whose iterations are
+                # independent computes the same result when run sequentially
+                # — with exactly the ``for`` semantics
+                loop(local_vars, body)
+        return run
 
     # -- expressions ------------------------------------------------------------
-    def evaluate(self, expr: Expr, frame: Frame) -> Any:
-        stats = self.stats
-        stats.expressions += 1
-        if self.max_steps is not None and stats.statements + stats.expressions > self.max_steps:
-            self._steps_exhausted()
-        evaluate = _EVALUATE.get(type(expr))
-        if evaluate is None:
-            raise RuntimeLangError(f"cannot evaluate expression {type(expr).__name__}")
-        return evaluate(self, expr, frame)
+    def unknown_expression(node: Expr, function: str) -> Code:
+        kind = type(node).__name__
 
-    def _evaluate_literal(
-        self, expr: IntLit | FloatLit | BoolLit | StringLit, frame: Frame
-    ) -> Any:
-        return expr.value
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            raise RuntimeLangError(f"cannot evaluate expression {kind}")
+        return run
 
-    def _evaluate_null(self, expr: NullLit, frame: Frame) -> Any:
-        return NULL_REF
+    def literal(node: IntLit | FloatLit | BoolLit | StringLit | NullLit, function: str) -> Code:
+        value = NULL_REF if isinstance(node, NullLit) else node.value
 
-    def _evaluate_name(self, expr: Name, frame: Frame) -> Any:
-        return frame.get(expr.ident)
-
-    def _evaluate_new(self, expr: New, frame: Frame) -> Any:
-        return self.allocate(expr.type_name)
-
-    def _evaluate_call(self, expr: Call, frame: Frame) -> Any:
-        args = [self.evaluate(a, frame) for a in expr.args]
-        return self.call_function(expr.func, *args)
-
-    def _evaluate_array_lit(self, expr: ArrayLit, frame: Frame) -> Any:
-        return [self.evaluate(e, frame) for e in expr.elements]
-
-    def _evaluate_field_access(self, expr: FieldAccess, frame: Frame) -> Any:
-        base = self.evaluate(expr.base, frame)
-        if base == NULL_REF:
-            if self.speculative_traversal:
-                # Speculative traversability: a pointer-field load through
-                # NULL yields NULL; any other load is still an error.
-                return NULL_REF
-            raise SpeculativeTraversalError(
-                f"field read {expr.field!r} through NULL pointer", expr.line
-            )
-        self.stats.field_reads += 1
-        return self.heap.load(base, expr.field)
-
-    def _evaluate_index_access(self, expr: IndexAccess, frame: Frame) -> Any:
-        base = self.evaluate(expr.base, frame)
-        index = self.evaluate(expr.index, frame)
-        if isinstance(base, list):
-            if not (0 <= index < len(base)):
-                raise RuntimeLangError(f"array index {index} out of bounds", expr.line)
-            return base[index]
-        if base == NULL_REF and self.speculative_traversal:
-            return NULL_REF
-        raise RuntimeLangError("indexing a non-array value", expr.line)
-
-    def _evaluate_binop(self, expr: BinOp, frame: Frame) -> Any:
-        op = expr.op
-        if op == "and":
-            return self._truthy(self.evaluate(expr.left, frame)) and self._truthy(
-                self.evaluate(expr.right, frame)
-            )
-        if op == "or":
-            return self._truthy(self.evaluate(expr.left, frame)) or self._truthy(
-                self.evaluate(expr.right, frame)
-            )
-        left = self.evaluate(expr.left, frame)
-        right = self.evaluate(expr.right, frame)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if _both_ints(left, right):
-                if right == 0:
-                    raise RuntimeLangError("integer division by zero", expr.line)
-                # C-style: truncate toward zero (Python's // floors instead,
-                # so -7 / 2 must be -3, not -4)
-                return -(-left // right) if (left < 0) != (right < 0) else left // right
-            if right == 0:
-                raise RuntimeLangError("division by zero", expr.line)
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise RuntimeLangError("modulo by zero", expr.line)
-            if _both_ints(left, right):
-                # C-style remainder: sign of the dividend, consistent with
-                # truncating division (l == (l / r) * r + l % r)
-                rem = abs(left) % abs(right)
-                return -rem if left < 0 else rem
-            return left % right
-        if op == "==":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise RuntimeLangError(f"unknown binary operator {op!r}", expr.line)
-
-    def _evaluate_unaryop(self, expr: UnaryOp, frame: Frame) -> Any:
-        value = self.evaluate(expr.operand, frame)
-        if expr.op == "-":
-            return -value
-        if expr.op == "not":
-            return not self._truthy(value)
-        raise RuntimeLangError(f"unknown unary operator {expr.op!r}", expr.line)
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        if isinstance(value, bool):
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
             return value
-        if value is None:
-            return False
-        if isinstance(value, (int, float)):
-            return value != 0
-        return bool(value)
+        return run
 
+    def name(node: Name, function: str) -> Code:
+        ident = node.ident
 
-# Handlers by exact node class.  No concrete AST class subclasses another, so
-# ``type(node)`` alone picks the handler; every count and budget check stays
-# in ``execute_statement``/``evaluate``, before the handler runs.
-_EXECUTE: dict[type, Callable[[Interpreter, Any, Frame], None]] = {
-    VarDecl: Interpreter._execute_var_decl,
-    Assign: Interpreter._execute_assign,
-    FieldAssign: Interpreter._execute_field_assign,
-    ExprStmt: Interpreter._execute_expr_stmt,
-    Return: Interpreter._execute_return,
-    Block: Interpreter.execute_block,
-    If: Interpreter._execute_if,
-    While: Interpreter._execute_while,
-    For: Interpreter.run_counted_loop,
-    ParallelFor: Interpreter._execute_parallel_for,
-}
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            try:
+                return local_vars[ident]
+            except KeyError:
+                raise RuntimeLangError(
+                    f"use of undefined variable {ident!r} in {function}"
+                ) from None
+        return run
 
-_EVALUATE: dict[type, Callable[[Interpreter, Any, Frame], Any]] = {
-    IntLit: Interpreter._evaluate_literal,
-    FloatLit: Interpreter._evaluate_literal,
-    BoolLit: Interpreter._evaluate_literal,
-    StringLit: Interpreter._evaluate_literal,
-    NullLit: Interpreter._evaluate_null,
-    Name: Interpreter._evaluate_name,
-    New: Interpreter._evaluate_new,
-    FieldAccess: Interpreter._evaluate_field_access,
-    IndexAccess: Interpreter._evaluate_index_access,
-    BinOp: Interpreter._evaluate_binop,
-    UnaryOp: Interpreter._evaluate_unaryop,
-    Call: Interpreter._evaluate_call,
-    ArrayLit: Interpreter._evaluate_array_lit,
-}
+    def new(node: New, function: str) -> Code:
+        type_name = node.type_name
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            return owner().allocate(type_name)
+        return run
+
+    def call_expr(node: Call, function: str) -> Code:
+        callee = node.func
+        args = tuple(expression(a, function) for a in node.args)
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            values = []
+            for arg in args:
+                values.append(arg(local_vars))
+            return owner().call_function(callee, *values)
+        return run
+
+    def array_lit(node: ArrayLit, function: str) -> Code:
+        elements = tuple(expression(e, function) for e in node.elements)
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            values = []
+            for element in elements:
+                values.append(element(local_vars))
+            return values
+        return run
+
+    def field_access(node: FieldAccess, function: str) -> Code:
+        base = expression(node.base, function)
+        name = node.field
+        line = node.line
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            ref = base(local_vars)
+            if ref == NULL_REF:
+                if speculative:
+                    # Speculative traversability: a pointer-field load through
+                    # NULL yields NULL; any other load is still an error.
+                    return NULL_REF
+                raise SpeculativeTraversalError(
+                    f"field read {name!r} through NULL pointer", line
+                )
+            stats.field_reads += 1
+            return load(ref, name)
+        return run
+
+    def index_access(node: IndexAccess, function: str) -> Code:
+        base = expression(node.base, function)
+        index = expression(node.index, function)
+        line = node.line
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            array = base(local_vars)
+            at = index(local_vars)
+            if isinstance(array, list):
+                if not (0 <= at < len(array)):
+                    raise RuntimeLangError(f"array index {at} out of bounds", line)
+                return array[at]
+            if array == NULL_REF and speculative:
+                return NULL_REF
+            raise RuntimeLangError("indexing a non-array value", line)
+        return run
+
+    def binop(node: BinOp, function: str) -> Code:
+        op = node.op
+        left = expression(node.left, function)
+        right = expression(node.right, function)
+        line = node.line
+        apply = _BINARY.get(op)
+        if apply is not None:
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                return apply(left(local_vars), right(local_vars))
+        elif op == "and":
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                return _truthy(left(local_vars)) and _truthy(right(local_vars))
+        elif op == "or":
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                return _truthy(left(local_vars)) or _truthy(right(local_vars))
+        elif op == "/":
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                dividend = left(local_vars)
+                divisor = right(local_vars)
+                if _both_ints(dividend, divisor):
+                    if divisor == 0:
+                        raise RuntimeLangError("integer division by zero", line)
+                    # C-style: truncate toward zero (Python's // floors
+                    # instead, so -7 / 2 must be -3, not -4)
+                    if (dividend < 0) != (divisor < 0):
+                        return -(-dividend // divisor)
+                    return dividend // divisor
+                if divisor == 0:
+                    raise RuntimeLangError("division by zero", line)
+                return dividend / divisor
+        elif op == "%":
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                dividend = left(local_vars)
+                divisor = right(local_vars)
+                if divisor == 0:
+                    raise RuntimeLangError("modulo by zero", line)
+                if _both_ints(dividend, divisor):
+                    # C-style remainder: sign of the dividend, consistent
+                    # with truncating division (l == (l / r) * r + l % r)
+                    rem = abs(dividend) % abs(divisor)
+                    return -rem if dividend < 0 else rem
+                return dividend % divisor
+        else:
+            def run(local_vars: dict) -> Any:
+                stats.expressions += 1
+                if stats.statements + stats.expressions > limit:
+                    exhausted()
+                left(local_vars)
+                right(local_vars)
+                raise RuntimeLangError(f"unknown binary operator {op!r}", line)
+        return run
+
+    def unaryop(node: UnaryOp, function: str) -> Code:
+        op = node.op
+        operand = expression(node.operand, function)
+        line = node.line
+
+        def run(local_vars: dict) -> Any:
+            stats.expressions += 1
+            if stats.statements + stats.expressions > limit:
+                exhausted()
+            value = operand(local_vars)
+            if op == "-":
+                return -value
+            if op == "not":
+                return not _truthy(value)
+            raise RuntimeLangError(f"unknown unary operator {op!r}", line)
+        return run
+
+    # No concrete AST class subclasses another, so ``type(node)`` alone
+    # picks the rule.
+    statement_rules: dict[type, Callable[[Any, str], Code]] = {
+        VarDecl: var_decl,
+        Assign: assign,
+        FieldAssign: field_assign,
+        ExprStmt: expr_stmt,
+        Return: return_stmt,
+        Block: block_stmt,
+        If: if_stmt,
+        While: while_stmt,
+        For: for_stmt,
+        ParallelFor: parallel_for,
+    }
+    expression_rules: dict[type, Callable[[Any, str], Code]] = {
+        IntLit: literal,
+        FloatLit: literal,
+        BoolLit: literal,
+        StringLit: literal,
+        NullLit: literal,
+        Name: name,
+        New: new,
+        FieldAccess: field_access,
+        IndexAccess: index_access,
+        BinOp: binop,
+        UnaryOp: unaryop,
+        Call: call_expr,
+        ArrayLit: array_lit,
+    }
+    return _Compiler(block, counted_loop, statement_rules, expression_rules)
 
 
 def run_program(

@@ -19,76 +19,56 @@ Barnes–Hut algorithm exactly as the paper describes it:
   declaration, which the analysis/transformation experiments operate on.
 """
 
-from repro.nbody.vector import Vec3
-from repro.nbody.particle import Particle
-from repro.nbody.octree import OctreeNode, OctreeStats
-from repro.nbody.build import build_tree, expand_box, insert_particle, compute_mass_distribution
-from repro.nbody.force import (
-    ForceAccumulator,
-    compute_force,
-    compute_force_on_particle,
-    direct_forces,
-    GRAVITY,
-    SOFTENING,
-)
-from repro.nbody.integrate import compute_new_vel_pos, advance
-from repro.nbody.datasets import (
-    uniform_cube,
-    plummer_sphere,
-    two_clusters,
-    make_particles,
-)
-from repro.nbody.simulation import (
-    SimulationConfig,
-    StepStats,
-    SequentialRunResult,
-    BarnesHutSimulation,
-)
-from repro.nbody.parallel import (
-    ParallelRunResult,
-    StripMinedParallelSimulation,
-)
-from repro.nbody.energy import kinetic_energy, potential_energy, total_energy, momentum
-from repro.nbody.toy_program import (
-    barnes_hut_toy_source,
-    barnes_hut_toy_program,
-    BHL1_FUNCTION,
-    BHL2_FUNCTION,
-)
+import importlib
 
-__all__ = [
-    "Vec3",
-    "Particle",
-    "OctreeNode",
-    "OctreeStats",
-    "build_tree",
-    "expand_box",
-    "insert_particle",
-    "compute_mass_distribution",
-    "ForceAccumulator",
-    "compute_force",
-    "compute_force_on_particle",
-    "direct_forces",
-    "GRAVITY",
-    "SOFTENING",
-    "compute_new_vel_pos",
-    "advance",
-    "uniform_cube",
-    "plummer_sphere",
-    "two_clusters",
-    "make_particles",
-    "SimulationConfig",
-    "StepStats",
-    "SequentialRunResult",
-    "BarnesHutSimulation",
-    "ParallelRunResult",
-    "StripMinedParallelSimulation",
-    "kinetic_energy",
-    "potential_energy",
-    "total_energy",
-    "momentum",
-    "barnes_hut_toy_source",
-    "barnes_hut_toy_program",
-    "BHL1_FUNCTION",
-    "BHL2_FUNCTION",
-]
+#: each submodule and the names the package re-exports from it; a name is
+#: imported on first access (PEP 562), so that importing one submodule (the
+#: driver's corpus needs only :mod:`repro.nbody.toy_program`) does not load
+#: the whole simulator
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "vector": ("Vec3",),
+    "particle": ("Particle",),
+    "octree": ("OctreeNode", "OctreeStats"),
+    "build": ("build_tree", "expand_box", "insert_particle", "compute_mass_distribution"),
+    "force": (
+        "ForceAccumulator",
+        "compute_force",
+        "compute_force_on_particle",
+        "direct_forces",
+        "GRAVITY",
+        "SOFTENING",
+    ),
+    "integrate": ("compute_new_vel_pos", "advance"),
+    "datasets": ("uniform_cube", "plummer_sphere", "two_clusters", "make_particles"),
+    "simulation": (
+        "SimulationConfig",
+        "StepStats",
+        "SequentialRunResult",
+        "BarnesHutSimulation",
+    ),
+    "parallel": ("ParallelRunResult", "StripMinedParallelSimulation"),
+    "energy": ("kinetic_energy", "potential_energy", "total_energy", "momentum"),
+    "toy_program": (
+        "barnes_hut_toy_source",
+        "barnes_hut_toy_program",
+        "BHL1_FUNCTION",
+        "BHL2_FUNCTION",
+    ),
+}
+
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -303,13 +303,26 @@ def strip_mine_loop(
     ``DOALL_AFTER_TRAVERSAL``.  The copy is made only once every check has
     passed.
     """
-    dependence, (update_idx, traversal_var, traversal_field), add_pes_param = (
-        _strip_mine_legality(
-            program, function_name, loop_index, pes_param, check_dependences, use_adds
-        )
+    legality = _strip_mine_legality(
+        program, function_name, loop_index, pes_param, check_dependences, use_adds
+    )
+    return _rewrite(
+        copy.deepcopy(program), function_name, loop_index, pes_param, label, legality
     )
 
-    new_program = copy.deepcopy(program)
+
+def _rewrite(
+    new_program: Program,
+    function_name: str,
+    loop_index: int,
+    pes_param: str,
+    label: str | None,
+    legality: tuple[DependenceTest | None, tuple[int, str, str], bool],
+) -> StripMineResult:
+    """The rewrite of :func:`strip_mine_loop`, made in place on
+    ``new_program``; ``legality`` is what :func:`_strip_mine_legality`
+    returned for the loop."""
+    dependence, (update_idx, traversal_var, traversal_field), add_pes_param = legality
     func = new_program.function_named(function_name)
     assert func is not None
     loop = find_while_loops(new_program, function_name)[loop_index]
@@ -423,7 +436,8 @@ def strip_mine_program(
     The pairs are loops already shown DOALL and strip-minable (the reports'
     ``strip_mine.applied``: the paper decides on the analyzed program,
     section 4.3.3), so no analysis is built and the dependence test is not
-    repeated; :func:`strip_mine_loop` rewrites each.  Functions go in
+    repeated.  The program is deep-copied once, and each loop rewritten in
+    the copy as :func:`strip_mine_loop` would rewrite it.  Functions go in
     program order and the loops of each in pre-order, every rewrite
     applying to the result of the earlier ones.  A rewrite moves the loops
     nested in the strip-mined body into its iteration procedure, so those
@@ -434,24 +448,26 @@ def strip_mine_program(
     no loop is strip-mined.
     """
     chosen = set(loops)
-    current = program
+    current: Program | None = None
     functions: list[str] = []
     for func in program.functions:
         moved: set[int] = set()
         for index, loop in enumerate(find_while_loops(program, func.name)):
             if id(loop) in moved or (func.name, index) not in chosen:
                 continue
+            if current is None:
+                current = copy.deepcopy(program)
             current_index = index - len(moved)
-            current = strip_mine_loop(
-                current,
-                func.name,
-                loop_index=current_index,
-                label=f"{func.name}_L{current_index + 1}",
-                check_dependences=False,
-            ).program
+            legality = _strip_mine_legality(
+                current, func.name, current_index, "PEs", False, True
+            )
+            label = f"{func.name}_L{current_index + 1}"
+            _rewrite(current, func.name, current_index, "PEs", label, legality)
             moved.update(id(s) for s in iter_statements(loop.body) if isinstance(s, While))
             if func.name not in functions:
                 functions.append(func.name)
+    if current is None:
+        return StripMinedProgram(program=program, functions=[])
     for func in current.functions:
         for node in func.body.walk():
             if isinstance(node, Call) and node.func in functions:

@@ -31,6 +31,7 @@ from repro.driver.pipeline import (
     strip_mined_loops,
     transforms_payload,
 )
+from repro.driver.stages import _Source
 from repro.fuzz.generator import generate_program
 from repro.lang.parser import parse_program
 from repro.lang.split import split_declarations
@@ -363,7 +364,7 @@ class TestSimulationStage:
 
         # it replays the reports' verdicts: no typecheck, no analysis
         monkeypatch.setattr(repro.pathmatrix.analysis, "check_program", forbidden)
-        sim = simulate_program(item.source, PipelineOptions(), loops)
+        sim = simulate_program(_Source.split(item.source), PipelineOptions(), loops)
         assert sim["status"] == "simulated"
         assert sim["heaps_match"]
         assert sim["speedup"] > 1.0
@@ -373,7 +374,7 @@ class TestSimulationStage:
         """Per-iteration costs are interpreter operation counts: the
         simulated schedule must not move when the interpreter changes."""
         item = next(i for i in paper_items if i.name == "paper/barnes_hut")
-        sim = simulate_program(item.source, PipelineOptions(), _loops(item.source))
+        sim = simulate_program(_Source.split(item.source), PipelineOptions(), _loops(item.source))
         assert sim["transformed_functions"] == ["bh_force_pass", "bh_update_pass"]
         assert (sim["sequential_cost"], sim["parallel_steps"]) == (122288.0, 16)
         assert sim["parallel_elapsed"] == pytest.approx(34018.16)
@@ -425,7 +426,7 @@ class TestSimulationStage:
         def nested(depth):
             if depth:
                 return nested(depth - 1)
-            return simulate_program(source, PipelineOptions(), loops)
+            return simulate_program(_Source.split(source), PipelineOptions(), loops)
 
         for depth in (0, 700):
             sim = nested(depth)
@@ -434,7 +435,7 @@ class TestSimulationStage:
 
     def test_program_without_entry_reports_no_entry(self, paper_items):
         item = next(i for i in paper_items if i.name == "paper/subtree_move")
-        sim = simulate_program(item.source, PipelineOptions(), _loops(item.source))
+        sim = simulate_program(_Source.split(item.source), PipelineOptions(), _loops(item.source))
         assert sim["status"] == "no-entry"
 
     def test_program_without_parallel_loops(self):
@@ -444,7 +445,7 @@ class TestSimulationStage:
             "function main() { var p; p = new ListNode; p->coef = 1; return p; }"
         )
         assert _loops(source) == []
-        sim = simulate_program(source, PipelineOptions(), [])
+        sim = simulate_program(_Source.split(source), PipelineOptions(), [])
         assert sim["status"] == "no-parallel-loops"
 
     @pytest.mark.parametrize("use_adds", [True, False], ids=["adds", "no-adds"])

@@ -308,3 +308,28 @@ class TestModuleEntryPoint:
             f"not {expected}; if the change is intended, update `expected` in "
             f"this test"
         )
+
+    def test_the_paper_corpus_loads_only_the_toy_program(self):
+        """``--corpus paper`` (and ``builtin`` and ``bench``, which include
+        it) needs one source text from :mod:`repro.nbody`, not the whole
+        Barnes–Hut simulator."""
+        code = (
+            "import sys\n"
+            "import repro.driver.cli\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.split('.')[0] == 'repro'}\n"
+            "before = loaded()\n"
+            "from repro.driver.corpus import corpus_named\n"
+            "corpus_named('paper')\n"
+            "print(' '.join(sorted(loaded() - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=str(REPO_ROOT),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["repro.nbody", "repro.nbody.toy_program"]

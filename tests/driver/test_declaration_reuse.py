@@ -6,6 +6,7 @@ its report equals a from-scratch run's.
 
 import random
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import decode_entry, encode_entry
 from repro.driver.corpus import CorpusItem, corpus_named
+from repro.lang import parser as parser_module
 from repro.lang.split import split_declarations
 from repro.pathmatrix import analysis as analysis_module
 
@@ -47,14 +49,19 @@ def _view(report) -> list:
 
 
 def _record_parses(monkeypatch) -> list:
+    """Record every text ``parse_program`` parses, through whichever
+    ``repro`` module calls it."""
     parsed: list = []
-    real = stages_module.parse_program
+    real = parser_module.parse_program
 
     def recording(source, first_line=1):
         parsed.append(source)
         return real(source, first_line)
 
-    monkeypatch.setattr(stages_module, "parse_program", recording)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "repro":
+            if vars(module).get("parse_program") is real:
+                monkeypatch.setattr(module, "parse_program", recording)
     return parsed
 
 
@@ -314,10 +321,13 @@ class TestOneWalk:
     parsed on its own, and every fixpoint solved is the engine's."""
 
     def test_a_cold_run_parses_each_declaration_once(self, tmp_path, monkeypatch):
+        """The simulation included: it runs on the declarations the walk
+        parsed."""
         items = corpus_named("builtin")
         parsed = _record_parses(monkeypatch)
-        report = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
+        report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
         assert not [p.error for p in report.programs if p.error]
+        assert [p.simulation["status"] for p in report.programs].count("simulated") == 4
         expected = [text for item in items for text in _declaration_texts(item.source)]
         assert sorted(parsed) == sorted(expected)
         assert not {item.source for item in items} & set(parsed)
@@ -357,27 +367,19 @@ class TestSimulation:
         _run(source, tmp_path, simulate=True)
         edited = _pad(source, "w4")
         parsed = _record_parses(monkeypatch)
-        real = pipeline_module.parse_program
-
-        def recording(text, first_line=1):
-            parsed.append(text)
-            return real(text, first_line)
-
-        monkeypatch.setattr(pipeline_module, "parse_program", recording)
         report = _run(edited, tmp_path, simulate=True)
         assert report.programs[0].simulation == {"status": "no-entry", "entry": "main"}
         assert edited not in parsed
         assert len(parsed) == 2  # the type and w4
 
     def test_an_entry_with_parameters_is_decided_from_the_split(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("parsed to find the entry")
-
-        monkeypatch.setattr(pipeline_module, "parse_program", forbidden)
+        parsed = _record_parses(monkeypatch)
         source = TYPES + "function main(n)\n{ return n; }\n"
         options = pipeline_module.PipelineOptions()
-        sim = pipeline_module.simulate_program(source, options, [("main", 0)])
+        split = stages_module._Source.split(source)
+        sim = pipeline_module.simulate_program(split, options, [("main", 0)])
         assert sim == {"status": "no-entry", "entry": "main"}
+        assert parsed == []
 
 
 class TestStaleWarmResults:

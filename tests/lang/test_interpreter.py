@@ -1,14 +1,19 @@
 """Tests for the reference interpreter and its explicit heap."""
 
+import gc
+import hashlib
+import weakref
 from dataclasses import astuple
 
 import pytest
 
 from repro.driver.corpus import builtin_corpus
+from repro.fuzz.generator import generate_program
+from repro.fuzz.observation import observe
 from repro.lang import ast_nodes
 from repro.lang.errors import InterpreterLimitError, RuntimeLangError
 from repro.lang.heap import NULL_REF
-from repro.lang.interpreter import _EVALUATE, _EXECUTE, Frame, Interpreter, run_program
+from repro.lang.interpreter import Interpreter, run_program
 from repro.lang.parser import parse_program
 
 
@@ -310,6 +315,20 @@ class TestExecutionStats:
             assert astuple(interp.stats) == counts, (name, budget)
             assert interp.stats.statements + interp.stats.expressions == budget + 1
 
+    def test_generated_programs_are_pinned(self):
+        """Every observation and counter of 300 generated programs, run
+        without a budget and cut off at 500 steps, hashed: the corpus mains
+        above exercise only part of the language."""
+        digest = hashlib.sha256()
+        for seed in range(300):
+            program = parse_program(generate_program(seed).source)
+            for budget in (None, 500):
+                runs = []
+                observation = observe(program, max_steps=budget, attach=runs.append)
+                record = (seed, budget, observation, astuple(runs[0].stats))
+                digest.update(repr(record).encode())
+        assert digest.hexdigest() == GENERATED_DIGEST
+
     def test_output_capture_via_print(self):
         program = parse_program('function f() { print("hello", 42); return 0; }')
         _, interp = run_program(program, entry="f")
@@ -350,6 +369,11 @@ PINNED_COUNTS_AT_BUDGET = {
 }
 
 
+#: SHA-256 of ``(seed, budget, observation, astuple(stats))`` for
+#: ``generate_program`` seeds 0-299 at budgets ``None`` and 500
+GENERATED_DIGEST = "58674571501567ac0c9b0108e606393d5d7ca872df8b3237f75cadf6aebba822"
+
+
 @pytest.fixture(scope="module")
 def corpus_mains():
     programs = {}
@@ -361,27 +385,58 @@ def corpus_mains():
     return programs
 
 
+class TestLifetime:
+    def test_a_dropped_interpreter_is_freed_with_its_code(self, corpus_mains):
+        """The compiled code and the compile rules reach their interpreter
+        only weakly, so the last reference dropped frees the interpreter,
+        its code, its rules and its heap at once, not at the garbage
+        collector's next pass."""
+        _, interp = run_program(corpus_mains["paper/barnes_hut"])
+        refs = [weakref.ref(interp), weakref.ref(interp.heap), weakref.ref(interp._rules.block)]
+        refs += [weakref.ref(rule) for rule in interp._rules.statements.values()]
+        refs += [weakref.ref(code) for _, code in interp._compiled.values()]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del interp
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestDispatch:
     def test_every_node_class_has_exactly_one_handler(self):
-        """Handlers are looked up by ``type(node)``, which is sound only
-        while no concrete node class subclasses another."""
+        """Compile rules are looked up by ``type(node)``, which is sound
+        only while no concrete node class subclasses another."""
         def concrete(base):
             return {
                 cls for cls in vars(ast_nodes).values()
                 if isinstance(cls, type) and issubclass(cls, base) and cls is not base
             }
 
+        rules = Interpreter(parse_program("function f() { return 0; }"))._rules
         statements, expressions = concrete(ast_nodes.Stmt), concrete(ast_nodes.Expr)
-        assert set(_EXECUTE) == statements
-        assert set(_EVALUATE) == expressions
+        assert set(rules.statements) == statements
+        assert set(rules.expressions) == expressions
         for cls in statements | expressions:
             assert cls.__bases__ in ((ast_nodes.Stmt,), (ast_nodes.Expr,)), cls
 
     def test_unknown_nodes_raise(self):
-        interp = Interpreter(parse_program("function f() { return 0; }"))
-        frame = Frame(function="f")
-        with pytest.raises(RuntimeLangError, match="cannot execute statement Name"):
-            interp.execute_statement(ast_nodes.Name("x"), frame)
-        with pytest.raises(RuntimeLangError, match="cannot evaluate expression Assign"):
-            interp.evaluate(ast_nodes.Assign("x", ast_nodes.IntLit(1)), frame)
-        assert (interp.stats.statements, interp.stats.expressions) == (1, 1)
+        """An unknown node compiles, then counts its step and raises when
+        it runs."""
+        cases = [
+            (ast_nodes.Name("x"), "cannot execute statement Name", (1, 0)),
+            (
+                ast_nodes.ExprStmt(ast_nodes.Assign("x", ast_nodes.IntLit(1))),
+                "cannot evaluate expression Assign",
+                (1, 1),
+            ),
+        ]
+        for statement, message, counted in cases:
+            body = ast_nodes.Block(statements=[statement])
+            function = ast_nodes.FunctionDecl(name="f", params=[], body=body)
+            interp = Interpreter(ast_nodes.Program(functions=[function]))
+            with pytest.raises(RuntimeLangError, match=f"^{message}$"):
+                interp.call_function("f")
+            assert (interp.stats.statements, interp.stats.expressions) == counted

@@ -5,6 +5,8 @@ structure the paper describes, and it is semantics preserving (same heap as
 the original when interpreted).
 """
 
+import copy
+
 import pytest
 
 import repro.pathmatrix.analysis
@@ -16,8 +18,9 @@ from repro.driver.pipeline import (
     simulate_program,
     strip_mined_loops,
 )
+from repro.driver.stages import _Source
 from repro.fuzz.generator import generate_program
-from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, While
+from repro.lang.ast_nodes import Call, For, If, IntLit, ParallelFor, Program, While
 from repro.lang.interpreter import run_program
 from repro.lang.parser import parse_program
 from repro.lang.pretty import unparse
@@ -488,7 +491,7 @@ class TestStripMineProgram:
         assert len(find_while_loops(result.program, "_nested_L1_iteration")) == 1
         main = unparse(result.program.function_named("main"))
         assert "siblings(h, 3, 3)" in main and "nested(h, 2, 3)" in main
-        sim = simulate_program(unparse(program), PipelineOptions(), loops)
+        sim = simulate_program(_Source.split(unparse(program)), PipelineOptions(), loops)
         assert sim["transformed_functions"] == ["siblings", "nested"]
         assert sim["heaps_match"]
 
@@ -504,6 +507,22 @@ class TestStripMineProgram:
         result = strip_mine_program(bh_program, loops, 4)
         assert result.functions == [BHL1_FUNCTION, BHL2_FUNCTION]
         assert calls == []
+
+    def test_copies_the_program_once(self, bh_program, monkeypatch):
+        """Every loop is rewritten in one deep copy, not in a copy of the
+        previous rewrite's copy."""
+        copied = []
+        real = copy.deepcopy
+
+        def counting(value, memo=None):
+            if isinstance(value, Program):
+                copied.append(value)
+            return real(value, memo)
+
+        monkeypatch.setattr(copy, "deepcopy", counting)
+        result = strip_mine_program(bh_program, _applied_loops(bh_program), 4)
+        assert result.functions == [BHL1_FUNCTION, BHL2_FUNCTION]
+        assert copied == [bh_program]
 
     def test_no_adds_strip_mines_nothing_on_scale(self, scale_program):
         assert _applied_loops(scale_program, use_adds=False) == []
