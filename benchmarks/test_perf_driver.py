@@ -69,8 +69,8 @@ def _row(scenario, jobs, batch, elapsed, functions):
         "elapsed_s": elapsed,
         "functions": functions,
         "functions_per_s": functions / elapsed if elapsed else float("inf"),
-        "analyses_executed": batch.analyses_executed,
-        "cache_hits": batch.cache_hits,
+        "analyses_executed": batch.incremental["recomputed"],
+        "cache_hits": batch.incremental["reused"],
     }
     stats = batch.to_dict()["stats"]
     row["start_method"] = stats.get("start_method")
@@ -160,8 +160,8 @@ def test_cold_runs_execute_every_function_exactly_once(measurements):
 def test_warm_run_is_fully_cached(measurements):
     warm = measurements["warm"]
     cold = measurements["cold"]
-    assert warm.analyses_executed == 0
-    assert warm.cache_hits == cold.function_count()
+    assert warm.incremental["recomputed"] == 0
+    assert warm.incremental["reused"] == cold.function_count()
     # and the cache returns exactly what the cold run computed
     for cold_p, warm_p in zip(cold.programs, warm.programs):
         assert cold_p.functions == warm_p.functions

@@ -87,8 +87,8 @@ def _row(scenario, batch, elapsed):
     return {
         "scenario": scenario,
         "elapsed_s": elapsed,
-        "analyses_executed": batch.analyses_executed,
-        "cache_hits": batch.cache_hits,
+        "analyses_executed": batch.incremental["recomputed"],
+        "cache_hits": batch.incremental["reused"],
         "incremental": batch.incremental,
     }
 
@@ -146,16 +146,16 @@ def test_cold_run_analyzes_the_whole_corpus(measurements):
     cold = measurements["cold"]
     assert cold.function_count() >= 200
     assert not any(p.error for p in cold.programs)
-    assert cold.analyses_executed >= 190  # content-identical dupes share reports
+    assert cold.incremental["recomputed"] >= 190  # content-identical dupes share reports
     assert cold.incremental["dirty"] == cold.function_count()
 
 
 def test_noop_rerun_is_fully_firewalled(measurements):
     warm = measurements["warm"]
-    assert warm.analyses_executed == 0
+    assert warm.incremental["recomputed"] == 0
     assert warm.incremental["dirty"] == 0
     assert warm.incremental["fixpoints_run"] == 0
-    assert warm.cache_hits == warm.function_count()
+    assert warm.incremental["reused"] == warm.function_count()
 
 
 def test_single_leaf_edit_runs_exactly_one_fixpoint(measurements):
@@ -165,7 +165,6 @@ def test_single_leaf_edit_runs_exactly_one_fixpoint(measurements):
     report = measurements["edit_leaf"]
     inc = report.incremental
     assert inc["dirty"] == 1
-    assert report.analyses_executed == 1
     assert inc["recomputed"] == 1
     # the caller cone exists and was firewalled, not just absent
     assert measurements["leaf_dependents"] >= 10
@@ -175,7 +174,6 @@ def test_single_leaf_edit_runs_exactly_one_fixpoint(measurements):
 def test_single_root_edit_runs_exactly_one_fixpoint(measurements):
     report = measurements["edit_root"]
     assert report.incremental["dirty"] == 1
-    assert report.analyses_executed == 1
     assert report.incremental["recomputed"] == 1
 
 

@@ -22,7 +22,7 @@ Scales the per-function analysis core across whole programs and corpora:
 * :mod:`repro.driver.cli`       — the ``python -m repro`` front end.
 """
 
-from repro.driver.batch import BatchDriver, BatchReport, ProgramReport
+from repro.driver.batch import BatchDriver, BatchReport
 from repro.driver.cache import ResultCache, program_digest
 from repro.driver.corpus import (
     CorpusItem,
@@ -37,11 +37,12 @@ from repro.driver.pipeline import (
     function_report,
     simulate_program,
 )
+from repro.driver.stages import ProgramRun
 
 __all__ = [
     "BatchDriver",
     "BatchReport",
-    "ProgramReport",
+    "ProgramRun",
     "ResultCache",
     "program_digest",
     "CorpusItem",

@@ -52,8 +52,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from repro.pathmatrix.interproc import summaries_from_payloads
-
 # ``function_digests`` has no caller here: the end-to-end benchmark's trace
 # (benchmarks/e2e/trace.py) resolves ``repro.driver.batch.function_digests``
 # as a ``driver.key`` target and needs the name bound
@@ -83,11 +81,11 @@ FAILURE_STATUSES = ("timeout", "crashed", "quarantined")
 
 @dataclass
 class ResilienceCounters:
-    """How much fault-handling one batch run actually did.
+    """How much fault-handling the worker pool did in one batch run.
 
-    Zero everywhere on a healthy run; surfaced in the report's ``stats``
-    and in ``--profile`` output, in the spirit of an operable daemon's
-    health counters.
+    Zero everywhere on a healthy run, in the spirit of an operable daemon's
+    health counters; the store's own fault counters (``evictions``,
+    ``io_retries``) are in the report's ``store`` block.
     """
 
     retries: int = 0  # task re-dispatches within a suspect's retry budget
@@ -95,8 +93,6 @@ class ResilienceCounters:
     worker_crashes: int = 0  # worker deaths attributed to a task
     worker_respawns: int = 0  # pool workers replaced
     quarantined: int = 0  # functions quarantined as poison
-    cache_evictions: int = 0  # corrupt cache entries detected and removed
-    cache_io_retries: int = 0  # cache reads that needed a second attempt
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,58 +102,28 @@ class ResilienceCounters:
 
 
 @dataclass
-class ProgramReport:
-    """Everything the batch run learned about one corpus program."""
-
-    name: str
-    functions: dict[str, dict] = field(default_factory=dict)
-    #: bottom-up schedule by depth, wave by wave (SCCs as name lists)
-    schedule: list[list[list[str]]] = field(default_factory=list)
-    simulation: dict | None = None
-    error: str | None = None
-
-    def summaries(self):
-        """Re-interned :class:`FunctionSummary` objects, one per function
-        (functions that failed before producing a summary are skipped)."""
-        return summaries_from_payloads(
-            payload.get("summary") for payload in self.functions.values()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "functions": self.functions,
-            "schedule": self.schedule,
-            "simulation": self.simulation,
-            "error": self.error,
-        }
-
-
-@dataclass
 class BatchReport:
-    """The result of one driver invocation over a corpus."""
+    """The result of one driver invocation over a corpus: each program's
+    run, and :meth:`stats`, the one record of what the run did, in which
+    each count appears once (docs/driver.md has a row per key)."""
 
-    programs: list[ProgramReport] = field(default_factory=list)
-    #: per-function analyses actually executed (cache misses)
-    analyses_executed: int = 0
-    #: per-function reports served from the on-disk cache
-    cache_hits: int = 0
-    #: whole-program simulations served from the cache
-    simulation_cache_hits: int = 0
+    programs: list[ProgramRun] = field(default_factory=list)
     jobs: int = 1
     #: workers actually used (1 when the pool was bypassed or never needed)
     effective_jobs: int = 1
     host_cpus: int | None = None
     start_method: str | None = None
     elapsed_s: float = 0.0
-    #: aggregate task timing breakdown; ``tasks`` detail only with profiling
-    profile: dict | None = None
+    #: the staged engine's counters summed over programs: the keys of
+    #: :class:`~repro.driver.stages.IncrementalStats`
+    incremental: dict = field(default_factory=lambda: IncrementalStats().to_dict())
+    #: the store's counters (:meth:`ResultCache.counters`)
+    store: dict = field(default_factory=lambda: ResultCache(None).counters())
     resilience: ResilienceCounters = field(default_factory=ResilienceCounters)
-    #: staged-engine counters: reused / firewalled / recomputed / dirty /
-    #: fixpoints_run / programs_unchanged — see driver/stages.py
-    incremental: dict | None = None
+    #: pooled runs only: task timing totals and one row per task
+    profile: dict | None = None
 
-    def program(self, name: str) -> ProgramReport:
+    def program(self, name: str) -> ProgramRun:
         for report in self.programs:
             if report.name == name:
                 return report
@@ -177,27 +143,28 @@ class BatchReport:
                     failed.append((program.name, name, status))
         return failed
 
-    def to_dict(self) -> dict:
+    def stats(self) -> dict:
+        """What the run did; also the store's ``last-run.json``."""
         stats = {
             "programs": len(self.programs),
             "functions": self.function_count(),
-            "analyses_executed": self.analyses_executed,
-            "cache_hits": self.cache_hits,
-            "simulation_cache_hits": self.simulation_cache_hits,
             "jobs": self.jobs,
             "effective_jobs": self.effective_jobs,
             "host_cpus": self.host_cpus,
             "start_method": self.start_method,
             "elapsed_s": self.elapsed_s,
+            "incremental": self.incremental,
+            "store": self.store,
             "resilience": self.resilience.to_dict(),
         }
-        if self.incremental is not None:
-            stats["incremental"] = self.incremental
         if self.profile is not None:
             stats["profile"] = self.profile
+        return stats
+
+    def to_dict(self) -> dict:
         return {
             "programs": [p.to_dict() for p in self.programs],
-            "stats": stats,
+            "stats": self.stats(),
         }
 
 
@@ -211,7 +178,6 @@ class _ProgramPlan:
 
     index: int
     item: CorpusItem
-    report: ProgramReport
     #: the program's name is the corpus's only one of that name
     reuse: bool
     #: suspect -> how many tasks of this program died charged to it
@@ -219,6 +185,11 @@ class _ProgramPlan:
     attempts: dict = field(default_factory=dict)
     #: suspect -> the failure payload the engine reports in its place
     failed: dict[str, dict] = field(default_factory=dict)
+    #: the program's run: empty until a task of it completes
+    run: ProgramRun = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.run = ProgramRun(self.item.name, {}, IncrementalStats(), [])
 
     def task(self, task_id: int) -> Task:
         return Task(
@@ -237,10 +208,9 @@ class BatchDriver:
 
     ``jobs=1`` runs every program in-process (no pool); ``jobs>1`` runs
     each program the store cannot serve whole as one task on a persistent
-    worker pool.  ``cache_dir=None`` disables memoization.
-    ``start_method`` picks the multiprocessing start method (default:
-    ``fork`` where available, else ``spawn``); ``profile=True`` keeps the
-    per-task timing breakdown in the report.
+    worker pool, started with
+    :func:`~repro.driver.executor.preferred_start_method`.
+    ``cache_dir=None`` disables memoization.
 
     Fault tolerance (pooled runs only — inline runs share the caller's
     process and cannot be killed or respawned):
@@ -266,8 +236,6 @@ class BatchDriver:
         cache_dir=None,
         options: PipelineOptions | None = None,
         simulate: bool = True,
-        start_method: str | None = None,
-        profile: bool = False,
         task_timeout: float | None = None,
         max_retries: int = 2,
         max_respawns: int | None = None,
@@ -278,8 +246,6 @@ class BatchDriver:
         self.cache = ResultCache(cache_dir)
         self.engine = StagedEngine(self.cache, self.options)
         self.simulate = simulate
-        self.start_method = start_method
-        self.profile = profile
         self.task_timeout = task_timeout
         self.max_retries = max(0, int(max_retries))
         self.max_respawns = max_respawns
@@ -293,68 +259,26 @@ class BatchDriver:
         # neither reads nor writes one
         names = Counter(item.name for item in items)
         plans = [
-            _ProgramPlan(i, item, ProgramReport(name=item.name), names[item.name] == 1)
-            for i, item in enumerate(items)
+            _ProgramPlan(i, item, names[item.name] == 1) for i, item in enumerate(items)
         ]
-        report.incremental = IncrementalStats().to_dict()
         if self.jobs > 1:
-            timings = self._run_parallel(plans, report)
+            report.profile = _profile(self._run_parallel(plans, report))
         else:
-            timings = self._run_inline(plans, report)
-        report.profile = self._aggregate_profile(timings)
-
-        report.programs = [plan.report for plan in plans]
-        report.resilience.cache_evictions = self.cache.evictions
-        report.resilience.cache_io_retries = self.cache.io_retries
+            for plan in plans:
+                run = run_program(
+                    self.engine, plan.item.name, plan.item.source, plan.reuse, self.simulate
+                )
+                self._record(plan, run, report)
+        report.programs = [plan.run for plan in plans]
+        report.store = self.cache.counters()
         report.elapsed_s = time.perf_counter() - started
-        self.cache.write_ledger(
-            {
-                "analyses_executed": report.analyses_executed,
-                "run_cache_hits": report.cache_hits,
-                "incremental": report.incremental,
-            }
-        )
+        self.cache.write_ledger(report.stats())
         return report
 
     def _record(self, plan: _ProgramPlan, run: ProgramRun, batch: BatchReport) -> None:
-        plan.report.functions = run.functions
-        plan.report.schedule = run.schedule
-        plan.report.simulation = run.simulation
-        plan.report.error = run.error
+        plan.run = run
         for key, value in run.stats.to_dict().items():
             batch.incremental[key] += value
-        batch.cache_hits += run.stats.reused
-        batch.analyses_executed += run.stats.recomputed
-        batch.simulation_cache_hits += run.simulation_cached
-
-    # -- inline execution (jobs == 1) -------------------------------------------
-    def _run_inline(self, plans: list[_ProgramPlan], batch: BatchReport) -> list[TaskTiming]:
-        batch.start_method = None
-        batch.effective_jobs = 1
-        work_started = time.perf_counter()
-        simulations_run = 0
-        for plan in plans:
-            run = run_program(
-                self.engine, plan.item.name, plan.item.source, plan.reuse, self.simulate
-            )
-            self._record(plan, run, batch)
-            simulations_run += run.simulation is not None and not run.simulation_cached
-        if not batch.analyses_executed and not simulations_run:
-            return []
-        analyze_s = time.perf_counter() - work_started
-        return [
-            TaskTiming(
-                task_id=0,
-                kind="inline",
-                program="*",
-                functions=batch.analyses_executed,
-                worker_pid=0,
-                queue_wait_s=0.0,
-                analyze_s=analyze_s,
-                transfer_s=0.0,
-                total_s=analyze_s,
-            )
-        ]
 
     # -- parallel execution (persistent workers) -------------------------------
     def _serve_whole(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
@@ -369,7 +293,8 @@ class BatchDriver:
         run = self.engine.serve_unchanged(plan.item.name, plan.item.source) if plan.reuse else None
         if run is None:
             return False
-        run.simulation, run.simulation_cached = simulation, simulation is not None
+        run.simulation = simulation
+        run.stats.simulations_reused = int(simulation is not None)
         self._record(plan, run, batch)
         return True
 
@@ -385,7 +310,6 @@ class BatchDriver:
         with PersistentExecutor(
             self.jobs,
             setup,
-            self.start_method,
             task_timeout=self.task_timeout,
             max_respawns=self.max_respawns,
         ) as executor:
@@ -438,7 +362,7 @@ class BatchDriver:
             return
         detail += f"; retries exhausted after {attempts} attempt(s)"
         if suspect is None:
-            plan.report.error = f"{status} before its first report: {detail}"
+            plan.run.error = f"{status} before its first report: {detail}"
             return
         if suspect == SIMULATE_TOKEN:
             plan.failed[suspect] = {"status": status, "entry": self.options.entry, "error": detail}
@@ -461,28 +385,25 @@ class BatchDriver:
             plan.failed[suspect] = _failure_payload(suspect, status, detail)
         submit(plan)
 
-    # -- profiling ------------------------------------------------------------
-    def _aggregate_profile(self, timings: list[TaskTiming]) -> dict | None:
-        if not timings:
-            return None
-        totals = {
-            "tasks": len(timings),
-            "functions": sum(t.functions for t in timings),
-            "queue_wait_s": sum(t.queue_wait_s for t in timings),
-            "analyze_s": sum(t.analyze_s for t in timings),
-            "transfer_s": sum(t.transfer_s for t in timings),
-        }
-        # queue-wait is back-pressure (work waiting for a free core), not
-        # waste; the overhead a serial run would not pay is result transfer
-        busy = totals["analyze_s"]
-        overhead = totals["transfer_s"]
-        totals["overhead_fraction"] = (
-            overhead / (busy + overhead) if busy + overhead > 0 else 0.0
-        )
-        profile = {"totals": totals}
-        if self.profile:
-            profile["tasks"] = [t.to_dict() for t in timings]
-        return profile
+
+def _profile(timings: list[TaskTiming]) -> dict | None:
+    """The pool's timing: totals and one row per task (``None``: no task
+    ran on a pool)."""
+    if not timings:
+        return None
+    totals = {
+        "tasks": len(timings),
+        "functions": sum(t.functions for t in timings),
+        "queue_wait_s": sum(t.queue_wait_s for t in timings),
+        "analyze_s": sum(t.analyze_s for t in timings),
+        "transfer_s": sum(t.transfer_s for t in timings),
+    }
+    # queue-wait is back-pressure (work waiting for a free core), not
+    # waste; the overhead a serial run would not pay is result transfer
+    busy = totals["analyze_s"]
+    overhead = totals["transfer_s"]
+    totals["overhead_fraction"] = overhead / (busy + overhead) if busy + overhead > 0 else 0.0
+    return {"totals": totals, "tasks": [t.to_dict() for t in timings]}
 
 
 def _failure_payload(name: str, status: str, detail: str) -> dict:

@@ -60,7 +60,7 @@ RETIRED_STAGES = ("parse", "typecheck", "analysis", "loops", "transforms")
 LEDGER_NAME = "last-run.json"
 
 #: the store-wide counters a :class:`ResultCache` keeps besides the per-stage ones
-_COUNTERS = ("hits", "misses", "writes", "evictions", "io_retries")
+_COUNTERS = ("evictions", "io_retries")
 
 
 def _sha(*parts: str) -> str:
@@ -196,9 +196,6 @@ class ResultCache:
 
     def __init__(self, directory: str | Path | None):
         self.directory = Path(directory) if directory is not None else None
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
         self.evictions = 0  # corrupt entries detected and removed
         self.io_retries = 0  # reads that failed once and were retried
         #: per-stage {"hits", "misses", "writes"} counters
@@ -208,10 +205,6 @@ class ResultCache:
         #: per-key read-attempt counts (drives deterministic transient-I/O
         #: fault injection; harmless bookkeeping otherwise)
         self._read_attempts: dict[tuple[str, str], int] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.directory is not None
 
     def _counters(self, stage: str) -> dict[str, int]:
         counters = self.stage_counters.get(stage)
@@ -256,21 +249,17 @@ class ResultCache:
     def get(self, key: str, stage: str) -> dict | None:
         counters = self._counters(stage)
         if self.directory is None:
-            self.misses += 1
             counters["misses"] += 1
             return None
         cached = self._memory.get((stage, key))
         if cached is not None:
-            self.hits += 1
             counters["hits"] += 1
             return cached
         payload = self._load(key, stage)
         if payload is None:
-            self.misses += 1
             counters["misses"] += 1
             return None
         self._memory[(stage, key)] = payload
-        self.hits += 1
         counters["hits"] += 1
         return payload
 
@@ -281,7 +270,9 @@ class ResultCache:
         path = self._path(key, stage)
         path.parent.mkdir(parents=True, exist_ok=True)
         text = encode_entry(payload)
-        if active_plan().should_corrupt_cache(key, self.writes):
+        # ``cache:writes=N`` counts this process's own writes, every stage's
+        writes = sum(counters["writes"] for counters in self.stage_counters.values())
+        if active_plan().should_corrupt_cache(key, writes):
             # simulate a torn write: publish a truncated, garbled entry (the
             # in-memory copy above stays good — corruption bites the *next*
             # process, exactly like the real failure)
@@ -297,12 +288,13 @@ class ResultCache:
             # a concurrent `cache --clear` swept our scratch file; the cache
             # is best-effort, so losing one write must not abort the batch
             return
-        self.writes += 1
         self._counters(stage)["writes"] += 1
 
     # -- counters across processes -------------------------------------------
     def counters(self, since: dict | None = None) -> dict:
-        """Every counter, less the ``since`` snapshot when one is given."""
+        """Every counter: ``stages`` (per stage ``hits``, ``misses`` and
+        ``writes``), ``evictions`` and ``io_retries``, less the ``since``
+        snapshot when one is given."""
         base = since or {"stages": {}}
         snapshot = {name: getattr(self, name) - base.get(name, 0) for name in _COUNTERS}
         snapshot["stages"] = {
@@ -404,22 +396,19 @@ class ResultCache:
         return total
 
     # -- the run ledger (for `repro cache stats`) ----------------------------
-    def write_ledger(self, extra: dict | None = None) -> None:
-        """Persist this run's counters (plus ``extra``) to the store.
+    def write_ledger(self, stats: dict) -> None:
+        """Persist a run's ``stats`` to the store as canonical JSON.
 
-        Best-effort and unchecksummed — the ledger is informational (the
-        ``repro cache stats`` subcommand's hit/firewall rates), never an
-        input to analysis.
+        Best-effort and unchecksummed — the ledger is informational (what
+        ``repro cache stats`` says of the last run), never an input to
+        analysis.
         """
         if self.directory is None:
             return
-        payload = dict(self.stats())
-        if extra:
-            payload.update(extra)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             tmp = self.directory / f"{LEDGER_NAME}.{os.getpid()}.tmp"
-            tmp.write_text(canonical_json(payload))
+            tmp.write_text(canonical_json(stats))
             tmp.replace(self.directory / LEDGER_NAME)
         except OSError:
             return
@@ -431,18 +420,3 @@ class ResultCache:
             return json.loads((self.directory / LEDGER_NAME).read_text())
         except (OSError, json.JSONDecodeError):
             return None
-
-    def stats(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "directory": str(self.directory) if self.directory else None,
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "io_retries": self.io_retries,
-            "stages": {
-                stage: dict(counters)
-                for stage, counters in sorted(self.stage_counters.items())
-            },
-        }

@@ -63,6 +63,21 @@ DEFAULT_TASK_TIMEOUT_S = 300.0
 EXIT_PARTIAL = 4
 
 
+def _at_least(bound: int):
+    """An argparse ``type``: an integer no smaller than ``bound``, so that
+    an out-of-range value is a usage error (exit 2), never a silent clamp
+    or a run that cannot do what was asked."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < bound:
+            raise argparse.ArgumentTypeError(f"must be at least {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -79,23 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=default_jobs(),
         help=(
             "worker processes (default: cpu count capped at 8, here "
             f"{default_jobs()}; 1 runs inline with no worker pool)"
         ),
-    )
-    analyze.add_argument(
-        "--start-method",
-        choices=("fork", "spawn"),
-        default=None,
-        help="multiprocessing start method (default: fork where available)",
-    )
-    analyze.add_argument(
-        "--profile",
-        action="store_true",
-        help="keep the per-task timing breakdown in the report",
     )
     analyze.add_argument(
         "--cache-dir",
@@ -119,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--max-retries",
-        type=int,
+        type=_at_least(0),
         default=2,
         help=(
             "deaths (worker crashes and timeouts alike) one suspect survives, "
@@ -130,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--max-respawns",
-        type=int,
+        type=_at_least(0),
         default=None,
         help=(
             "total worker replacements tolerated before the pool is declared "
@@ -159,7 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--no-adds", action="store_true", help="ignore ADDS declarations (conservative)"
     )
-    analyze.add_argument("--pes", type=int, default=4, help="simulated processors (default 4)")
+    analyze.add_argument(
+        "--pes", type=_at_least(1), default=4, help="simulated processors (default 4)"
+    )
     analyze.add_argument("--entry", default="main", help="entry function (default main)")
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -181,10 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--start", type=int, default=0, help="first seed (default 0)")
     fuzz.add_argument(
-        "--pes", type=int, default=3, help="simulated processors (default 3)"
+        "--pes", type=_at_least(1), default=3, help="simulated processors (default 3)"
     )
     fuzz.add_argument(
-        "--unroll-factor", type=int, default=3, help="unroll factor (default 3)"
+        "--unroll-factor", type=_at_least(2), default=3, help="unroll factor (default 3)"
     )
     fuzz.add_argument(
         "--shrink",
@@ -219,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="info",
         help=(
             "info: entry count (default); verify: checksum every entry; "
-            "stats: per-stage artifact counts, bytes, and last-run "
-            "hit/firewall rates"
+            "stats: per-stage artifact counts and bytes, and the last run's "
+            "reuse and per-stage store traffic"
         ),
     )
     cache.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
@@ -258,9 +264,11 @@ def render_text(report: BatchReport) -> str:
             lines.append(f"  ERROR: {program.error}")
             continue
         waves = len(program.schedule)
-        summaries = program.summaries()
-        read_only = sum(1 for s in summaries.values() if s.is_read_only)
-        shape = sum(1 for s in summaries.values() if s.rearranges_shape)
+        summaries = [f["summary"] for f in program.functions.values() if f.get("summary")]
+        read_only = sum(
+            not s["data_fields_written"] and not s["pointer_fields_written"] for s in summaries
+        )
+        shape = sum(s["rearranges_shape"] for s in summaries)
         lines.append(
             f"  {len(program.functions)} function(s), {waves} bottom-up wave(s), "
             f"{read_only} read-only, {shape} shape-changing"
@@ -303,30 +311,28 @@ def render_text(report: BatchReport) -> str:
                 lines.append(f"  simulation: {sim.get('status')}{detail}")
         lines.append("")
     lines.append(
-        f"{len(report.programs)} program(s), {report.function_count()} function(s): "
-        f"{report.analyses_executed} analyzed, {report.cache_hits} from cache "
+        f"{len(report.programs)} program(s), {report.function_count()} function(s) "
         f"({report.jobs} job(s), {report.effective_jobs} effective, "
         f"{report.elapsed_s:.2f}s)"
     )
-    if report.incremental is not None:
-        inc = report.incremental
-        lines.append(
-            "incremental: "
-            f"{inc['reused']} reused ({inc['firewalled']} firewalled), "
-            f"{inc['recomputed']} recomputed, {inc['dirty']} dirty, "
-            f"{inc['fixpoints_run']} fixpoint(s) run, "
-            f"{inc['programs_unchanged']} program(s) served unchanged"
-        )
-    resilience = report.resilience
-    if resilience.any_faults():
+    inc = report.incremental
+    lines.append(
+        "incremental: "
+        f"{inc['reused']} reused ({inc['firewalled']} firewalled), "
+        f"{inc['recomputed']} recomputed, {inc['dirty']} dirty, "
+        f"{inc['fixpoints_run']} fixpoint(s) run, "
+        f"{inc['programs_unchanged']} program(s) served unchanged"
+    )
+    resilience, store = report.resilience, report.store
+    if resilience.any_faults() or store["evictions"] or store["io_retries"]:
         lines.append(
             "resilience: "
             f"{resilience.retries} retrie(s), {resilience.timeouts} timeout(s), "
             f"{resilience.worker_crashes} worker crash(es), "
             f"{resilience.worker_respawns} respawn(s), "
             f"{resilience.quarantined} quarantined, "
-            f"{resilience.cache_evictions} cache eviction(s), "
-            f"{resilience.cache_io_retries} cache I/O retrie(s)"
+            f"{store['evictions']} cache eviction(s), "
+            f"{store['io_retries']} cache I/O retrie(s)"
         )
     failed = report.failed_functions()
     if failed:
@@ -343,15 +349,6 @@ def render_text(report: BatchReport) -> str:
             f"transfer {totals['transfer_s']:.3f}s "
             f"({totals['overhead_fraction']:.1%} overhead)"
         )
-        for task in report.profile.get("tasks", []):
-            lines.append(
-                f"  task {task['task_id']:>3} {task['kind']:<9} {task['program']:<28}"
-                f" {task['functions']:>3} fn"
-                f"  wait {task['queue_wait_s']:.3f}s"
-                f"  analyze {task['analyze_s']:.3f}s"
-                f"  transfer {task['transfer_s']:.3f}s"
-                f"  [pid {task['worker_pid']}]"
-            )
     return "\n".join(lines)
 
 
@@ -394,8 +391,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         options=options,
         simulate=not args.no_simulate,
-        start_method=args.start_method,
-        profile=args.profile,
         task_timeout=args.task_timeout if args.task_timeout > 0 else None,
         max_retries=args.max_retries,
         max_respawns=args.max_respawns,
@@ -550,22 +545,25 @@ def _cache_stats(cache, cache_dir: str) -> int:
     if ledger is None:
         print("last run: no ledger (run analyze with this cache first)")
         return 0
-    executed = ledger.get("analyses_executed", 0)
-    hits = ledger.get("run_cache_hits", 0)
-    served = executed + hits
-    rate = f"{hits / served:.1%}" if served else "n/a"
-    print(f"last run: {hits}/{served} function(s) from cache (hit rate {rate})")
-    inc = ledger.get("incremental")
-    if inc:
-        reused = inc.get("reused", 0)
-        firewalled = inc.get("firewalled", 0)
-        fw_rate = f"{firewalled / reused:.1%}" if reused else "n/a"
-        print(
-            f"last run: {reused} reused, {firewalled} firewalled "
-            f"(firewall rate {fw_rate}), {inc.get('recomputed', 0)} recomputed, "
-            f"{inc.get('fixpoints_run', 0)} fixpoint(s), "
-            f"{inc.get('programs_unchanged', 0)} program(s) served unchanged"
-        )
+    # the ledger is the last run's ``stats``
+    inc = ledger.get("incremental", {})
+    reused = inc.get("reused", 0)
+    firewalled = inc.get("firewalled", 0)
+    fw_rate = f"{firewalled / reused:.1%}" if reused else "n/a"
+    print(
+        f"last run: {reused} reused, {firewalled} firewalled "
+        f"(firewall rate {fw_rate}), {inc.get('recomputed', 0)} recomputed, "
+        f"{inc.get('fixpoints_run', 0)} fixpoint(s), "
+        f"{inc.get('programs_unchanged', 0)} program(s) served unchanged"
+    )
+    traffic = ledger.get("store", {}).get("stages", {})
+    for stage in STAGES:
+        if stage in traffic:
+            counts = traffic[stage]
+            print(
+                f"  {stage:<10} {counts['hits']:>6} hit(s) {counts['misses']:>6} miss(es) "
+                f"{counts['writes']:>6} write(s)"
+            )
     return 0
 
 

@@ -115,7 +115,6 @@ class TaskTiming:
     """
 
     task_id: int
-    kind: str
     program: str
     functions: int  # reports the task computed
     worker_pid: int
@@ -229,13 +228,12 @@ class PersistentExecutor:
         self,
         jobs: int,
         setup: WorkerSetup,
-        start_method: str | None = None,
         task_timeout: float | None = None,
         max_respawns: int | None = None,
     ):
         self.jobs = max(1, int(jobs))
         self.setup = setup
-        self.start_method = start_method or preferred_start_method()
+        self.start_method = preferred_start_method()
         self.task_timeout = task_timeout
         self.max_respawns = max_respawns
         self.respawns = 0
@@ -425,7 +423,6 @@ class PersistentExecutor:
         done = result["finished"]
         return TaskTiming(
             task_id=task.task_id,
-            kind="program",
             program=task.name,
             functions=result["run"].stats.recomputed,
             worker_pid=result["pid"],

@@ -55,6 +55,12 @@ class PipelineOptions:
     pes: int = 4
     entry: str = "main"
 
+    def __post_init__(self) -> None:
+        # at no PEs a strip-mined loop never advances: the simulation would
+        # run out its step budget instead of measuring anything
+        if self.pes < 1:
+            raise ValueError(f"pes must be at least 1, got {self.pes}")
+
     def key(self) -> str:
         return f"adds={self.use_adds};pes={self.pes};entry={self.entry}"
 

@@ -114,6 +114,8 @@ class IncrementalStats:
     fixpoints_run: int = 0
     #: programs served whole from their manifest, unparsed
     programs_unchanged: int = 0
+    #: simulations served from the ``sim`` stage
+    simulations_reused: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -122,22 +124,32 @@ class IncrementalStats:
 @dataclass
 class ProgramRun:
     """What one program's run produced: :meth:`StagedEngine.run` fills the
-    walk's fields, :func:`run_program` the simulation's."""
+    walk's fields, :func:`run_program` the simulation's.  It is the batch
+    report's record of the program; :meth:`to_dict` is its JSON."""
 
+    name: str
     #: function name -> report (absolute lines), in declaration order
     functions: dict[str, dict]
     stats: IncrementalStats
     #: the bottom-up schedule (:func:`~repro.lang.callgraph.bottom_up_waves`)
     schedule: list
     simulation: dict | None = None
-    #: the simulation was served from the ``sim`` stage
-    simulation_cached: bool = False
-    #: why the program could not be analyzed (it does not parse or typecheck)
+    #: why the program could not be analyzed (it does not parse or
+    #: typecheck, or every task of it died)
     error: str | None = None
     #: the walk's split and parsed declarations, which the simulation
     #: reuses; :func:`run_program` drops them, so that parsed ASTs never
     #: leave the process that parsed them
     split: _Source | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "functions": self.functions,
+            "schedule": self.schedule,
+            "simulation": self.simulation,
+            "error": self.error,
+        }
 
 
 class ProgramError(Exception):
@@ -259,7 +271,7 @@ class StagedEngine:
         from the named ``report`` artifacts, unparsed; ``None`` when there is
         no such manifest or one of its reports is missing or corrupt."""
         manifest = self.cache.get(self._manifest_key(name), stage="manifest")
-        return self._serve(manifest, source)
+        return self._serve(name, manifest, source)
 
     def run(
         self,
@@ -281,7 +293,7 @@ class StagedEngine:
         """
         record = self._manifest_key(name) if reuse else None
         manifest = self.cache.get(record, stage="manifest") if reuse else None
-        served = self._serve(manifest, source)
+        served = self._serve(name, manifest, source)
         if served is not None:
             return served
         src = _Source.split(source)
@@ -292,14 +304,14 @@ class StagedEngine:
                 check_program(Program(types=src.types(), functions=[]))
             try:
                 return self._walk(
-                    src, recorded, _usable_record(manifest, src), record, failed, before
+                    name, src, recorded, _usable_record(manifest, src), record, failed, before
                 )
             except _ReopenAll:
-                return self._walk(src, recorded, {}, record, failed, before)
+                return self._walk(name, src, recorded, {}, record, failed, before)
         except TypeCheckError as exc:
             raise _program_error(source, exc) from None
 
-    def _serve(self, manifest: dict | None, source: str) -> ProgramRun | None:
+    def _serve(self, name: str, manifest: dict | None, source: str) -> ProgramRun | None:
         if manifest is None or manifest.get("source") != _sha("source", source):
             return None
         served: dict[str, dict] = {}
@@ -312,11 +324,12 @@ class StagedEngine:
         stats = IncrementalStats(
             reused=len(served), summaries_reused=len(served), programs_unchanged=1
         )
-        return ProgramRun(served, stats, manifest["schedule"])
+        return ProgramRun(name, served, stats, manifest["schedule"])
 
     # -- the walk --------------------------------------------------------------
     def _walk(
         self,
+        name: str,
         src: _Source,
         recorded: dict[str, dict],
         known: dict[str, dict],
@@ -544,7 +557,7 @@ class StagedEngine:
                 stage="manifest",
             )
         stats.fixpoints_run = fixpoint_run_count() - fixpoints_before
-        return ProgramRun({n: reports[n] for n in names}, stats, schedule, split=src)
+        return ProgramRun(name, {n: reports[n] for n in names}, stats, schedule, split=src)
 
 
 def run_program(
@@ -574,12 +587,12 @@ def run_program(
     try:
         run = engine.run(name, source, reuse, failed, before)
     except ProgramError as exc:
-        return ProgramRun({}, IncrementalStats(), [], error=str(exc))
+        return ProgramRun(name, {}, IncrementalStats(), [], error=str(exc))
     split, run.split = run.split, None
     if simulate:
         key = program_digest(source, engine.options.key())
         run.simulation = engine.cache.get(key, stage="sim")
-        run.simulation_cached = run.simulation is not None
+        run.stats.simulations_reused = int(run.simulation is not None)
         if run.simulation is None:
             run.simulation = failed.get(SIMULATE_TOKEN)
         if run.simulation is None:

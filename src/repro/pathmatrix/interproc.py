@@ -142,23 +142,6 @@ class FunctionSummary:
         return "\n".join(parts)
 
 
-def summaries_from_payloads(payloads) -> dict[str, FunctionSummary]:
-    """Re-intern summary payloads (``to_dict`` dicts) into live summaries.
-
-    The batch driver's workers ship results across process boundaries as
-    plain dicts — never as pickled analysis objects — and the coordinator
-    rebuilds :class:`FunctionSummary` instances exactly once, here, for
-    report rendering and scheduling bookkeeping.  ``None`` entries (functions
-    whose analysis failed before a summary existed) are skipped.
-    """
-    summaries: dict[str, FunctionSummary] = {}
-    for payload in payloads:
-        if payload is None:
-            continue
-        summaries[payload["name"]] = FunctionSummary.from_dict(payload)
-    return summaries
-
-
 def _pointer_field_names(program: Program) -> set[str]:
     """Names of all pointer fields declared by any record type (precomputed
     once per program instead of rescanning the type list per statement)."""

@@ -17,6 +17,7 @@ import pytest
 
 import repro.lang.typecheck
 import repro.pathmatrix.analysis
+from repro.driver import executor
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import function_digests
 from repro.driver.cli import main
@@ -166,16 +167,18 @@ class TestTransformStage:
 class TestCaching:
     def test_warm_run_executes_no_analyses(self, tmp_path, paper_items):
         cold = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(paper_items)
-        assert cold.analyses_executed > 0
+        assert cold.incremental["recomputed"] > 0
 
         warm_driver = BatchDriver(jobs=1, cache_dir=tmp_path)
         warm = warm_driver.analyze_corpus(paper_items)
         # the acceptance criterion: strictly fewer analyses on the warm run —
         # in fact none at all, and every simulation is served from cache too
-        assert warm.analyses_executed < cold.analyses_executed
-        assert warm.analyses_executed == 0
-        assert warm.cache_hits == cold.analyses_executed + cold.cache_hits
-        assert warm.simulation_cache_hits == len(paper_items)
+        assert warm.incremental["recomputed"] < cold.incremental["recomputed"]
+        assert warm.incremental["recomputed"] == 0
+        assert warm.incremental["reused"] == (
+            cold.incremental["recomputed"] + cold.incremental["reused"]
+        )
+        assert warm.incremental["simulations_reused"] == len(paper_items)
         assert _function_payloads(warm) == _function_payloads(cold)
         for item in paper_items:
             assert warm.program(item.name).simulation == cold.program(item.name).simulation
@@ -240,7 +243,7 @@ class TestCaching:
         items = corpus_named("builtin")
         cold = BatchDriver(jobs=2, cache_dir=tmp_path).analyze_corpus(items)
         warm = BatchDriver(jobs=2, cache_dir=tmp_path).analyze_corpus(items)
-        assert warm.analyses_executed == 0
+        assert warm.incremental["recomputed"] == 0
         assert warm.to_dict()["programs"] == cold.to_dict()["programs"]
         insert = warm.program("examples/tree_insert").functions["insert"]
         violations = " ".join(insert["analysis"]["violations"])
@@ -292,14 +295,56 @@ class TestCaching:
             options=PipelineOptions(use_adds=False),
         ).analyze_corpus(item)
         # different options must not reuse each other's entries
-        assert a.analyses_executed > 0 and b.analyses_executed > 0
-        assert b.cache_hits == 0
+        assert a.incremental["recomputed"] > 0 and b.incremental["recomputed"] > 0
+        assert b.incremental["reused"] == 0
 
     def test_disabled_cache_always_recomputes(self, paper_items):
         driver = BatchDriver(jobs=1, cache_dir=None)
         first = driver.analyze_corpus([paper_items[0]])
         second = driver.analyze_corpus([paper_items[0]])
-        assert first.analyses_executed == second.analyses_executed > 0
+        assert first.incremental["recomputed"] == second.incremental["recomputed"] > 0
+
+
+#: the table of ``stats`` keys in docs/driver.md
+DRIVER_DOC = Path(__file__).resolve().parents[2] / "docs" / "driver.md"
+
+
+def _stats_paths(stats: dict, prefix: str = "") -> set[str]:
+    """Every key of ``stats`` as a dotted path; the stage names under
+    ``store.stages`` and the fields of ``profile.tasks`` rows are left out."""
+    paths = set()
+    for key, value in stats.items():
+        path = prefix + key
+        paths.add(path)
+        if isinstance(value, dict) and path != "store.stages":
+            paths |= _stats_paths(value, path + ".")
+    return paths
+
+
+def _documented_paths() -> list[str]:
+    """The dotted paths the ``| key | block | type | ...`` table names, one
+    per row."""
+    lines = DRIVER_DOC.read_text().splitlines()
+    start = lines.index("| key | block | type | what it counts |") + 2
+    paths = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, block = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        paths.append(key if block == "—" else f"{block}.{key}")
+    return paths
+
+
+class TestStatsRecord:
+    def test_every_stats_key_has_one_row_in_the_driver_doc(self, tmp_path, paper_items):
+        emitted = set()
+        for jobs in (1, 2):
+            driver = BatchDriver(jobs=jobs, cache_dir=tmp_path / f"jobs{jobs}")
+            emitted |= _stats_paths(driver.analyze_corpus(paper_items).stats())
+        assert "profile.totals.overhead_fraction" in emitted  # the pooled run's
+        documented = _documented_paths()
+        assert len(documented) == len(set(documented))
+        assert emitted == set(documented)
 
 
 class TestParallelExecution:
@@ -317,7 +362,7 @@ class TestParallelExecution:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_full_corpus_bit_identical_under_both_start_methods(
-        self, builtin_serial, start_method
+        self, builtin_serial, start_method, monkeypatch
     ):
         """The headline fidelity guarantee: over the whole built-in corpus a
         pooled run reproduces the serial reports bit for bit — including the
@@ -328,9 +373,9 @@ class TestParallelExecution:
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
         items, serial = builtin_serial
-        parallel = BatchDriver(
-            jobs=4, cache_dir=None, start_method=start_method
-        ).analyze_corpus(items)
+        monkeypatch.setattr(executor, "preferred_start_method", lambda: start_method)
+        parallel = BatchDriver(jobs=4, cache_dir=None).analyze_corpus(items)
+        assert parallel.start_method == start_method
         assert not any(p.error for p in parallel.programs)
         assert parallel.function_count() >= 30
         assert _function_payloads(parallel) == _function_payloads(serial)

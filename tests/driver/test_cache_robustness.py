@@ -125,19 +125,19 @@ class TestCorruptionRecovery:
 
     def test_corrupt_entry_is_evicted_and_reanalyzed(self, tmp_path):
         _, items, seeded = self._seed(tmp_path)
-        assert seeded.analyses_executed == 1
+        assert seeded.incremental["recomputed"] == 1
         for entry in _stage_entries(tmp_path):
             entry.write_text("garbage {{{")
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         report = driver.analyze_corpus(items)
-        assert report.cache_hits == 0
-        assert report.analyses_executed == 1
-        assert report.resilience.cache_evictions >= 1
+        assert report.incremental["reused"] == 0
+        assert report.incremental["recomputed"] == 1
+        assert report.store["evictions"] >= 1
         # the rewritten entries are whole again
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         warm = driver.analyze_corpus(items)
-        assert warm.cache_hits == 1
-        assert warm.resilience.cache_evictions == 0
+        assert warm.incremental["reused"] == 1
+        assert warm.store["evictions"] == 0
 
     def test_corrupt_and_clean_reports_are_identical(self, tmp_path):
         _, items, seeded = self._seed(tmp_path)
@@ -160,15 +160,14 @@ class TestCorruptionRecovery:
         assert json.dumps(
             {p.name: p.functions for p in report.programs}, sort_keys=True
         ) == json.dumps(clean, sort_keys=True)
-        assert report.analyses_executed == 1
-        assert report.cache_hits == 0
-        assert report.resilience.cache_evictions == 1
+        assert report.incremental["reused"] == 0
+        assert report.store["evictions"] == 1
         assert report.incremental["recomputed"] == 1
         assert report.incremental["fixpoints_run"] == 1
         assert report.incremental["summaries_reused"] == 1
         warm = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
         assert warm.incremental["programs_unchanged"] == 1
-        assert warm.analyses_executed == 0
+        assert warm.incremental["recomputed"] == 0
 
     def test_injected_write_corruption_converges(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "cache:writes=99")
@@ -178,13 +177,13 @@ class TestCorruptionRecovery:
         # first uninjected run detects the torn writes, evicts, re-analyzes
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         healed = driver.analyze_corpus(items)
-        assert healed.resilience.cache_evictions >= 1
-        assert healed.analyses_executed == 1
+        assert healed.store["evictions"] >= 1
+        assert healed.incremental["recomputed"] == 1
         assert {p.name: p.functions for p in healed.programs} == clean
         # second uninjected run is fully warm
         warm = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
-        assert warm.cache_hits == 1
-        assert warm.analyses_executed == 0
+        assert warm.incremental["reused"] == 1
+        assert warm.incremental["recomputed"] == 0
 
 
 class TestVerify:
@@ -231,7 +230,7 @@ class TestTransientIO:
         fresh = ResultCache(tmp_path)
         assert fresh.get("k1", stage="report") == {"function": "f"}
         assert fresh.io_retries == 1
-        assert fresh.hits == 1
+        assert fresh.stage_counters["report"]["hits"] == 1
 
     def test_persistent_io_error_degrades_to_miss(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -239,4 +238,4 @@ class TestTransientIO:
         monkeypatch.setenv(FAULTS_ENV_VAR, "io:rate=1.0,times=99")
         fresh = ResultCache(tmp_path)
         assert fresh.get("k1", stage="report") is None  # a miss, not an exception
-        assert fresh.misses == 1
+        assert fresh.stage_counters["report"]["misses"] == 1

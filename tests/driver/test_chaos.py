@@ -89,11 +89,11 @@ class TestChaosConvergence:
         # each torn entry is evicted exactly once: by the warm run, or by the
         # audit when no run reads it
         evicted = ResultCache(chaos_cache).verify(evict=True)["evicted"]
-        assert warm.resilience.cache_evictions + evicted == torn
+        assert warm.store["evictions"] + evicted == torn
 
         # and a second warm run does no work at all
         settled = BatchDriver(jobs=2, cache_dir=chaos_cache).analyze_corpus(items)
-        assert settled.analyses_executed == 0
+        assert settled.incremental["recomputed"] == 0
         assert settled.effective_jobs == 1  # pool never started
         assert _snapshot(settled) == _snapshot(baseline)
 
@@ -112,7 +112,7 @@ class TestChaosConvergence:
         monkeypatch.delenv(FAULTS_ENV_VAR)
         warm = BatchDriver(jobs=2, cache_dir=cache_dir, simulate=False).analyze_corpus(items)
         assert warm.program(items[0].name).functions["scale"].get("status") == "ok"
-        assert warm.analyses_executed == 1  # only the previously failed one
+        assert warm.incremental["recomputed"] == 1  # only the previously failed one
 
 
 class TestChaosExitCode:

@@ -44,7 +44,7 @@ class TestAnalyzeCommand:
         written = json.loads(output.read_text())
         assert printed == written
         assert written["stats"]["programs"] == 3
-        assert written["stats"]["analyses_executed"] > 0
+        assert written["stats"]["incremental"]["recomputed"] > 0
         # the file is compact canonical JSON; standard output stays indented
         assert output.read_text() == json.dumps(written, sort_keys=True)
         assert printed_text == json.dumps(written, indent=2, sort_keys=True) + "\n"
@@ -96,16 +96,17 @@ class TestAnalyzeCommand:
         assert args.jobs == default_jobs()
         assert 1 <= args.jobs <= 8
 
-    def test_profile_flag_renders_task_breakdown(self, capsys):
+    def test_pooled_report_carries_the_task_breakdown(self, capsys):
         code = main(
             ["analyze", "--corpus", "paper", "--no-cache", "--no-simulate",
-             "--jobs", "2", "--profile"]
+             "--jobs", "2", "--format", "json"]
         )
-        out = capsys.readouterr().out
+        profile = json.loads(capsys.readouterr().out)["stats"]["profile"]
         assert code == 0
-        assert "profile:" in out
-        assert "queue-wait" in out
-        assert "task " in out  # per-task detail lines
+        assert profile["totals"]["tasks"] == 3
+        assert sorted(t["program"] for t in profile["tasks"]) == [
+            "paper/barnes_hut", "paper/polynomial_scale", "paper/subtree_move",
+        ]
 
     def test_profile_totals_shown_without_detail_by_default(self, capsys):
         code = main(
@@ -115,22 +116,72 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "profile:" in out  # totals are always aggregated
-        assert "task " not in out  # but no per-task lines without --profile
+        assert "queue-wait" in out
+        assert "task " not in out  # the per-task rows are in the JSON only
 
-    def test_explicit_start_method_spawn(self, capsys):
+    def test_explicit_start_method_spawn(self, capsys, monkeypatch):
         import multiprocessing
 
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            import pytest
+        from repro.driver import executor
 
+        if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn unavailable")
+        monkeypatch.setattr(executor, "preferred_start_method", lambda: "spawn")
         code = main(
             ["analyze", "--corpus", "paper", "--no-cache", "--no-simulate",
-             "--jobs", "2", "--start-method", "spawn", "--format", "json"]
+             "--jobs", "2", "--format", "json"]
         )
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["stats"]["start_method"] == "spawn"
+
+
+#: each bounded numeric option: its command, a value below the bound and
+#: the bound itself
+BOUNDED_OPTIONS = [
+    ("analyze", "--pes", "0", "1"),
+    ("analyze", "--pes", "-1", "1"),
+    ("analyze", "--jobs", "0", "1"),
+    ("analyze", "--max-retries", "-3", "0"),
+    ("analyze", "--max-respawns", "-1", "0"),
+    ("fuzz", "--pes", "0", "1"),
+    ("fuzz", "--unroll-factor", "1", "2"),
+]
+
+#: the arguments a bounded option is tried beside (pooled, so that the
+#: retry and respawn budgets are live)
+_BESIDE = {
+    "analyze": ["--corpus", "paper", "--no-cache", "--jobs", "2"],
+    "fuzz": ["--seeds", "2"],
+}
+
+
+class TestOptionBounds:
+    """An out-of-range value is a usage error at parse time, instead of a
+    silent clamp or a run that cannot do what it was asked."""
+
+    @pytest.mark.parametrize("command, option, bad, edge", BOUNDED_OPTIONS)
+    def test_a_value_below_the_bound_is_a_usage_error(
+        self, capsys, command, option, bad, edge
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main([command, *_BESIDE[command], option, bad])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {option}: must be at least {edge}, got {bad}" in err
+
+    @pytest.mark.parametrize(
+        "command, option, edge", sorted({(c, o, e) for c, o, _, e in BOUNDED_OPTIONS})
+    )
+    def test_the_bound_itself_runs(self, capsys, command, option, edge):
+        assert main([command, *_BESIDE[command], option, edge]) == 0
+
+    def test_pipeline_options_refuse_no_processors(self):
+        from repro.driver.pipeline import PipelineOptions
+
+        with pytest.raises(ValueError, match="pes must be at least 1"):
+            PipelineOptions(pes=0)
 
 
 class TestFaultFlags:
@@ -281,7 +332,7 @@ class TestModuleEntryPoint:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "from cache" in proc.stdout
+        assert "incremental: 0 reused" in proc.stdout
 
     def test_cli_import_loads_a_pinned_module_count(self):
         """Every CLI start imports ``repro.driver.cli``, so every module it

@@ -113,7 +113,6 @@ class TestWorkCounts:
         inc = warm.incremental
         assert (inc["dirty"], inc["recomputed"], inc["fixpoints_run"]) == (1, 1, 1)
         assert inc["reused"] == size - 1
-        assert warm.analyses_executed == 1
         # wall time is reported, not asserted (docs/performance.md, Edits)
         print(f"edit of a {size}-function web: {elapsed:.4f} s")
 
@@ -251,8 +250,6 @@ class TestFallbacks:
         parsed = list(parsed)
         reference = _run(after, tmp_path / "copy")
         assert report.incremental == reference.incremental
-        assert report.cache_hits == reference.cache_hits
-        assert report.analyses_executed == reference.analyses_executed
         assert _view(report) == _view(reference) == _view(_run(after, None))
         return report, parsed
 

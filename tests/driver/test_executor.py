@@ -111,7 +111,7 @@ class TestProfileLayer:
         return [CorpusItem(name="chain", source=CHAIN_SRC)]
 
     def test_parallel_profile_records_task_breakdown(self):
-        driver = BatchDriver(jobs=2, cache_dir=None, simulate=False, profile=True)
+        driver = BatchDriver(jobs=2, cache_dir=None, simulate=False)
         report = driver.analyze_corpus(self._items())
         profile = report.profile
         assert profile is not None
@@ -124,22 +124,7 @@ class TestProfileLayer:
         assert 0.0 <= totals["overhead_fraction"] <= 1.0
         tasks = profile["tasks"]
         assert tasks and all(t["worker_pid"] > 0 for t in tasks)
-        assert [(t["kind"], t["program"], t["functions"]) for t in tasks] == [
-            ("program", "chain", 3)
-        ]
-
-    def test_profile_detail_omitted_without_flag(self):
-        driver = BatchDriver(jobs=2, cache_dir=None, simulate=False, profile=False)
-        report = driver.analyze_corpus(self._items())
-        assert report.profile is not None  # totals are always aggregated
-        assert "tasks" not in report.profile
-
-    def test_inline_run_profiles_as_one_task(self):
-        driver = BatchDriver(jobs=1, cache_dir=None, simulate=False, profile=True)
-        report = driver.analyze_corpus(self._items())
-        (task,) = report.profile["tasks"]
-        assert task["kind"] == "inline"
-        assert report.profile["totals"]["functions"] == 3
+        assert [(t["program"], t["functions"]) for t in tasks] == [("chain", 3)]
 
     def test_report_stats_carry_start_method(self):
         driver = BatchDriver(jobs=2, cache_dir=None, simulate=False)

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.adds.library import standard_source
-from repro.driver import batch, stages
+from repro.driver import batch, executor, stages
 from repro.driver.batch import BatchDriver
 from repro.driver.cli import _report_partial
 from repro.driver.corpus import CorpusItem, paper_corpus
@@ -155,14 +155,12 @@ class TestCrashRecovery:
         must be bit-identical to an uninjected run — under fork AND spawn
         (the spawn path re-imports everything in the worker, so its crash
         and retry machinery is genuinely distinct)."""
-        clean = _run_batch(
-            self._items(), None, monkeypatch,
-            jobs=2, simulate=False, start_method=start_method,
-        )
+        monkeypatch.setattr(executor, "preferred_start_method", lambda: start_method)
+        clean = _run_batch(self._items(), None, monkeypatch, jobs=2, simulate=False)
         faulted = _run_batch(
-            self._items(), "crash:rate=1.0,times=1", monkeypatch,
-            jobs=2, simulate=False, start_method=start_method,
+            self._items(), "crash:rate=1.0,times=1", monkeypatch, jobs=2, simulate=False
         )
+        assert faulted.start_method == start_method
         assert faulted.resilience.worker_crashes > 0
         assert faulted.resilience.retries > 0
         assert not faulted.failed_functions()
@@ -226,9 +224,10 @@ class TestCrashRecovery:
         sent no note: once the retries run out, the program reports an error
         naming the crash, and the run is partial, not failed."""
         monkeypatch.setattr(stages, "parse_program", lambda *args: os._exit(7))
+        # forked workers inherit the patched parse
+        monkeypatch.setattr(executor, "preferred_start_method", lambda: "fork")
         report = _run_batch(
-            self._items(), None, monkeypatch,
-            jobs=2, simulate=False, max_retries=1, start_method="fork",
+            self._items(), None, monkeypatch, jobs=2, simulate=False, max_retries=1
         )
         (program,) = report.programs
         assert program.error == (
@@ -297,7 +296,7 @@ class TestDeadlines:
         )
         assert report.resilience.timeouts == 0
         assert not report.failed_functions()
-        assert report.analyses_executed == 3
+        assert report.incremental["recomputed"] == 3
 
 
 class TestSimulationFaults:
@@ -334,7 +333,7 @@ class TestSimulationFaults:
 
         monkeypatch.delenv(FAULTS_ENV_VAR)
         healed = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
-        assert healed.simulation_cache_hits == 0
+        assert healed.incremental["simulations_reused"] == 0
         assert healed.to_dict()["programs"] == baseline.to_dict()["programs"]
         assert len(list((tmp_path / "sim").glob("*.json"))) == 1
 

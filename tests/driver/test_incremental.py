@@ -90,7 +90,7 @@ def _scratch(source, name="prog"):
 class TestEarlyCutoff:
     def test_summary_preserving_edit_firewalls_callers(self, tmp_path):
         cold = _run(BASE, tmp_path)
-        assert cold.analyses_executed == 3
+        assert cold.incremental["recomputed"] == 3
         assert cold.incremental["dirty"] == 3
 
         # a body edit that leaves leaf's effect summary, preservation
@@ -102,7 +102,6 @@ class TestEarlyCutoff:
         inc = warm.incremental
 
         # exactly ONE fixpoint reruns: the edited leaf itself
-        assert warm.analyses_executed == 1
         assert inc["recomputed"] == 1
         assert inc["dirty"] == 1
         assert inc["fixpoints_run"] == 1
@@ -210,6 +209,7 @@ SERVED_BASE = {
     "dirty": 0,
     "summaries_recomputed": 0,
     "fixpoints_run": 0,
+    "simulations_reused": 0,
 }
 
 
@@ -264,8 +264,6 @@ class TestUnchangedPrograms:
             cold.to_dict()["programs"], sort_keys=True
         )
         assert warm.incremental == SERVED_BASE
-        assert warm.cache_hits == 3
-        assert warm.analyses_executed == 0
 
     def test_edit_serves_the_untouched_program_whole(self, tmp_path, monkeypatch):
         items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="other", source=OTHER)]
@@ -304,6 +302,7 @@ class TestUnchangedPrograms:
             "summaries_recomputed": 0,
             "fixpoints_run": 0,
             "programs_unchanged": 0,
+            "simulations_reused": 0,
         }
         assert _functions(reverted) == [_scratch(BASE)["prog"]]
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
@@ -317,7 +316,7 @@ class TestUnchangedPrograms:
         healed = _run(BASE, tmp_path)
         # the walk reopened every component: each declaration parsed once
         assert sorted(parsed) == sorted(_declaration_texts(BASE, "leaf", "caller", "unrelated"))
-        assert healed.resilience.cache_evictions == 1
+        assert healed.store["evictions"] == 1
         assert healed.incremental == dict(
             SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
         )
@@ -331,7 +330,7 @@ class TestUnchangedPrograms:
         cold = _run(BASE, tmp_path)
         sorted((tmp_path / "report").glob("*.json"))[-1].unlink()
         healed = _run(BASE, tmp_path)
-        assert healed.resilience.cache_evictions == 0
+        assert healed.store["evictions"] == 0
         assert healed.incremental == dict(
             SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
         )
@@ -430,12 +429,9 @@ class TestUnchangedPrograms:
         BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
         shutil.rmtree(tmp_path / "sim")
         report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
-        assert report.simulation_cache_hits == 0
-        assert report.analyses_executed == 0
+        assert report.incremental["simulations_reused"] == 0
+        assert report.incremental["recomputed"] == 0
         assert report.program("prog").simulation is not None
-        assert report.profile is not None
-        assert report.profile["totals"]["tasks"] == 1
-        assert report.profile["totals"]["functions"] == 0
         assert report.incremental["programs_unchanged"] == 1
 
     def test_served_programs_are_counted_in_both_report_lines(self, tmp_path, capsys):
@@ -514,10 +510,9 @@ class TestLineRelativeSharing:
         warm = _run(shifted, tmp_path, name="shifted")
 
         # nothing re-runs: every stage key is offset-independent
-        assert warm.analyses_executed == 0
         assert warm.incremental["recomputed"] == 0
         assert warm.incremental["fixpoints_run"] == 0
-        assert warm.cache_hits == 3
+        assert warm.incremental["reused"] == 3
 
         # but the probed reports carry correct *absolute* diagnostics
         assert {p.name: p.functions for p in warm.programs} == _scratch(
@@ -555,7 +550,7 @@ class TestOneStoreAtEveryJobs:
         items = corpus_named("builtin")
         cold = BatchDriver(jobs=first, cache_dir=tmp_path).analyze_corpus(items)
         warm = BatchDriver(jobs=second, cache_dir=tmp_path).analyze_corpus(items)
-        assert warm.analyses_executed == 0
+        assert warm.incremental["recomputed"] == 0
         assert warm.incremental["fixpoints_run"] == 0
         assert warm.incremental["programs_unchanged"] == len(items)
         assert warm.effective_jobs == 1  # no pool started
@@ -572,15 +567,26 @@ class TestOneStoreAtEveryJobs:
 
     def test_a_pooled_cold_run_writes_what_a_serial_one_writes(self, tmp_path):
         """Pool workers write summaries, reports, simulations and manifests
-        themselves; the ledger counts their writes."""
+        themselves; the record counts their writes.  Both runs emit one
+        ``stats`` shape (the pooled run adds its ``profile``), and the
+        store's ``last-run.json`` is that record."""
         items = [
             CorpusItem(name="prog", source=BASE),
             CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
         ]
-        writes = {}
+        stats, writes = {}, {}
         for jobs in (1, 2):
             store = tmp_path / f"jobs{jobs}"
-            BatchDriver(jobs=jobs, cache_dir=store).analyze_corpus(items)
-            ledger = ResultCache(store).read_ledger()
-            writes[jobs] = {stage: c["writes"] for stage, c in ledger["stages"].items()}
+            stats[jobs] = BatchDriver(jobs=jobs, cache_dir=store).analyze_corpus(items).stats()
+            assert ResultCache(store).read_ledger() == stats[jobs]
+            writes[jobs] = {
+                stage: c["writes"] for stage, c in stats[jobs]["store"]["stages"].items()
+            }
         assert writes[2] == writes[1] == {"summary": 5, "report": 5, "sim": 2, "manifest": 2}
+        shapes = {
+            jobs: {k: sorted(v) if isinstance(v, dict) else None for k, v in s.items()}
+            for jobs, s in stats.items()
+        }
+        assert shapes[2].pop("profile") == ["tasks", "totals"]
+        assert shapes[2] == shapes[1]
+        assert stats[2]["incremental"] == stats[1]["incremental"]
