@@ -9,6 +9,7 @@ Usage::
                                        [--min-ratio 1.0]
     python benchmarks/compare_bench.py --check-incremental .bench/BENCH_incremental.json
                                        [--min-speedup 10.0]
+    python benchmarks/compare_bench.py --counts BENCH_pathmatrix.json .bench/BENCH_pathmatrix.json
 
 **Diff mode** (two positional snapshots): scenarios are matched by name.  A
 scenario regresses when its timing key in NEW exceeds OLD by more than
@@ -27,6 +28,13 @@ never a collapse.  ``--min-ratio`` overrides the floor explicitly.
 ``BENCH_incremental.json`` snapshot and fails unless (a) each single-edit
 scenario re-ran exactly one analysis — the summary-digest firewall held —
 and (b) the recorded edit-vs-cold speedups clear the floor (default 10x).
+
+**Counts mode** (``--counts COMMITTED NEW``): compares every integer field
+(work counts such as ``worklist_blocks_transferred``) of each scenario found
+in both snapshots; floats (timings, ratios) and bools are ignored.  A count
+that rose fails.  A count that fell fails too, so that the change which
+made the gain commits the new snapshot as the baseline.  Scenarios found in
+only one file are listed but do not fail.
 
 Exit status: 0 when no regression, 1 on regression, 2 on usage/parse
 errors.
@@ -134,6 +142,47 @@ def check_incremental(payload: dict, min_speedup: float | None) -> int:
     return 0
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_counts(committed: dict, new: dict) -> int:
+    old_rows = scenarios_by_name(committed)
+    new_rows = scenarios_by_name(new)
+    rose: list[str] = []
+    fell: list[str] = []
+    compared = 0
+    for name in sorted(old_rows.keys() & new_rows.keys()):
+        old_row, new_row = old_rows[name], new_rows[name]
+        for key in sorted(old_row.keys() & new_row.keys()):
+            old_n, new_n = old_row[key], new_row[key]
+            if not (_is_count(old_n) and _is_count(new_n)):
+                continue
+            compared += 1
+            if new_n != old_n:
+                line = f"{name}: {key} {old_n} -> {new_n}"
+                (rose if new_n > old_n else fell).append(line)
+    for name in sorted(old_rows.keys() - new_rows.keys()):
+        print(f"{name}: only in the committed snapshot")
+    for name in sorted(new_rows.keys() - old_rows.keys()):
+        print(f"{name}: only in the new snapshot")
+    if rose:
+        print(f"\nFAIL: {len(rose)} count(s) rose:")
+        for line in rose:
+            print(f"  - {line}")
+    if fell:
+        print(
+            f"\nFAIL: {len(fell)} count(s) fell; commit the new snapshot as the "
+            "baseline so the gain is recorded:"
+        )
+        for line in fell:
+            print(f"  - {line}")
+    if rose or fell:
+        return 1
+    print(f"OK: {compared} count(s) equal the committed snapshot")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("old", nargs="?", help="baseline BENCH_*.json")
@@ -174,8 +223,20 @@ def main(argv: list[str] | None = None) -> int:
             f"--check-incremental; default {MIN_EDIT_SPEEDUP:.0f})"
         ),
     )
+    parser.add_argument(
+        "--counts",
+        nargs=2,
+        metavar=("COMMITTED", "NEW"),
+        help="fail unless every integer work count of NEW equals COMMITTED's",
+    )
     args = parser.parse_args(argv)
 
+    if args.counts:
+        if args.old or args.new:
+            print("error: --counts takes its two snapshots itself", file=sys.stderr)
+            return 2
+        committed, new = args.counts
+        return check_counts(load(committed), load(new))
     if args.check_scaling:
         if args.old or args.new:
             print("error: --check-scaling takes no OLD/NEW snapshots", file=sys.stderr)

@@ -132,3 +132,60 @@ def test_scaling_missing_section_exits_2(tmp_path):
 def test_scaling_mode_rejects_positional_snapshots(tmp_path):
     snap = _driver_snapshot(tmp_path / "b.json", ratio=1.0, host_cpus=1)
     assert compare_bench.main(["--check-scaling", snap, snap]) == 2
+
+
+# -- counts mode ---------------------------------------------------------------
+def _counted(path: Path, **scenarios: dict) -> str:
+    payload = {
+        "scenarios": [{"scenario": name, **row} for name, row in scenarios.items()]
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+_ROW = {"worklist_s": 0.03, "worklist_blocks_transferred": 13, "worklist_iterations": 4}
+
+
+def test_counts_equal_pass_whatever_the_timings(tmp_path, capsys):
+    committed = _counted(tmp_path / "c.json", wide=_ROW)
+    new = _counted(tmp_path / "n.json", wide=dict(_ROW, worklist_s=0.09))
+    assert compare_bench.main(["--counts", committed, new]) == 0
+    assert "OK: 2 count(s) equal" in capsys.readouterr().out
+
+
+def test_a_count_that_rose_fails(tmp_path, capsys):
+    committed = _counted(tmp_path / "c.json", wide=_ROW)
+    new = _counted(tmp_path / "n.json", wide=dict(_ROW, worklist_iterations=5))
+    assert compare_bench.main(["--counts", committed, new]) == 1
+    out = capsys.readouterr().out
+    assert "1 count(s) rose" in out
+    assert "wide: worklist_iterations 4 -> 5" in out
+
+
+def test_a_count_that_fell_fails_and_asks_for_the_new_snapshot(tmp_path, capsys):
+    committed = _counted(tmp_path / "c.json", wide=_ROW)
+    new = _counted(tmp_path / "n.json", wide=dict(_ROW, worklist_blocks_transferred=9))
+    assert compare_bench.main(["--counts", committed, new]) == 1
+    out = capsys.readouterr().out
+    assert "1 count(s) fell; commit the new snapshot" in out
+    assert "wide: worklist_blocks_transferred 13 -> 9" in out
+
+
+def test_floats_and_bools_are_not_counts(tmp_path):
+    committed = _counted(tmp_path / "c.json", wide=dict(_ROW, speedup=5.0, quick=True))
+    new = _counted(tmp_path / "n.json", wide=dict(_ROW, speedup=2.0, quick=False))
+    assert compare_bench.main(["--counts", committed, new]) == 0
+
+
+def test_scenarios_in_one_file_only_are_listed_not_failed(tmp_path, capsys):
+    committed = _counted(tmp_path / "c.json", wide=_ROW, retired=_ROW)
+    new = _counted(tmp_path / "n.json", wide=_ROW, brand_new=dict(_ROW, worklist_iterations=99))
+    assert compare_bench.main(["--counts", committed, new]) == 0
+    out = capsys.readouterr().out
+    assert "retired: only in the committed snapshot" in out
+    assert "brand_new: only in the new snapshot" in out
+
+
+def test_counts_mode_rejects_positional_snapshots(tmp_path):
+    snap = _counted(tmp_path / "c.json", wide=_ROW)
+    assert compare_bench.main(["--counts", snap, snap, snap]) == 2

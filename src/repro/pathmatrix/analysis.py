@@ -135,10 +135,10 @@ class PathMatrixAnalysis:
         self.program = program
         self.use_adds = use_adds
         # memoization is safe while summaries are being refined below because
-        # every preserves_abstraction flip invalidates the affected
-        # component's entries (see refine_preservation).  The batch driver
-        # opts in (it re-analyzes the same functions per loop); timing code
-        # must NOT (a memo hit would be measured instead of the solver).
+        # every preserves_abstraction flip invalidates the entries of the
+        # flipped function's callers (see refine_preservation).  The batch
+        # driver opts in (it re-analyzes the same functions per loop); timing
+        # code must NOT (a memo hit would be measured instead of the solver).
         self._result_memo: "dict[str, AnalysisResult] | None" = (
             {} if memoize_results else None
         )
@@ -285,10 +285,11 @@ class PathMatrixAnalysis:
         components below are already final, so only intra-component
         dependencies can cascade, flips are one-directional (a ``False``
         callee flag only ever makes a caller's verdict worse), and the round
-        count is bounded by the member count.  A flip invalidates the
-        memoized results of the whole component — they were computed under
-        the stale flag.  Only :class:`AnalysisError` is treated as "does not
-        preserve"; unexpected exceptions propagate so real bugs surface.
+        count is bounded by the member count.  An analysis reads only its
+        direct callees' flags, so a flip invalidates the memoized results of
+        the flipped members' callers alone, and only those are solved again.
+        Only :class:`AnalysisError` is treated as "does not preserve";
+        unexpected exceptions propagate so real bugs surface.
         """
         for name in members:
             summary = self.summaries.get(name)
@@ -302,9 +303,10 @@ class PathMatrixAnalysis:
         if not changers:
             return
         self.invalidate_memo(members)
+        pending = changers
         for _ in range(len(changers) + 1):
-            changed = False
-            for name in changers:
+            flipped = set()
+            for name in pending:
                 summary = self.summaries[name]
                 try:
                     result = self.analyze_function(name)
@@ -314,10 +316,12 @@ class PathMatrixAnalysis:
                     ok = result.final_matrix().validation.is_valid()
                 if summary.preserves_abstraction != ok:
                     summary.preserves_abstraction = ok
-                    changed = True
-            if not changed:
+                    flipped.add(name)
+            if not flipped:
                 break
-            self.invalidate_memo(members)
+            stale = [n for n in members if (s := self.summaries.get(n)) and s.callees & flipped]
+            self.invalidate_memo(stale)
+            pending = [name for name in changers if name in stale]
 
     def invalidate_memo(self, names) -> None:
         """Drop memoized results for ``names`` — their inputs changed."""

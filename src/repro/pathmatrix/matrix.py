@@ -19,27 +19,20 @@ class PathMatrix:
     """Pairwise relationships between live pointer variables at one program point.
 
     Internally the matrix is sparse: ``_entries`` maps ``(row, col)`` pairs to
-    non-empty interned :class:`PathEntry` values, and ``_index`` is a
-    *lazily materialized* per-variable adjacency index (variable -> set of
-    keys it participates in) so killing a variable touches only its own
-    relationships instead of rebuilding the whole entries dict.  The index is
-    ``None`` until a row/column kill first needs it (matrices produced by
-    ``join`` and consumed by comparisons never pay for it); once
-    materialized it is kept up to date by :meth:`set`.  Invariants: no
-    diagonal keys, no empty entries, no entries involving a nil variable,
-    and every key's variables appear in :attr:`variables`.
+    non-empty interned :class:`PathEntry` values.  Invariants: no diagonal
+    keys, no empty entries, no entries involving a nil variable, and every
+    key's variables appear in :attr:`variables`.  The last one bounds a
+    variable's row and column by :attr:`variables`, so killing a variable,
+    copying it and rebuilding its column each take O(V) dict operations
+    without scanning the other entries.
     """
 
-    __slots__ = (
-        "variables", "_var_set", "_entries", "_index", "_kills", "nil_vars", "validation",
-    )
+    __slots__ = ("variables", "_var_set", "_entries", "nil_vars", "validation")
 
     def __init__(self, variables: Iterable[str] = ()):
         self.variables: list[str] = list(dict.fromkeys(variables))
         self._var_set: set[str] = set(self.variables)
         self._entries: dict[tuple[str, str], PathEntry] = {}
-        self._index: dict[str, set[tuple[str, str]]] | None = None
-        self._kills: int = 0
         #: variables currently known to be NULL (their rows/columns are empty)
         self.nil_vars: set[str] = set()
         #: abstraction-validation bookkeeping (shared shape violations)
@@ -51,23 +44,9 @@ class PathMatrix:
         new.variables = list(self.variables)
         new._var_set = set(self._var_set)
         new._entries = dict(self._entries)
-        # the copy re-materializes the index on demand; copying it eagerly
-        # would often be wasted work (e.g. copies consumed only by queries)
-        new._index = None
-        new._kills = 0
         new.nil_vars = set(self.nil_vars)
         new.validation = self.validation.copy()
         return new
-
-    def _materialized_index(self) -> dict[str, set[tuple[str, str]]]:
-        index = self._index
-        if index is None:
-            index = {}
-            for key in self._entries:
-                index.setdefault(key[0], set()).add(key)
-                index.setdefault(key[1], set()).add(key)
-            self._index = index
-        return index
 
     def ensure_variable(self, name: str) -> None:
         if name not in self._var_set:
@@ -95,46 +74,24 @@ class PathMatrix:
         self.ensure_variable(col)
         if row == col:
             return
-        key = (row, col)
-        index = self._index
         if entry.is_empty():
-            if self._entries.pop(key, None) is not None and index is not None:
-                index[row].discard(key)
-                index[col].discard(key)
+            self._entries.pop((row, col), None)
         else:
-            if index is not None and key not in self._entries:
-                index.setdefault(row, set()).add(key)
-                index.setdefault(col, set()).add(key)
-            self._entries[key] = entry
+            self._entries[(row, col)] = entry
 
     def clear_row_and_column(self, name: str) -> None:
         """Remove every relationship involving ``name`` (used when killing a var).
 
-        The first kill on a freshly copied matrix uses a direct scan (cheaper
-        than building the adjacency index for a single use); repeated kills
-        materialize the index once and then run in O(degree).
+        Every key names two members of :attr:`variables`, so probing ``name``
+        against each of them finds its whole row and column.
         """
         entries = self._entries
         if not entries:
             return
-        index = self._index
-        if index is None:
-            if self._kills == 0:
-                self._kills = 1
-                dead = [key for key in entries if key[0] == name or key[1] == name]
-                for key in dead:
-                    del entries[key]
-                return
-            index = self._materialized_index()
-        keys = index.pop(name, None)
-        if not keys:
-            return
-        for key in keys:
-            del entries[key]
-            other = key[1] if key[0] == name else key[0]
-            bucket = index.get(other)
-            if bucket is not None:
-                bucket.discard(key)
+        pop = entries.pop
+        for other in self.variables:
+            pop((name, other), None)
+            pop((other, name), None)
 
     def set_nil(self, name: str) -> None:
         self.ensure_variable(name)
@@ -155,13 +112,17 @@ class PathMatrix:
             self.nil_vars.add(dst)
             return
         self.nil_vars.discard(dst)
+        self.ensure_variable(src)
+        if dst == src:
+            return  # the kill above already emptied the row and column
+        entries = self._entries
         for other in self.variables:
-            if other in (dst, src):
-                continue
-            self.set(dst, other, self.get(src, other))
-            self.set(other, dst, self.get(other, src))
-        self.set(dst, src, PathEntry.definite_alias())
-        self.set(src, dst, PathEntry.definite_alias())
+            if other != dst and other != src:
+                if (entry := entries.get((src, other))) is not None:
+                    entries[(dst, other)] = entry
+                if (entry := entries.get((other, src))) is not None:
+                    entries[(other, dst)] = entry
+        entries[(dst, src)] = entries[(src, dst)] = PathEntry.definite_alias()
 
     # -- queries -----------------------------------------------------------------
     def may_alias(self, a: str, b: str) -> bool:
@@ -211,8 +172,12 @@ class PathMatrix:
 
         Only the union of the two sparse entry sets is visited: a cell empty
         on both sides joins to the empty entry, so the dense double loop over
-        all variable pairs is unnecessary.
+        all variable pairs is unnecessary.  A matrix joined with itself is
+        returned as is: the solvers treat matrices as immutable values, and
+        a fresh join would rebuild the same content in the same order.
         """
+        if other is self:
+            return self
         result = PathMatrix(dict.fromkeys(self.variables + other.variables))
         # a variable is nil only if nil on both incoming paths
         result.nil_vars = self.nil_vars & other.nil_vars
@@ -263,9 +228,8 @@ class PathMatrix:
 
     # -- pickling ---------------------------------------------------------------
     def __getstate__(self):
-        # the adjacency index and kill counter are rebuildable accelerator
-        # state; ship only the semantic content (entries re-intern on load
-        # because PathEntry reconstructs through its interning constructor)
+        # entries re-intern on load because PathEntry reconstructs through
+        # its interning constructor
         return {
             "variables": self.variables,
             "entries": self._entries,
@@ -277,8 +241,6 @@ class PathMatrix:
         self.variables = list(state["variables"])
         self._var_set = set(self.variables)
         self._entries = dict(state["entries"])
-        self._index = None
-        self._kills = 0
         self.nil_vars = set(state["nil_vars"])
         self.validation = ValidationState(state["violations"])
 
@@ -301,15 +263,19 @@ class PathMatrix:
         width = max([len(v) for v in vars_order] + [4]) + 2
         header = " " * width + "".join(v.ljust(width) for v in vars_order)
         lines = [header]
+        # render and pad each distinct entry once, then look it up per cell
+        distinct = {entry.relations: entry for entry in self._entries.values()}
+        distinct[EMPTY_ENTRY.relations] = EMPTY_ENTRY
+        padded = {rels: str(entry).ljust(width) for rels, entry in distinct.items()}
+        get = self._entries.get
         for row in vars_order:
-            cells = []
+            cells = [row.ljust(width)]
             for col in vars_order:
                 if row == col:
-                    cell = "=" if row not in self.nil_vars else "nil"
+                    cells.append(("=" if row not in self.nil_vars else "nil").ljust(width))
                 else:
-                    cell = str(self.get(row, col))
-                cells.append(cell.ljust(width))
-            lines.append(row.ljust(width) + "".join(cells))
+                    cells.append(padded[get((row, col), EMPTY_ENTRY).relations])
+            lines.append("".join(cells))
         if self.validation.violations:
             lines.append(
                 "violations: "

@@ -275,6 +275,8 @@ def _memo_store(memo: dict, key, value) -> None:
 _JOIN_MEMO: Dict[Tuple[FrozenSet[Relation], FrozenSet[Relation]], PathEntry] = {}
 _UNION_MEMO: Dict[Tuple[FrozenSet[Relation], FrozenSet[Relation]], PathEntry] = {}
 _WEAKEN_MEMO: Dict[FrozenSet[Relation], PathEntry] = {}
+#: the traversal rule's new cell, keyed by its two input cells, field and acyclicity
+_FIELD_LOAD_MEMO: Dict[tuple, PathEntry] = {}
 
 #: The canonical empty entry ("no known relationship; definitely not aliases").
 EMPTY_ENTRY = PathEntry()

@@ -57,7 +57,8 @@ from repro.lang.ast_nodes import (
     VarDecl,
 )
 from repro.pathmatrix.matrix import PathMatrix
-from repro.pathmatrix.paths import PathEntry, Relation
+from repro.pathmatrix.paths import EMPTY_ENTRY, PathEntry, Relation
+from repro.pathmatrix.paths import _FIELD_LOAD_MEMO, _memo_store
 from repro.pathmatrix.validation import Violation
 
 
@@ -365,67 +366,75 @@ def _apply_field_load(
 
     acyclic = props is not None and props.traversal_never_revisits(field_name)
 
-    # snapshot the old relations of every variable to/from the *source's* node,
-    # because when target == source the assignment overwrites it
-    old_to_source = {var: pm.get(var, source) for var in pm.variables}
-    old_from_source = {var: pm.get(source, var) for var in pm.variables}
-    source_was_target = target == source
+    # PM[v][target] afterwards depends only on PM[v][source] and
+    # PM[source][v] before, so each distinct pair is answered once.  The
+    # column is built before the kill, because when target == source the
+    # assignment overwrites the source's row and column.
+    entries = pm._entries
+    get = entries.get
+    nil_vars = pm.nil_vars
+    memo = _FIELD_LOAD_MEMO
+    column = {}
+    for var in pm.variables:
+        if var == target or var == source or var in nil_vars:
+            continue  # the source gets the direct-link entry below
+        to_source = get((var, source), EMPTY_ENTRY)
+        from_source = get((source, var), EMPTY_ENTRY)
+        key = (to_source.relations, from_source.relations, field_name, acyclic)
+        cell = memo.get(key)
+        if cell is None:
+            cell = _loaded_cell(to_source, from_source, field_name, acyclic)
+            _memo_store(memo, key, cell)
+        column[(var, target)] = cell
 
     pm.ensure_variable(target)
     pm.clear_row_and_column(target)
-    pm.nil_vars.discard(target)
+    nil_vars.discard(target)
+    entries.update(column)
 
-    for var in pm.variables:
-        if var == target or pm.is_nil(var):
-            continue
-        if var == source:
-            # treated below via the direct-link entry (source_was_target means
-            # the old node has no remaining name, so nothing to record)
-            continue
-        to_source = old_to_source.get(var, PathEntry.empty())
-        from_source = old_from_source.get(var, PathEntry.empty())
-
-        entry = PathEntry.empty()
-        must_alias_source = to_source.must_alias or from_source.must_alias
-        may_alias_source = to_source.may_alias or from_source.may_alias
-        upstream_definite = must_alias_source or any(
-            rel.field == field_name and rel.definite for rel in to_source.paths()
-        )
-        upstream_possible = any(rel.field == field_name for rel in to_source.paths())
-        downstream_along_f = any(rel.field == field_name for rel in from_source.paths())
-
-        # path facts from var to the new target
-        if must_alias_source:
-            entry = entry.add(Relation.path(field_name, plus=False, definite=True))
-        elif upstream_definite:
-            entry = entry.add(Relation.path(field_name, plus=True, definite=True))
-        elif upstream_possible or may_alias_source:
-            entry = entry.add(Relation.path(field_name, plus=True, definite=False))
-
-        # alias facts between var and the new target
-        if acyclic:
-            # Upstream of the source along an acyclic field (or equal to the
-            # source) implies the loaded node is strictly downstream of var,
-            # hence provably not an alias.  Anything else — a possible alias
-            # with the source, a downstream position, or simply an unknown
-            # relationship — cannot exclude aliasing.
-            provably_distinct = must_alias_source or upstream_definite
-            if not provably_distinct:
-                entry = entry.add(Relation.alias(definite=False))
-        else:
-            # unknown-direction field: the loaded node may be anything
-            # reachable, including the node var points to
-            entry = entry.add(Relation.alias(definite=False))
-        pm.set(var, target, entry)
-
-    if source_was_target:
+    if target == source:
         return
     # direct predecessor: one f link from source to target
-    if not pm.is_nil(source):
-        link = PathEntry.single_path(field_name, plus=False)
-        if not acyclic:
-            link = link.add(Relation.alias(definite=False))
-        pm.set(source, target, link)
+    pm.ensure_variable(source)
+    link = PathEntry.single_path(field_name, plus=False)
+    if not acyclic:
+        link = link.add(Relation.alias(definite=False))
+    entries[(source, target)] = link
+
+
+def _loaded_cell(
+    to_source: PathEntry, from_source: PathEntry, field_name: str, acyclic: bool
+) -> PathEntry:
+    """``PM[v][p]`` after ``p = q->field_name``, from the old ``PM[v][q]``
+    (``to_source``) and ``PM[q][v]`` (``from_source``): a pure function."""
+    must_alias_source = to_source.must_alias or from_source.must_alias
+    may_alias_source = to_source.may_alias or from_source.may_alias
+    along_field = [rel for rel in to_source.paths() if rel.field == field_name]
+    upstream_definite = must_alias_source or any(rel.definite for rel in along_field)
+
+    relations = []
+    # path facts from var to the new target
+    if must_alias_source:
+        relations.append(Relation.path(field_name, plus=False, definite=True))
+    elif upstream_definite:
+        relations.append(Relation.path(field_name, plus=True, definite=True))
+    elif along_field or may_alias_source:
+        relations.append(Relation.path(field_name, plus=True, definite=False))
+
+    # alias facts between var and the new target
+    if acyclic:
+        # Upstream of the source along an acyclic field (or equal to the
+        # source) implies the loaded node is strictly downstream of var,
+        # hence provably not an alias.  Anything else — a possible alias
+        # with the source, a downstream position, or simply an unknown
+        # relationship — cannot exclude aliasing.
+        if not upstream_definite:
+            relations.append(Relation.alias(definite=False))
+    else:
+        # unknown-direction field: the loaded node may be anything
+        # reachable, including the node var points to
+        relations.append(Relation.alias(definite=False))
+    return PathEntry(relations)
 
 
 # ---------------------------------------------------------------------------

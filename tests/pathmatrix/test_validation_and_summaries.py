@@ -299,3 +299,89 @@ class TestValidationThroughCalls:
     def test_call_to_clean_builder_keeps_abstraction_valid(self, scale_program):
         result = analyze_function(scale_program, "main")
         assert result.final_matrix().validation.is_valid_for("ListNode")
+
+
+def _refined(source: str):
+    """Resolve ``source``'s summaries, recording every function solve."""
+    from repro.pathmatrix import PathMatrixAnalysis
+    from repro.pathmatrix.analysis import fixpoint_run_count
+
+    program = merged_into(source, "ListNode")
+    solved: list[str] = []
+    analyze = PathMatrixAnalysis.analyze_function
+
+    def recording(self, name, initial=None):
+        solved.append(name)
+        return analyze(self, name, initial)
+
+    before = fixpoint_run_count()
+    PathMatrixAnalysis.analyze_function = recording
+    try:
+        analysis = PathMatrixAnalysis(program)
+    finally:
+        PathMatrixAnalysis.analyze_function = analyze
+    return program, analysis, solved, fixpoint_run_count() - before
+
+
+def _flags_from_full_rounds(program) -> dict[str, bool]:
+    """``preserves_abstraction`` settled by re-solving every shape-changing
+    function each round until no flag flips (no memo, so every solve is
+    fresh): the rule ``refine_preservation`` narrows to the callers of the
+    functions that flipped."""
+    from repro.pathmatrix import PathMatrixAnalysis
+
+    analysis = PathMatrixAnalysis(program)
+    changers = [n for n, s in analysis.summaries.items() if s.rearranges_shape]
+    for name in changers:
+        analysis.summaries[name].preserves_abstraction = True
+    changed = True
+    while changed:
+        changed = False
+        for name in changers:
+            ok = analysis.analyze_function(name).final_matrix().validation.is_valid()
+            if analysis.summaries[name].preserves_abstraction != ok:
+                analysis.summaries[name].preserves_abstraction = ok
+                changed = True
+    return {n: s.preserves_abstraction for n, s in analysis.summaries.items()}
+
+
+class TestPreservationRefinement:
+    """A function's analysis reads only its direct callees' flags, so after
+    a flip only the callers of the flipped function are solved again."""
+
+    def test_a_function_that_loses_preservation_alone_is_solved_once(self):
+        _program, analysis, solved, fixpoints = _refined(
+            """
+            procedure breaks(p)
+            { p->next = p;
+            }
+            """
+        )
+        assert not analysis.summaries["breaks"].preserves_abstraction
+        # nothing calls ``breaks``, so no round re-checks it after the flip
+        assert solved == ["breaks"]
+        assert fixpoints == 1
+
+    def test_a_flip_re_solves_the_caller_in_a_recursive_pair(self):
+        # ``a`` is valid on its own, so its first solve (``b`` still
+        # presumed preserving) says True; ``b`` closes a cycle and flips,
+        # and only then does the call to ``b`` leave ``a`` invalid
+        program, analysis, solved, fixpoints = _refined(
+            """
+            procedure a(p, n)
+            { p->next = NULL;
+              if n > 0 then b(p, n - 1);
+            }
+            procedure b(p, n)
+            { p->next = p;
+              if n > 0 then a(p, n - 1);
+            }
+            """
+        )
+        flags = {n: s.preserves_abstraction for n, s in analysis.summaries.items()}
+        assert flags == {"a": False, "b": False}
+        assert flags == _flags_from_full_rounds(program)
+        # round 1 solves both and flips b; round 2 re-solves b's caller a,
+        # which flips; round 3 re-solves a's caller b, which holds
+        assert solved == ["a", "b", "a", "b"]
+        assert fixpoints == 4
