@@ -10,6 +10,7 @@ Usage::
     python benchmarks/compare_bench.py --check-incremental .bench/BENCH_incremental.json
                                        [--min-speedup 10.0]
     python benchmarks/compare_bench.py --counts BENCH_pathmatrix.json .bench/BENCH_pathmatrix.json
+    python benchmarks/compare_bench.py --counts BENCH_incremental.json .bench/BENCH_incremental.json
 
 **Diff mode** (two positional snapshots): scenarios are matched by name.  A
 scenario regresses when its timing key in NEW exceeds OLD by more than
@@ -31,10 +32,11 @@ and (b) the recorded edit-vs-cold speedups clear the floor (default 10x).
 
 **Counts mode** (``--counts COMMITTED NEW``): compares every integer field
 (work counts such as ``worklist_blocks_transferred``) of each scenario found
-in both snapshots; floats (timings, ratios) and bools are ignored.  A count
-that rose fails.  A count that fell fails too, so that the change which
-made the gain commits the new snapshot as the baseline.  Scenarios found in
-only one file are listed but do not fail.
+in both snapshots, and every integer one level down in an object field
+(``incremental.fixpoints_run``); floats (timings, ratios) and bools are
+ignored.  A count that rose fails.  A count that fell fails too, so that
+the change which made the gain commits the new snapshot as the baseline.
+Scenarios found in only one file are listed but do not fail.
 
 Exit status: 0 when no regression, 1 on regression, 2 on usage/parse
 errors.
@@ -146,6 +148,20 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def counts(row: dict) -> dict[str, int]:
+    """A scenario row's integer fields, with those of its object fields
+    under ``field.key``."""
+    found: dict[str, int] = {}
+    for key, value in row.items():
+        if _is_count(value):
+            found[key] = value
+        elif isinstance(value, dict):
+            for inner, count in value.items():
+                if _is_count(count):
+                    found[f"{key}.{inner}"] = count
+    return found
+
+
 def check_counts(committed: dict, new: dict) -> int:
     old_rows = scenarios_by_name(committed)
     new_rows = scenarios_by_name(new)
@@ -153,11 +169,9 @@ def check_counts(committed: dict, new: dict) -> int:
     fell: list[str] = []
     compared = 0
     for name in sorted(old_rows.keys() & new_rows.keys()):
-        old_row, new_row = old_rows[name], new_rows[name]
-        for key in sorted(old_row.keys() & new_row.keys()):
-            old_n, new_n = old_row[key], new_row[key]
-            if not (_is_count(old_n) and _is_count(new_n)):
-                continue
+        old_counts, new_counts = counts(old_rows[name]), counts(new_rows[name])
+        for key in sorted(old_counts.keys() & new_counts.keys()):
+            old_n, new_n = old_counts[key], new_counts[key]
             compared += 1
             if new_n != old_n:
                 line = f"{name}: {key} {old_n} -> {new_n}"

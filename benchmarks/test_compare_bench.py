@@ -171,6 +171,21 @@ def test_a_count_that_fell_fails_and_asks_for_the_new_snapshot(tmp_path, capsys)
     assert "wide: worklist_blocks_transferred 13 -> 9" in out
 
 
+def test_counts_one_level_down_are_compared(tmp_path, capsys):
+    """``BENCH_incremental.json`` keeps its work counts in an object."""
+    def row(**incremental):
+        counters = {"fixpoints_run": 298, "dirty": 298, "ratio": 0.5, **incremental}
+        return dict(_ROW, incremental=counters)
+
+    committed = _counted(tmp_path / "c.json", cold=row())
+    same = _counted(tmp_path / "s.json", cold=row(ratio=0.9))
+    assert compare_bench.main(["--counts", committed, same]) == 0
+    assert "OK: 4 count(s) equal" in capsys.readouterr().out
+    rose = _counted(tmp_path / "n.json", cold=row(fixpoints_run=312))
+    assert compare_bench.main(["--counts", committed, rose]) == 1
+    assert "cold: incremental.fixpoints_run 298 -> 312" in capsys.readouterr().out
+
+
 def test_floats_and_bools_are_not_counts(tmp_path):
     committed = _counted(tmp_path / "c.json", wide=dict(_ROW, speedup=5.0, quick=True))
     new = _counted(tmp_path / "n.json", wide=dict(_ROW, speedup=2.0, quick=False))

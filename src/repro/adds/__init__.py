@@ -14,10 +14,16 @@ An ADDS declaration augments a recursive record type with:
   reachable forward along ``A`` is not reachable forward along ``B``;
   dimensions are *dependent* by default (the conservative assumption).
 
+The type checker (:mod:`repro.lang.typecheck`) enforces the declaration
+rules: every ``along D`` and ``A||B`` names a declared dimension, ``A||B``
+relates two distinct ones, ``uniquely`` goes only with ``forward``, and a
+pointer array to its own type has an element.  A declaration that breaks
+one is a type error at its line.
+
 The subpackage provides:
 
-* :mod:`repro.adds.declaration` — the semantic model (:class:`AddsType`),
-* :mod:`repro.adds.wellformed` — static well-formedness checks,
+* :mod:`repro.adds.declaration` — the semantic model (:class:`AddsType`)
+  of a checked declaration,
 * :mod:`repro.adds.library` — the paper's example declarations
   (OneWayList, TwoWayList, BinTree, OrthList, TwoDRangeTree, Octree, ...),
 * :mod:`repro.adds.runtime_check` — dynamic validation of a concrete heap
@@ -31,11 +37,9 @@ from repro.adds.declaration import (
     Dimension,
     FieldSpec,
     AddsType,
-    AddsDeclarationError,
     from_type_decl,
     program_adds_types,
 )
-from repro.adds.wellformed import WellFormednessIssue, check_well_formed
 from repro.adds.library import (
     ONE_WAY_LIST_SRC,
     TWO_WAY_LIST_SRC,
@@ -60,11 +64,8 @@ __all__ = [
     "Dimension",
     "FieldSpec",
     "AddsType",
-    "AddsDeclarationError",
     "from_type_decl",
     "program_adds_types",
-    "WellFormednessIssue",
-    "check_well_formed",
     "ONE_WAY_LIST_SRC",
     "TWO_WAY_LIST_SRC",
     "BIN_TREE_SRC",

@@ -14,10 +14,6 @@ from dataclasses import dataclass, field as dc_field
 from repro.lang.ast_nodes import Program, TypeDecl
 
 
-class AddsDeclarationError(Exception):
-    """Raised for malformed ADDS declarations (unknown dimension names, ...)."""
-
-
 class Direction(enum.Enum):
     """The direction a pointer field traverses along its dimension.
 
@@ -176,29 +172,19 @@ class AddsType:
         return "\n".join(lines)
 
 
-DEFAULT_DIMENSION = "D"
-
-
 def from_type_decl(decl: TypeDecl) -> AddsType:
-    """Build the :class:`AddsType` semantic model from a parsed declaration.
+    """Build the :class:`AddsType` semantic model of a declaration the type
+    checker accepted (:mod:`repro.lang.typecheck` enforces the ADDS rules).
 
     Follows the paper's defaulting rule: a structure with no declared
     dimensions has one dimension ``D`` traversed by every recursive pointer
     field in an unknown (possibly cyclic) direction.
     """
     adds = AddsType(name=decl.name)
-    declared_dims = list(decl.dimensions)
-    if not declared_dims:
-        declared_dims = [DEFAULT_DIMENSION]
+    declared_dims = decl.adds_dimensions()
     for dim_name in declared_dims:
         adds.dimensions[dim_name] = Dimension(name=dim_name)
-
     for a, b in decl.independences:
-        for d in (a, b):
-            if d not in adds.dimensions:
-                raise AddsDeclarationError(
-                    f"type {decl.name}: independence clause mentions unknown dimension {d!r}"
-                )
         adds.independences.add(frozenset((a, b)))
 
     for f in decl.fields:
@@ -210,10 +196,6 @@ def from_type_decl(decl: TypeDecl) -> AddsType:
             continue
         if f.adds is not None:
             dim_name = f.adds.dimension
-            if dim_name not in adds.dimensions:
-                raise AddsDeclarationError(
-                    f"type {decl.name}: field {f.name!r} traverses unknown dimension {dim_name!r}"
-                )
             direction = Direction(f.adds.direction)
             unique = f.adds.unique
         else:

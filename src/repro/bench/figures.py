@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adds.library import merged_into
-from repro.lang.ast_nodes import Assign, FieldAssign
+from repro.lang.pretty import unparse
 from repro.nbody.toy_program import BHL1_FUNCTION, barnes_hut_toy_program
 from repro.pathmatrix.analysis import PathMatrixAnalysis, analyze_loop_dependence
 from repro.pathmatrix.baseline import ConservativeOracle, conservative_matrix_for
@@ -239,13 +239,7 @@ def validation_trace_figure() -> ValidationTrace:
     trace = ValidationTrace()
     for stmt in func.body.statements:
         pm = apply_statement(pm, stmt, ctx)
-        if isinstance(stmt, FieldAssign):
-            text = f"{stmt.base}->{stmt.field} = {stmt.value}"
-        elif isinstance(stmt, Assign):
-            text = f"{stmt.target} = {stmt.value}"
-        else:
-            text = type(stmt).__name__
-        trace.statements.append(text)
+        trace.statements.append(unparse(stmt))
         trace.valid_after.append(pm.validation.is_valid_for("BinTree"))
         trace.violations_after.append([str(v) for v in pm.validation.violations])
     return trace

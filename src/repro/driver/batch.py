@@ -393,7 +393,6 @@ def _profile(timings: list[TaskTiming]) -> dict | None:
         return None
     totals = {
         "tasks": len(timings),
-        "functions": sum(t.functions for t in timings),
         "queue_wait_s": sum(t.queue_wait_s for t in timings),
         "analyze_s": sum(t.analyze_s for t in timings),
         "transfer_s": sum(t.transfer_s for t in timings),

@@ -47,7 +47,7 @@ from repro.driver.faults import active_plan
 #: bump when the per-function report schema or analysis semantics change
 #: (2: parallel-for gained the sequential for's step/descending/re-read
 #: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 11  # v11: an entry's payload bytes are the bytes its checksum covers
+CACHE_VERSION = 12  # v12: a self-assignment ``q = q`` keeps q's matrix row and column
 
 #: stage namespaces of the artifact store, one subdirectory each
 STAGES = ("summary", "report", "sim", "manifest")

@@ -281,24 +281,6 @@ def absolutize_report(report: dict, base_line: int) -> dict:
 
 
 # -- whole-program simulation -------------------------------------------------
-def _heap_fingerprint(interp: Interpreter) -> list:
-    """Order-independent digest of the heap's *data* fields (pointer fields
-    hold renamed references after a transformation, so only scalars count)."""
-    cells = []
-    for cell in interp.heap:
-        decl = interp._type_decls.get(cell.type_name)
-        fields = []
-        for name, value in sorted(cell.fields.items()):
-            fdecl = decl.field_named(name) if decl is not None else None
-            if fdecl is not None and (fdecl.is_pointer or fdecl.array_size is not None):
-                continue
-            if isinstance(value, float):
-                value = round(value, 9)
-            fields.append((name, value))
-        cells.append((cell.type_name, tuple(fields)))
-    return sorted(cells)
-
-
 #: resource budgets for unattended whole-program simulation: generous enough
 #: for every corpus program, small enough that a runaway loop or unbounded
 #: recursion surfaces as a typed ``"limit"`` status in minutes, not a hang
@@ -347,9 +329,11 @@ def simulate_program(
     reports mark ``strip_mine.applied`` (:func:`strip_mined_loops`); a
     program without a parameterless entry or without such a loop is
     decided from the split alone.  The reference interpretation runs
-    first, and only its heap fingerprint is kept: that interpreter and its
+    first, and only its heap snapshot is kept: that interpreter and its
     compiled code are freed before the program is strip-mined and run on
-    the simulated machine.  Returns a report dict;
+    the simulated machine.  ``heaps_match`` says whether the two runs
+    leave equal heaps, cell for cell and field for field
+    (:meth:`~repro.lang.heap.Heap.snapshot`).  Returns a report dict;
     the ``status`` field is one of ``"simulated"``, ``"no-entry"``,
     ``"no-parallel-loops"``, ``"limit"`` (a resource budget was exhausted
     — see :data:`SIMULATION_MAX_STEPS`), or ``"error"``.
@@ -370,7 +354,7 @@ def simulate_program(
             max_steps=SIMULATION_MAX_STEPS,
             max_call_depth=SIMULATION_MAX_CALL_DEPTH,
         )
-        reference = _heap_fingerprint(original)
+        reference = original.heap.snapshot()
         del original
         stripped = strip_mine_program(program, loops, options.pes)
         interp = Interpreter(
@@ -384,7 +368,7 @@ def simulate_program(
         if options.entry in stripped.functions:
             entry_args = (options.pes,)
         interp.call_function(options.entry, *entry_args)
-        return stripped.functions, executor, _heap_fingerprint(interp) == reference
+        return stripped.functions, executor, interp.heap.snapshot() == reference
 
     try:
         transformed_functions, executor, heaps_match = _on_fresh_stack(interpret)

@@ -2,14 +2,13 @@
 
 An :class:`Observation` is everything a program execution can make visible:
 its return value, everything it printed, and an **exact** snapshot of the
-final heap — every cell with every field, pointer fields included.  Pointer
-fields are comparable across executors because every executor in this repo
-runs iterations in the same sequential order (the simulated multiprocessor
-interleaves *costs*, not effects) and no transformation adds or removes
-allocations, so reference numbering is preserved.  This is deliberately
-stronger than the driver's :func:`~repro.driver.pipeline._heap_fingerprint`,
-which ignores scalars in the frame and all pointer fields and therefore
-cannot see a wrong return value or a mis-linked structure.
+final heap (:meth:`~repro.lang.heap.Heap.snapshot`) — every cell with every
+field, pointer fields included.  Pointer fields are comparable across
+executors because every executor in this repo runs iterations in the same
+sequential order (the simulated multiprocessor interleaves *costs*, not
+effects) and no transformation adds or removes allocations, so reference
+numbering is preserved.  The driver compares the same snapshot
+(``heaps_match``), but not return values or printed output.
 
 The ``status`` field keeps the paper-side distinction the typed
 :class:`~repro.lang.errors.InterpreterLimitError` exists for: a run cut off
@@ -23,6 +22,7 @@ from typing import Any
 
 from repro.lang.ast_nodes import Program
 from repro.lang.errors import InterpreterLimitError, LangError
+from repro.lang.heap import normalize
 from repro.lang.interpreter import Interpreter
 
 #: observation statuses
@@ -53,27 +53,6 @@ class Observation:
         }
 
 
-def _normalize(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_normalize(v) for v in value)
-    if isinstance(value, float):
-        # executors perform identical arithmetic in identical order, but a
-        # repr round-trip through the regression store must stay stable
-        return round(value, 12)
-    return value
-
-
-def snapshot_heap(interp: Interpreter) -> tuple:
-    """Exact, ref-ordered snapshot of every heap cell and field."""
-    cells = []
-    for cell in interp.heap:
-        fields = tuple(
-            (name, _normalize(value)) for name, value in sorted(cell.fields.items())
-        )
-        cells.append((cell.ref, cell.type_name, fields))
-    return tuple(cells)
-
-
 def observe(
     program: Program,
     entry: str = "main",
@@ -97,7 +76,7 @@ def observe(
         return Observation(
             status=EXHAUSTED,
             output=tuple(interp.output),
-            heap=snapshot_heap(interp),
+            heap=interp.heap.snapshot(),
             error=str(exc),
             steps=interp.stats.statements + interp.stats.expressions,
         )
@@ -105,15 +84,15 @@ def observe(
         return Observation(
             status=ERROR,
             output=tuple(interp.output),
-            heap=snapshot_heap(interp),
+            heap=interp.heap.snapshot(),
             error=str(exc),
             steps=interp.stats.statements + interp.stats.expressions,
         )
     return Observation(
         status=OK,
-        result=_normalize(result),
+        result=normalize(result),
         output=tuple(interp.output),
-        heap=snapshot_heap(interp),
+        heap=interp.heap.snapshot(),
         steps=interp.stats.statements + interp.stats.expressions,
     )
 

@@ -42,6 +42,12 @@ class Node:
 class Expr(Node):
     """Base class for expressions."""
 
+    def __str__(self) -> str:
+        """The expression as source text (:func:`repro.lang.pretty.unparse`)."""
+        from repro.lang.pretty import unparse
+
+        return unparse(self)
+
 
 @dataclass
 class Stmt(Node):
@@ -58,17 +64,11 @@ class Name(Expr):
     ident: str
     line: int | None = None
 
-    def __str__(self) -> str:
-        return self.ident
-
 
 @dataclass
 class IntLit(Expr):
     value: int
     line: int | None = None
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 @dataclass
@@ -76,17 +76,11 @@ class FloatLit(Expr):
     value: float
     line: int | None = None
 
-    def __str__(self) -> str:
-        return repr(self.value)
-
 
 @dataclass
 class BoolLit(Expr):
     value: bool
     line: int | None = None
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 @dataclass
@@ -94,18 +88,12 @@ class StringLit(Expr):
     value: str
     line: int | None = None
 
-    def __str__(self) -> str:
-        return f'"{self.value}"'
-
 
 @dataclass
 class NullLit(Expr):
     """The ``NULL`` pointer literal."""
 
     line: int | None = None
-
-    def __str__(self) -> str:
-        return "NULL"
 
 
 @dataclass
@@ -119,9 +107,6 @@ class FieldAccess(Expr):
     def children(self) -> Iterator[Node]:
         yield self.base
 
-    def __str__(self) -> str:
-        return f"{self.base}->{self.field}"
-
 
 @dataclass
 class IndexAccess(Expr):
@@ -134,9 +119,6 @@ class IndexAccess(Expr):
     def children(self) -> Iterator[Node]:
         yield self.base
         yield self.index
-
-    def __str__(self) -> str:
-        return f"{self.base}[{self.index}]"
 
 
 @dataclass
@@ -152,9 +134,6 @@ class BinOp(Expr):
         yield self.left
         yield self.right
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass
 class UnaryOp(Expr):
@@ -164,9 +143,6 @@ class UnaryOp(Expr):
 
     def children(self) -> Iterator[Node]:
         yield self.operand
-
-    def __str__(self) -> str:
-        return f"({self.op} {self.operand})"
 
 
 @dataclass
@@ -180,9 +156,6 @@ class Call(Expr):
     def children(self) -> Iterator[Node]:
         yield from self.args
 
-    def __str__(self) -> str:
-        return f"{self.func}({', '.join(str(a) for a in self.args)})"
-
 
 @dataclass
 class New(Expr):
@@ -190,9 +163,6 @@ class New(Expr):
 
     type_name: str
     line: int | None = None
-
-    def __str__(self) -> str:
-        return f"new {self.type_name}"
 
 
 @dataclass
@@ -204,9 +174,6 @@ class ArrayLit(Expr):
 
     def children(self) -> Iterator[Node]:
         yield from self.elements
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(e) for e in self.elements) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +375,10 @@ class FieldDecl(Node):
     line: int | None = None
 
 
+#: the one dimension of a record type that declares none
+DEFAULT_DIMENSION = "D"
+
+
 @dataclass
 class TypeDecl(Node):
     """A record type declaration, optionally carrying ADDS dimensions.
@@ -428,6 +399,11 @@ class TypeDecl(Node):
             if f.name == name:
                 return f
         return None
+
+    def adds_dimensions(self) -> list[str]:
+        """The declared dimensions; a record declaring none has the one
+        default dimension ``D`` (the paper's defaulting rule)."""
+        return self.dimensions or [DEFAULT_DIMENSION]
 
     def pointer_fields(self) -> list[FieldDecl]:
         return [f for f in self.fields if f.is_pointer]

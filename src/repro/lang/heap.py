@@ -120,12 +120,28 @@ class Heap:
                     if target != NULL_REF and target in self._cells:
                         yield (cell.ref, fname, target)
 
-    def snapshot(self) -> dict[int, dict[str, Any]]:
-        """A deep-ish copy of the heap contents for test assertions."""
-        return {
-            ref: {name: (list(v) if isinstance(v, list) else v) for name, v in cell.fields.items()}
-            for ref, cell in self._cells.items()
-        }
+    def snapshot(self) -> tuple:
+        """Every cell with every field, pointer fields included, in
+        reference order: two heaps hold the same structure and data exactly
+        when their snapshots are equal."""
+        return tuple(
+            (
+                cell.ref,
+                cell.type_name,
+                tuple((name, normalize(value)) for name, value in sorted(cell.fields.items())),
+            )
+            for cell in self._cells.values()
+        )
+
+
+def normalize(value: Any) -> Any:
+    """``value`` as a snapshot holds it: hashable (a list becomes a tuple),
+    with floats rounded to 12 places so that its repr round-trips."""
+    if isinstance(value, list):
+        return tuple(normalize(v) for v in value)
+    if isinstance(value, float):
+        return round(value, 12)
+    return value
 
 
 def _pointer_values(value: Any) -> Iterator[int]:

@@ -49,6 +49,7 @@ from repro.lang.ast_nodes import (
     Return,
     Stmt,
     StringLit,
+    TypeDecl,
     UnaryOp,
     VarDecl,
     iter_statements,
@@ -97,7 +98,6 @@ class CheckResult:
 
     program: Program
     environments: dict[str, TypeEnvironment] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
     #: the checker that produced this result (answers return-type queries)
     checker: "TypeChecker | None" = field(default=None, repr=False, compare=False)
 
@@ -174,6 +174,47 @@ class TypeChecker:
                         f"field {decl.name}.{f.name}: ADDS annotations only apply to pointer fields",
                         f.line,
                     )
+            self._check_adds(decl)
+
+    @staticmethod
+    def _check_adds(decl: TypeDecl) -> None:
+        """The ADDS rules of section 3.1, which the analysis trusts every
+        declaration it models to keep."""
+        dimensions = set(decl.adds_dimensions())
+        for a, b in decl.independences:
+            if a == b:
+                raise TypeCheckError(
+                    f"type {decl.name}: independence {a}||{b} must relate two "
+                    "distinct dimensions",
+                    decl.line,
+                )
+            for d in (a, b):
+                if d not in dimensions:
+                    raise TypeCheckError(
+                        f"type {decl.name}: independence {a}||{b} names "
+                        f"undeclared dimension {d!r}",
+                        decl.line,
+                    )
+        for f in decl.fields:
+            spec = f.adds
+            if spec is not None and spec.dimension not in dimensions:
+                raise TypeCheckError(
+                    f"field {decl.name}.{f.name} traverses undeclared dimension "
+                    f"{spec.dimension!r}",
+                    f.line,
+                )
+            if spec is not None and spec.unique and spec.direction != "forward":
+                raise TypeCheckError(
+                    f"field {decl.name}.{f.name}: 'uniquely' applies only to "
+                    f"'forward', not {spec.direction!r}",
+                    f.line,
+                )
+            if f.is_pointer and f.type_name == decl.name and f.array_size == 0:
+                raise TypeCheckError(
+                    f"field {decl.name}.{f.name}: a pointer array needs at least "
+                    "one element",
+                    f.line,
+                )
 
     def _check_function_names(self) -> None:
         seen: set[str] = set()

@@ -22,11 +22,17 @@ step — the transformation of section 4.3.3 does not parallelize the build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.nbody.octree import OctreeNode
 from repro.nbody.particle import Particle
 from repro.nbody.vector import Vec3
+
+#: the grid a new root's center is rounded down to: coarse enough to keep box
+#: centers exact (``expand_box``), fine enough that a simulated body gets the
+#: tree a root centred on its first particle gives
+ROOT_GRID = 2.0**-30
 
 
 @dataclass
@@ -62,9 +68,19 @@ def expand_box(particle: Particle, root: OctreeNode | None, stats: BuildStats | 
     the old root as the child octant nearer the particle, exactly as the
     paper sketches ("extends the tree upward, adding nodes until the tree
     represents a space large enough to include p").
+
+    The unit box's center is the particle's position rounded down to a
+    multiple of ``ROOT_GRID``.  Every box center is then a short dyadic
+    number, and ``center ± quarter`` stays exact as the boxes shrink.
+    Centred on the particle's own bits, a coordinate far finer than the box
+    (say 1e-41 in a unit box) rounds away in the first child's center, and
+    that child no longer contains the particle it was built for: two
+    particles that close then descend together to the depth cap.
     """
     if root is None:
-        return OctreeNode(center=particle.position, half_size=1.0)
+        p = particle.position
+        center = Vec3(*(math.floor(v / ROOT_GRID) * ROOT_GRID for v in (p.x, p.y, p.z)))
+        return OctreeNode(center=center, half_size=1.0)
     while not root.contains(particle.position):
         if stats is not None:
             stats.expansions += 1

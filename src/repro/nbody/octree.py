@@ -62,14 +62,18 @@ class OctreeNode:
         return Vec3(self.center.x + dx, self.center.y + dy, self.center.z + dz)
 
     def contains(self, position: Vec3) -> bool:
-        # A small relative tolerance absorbs floating-point rounding when a
-        # particle sits exactly on an octant boundary (common for the very
-        # first particle, whose coordinates seed every ancestor's center).
-        bound = self.half_size * (1.0 + 1e-9) + 1e-12
+        # The closed box, compared against its faces rather than through
+        # ``abs(position - center)``: that difference rounds, and a particle
+        # a hair outside the box would pass, stop ``expand_box`` early and
+        # then follow its neighbour down every octant without separating.
+        # Box centers sit on a dyadic grid (``expand_box``), so the faces are
+        # exact.
+        h = self.half_size
+        c = self.center
         return (
-            abs(position.x - self.center.x) <= bound
-            and abs(position.y - self.center.y) <= bound
-            and abs(position.z - self.center.z) <= bound
+            c.x - h <= position.x <= c.x + h
+            and c.y - h <= position.y <= c.y + h
+            and c.z - h <= position.z <= c.z + h
         )
 
     # -- traversals -----------------------------------------------------------------

@@ -113,8 +113,6 @@ class PathMatrix:
             return
         self.nil_vars.discard(dst)
         self.ensure_variable(src)
-        if dst == src:
-            return  # the kill above already emptied the row and column
         entries = self._entries
         for other in self.variables:
             if other != dst and other != src:

@@ -296,6 +296,8 @@ def _retarget_stale_violations(pm: PathMatrix, var: str) -> None:
 def _apply_pointer_assign(
     pm: PathMatrix, target: str, value: Expr, ctx: TransferContext, line: int | None
 ) -> None:
+    if isinstance(value, Name) and value.ident == target:
+        return  # ``q = q`` leaves ``q`` naming the node it named
     if not (isinstance(value, Name) and pm.must_alias(target, value.ident)):
         # the assignment makes ``target`` name a (possibly) different node —
         # unless it copies a variable already proven to alias it

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.adds.declaration import (
-    AddsDeclarationError,
-    Direction,
-    from_type_decl,
-    program_adds_types,
-)
+from repro.adds.declaration import Direction, from_type_decl, program_adds_types
 from repro.adds.library import (
     declaration,
     standard_declarations,
@@ -15,8 +10,9 @@ from repro.adds.library import (
     standard_source,
 )
 from repro.adds.properties import derive_properties
-from repro.adds.wellformed import check_well_formed, has_errors
+from repro.lang.errors import TypeCheckError
 from repro.lang.parser import parse_program
+from repro.lang.typecheck import check_program
 
 
 class TestFromTypeDecl:
@@ -55,16 +51,6 @@ class TestFromTypeDecl:
         assert adds.opposite_directions("next", "prev")
         assert not adds.opposite_directions("next", "next")
 
-    def test_unknown_dimension_in_field_raises(self):
-        decl = parse_program("type T [X] { T *n is forward along Y; };").types[0]
-        with pytest.raises(AddsDeclarationError):
-            from_type_decl(decl)
-
-    def test_unknown_dimension_in_independence_raises(self):
-        decl = parse_program("type T [X] where X||Z { T *n is forward along X; };").types[0]
-        with pytest.raises(AddsDeclarationError):
-            from_type_decl(decl)
-
     def test_program_adds_types_covers_all_declarations(self):
         program = standard_program("OneWayList", "BinTree", "Octree")
         types = program_adds_types(program)
@@ -80,10 +66,9 @@ class TestFromTypeDecl:
 
 
 class TestStandardLibrary:
-    def test_every_standard_declaration_is_well_formed(self):
-        for name, adds in standard_declarations().items():
-            issues = check_well_formed(adds)
-            assert not has_errors(issues), f"{name}: {issues}"
+    def test_every_standard_source_type_checks(self):
+        for name in standard_declarations():
+            check_program(parse_program(standard_source(name)))
 
     def test_sources_round_trip_through_parser(self):
         for name in ("OneWayList", "OrthList", "TwoDRangeTree", "Octree"):
@@ -143,18 +128,40 @@ class TestDerivedProperties:
         assert "acyclic" in text
 
 
-class TestWellFormedness:
-    def test_uniquely_backward_is_an_error(self):
-        decl = parse_program("type T [X] { T *p is uniquely backward along X; };").types[0]
-        issues = check_well_formed(from_type_decl(decl))
-        assert has_errors(issues)
+def _type_error(source: str) -> TypeCheckError:
+    with pytest.raises(TypeCheckError) as caught:
+        check_program(parse_program(source))
+    return caught.value
 
-    def test_uninhabited_dimension_is_a_warning(self):
-        decl = parse_program("type T [X] [Y] { T *n is forward along X; };").types[0]
-        issues = check_well_formed(from_type_decl(decl))
-        assert issues and not has_errors(issues)
 
-    def test_backward_only_dimension_is_flagged(self):
-        decl = parse_program("type T [X] { T *p is backward along X; };").types[0]
-        issues = check_well_formed(from_type_decl(decl))
-        assert any("backward" in i.message for i in issues)
+class TestDeclarationRules:
+    """A declaration that breaks an ADDS rule is a type error at its line:
+    the field's, or the type's for a ``where`` clause."""
+
+    def test_a_field_traverses_a_declared_dimension(self):
+        error = _type_error("type T [X]\n{ int v;\n  T *n is forward along Y; };")
+        assert error.line == 3
+        assert "undeclared dimension 'Y'" in str(error)
+
+    def test_a_type_without_dimensions_has_only_d(self):
+        check_program(parse_program("type T { T *n is forward along D; };"))
+        error = _type_error("type T { T *n is forward along X; };")
+        assert error.line == 1 and "undeclared dimension 'X'" in str(error)
+
+    def test_independence_names_declared_dimensions(self):
+        error = _type_error("type T [X]\n  where X||Z\n{ T *n is forward along X; };")
+        assert error.line == 1
+        assert "undeclared dimension 'Z'" in str(error)
+
+    def test_independence_relates_distinct_dimensions(self):
+        error = _type_error("type T [X] [Y] where X||X\n{ T *n is forward along X; };")
+        assert error.line == 1 and "two distinct dimensions" in str(error)
+
+    def test_uniquely_goes_only_with_forward(self):
+        error = _type_error("type T [X]\n{ T *p is uniquely backward along X; };")
+        assert error.line == 2 and "'uniquely'" in str(error)
+        check_program(parse_program("type T [X] { T *n is uniquely forward along X; };"))
+
+    def test_a_pointer_array_to_its_own_type_has_an_element(self):
+        error = _type_error("type T [X]\n{ int v;\n  T *kids[0] is forward along X; };")
+        assert error.line == 3 and "at least one element" in str(error)

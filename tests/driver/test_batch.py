@@ -478,6 +478,50 @@ class TestSimulationStage:
             assert sim["status"] == status, sim
             assert sim["error"].startswith(error), sim
 
+    def test_heaps_that_differ_in_a_pointer_field_do_not_match(self, monkeypatch):
+        """``heaps_match`` compares every field of every cell: a transformed
+        run that computes the same data but links the list differently
+        leaves another heap."""
+        from repro.adds.library import standard_source
+        from repro.driver import pipeline
+        from repro.lang.ast_nodes import FieldAssign, Name, NullLit
+
+        source = standard_source("ListNode") + """
+        function scale(head, c)
+        { var p;
+          p = head;
+          while p <> NULL
+          { p->coef = p->coef * c;
+            p = p->next;
+          }
+          return head;
+        }
+        function main()
+        { var h; var i;
+          h = NULL;
+          i = 0;
+          while i < 4
+          { var q; q = new ListNode; q->coef = i; q->next = h; h = q; i = i + 1; }
+          h = scale(h, 2);
+        }
+        """
+        loops = _loops(source)
+        assert simulate_program(_Source.split(source), PipelineOptions(), loops)["heaps_match"]
+        strip_mine_program = pipeline.strip_mine_program
+
+        def unlinking(program, loops, pes):
+            stripped = strip_mine_program(program, loops, pes)
+            main = stripped.program.function_named("main")
+            main.body.statements.append(
+                FieldAssign(base=Name("h"), field="next", value=NullLit())
+            )
+            return stripped
+
+        monkeypatch.setattr(pipeline, "strip_mine_program", unlinking)
+        sim = simulate_program(_Source.split(source), PipelineOptions(), loops)
+        assert sim["status"] == "simulated"
+        assert not sim["heaps_match"]
+
     def test_program_without_entry_reports_no_entry(self, paper_items):
         item = next(i for i in paper_items if i.name == "paper/subtree_move")
         sim = simulate_program(_Source.split(item.source), PipelineOptions(), _loops(item.source))

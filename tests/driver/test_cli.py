@@ -10,6 +10,27 @@ import pytest
 from repro.driver.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+LIST_SUM = REPO_ROOT / "examples" / "corpus" / "list_sum.ptr"
+
+#: a program whose ADDS declaration breaks a rule: ``along`` names an
+#: undeclared dimension, or ``where`` does
+_BAD_DECLARATION = (
+    "type Node [X]{where}\n"
+    "{{ int v;\n"
+    "  Node *next is uniquely forward along {along};\n"
+    "}};\n"
+    "function walk(h) {{ var p; p = h;"
+    " while p <> NULL {{ p->v = p->v + 1; p = p->next; }} return h; }}\n"
+)
+
+
+@pytest.fixture(scope="module")
+def list_sum_alone(tmp_path_factory):
+    """``list_sum.ptr``'s report entry from a run of that program alone."""
+    output = tmp_path_factory.mktemp("alone") / "report.json"
+    assert main(["analyze", str(LIST_SUM), "--no-cache", "--output", str(output)]) == 0
+    (entry,) = json.loads(output.read_text())["programs"]
+    return entry
 
 
 class TestAnalyzeCommand:
@@ -70,8 +91,7 @@ class TestAnalyzeCommand:
         assert warm["programs"] == cold["programs"]
 
     def test_source_file_arguments(self, tmp_path, capsys):
-        source = REPO_ROOT / "examples" / "corpus" / "list_sum.ptr"
-        code = main(["analyze", str(source), "--no-cache"])
+        code = main(["analyze", str(LIST_SUM), "--no-cache"])
         assert code == 0
         assert "list_sum" in capsys.readouterr().out
 
@@ -87,6 +107,25 @@ class TestAnalyzeCommand:
         bad.write_text("function { nope")
         assert main(["analyze", str(bad), "--no-cache"]) == 1
         assert "ERROR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "where, along, line", [("", "Y", 3), (" where X||Z", "X", 1)],
+        ids=["field-dimension", "independence"],
+    )
+    def test_a_malformed_adds_declaration_costs_only_its_program(
+        self, tmp_path, capsys, list_sum_alone, jobs, where, along, line
+    ):
+        bad = tmp_path / "bad.ptr"
+        bad.write_text(_BAD_DECLARATION.format(where=where, along=along))
+        output = tmp_path / "report.json"
+        argv = ["analyze", str(bad), str(LIST_SUM), "--no-cache", "--jobs", jobs]
+        assert main(argv + ["--output", str(output)]) == 1
+        bad_report, list_sum = json.loads(output.read_text())["programs"]
+        assert bad_report["name"] == "bad"
+        assert bad_report["error"].startswith("type error: ")
+        assert bad_report["error"].endswith(f"(line {line})")
+        assert list_sum == list_sum_alone
 
     def test_jobs_defaults_to_capped_cpu_count(self):
         from repro.driver.cli import _build_parser
@@ -338,7 +377,7 @@ class TestModuleEntryPoint:
         """Every CLI start imports ``repro.driver.cli``, so every module it
         pulls in is start-up cost.  The count is pinned: a change that adds
         or removes an import on that path updates the number here."""
-        expected = 52
+        expected = 51
         code = (
             "import sys\n"
             "import repro.driver.cli\n"

@@ -117,10 +117,9 @@ class TestProfileLayer:
         assert profile is not None
         totals = profile["totals"]
         assert set(totals) == {
-            "tasks", "functions", "queue_wait_s", "analyze_s", "transfer_s",
-            "overhead_fraction",
+            "tasks", "queue_wait_s", "analyze_s", "transfer_s", "overhead_fraction",
         }
-        assert totals["functions"] == 3
+        assert totals["tasks"] == 1
         assert 0.0 <= totals["overhead_fraction"] <= 1.0
         tasks = profile["tasks"]
         assert tasks and all(t["worker_pid"] > 0 for t in tasks)

@@ -66,8 +66,7 @@ class TestHeapModel:
         heap.allocate("A", {"v": 1})
         heap.allocate("B", {"v": 2})
         assert len(heap.cells_of_type("A")) == 1
-        snap = heap.snapshot()
-        assert snap[1]["v"] == 1 and snap[2]["v"] == 2
+        assert heap.snapshot() == ((1, "A", (("v", 1),)), (2, "B", (("v", 2),)))
 
     def test_pointer_values_skips_bools(self):
         assert list(_pointer_values(True)) == []

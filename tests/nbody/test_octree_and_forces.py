@@ -110,6 +110,32 @@ class TestTreeBuild:
         assert root.count_particles() == 2
         assert root.check_invariants() == []
 
+    def test_particles_closer_than_the_first_ones_offset_build(self):
+        """Centred on the first particle, the root's child center 0.5 - 2.7e-41
+        rounded to 0.5: the child box left out the particle it was built for,
+        and both particles descended together to the depth cap."""
+        particles = [
+            Particle(ident=0, position=Vec3(0.0, 0.0, -2.6718557819281287e-41)),
+            Particle(ident=1, position=Vec3(0.0, 0.0, 0.0)),
+        ]
+        root, _ = build_tree(particles)
+        assert root.count_particles() == 2
+        assert root.check_invariants() == []
+
+    def test_particle_a_hair_outside_the_root_box_expands_it(self):
+        """The root box [0, 2] must grow for x = -1e-45: a containment test
+        with slack kept the box, and the particles at x = 0 and x = -1e-45
+        then shared every octant down to the depth cap."""
+        particles = [
+            Particle(ident=0, position=Vec3(1.0, 1.0, 1.0)),
+            Particle(ident=1, position=Vec3(0.0, 0.5, 0.5)),
+            Particle(ident=2, position=Vec3(-1e-45, 0.5, 0.5)),
+        ]
+        root, stats = build_tree(particles)
+        assert stats.expansions == 1
+        assert root.count_particles() == 3
+        assert root.check_invariants() == []
+
     def test_exactly_coincident_particles_still_capped(self):
         particles = [
             Particle(ident=0, position=Vec3(1.0, 2.0, 3.0)),

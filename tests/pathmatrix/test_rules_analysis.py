@@ -48,6 +48,14 @@ class TestBasicRules:
         )
         assert pm.must_alias("a", "b")
 
+    def test_self_assignment_keeps_every_relation(self):
+        """``p = p`` names the node ``p`` named, so ``q``, a copy of ``p``,
+        still aliases it."""
+        pm, _ = analyze_last_matrix(
+            "function f(p) { var q; q = p; p = p; p->coef = 1; return q; }"
+        )
+        assert pm.must_alias("p", "q")
+
     def test_null_assignment_kills_relations(self):
         pm, _ = analyze_last_matrix("function f(a) { var b; b = a; b = NULL; return b; }")
         assert pm.is_nil("b")
@@ -219,6 +227,33 @@ class TestLoopDependence:
         # writing through the loop-invariant acc every iteration is a genuine
         # loop-carried dependence
         assert not report.parallelizable
+
+    def test_a_self_assignment_hides_no_conflict(self):
+        """``q = q`` leaves the conflict of ``q->coef`` with ``r->coef``
+        (both may name the list's head) as it found it."""
+        template = """
+        function f(head)
+        {{ var p; var q; var r;
+          r = head;
+          p = head;
+          while p <> NULL
+          {{ q = p;{again}
+            q->coef = q->coef + 1;
+            r->coef = r->coef + 1;
+            p = p->next;
+          }}
+          return head;
+        }}
+        """
+        reports = [
+            analyze_loop_dependence(merged_into(template.format(again=again), "ListNode"), "f")
+            for again in ("", " q = q;")
+        ]
+        assert reports[0].carried_dependences == reports[1].carried_dependences
+        assert (
+            "write q->coef may conflict with previous-iteration write r->coef"
+            in reports[1].carried_dependences
+        )
 
     def test_nested_reads_are_collected_once(self):
         """A read nested two levels deep is walked three times, once inside
