@@ -13,12 +13,12 @@ Every cold scenario gets its own empty cache directory.  The serial run
 must execute exactly one analysis per *distinct* function — corpus
 functions that are content-identical across programs (same body, types,
 and callee closure, e.g. the ``insert`` shared by the two tree examples)
-are served from the just-written shared ``report`` artifact instead of
-re-solved.  A pooled run shares a duplicate the same way only when its
-first computation lands before another program's task reaches it, so it
-analyzes every distinct function at least once and each duplicate at most
-once more.  The warm run must execute zero analyses.  All configurations
-must produce identical per-function reports (the pooled runs are
+are served from the shared ``report`` artifact computed moments earlier
+instead of re-solved.  A pooled run shares a duplicate the same way only
+when the worker that reaches it ran the other copy or can read the
+record that holds it, so it analyzes every distinct function at least
+once and each duplicate at most once more.  The warm run must execute
+zero analyses.  All configurations must produce identical per-function reports (the pooled runs are
 bit-identical to serial).
 
 Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
@@ -142,8 +142,9 @@ def test_corpus_is_substantial(measurements):
 def test_cold_runs_execute_every_function_exactly_once(measurements):
     """A cold run over an empty cache solves each *distinct* function once.
     The serial run serves content-identical duplicates from the ``report``
-    artifacts written moments earlier; a pooled run serves one only when
-    the program that computes it first has already stored it."""
+    artifacts computed moments earlier; a pooled run serves one only when
+    the worker that reaches it ran the other copy or can read its
+    published record."""
     functions = measurements["cold"].function_count()
     duplicates = measurements["duplicates"]
     for row in measurements["rows"]:

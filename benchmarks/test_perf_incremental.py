@@ -17,7 +17,10 @@ it):
   extreme: nothing to firewall, still exactly one fixpoint).
 
 Edits are cumulative (leaf first, then root on top), so each run's dirty
-set against the previous manifest is exactly one function.
+set against the previous manifest is exactly one function.  Each row
+records the run's ``incremental`` counters and, in ``store``, the records
+it read, found missing and wrote (one store file per program), which
+``compare_bench.py --counts`` gates against the committed snapshot.
 
 The edited program's report is checked bit-for-bit against a from-scratch
 (no cache) analysis of the edited source — incrementality must never
@@ -31,6 +34,7 @@ Set ``REPRO_FULL=1`` for the paper-sized corpus.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -76,6 +80,12 @@ def _pad(source: str, function: str) -> str:
 
 
 def _run(items, cache_dir):
+    # collect the test process's garbage before the clock starts: a full
+    # collection of pytest's heap and the earlier scenarios' reports (about
+    # 40 ms on a 2-vCPU VM) otherwise lands inside whichever scenario
+    # crosses the threshold, and a `repro analyze` process, whose heap is
+    # its own run, never pays it
+    gc.collect()
     started = time.perf_counter()
     batch = BatchDriver(jobs=1, cache_dir=cache_dir, simulate=False).analyze_corpus(
         items
@@ -84,12 +94,20 @@ def _run(items, cache_dir):
 
 
 def _row(scenario, batch, elapsed):
+    records = batch.store["stages"].get("program", {"hits": 0, "misses": 0, "writes": 0})
     return {
         "scenario": scenario,
         "elapsed_s": elapsed,
         "analyses_executed": batch.incremental["recomputed"],
         "cache_hits": batch.incremental["reused"],
         "incremental": batch.incremental,
+        # the store files the run read, found missing and wrote: one
+        # record per program
+        "store": {
+            "records_read": records["hits"],
+            "records_missing": records["misses"],
+            "records_written": records["writes"],
+        },
     }
 
 

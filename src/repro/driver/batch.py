@@ -3,9 +3,9 @@
 For every corpus program the staged engine (:mod:`repro.driver.stages`)
 walks the call graph's SCC condensation bottom-up — callees before callers,
 the order the paper validates Barnes–Hut in, reported as each program's
-``schedule`` — and memoizes one ``summary`` per component, one ``report``
-per function and one ``manifest`` per program in the on-disk
-:class:`~repro.driver.cache.ResultCache`, keyed on callee summary digests.
+``schedule`` — and memoizes one ``summary`` per component and one
+``report`` per function, keyed on callee summary digests, in one record
+per program in the on-disk :class:`~repro.driver.cache.ResultCache`.
 It parses only what changed since its last run: nothing for an unchanged
 program, the edited declarations and the callers their summaries reopen for
 an edited one.  A warm re-run performs no analysis at all (the acceptance
@@ -13,8 +13,8 @@ test asserts exactly that).
 
 Every program runs through one call,
 :func:`~repro.driver.stages.run_program`.  ``jobs == 1`` makes it inline.
-``jobs > 1`` first serves every unchanged program whose simulation is
-cached, then submits each remaining program, largest source first, as one
+``jobs > 1`` first serves every unchanged program whose record holds its
+simulation, then submits each remaining program, largest source first, as one
 task to a pool of persistent workers (:mod:`repro.driver.executor`), each
 making the same call on its own engine over the same store; the
 coordinator merges the reports, counters and store counters they return.
@@ -35,7 +35,7 @@ while a suspect is retried:
    ``timeout``;
 3. the program is resubmitted with the suspect's failure payload, which
    the engine reports in its place and never stores; its summary, its
-   callers and the manifest are still computed.  An exhausted
+   callers and the program's record are still computed.  An exhausted
    ``@simulate`` gives the simulation ``status`` ``crashed`` or ``timeout``.
 
 A task that dies before its first note (in parse, typecheck or summary
@@ -52,9 +52,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-# ``function_digests`` has no caller here: the end-to-end benchmark's trace
-# (benchmarks/e2e/trace.py) resolves ``repro.driver.batch.function_digests``
-# as a ``driver.key`` target and needs the name bound
+# ``function_digests`` and ``program_digest`` have no caller here: the
+# end-to-end benchmark's trace (benchmarks/e2e/trace.py) resolves both names
+# in ``repro.driver.batch`` as ``driver.key`` targets and needs them bound
 from repro.driver.cache import ResultCache, function_digests, program_digest  # noqa: F401
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
@@ -255,7 +255,7 @@ class BatchDriver:
     def analyze_corpus(self, items: list[CorpusItem]) -> BatchReport:
         report = BatchReport(jobs=self.jobs, host_cpus=os.cpu_count())
         started = time.perf_counter()
-        # a manifest records one program per name: a name the corpus shares
+        # a record holds one program per name: a name the corpus shares
         # neither reads nor writes one
         names = Counter(item.name for item in items)
         plans = [
@@ -282,19 +282,13 @@ class BatchDriver:
 
     # -- parallel execution (persistent workers) -------------------------------
     def _serve_whole(self, plan: _ProgramPlan, batch: BatchReport) -> bool:
-        """Serve an unchanged program, and its simulation, from the store
+        """Serve an unchanged program, and its simulation, from its record
         without dispatching it; ``False`` leaves it to the pool."""
-        simulation = None
-        if self.simulate:
-            key = program_digest(plan.item.source, self.options.key())
-            simulation = self.cache.get(key, stage="sim")
-            if simulation is None:
-                return False
-        run = self.engine.serve_unchanged(plan.item.name, plan.item.source) if plan.reuse else None
+        if not plan.reuse:
+            return False
+        run = self.engine.serve_whole(plan.item.name, plan.item.source, self.simulate)
         if run is None:
             return False
-        run.simulation = simulation
-        run.stats.simulations_reused = int(simulation is not None)
         self._record(plan, run, batch)
         return True
 

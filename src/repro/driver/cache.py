@@ -1,21 +1,26 @@
 """On-disk, content-addressed artifact store for the staged analysis engine.
 
-The store holds four stages, one subdirectory each
-(``<dir>/<stage>/<digest>.json``): one ``summary`` per call-graph
-component, one ``report`` per function, one ``sim`` (simulation report) and
-one ``manifest`` (the record of its last run) per program.  A stage's
-digest covers everything that can influence its output: the cache version,
-the analysis options, the program's type declarations (ADDS information
-changes verdicts), the function's own declaration text — and, per the
-bottom-up interprocedural discipline, the *artifact digests* of its direct
-callees' summary stage rather than their bodies.  That indirection is the
-early-cutoff firewall: editing a leaf in a way that leaves its summary
-artifact byte-identical leaves every caller's keys untouched, so callers are
-reused without being re-analyzed.
+The store holds one checksummed **record** per program, under the live
+directory of this :data:`CACHE_VERSION`::
 
-Stored payloads are *line-relative* (diagnostic line numbers are rebased to
-the function's first line), so byte-identical function bodies at different
-file offsets share one entry; the driver re-absolutizes on probe.
+    <dir>/v<CACHE_VERSION>/program/<key>.json   one record per program
+    <dir>/last-run.json                         the last run's counters
+    <dir>/quarantine/                           poison-task records
+
+A record holds the program's manifest (what its last run found), the
+``summary`` artifacts (one per call-graph component) and ``report``
+artifacts (one per function) that the manifest names, and the program's
+simulation; :mod:`repro.driver.stages` indexes them in memory under their
+own keys.  An artifact's key covers everything that can influence it: the
+cache version, the analysis options, the program's type declarations (ADDS
+information changes verdicts), the function's own declaration text — and,
+per the bottom-up interprocedural discipline, the *artifact digests* of its
+direct callees' summaries rather than their bodies.  That indirection is
+the early-cutoff firewall: editing a leaf in a way that leaves its summary
+artifact byte-identical leaves every caller's keys untouched, so callers
+are reused without being re-analyzed.  Report keys do not cover the file
+offset, so byte-identical function bodies at different offsets share one
+report; the driver moves a report to the probing function's lines.
 
 Each entry is encoded once: the file is the JSON object ``{"payload": P,
 "sha256": H}`` whose ``P`` is, byte for byte, the payload's canonical JSON
@@ -23,12 +28,14 @@ Each entry is encoded once: the file is the JSON object ``{"payload": P,
 hashes the bytes it found and parses them once; it never re-encodes.  A
 truncated, garbled, re-formatted or bit-flipped file — crashed writer, bad
 sector, an overeager ``sed`` — is therefore *detected* at read time, evicted
-from disk, and counted, and the stage is simply recomputed (a lost
-``report`` costs one recompute of its function); it can never feed a
-corrupt artifact into a batch.  Reads that raise :class:`OSError` (flaky
-network filesystems) are retried once before being treated as a miss.
-``verify()`` audits every stage directory on demand (the ``repro cache
-verify`` subcommand).
+from disk, and counted, and what it held is simply recomputed (a lost
+record costs its own program's functions); it can never feed a corrupt
+artifact into a batch.  Reads that raise :class:`OSError` (flaky network
+filesystems) are retried once before being treated as a miss.  ``verify()``
+audits the live directory on demand (the ``repro cache verify``
+subcommand); everything else in the store but the ledger and
+``quarantine/`` is *stale* — what other store versions wrote — which runs
+never read and ``clear()`` removes.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 from repro.lang.ast_nodes import Program
@@ -44,20 +52,20 @@ from repro.lang.pretty import unparse
 
 from repro.driver.faults import active_plan
 
-#: bump when the per-function report schema or analysis semantics change
-#: (2: parallel-for gained the sequential for's step/descending/re-read
-#: semantics, so cached simulation reports from version 1 may be stale)
-CACHE_VERSION = 12  # v12: a self-assignment ``q = q`` keeps q's matrix row and column
+#: bump when the per-function report schema, the store layout or analysis
+#: semantics change; each version keeps its records in its own directory
+CACHE_VERSION = 13  # v13: one record per program
 
-#: stage namespaces of the artifact store, one subdirectory each
-STAGES = ("summary", "report", "sim", "manifest")
-
-#: stages earlier versions wrote and nothing reads: the maintenance
-#: commands (info, stats, verify, clear) still walk them
-RETIRED_STAGES = ("parse", "typecheck", "analysis", "loops", "transforms")
+#: the stage namespaces runs read and write, one subdirectory each of the
+#: live directory: one ``program`` record per program
+STAGES = ("program",)
 
 #: name of the (unchecksummed) per-run counter ledger at the store top level
 LEDGER_NAME = "last-run.json"
+
+#: the quarantine records' directory at the store top level, which is not
+#: part of the store: the maintenance commands neither count nor clear it
+QUARANTINE_NAME = "quarantine"
 
 #: the store-wide counters a :class:`ResultCache` keeps besides the per-stage ones
 _COUNTERS = ("evictions", "io_retries")
@@ -115,6 +123,13 @@ def function_digests(
             callee_part,
         )
     return digests
+
+
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
 
 
 class CorruptEntryError(ValueError):
@@ -187,7 +202,8 @@ def decode_entry(text: str) -> dict:
 
 
 class ResultCache:
-    """A per-stage tree of ``<stage>/<digest>.json`` checksummed payloads.
+    """A per-stage tree of ``<stage>/<digest>.json`` checksummed payloads
+    under the live directory ``v<CACHE_VERSION>``.
 
     ``directory=None`` disables the store (every lookup misses, nothing is
     written) so the driver code has a single code path.  Every read/write
@@ -196,6 +212,10 @@ class ResultCache:
 
     def __init__(self, directory: str | Path | None):
         self.directory = Path(directory) if directory is not None else None
+        #: this version's entries; everything else in the store is stale
+        self.live = (
+            self.directory / f"v{CACHE_VERSION}" if self.directory is not None else None
+        )
         self.evictions = 0  # corrupt entries detected and removed
         self.io_retries = 0  # reads that failed once and were retried
         #: per-stage {"hits", "misses", "writes"} counters
@@ -215,8 +235,18 @@ class ResultCache:
         return counters
 
     def _path(self, key: str, stage: str) -> Path:
-        assert self.directory is not None
-        return self.directory / stage / f"{key}.json"
+        assert self.live is not None
+        return self.live / stage / f"{key}.json"
+
+    def keys(self, stage: str) -> list[str]:
+        """The keys of ``stage``'s entries on disk."""
+        if self.live is None:
+            return []
+        try:
+            names = os.listdir(self.live / stage)
+        except OSError:
+            return []
+        return sorted(name[: -len(".json")] for name in names if name.endswith(".json"))
 
     def _load(self, key: str, stage: str) -> dict | None:
         """Read + integrity-check one entry: transient ``OSError`` reads are
@@ -314,18 +344,17 @@ class ResultCache:
 
     # -- maintenance ---------------------------------------------------------
     def _stage_dirs(self):
-        """Existing stage subdirectories, retired ones included (quarantine/
-        and the ledger are not checksummed artifacts and must not be audited
-        as such)."""
-        if self.directory is None:
+        """The live stage subdirectories: the ledger, ``quarantine/`` and
+        stale files are not this version's checksummed entries and must not
+        be audited as such."""
+        if self.live is None or not self.live.is_dir():
             return
-        for stage in STAGES + RETIRED_STAGES:
-            stage_dir = self.directory / stage
+        for stage_dir in sorted(self.live.iterdir()):
             if stage_dir.is_dir():
-                yield stage, stage_dir
+                yield stage_dir.name, stage_dir
 
     def verify(self, evict: bool = False) -> dict:
-        """Audit every artifact on disk against its checksum.
+        """Audit every live entry on disk against its checksum.
 
         Returns ``{"checked", "ok", "corrupt": [{"file", "error"}, ...],
         "evicted"}``; with ``evict=True`` corrupt files are also removed (and
@@ -350,50 +379,56 @@ class ResultCache:
                     report["ok"] += 1
         return report
 
-    def clear(self) -> int:
-        """Delete every cached artifact; returns the number removed."""
+    def stale(self) -> dict[str, tuple[int, int]]:
+        """Everything at the store's top level but the live directory, the
+        ledger and ``quarantine/`` — the trees and flat entries other store
+        versions wrote: per name, its file count and bytes."""
+        found: dict[str, tuple[int, int]] = {}
+        if self.directory is None or not self.directory.is_dir():
+            return found
+        for path in sorted(self.directory.iterdir()):
+            if path == self.live or path.name in (LEDGER_NAME, QUARANTINE_NAME):
+                continue
+            files = [path] if not path.is_dir() else [p for p in path.rglob("*") if p.is_file()]
+            found[path.name] = (len(files), sum(_size(p) for p in files))
+        return found
+
+    def clear(self) -> tuple[int, int]:
+        """Delete every live entry, every stale file and the ledger; returns
+        how many entries and stale files were removed.  ``quarantine/``
+        stays."""
         self._memory.clear()
-        if self.directory is None or not self.directory.exists():
-            return 0
         removed = 0
         for _, stage_dir in self._stage_dirs():
-            for path in stage_dir.glob("*.json"):
+            # live directories stay: a concurrent run may be publishing into
+            # them; scratch files orphaned by a crashed writer go too
+            for path in stage_dir.iterdir():
                 path.unlink(missing_ok=True)
-                removed += 1
-            # scratch files orphaned by a crashed writer (pid-suffixed, so a
-            # later run never reuses them)
-            for tmp in stage_dir.glob("*.tmp"):
-                tmp.unlink(missing_ok=True)
-        # pre-v6 flat entries and the counter ledger live at the top level
-        for path in self.directory.glob("*.json"):
-            path.unlink(missing_ok=True)
-            if path.name != LEDGER_NAME:
-                removed += 1
-        for tmp in self.directory.glob("*.tmp"):
-            tmp.unlink(missing_ok=True)
-        return removed
+                removed += path.suffix == ".json"
+        stale = self.stale()
+        for name in stale:
+            path = self.directory / name
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+        if self.directory is not None:
+            (self.directory / LEDGER_NAME).unlink(missing_ok=True)
+        return removed, sum(files for files, _ in stale.values())
+
+    def _entries(self, stage: str | None):
+        for name, stage_dir in self._stage_dirs():
+            if stage is None or name == stage:
+                yield from stage_dir.glob("*.json")
 
     def entry_count(self, stage: str | None = None) -> int:
-        """Artifacts on disk, in one ``stage`` or across all stages."""
-        total = 0
-        for name, stage_dir in self._stage_dirs():
-            if stage is not None and name != stage:
-                continue
-            total += sum(1 for _ in stage_dir.glob("*.json"))
-        return total
+        """Live entries on disk, in one ``stage`` or across all stages."""
+        return sum(1 for _ in self._entries(stage))
 
     def disk_usage(self, stage: str | None = None) -> int:
-        """Bytes on disk, in one ``stage`` or across all stages."""
-        total = 0
-        for name, stage_dir in self._stage_dirs():
-            if stage is not None and name != stage:
-                continue
-            for path in stage_dir.glob("*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-        return total
+        """Bytes of live entries on disk, in one ``stage`` or across all
+        stages."""
+        return sum(_size(path) for path in self._entries(stage))
 
     # -- the run ledger (for `repro cache stats`) ----------------------------
     def write_ledger(self, stats: dict) -> None:

@@ -46,7 +46,7 @@ from repro.driver.batch import (
     BatchExecutionError,
     BatchReport,
 )
-from repro.driver.cache import canonical_json
+from repro.driver.cache import QUARANTINE_NAME, canonical_json
 from repro.driver.corpus import CORPORA, corpus_named, load_source_file
 from repro.driver.executor import WorkerPoolError, default_jobs
 from repro.driver.faults import FAULTS_ENV_VAR, FaultSpecError, parse_fault_spec
@@ -224,13 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("info", "verify", "stats"),
         default="info",
         help=(
-            "info: entry count (default); verify: checksum every entry; "
-            "stats: per-stage artifact counts and bytes, and the last run's "
-            "reuse and per-stage store traffic"
+            "info: record count (default); verify: checksum every record; "
+            "stats: per-stage record counts and bytes, and the last run's "
+            "reuse and per-stage store traffic; each lists the stale files "
+            "other store versions left"
         ),
     )
     cache.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    cache.add_argument("--clear", action="store_true", help="delete all cached results")
+    cache.add_argument(
+        "--clear", action="store_true", help="delete all cached results and stale files"
+    )
     cache.add_argument(
         "--evict",
         action="store_true",
@@ -242,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     quarantine.add_argument(
         "--dir",
-        default=str(Path(DEFAULT_CACHE_DIR) / "quarantine"),
+        default=str(Path(DEFAULT_CACHE_DIR) / QUARANTINE_NAME),
         help="quarantine record directory (default <cache-dir>/quarantine)",
     )
     quarantine.add_argument(
@@ -379,7 +382,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
     quarantine_dir = args.quarantine_dir
     if quarantine_dir is None and cache_dir is not None:
-        quarantine_dir = str(Path(cache_dir) / "quarantine")
+        quarantine_dir = str(Path(cache_dir) / QUARANTINE_NAME)
 
     options = PipelineOptions(
         use_adds=not args.no_adds,
@@ -505,8 +508,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     cache = ResultCache(args.cache_dir)
     if args.clear:
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {args.cache_dir}")
+        records, stale = cache.clear()
+        print(
+            f"removed {records} cached result(s) and {stale} stale file(s) "
+            f"from {args.cache_dir}"
+        )
         return 0
     if args.action == "verify":
         audit = cache.verify(evict=args.evict)
@@ -517,30 +523,37 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"{audit['ok']} ok, {len(audit['corrupt'])} corrupt, "
             f"{audit['evicted']} evicted"
         )
+        _print_stale(cache)
         # corrupt entries still on disk are a problem; evicted ones are fixed
         return 1 if len(audit["corrupt"]) > audit["evicted"] else 0
     if args.action == "stats":
         return _cache_stats(cache, args.cache_dir)
     print(f"{args.cache_dir}: {cache.entry_count()} cached result(s)")
+    _print_stale(cache)
     return 0
 
 
-def _cache_stats(cache, cache_dir: str) -> int:
-    from repro.driver.cache import RETIRED_STAGES, STAGES
+def _print_stale(cache) -> None:
+    """What other store versions left: no run reads it, ``--clear``
+    removes it."""
+    for name, (count, size) in cache.stale().items():
+        print(f"  stale {name:<12} {count:>6} file(s)    {size:>10} byte(s)")
 
-    total_count = 0
-    total_bytes = 0
-    rows = []
-    for stage in STAGES + RETIRED_STAGES:
+
+def _cache_stats(cache, cache_dir: str) -> int:
+    from repro.driver.cache import CACHE_VERSION, STAGES
+
+    print(
+        f"{cache_dir}: {cache.entry_count()} record(s), {cache.disk_usage()} byte(s) "
+        f"(store version {CACHE_VERSION})"
+    )
+    for stage in STAGES:
         count = cache.entry_count(stage)
-        size = cache.disk_usage(stage)
-        total_count += count
-        total_bytes += size
         if count:
-            rows.append((stage, count, size))
-    print(f"{cache_dir}: {total_count} artifact(s), {total_bytes} byte(s)")
-    for stage, count, size in rows:
-        print(f"  {stage:<10} {count:>6} artifact(s)  {size:>10} byte(s)")
+            print(
+                f"  {stage:<10} {count:>6} record(s)  {cache.disk_usage(stage):>10} byte(s)"
+            )
+    _print_stale(cache)
     ledger = cache.read_ledger()
     if ledger is None:
         print("last run: no ledger (run analyze with this cache first)")

@@ -20,10 +20,10 @@ Three layers:
   again), re-run on the simulated multiprocessor, and report the speedup
   and whether the heaps agree (the paper's semantics-preservation check).
 
-:func:`relativize_report` / :func:`absolutize_report` rebase every source
-line a report mentions against the function's first line, so the store holds
-offset-independent payloads (byte-identical bodies share one entry) while
-everything user-facing stays absolute.
+:func:`absolutize_report` moves every source line a report mentions from
+one first line of its function to another, so that one stored report
+serves byte-identical bodies at any offset, while everything user-facing
+stays absolute.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _transform_applicability(program: Program, function: str, index: int) -> dic
     return outcomes
 
 
-# -- line-relative payloads ---------------------------------------------------
+# -- moving reports between lines ---------------------------------------------
 _LINE_REF_RE = re.compile(r"line (\d+)")
 
 #: dict keys whose integer values are source line numbers
@@ -266,18 +266,23 @@ def _shift_report(report: dict, delta: int) -> dict:
 
 
 def relativize_report(report: dict, base_line: int) -> dict:
-    """Rebase every source line in ``report`` to be relative to ``base_line``.
+    """Rebase every source line in ``report``, computed for a function at
+    ``base_line``, to be relative to that line: the report the same
+    function would have at line 1.
 
-    Applied at the store boundary only: cached payloads say "line 3 of this
-    function" so byte-identical bodies at different file offsets share one
-    artifact.  In-process and user-facing reports stay absolute.
+    Nothing in the engine calls it: the end-to-end benchmark's trace
+    (benchmarks/e2e/trace.py) resolves it as a ``driver.relocate`` target.
     """
-    return _shift_report(report, 1 - base_line)
+    return absolutize_report(report, 1, base_line)
 
 
-def absolutize_report(report: dict, base_line: int) -> dict:
-    """Inverse of :func:`relativize_report` for the probing caller's offset."""
-    return _shift_report(report, base_line - 1)
+def absolutize_report(report: dict, base_line: int, recorded_line: int = 1) -> dict:
+    """``report``, computed for a function at ``recorded_line`` (1: a
+    line-relative report), moved to the same function at ``base_line``;
+    ``report`` itself when the lines are equal."""
+    if base_line == recorded_line:
+        return report
+    return _shift_report(report, base_line - recorded_line)
 
 
 # -- whole-program simulation -------------------------------------------------

@@ -19,7 +19,7 @@ import repro.lang.typecheck
 import repro.pathmatrix.analysis
 from repro.driver import executor
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import function_digests
+from repro.driver.cache import ResultCache, function_digests
 from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem, corpus_named, load_source_file, paper_corpus
 from repro.driver.pipeline import (
@@ -614,13 +614,13 @@ class TestRobustness:
         batch = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
         assert batch.program("bad").error == f"type error: {error}"
         assert batch.program("bad").functions == {}
-        assert not (tmp_path / "manifest").exists()
+        assert ResultCache(tmp_path).keys("program") == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_type_error_does_not_abort_the_batch(self, jobs, tmp_path):
         """The program's error is the whole source's first diagnostic; every
-        other program completes, no manifest records the broken one, and
-        the CLI exits 1."""
+        other program completes, no record holds the broken one, and the
+        CLI exits 1."""
         bad = tmp_path / "dup.ptr"
         bad.write_text(
             "function f() { var x; x = 1; }\n"
@@ -638,4 +638,4 @@ class TestRobustness:
         alone = BatchDriver(jobs=1, cache_dir=None).analyze_corpus([load_source_file(good)])
         assert programs[1] == json.loads(json.dumps(alone.programs[0].to_dict()))
         assert programs[1]["simulation"]["status"] == "simulated"
-        assert len(list((store / "manifest").glob("*.json"))) == 1
+        assert len(ResultCache(store).keys("program")) == 1

@@ -27,8 +27,9 @@ function touch(p) { p->coef = 1; return p; }
 
 
 def _stage_entries(root):
-    """All checksummed artifacts under the staged store (the top-level
-    ledger is unchecksummed and not part of the audit surface)."""
+    """All checksummed entries under the store — one record per program
+    (the top-level ledger is unchecksummed and not part of the audit
+    surface)."""
     return sorted(p for p in root.rglob("*.json") if p.parent != root)
 
 
@@ -147,21 +148,24 @@ class TestCorruptionRecovery:
         recovered = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
         assert {p.name: p.functions for p in recovered.programs} == clean
 
-    def test_corrupt_report_heals_from_stage_artifacts(self, tmp_path):
-        # the report is the only per-function artifact: losing it costs one
-        # recompute of its function (its summary is still served), and the
-        # rewritten report serves the next run whole
+    def test_a_record_without_a_report_heals_from_its_summary(self, tmp_path):
+        # the report is the only per-function artifact: a record that lacks
+        # one (rewritten with a valid checksum) costs one recompute of its
+        # function (its summary is still served), and the republished record
+        # serves the next run whole
         _, items, seeded = self._seed(tmp_path)
         clean = {p.name: p.functions for p in seeded.programs}
-        for entry in (tmp_path / "report").glob("*.json"):
-            entry.write_text("garbage {{{")
+        (entry,) = _stage_entries(tmp_path)
+        record = decode_entry(entry.read_text())
+        record["report"] = {}
+        entry.write_text(encode_entry(record))
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         report = driver.analyze_corpus(items)
         assert json.dumps(
             {p.name: p.functions for p in report.programs}, sort_keys=True
         ) == json.dumps(clean, sort_keys=True)
         assert report.incremental["reused"] == 0
-        assert report.store["evictions"] == 1
+        assert report.store["evictions"] == 0
         assert report.incremental["recomputed"] == 1
         assert report.incremental["fixpoints_run"] == 1
         assert report.incremental["summaries_reused"] == 1

@@ -17,7 +17,7 @@ from repro.bench.stress import call_web_program_source
 from repro.driver import pipeline as pipeline_module
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import decode_entry, encode_entry
+from repro.driver.cache import ResultCache, decode_entry, encode_entry
 from repro.driver.corpus import CorpusItem, corpus_named
 from repro.lang import parser as parser_module
 from repro.lang.split import split_declarations
@@ -81,14 +81,30 @@ def _declaration_texts(source: str) -> list:
     return sorted(d.text for d in split_declarations(source))
 
 
+def _records(store) -> list:
+    """The store's record files, one per program."""
+    return sorted((ResultCache(store).live / "program").glob("*.json"))
+
+
+def _rewrite(store, change) -> None:
+    """Apply ``change`` to each record of ``store`` and store it back with
+    a valid checksum."""
+    for path in _records(store):
+        record = decode_entry(path.read_text())
+        change(record)
+        path.write_text(encode_entry(record))
+
+
 def _distrust_manifests(store) -> None:
-    """Make each manifest record other type declarations than its program
-    has: the next run reopens every component, and counts dirty only the
-    functions whose text changed."""
-    for path in (store / "manifest").glob("*.json"):
-        manifest = decode_entry(path.read_text())
-        manifest["types"] = "other type declarations"
-        path.write_text(encode_entry(manifest))
+    """Make each record's manifest record other type declarations than its
+    program has: the next run reopens every component, and counts dirty
+    only the functions whose text changed."""
+
+    def distrust(record):
+        if "manifest" in record:
+            record["manifest"]["types"] = "other type declarations"
+
+    _rewrite(store, distrust)
 
 
 class TestWorkCounts:
@@ -254,15 +270,18 @@ class TestFallbacks:
         return report, parsed
 
     def test_missing_manifest(self, tmp_path, monkeypatch):
+        """A record that holds its artifacts but no manifest: every function
+        counts dirty, and every artifact is still served."""
         source = _web(12)
         edited = _pad(source, "w4")
 
         def drop_manifest(store):
-            shutil.rmtree(store / "manifest")
+            _rewrite(store, lambda record: record.pop("manifest"))
 
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited, drop_manifest)
         assert sorted(parsed) == _declaration_texts(edited)
         assert report.incremental["dirty"] == 12
+        assert report.incremental["recomputed"] == 1
 
     def test_parse_error_in_an_edited_declaration(self, tmp_path, monkeypatch):
         source = _web(12)
@@ -295,22 +314,35 @@ class TestFallbacks:
         source = _web(12)
         edited = _pad(source, "w4")
 
+        lost: list = []  # the functions whose artifact is dropped
+
         def drop_artifact(store):
-            (path,) = (store / "manifest").glob("*.json")
-            entries = decode_entry(path.read_text())["functions"]
-            if stage == "summary":
-                # a callee's: the edited function's summary is recomputed
-                # from its callees' summary artifacts
-                (callee, *_) = entries["w4"]["callees"]
-                key = entries[callee]["skey"]
-            else:
-                key = entries["w0"]["report"]  # a function served unparsed
-            (store / stage / f"{key}.json").unlink()
+            def drop(record):
+                entries = record["manifest"]["functions"]
+                if stage == "summary":
+                    # a callee's: the edited function's summary is recomputed
+                    # from its callees' summary artifacts
+                    (callee, *_) = entries["w4"]["callees"]
+                    key = entries[callee]["skey"]
+                    lost.extend(n for n, entry in entries.items() if entry["skey"] == key)
+                else:
+                    key = entries["w0"]["report"]  # a function served unparsed
+                    lost.append("w0")
+                del record[stage][key]
+
+            _rewrite(store, drop)
 
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited, drop_artifact)
         # every declaration parsed once: those the first try parsed are kept
         assert sorted(parsed) == _declaration_texts(edited)
         assert report.incremental["dirty"] == 1
+        # the lost artifact costs itself (a summary its component's members),
+        # besides the edited function's own
+        inc = report.incremental
+        if stage == "summary":
+            assert (inc["summaries_recomputed"], inc["recomputed"]) == (1 + len(lost), 1)
+        else:
+            assert (inc["summaries_recomputed"], inc["recomputed"]) == (1, 1 + len(lost))
 
 
 class TestOneWalk:
@@ -342,8 +374,8 @@ class TestTypeErrors:
     def test_an_edit_that_breaks_one_function_through_the_cone(self, tmp_path):
         source = _web(12)
         _run(source, tmp_path)
-        (manifest,) = (tmp_path / "manifest").glob("*.json")
-        recorded = manifest.read_text()
+        (record,) = _records(tmp_path)
+        recorded = record.read_text()
         edited = source.replace("function w4(h)", "function w4(h, h)")
         report = _run(edited, tmp_path)
         line = next(d.line for d in split_declarations(edited) if d.name == "w4")
@@ -351,8 +383,8 @@ class TestTypeErrors:
         assert report.programs[0].error == error
         assert report.programs[0].functions == {}
         assert _view(report) == _view(_run(edited, None)) == _view(_run(edited, tmp_path, jobs=2))
-        # no manifest records the broken source: the original is still served
-        assert manifest.read_text() == recorded
+        # no record holds the broken source: the original is still served
+        assert record.read_text() == recorded
         assert _run(source, tmp_path).incremental["programs_unchanged"] == 1
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.adds.library import standard_source
 from repro.driver import batch, executor, stages
 from repro.driver.batch import BatchDriver
+from repro.driver.cache import ResultCache, decode_entry
 from repro.driver.cli import _report_partial
 from repro.driver.corpus import CorpusItem, paper_corpus
 from repro.driver.executor import preferred_start_method
@@ -140,6 +141,14 @@ def _function_dicts(report):
     return {p.name: p.functions for p in report.programs}
 
 
+def _records(store) -> list[dict]:
+    """The store's records, one per program."""
+    return [
+        decode_entry(path.read_text())
+        for path in sorted((ResultCache(store).live / "program").glob("*.json"))
+    ]
+
+
 class TestCrashRecovery:
     """Injected worker crashes exercised through real multi-process runs."""
 
@@ -171,6 +180,27 @@ class TestCrashRecovery:
         assert json.dumps(clean_dict, sort_keys=True) == json.dumps(
             faulted_dict, sort_keys=True
         )
+
+    def test_a_task_killed_mid_program_publishes_nothing(self, monkeypatch, tmp_path):
+        """A program's record is published after its last report: a task
+        killed at ``mid`` publishes nothing, not even the report of
+        ``tiny``, which it computed first, so its retry computes every
+        function again and converges to the clean report."""
+        clean = _run_batch(self._items(), None, monkeypatch, jobs=2, simulate=False)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash:function=mid,times=1")
+        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
+        faulted = driver.analyze_corpus(self._items())
+        assert faulted.resilience.worker_crashes == 1
+        assert faulted.resilience.retries == 1
+        assert not faulted.failed_functions()
+        # the retry found nothing of the killed attempt's in the store
+        assert faulted.incremental["recomputed"] == 3
+        assert faulted.store["stages"]["program"] == {"hits": 0, "misses": 2, "writes": 1}
+        assert json.dumps(_function_dicts(faulted), sort_keys=True) == json.dumps(
+            _function_dicts(clean), sort_keys=True
+        )
+        (record,) = _records(tmp_path)
+        assert len(record["report"]) == 3
 
     def test_poison_function_is_quarantined_with_record(self, monkeypatch, tmp_path):
         qdir = tmp_path / "quarantine"
@@ -329,13 +359,15 @@ class TestSimulationFaults:
         faulty = BatchDriver(jobs=2, cache_dir=tmp_path, max_retries=1).analyze_corpus(items)
         assert faulty.programs[0].functions["scale"]["status"] == "quarantined"
         assert faulty.programs[0].simulation != clean_sim
-        assert not list((tmp_path / "sim").glob("*.json"))
+        (record,) = _records(tmp_path)
+        assert record["sim"] == {}
 
         monkeypatch.delenv(FAULTS_ENV_VAR)
         healed = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
         assert healed.incremental["simulations_reused"] == 0
         assert healed.to_dict()["programs"] == baseline.to_dict()["programs"]
-        assert len(list((tmp_path / "sim").glob("*.json"))) == 1
+        (record,) = _records(tmp_path)
+        assert len(record["sim"]) == 1
 
     def test_permanent_simulate_crash_reports_crashed_status(self, monkeypatch):
         report = _run_batch(

@@ -1,8 +1,9 @@
 """The staged engine's incremental guarantees: summary-digest firewalling
 (early cutoff), soundness of the firewall (summary- and return-type-changing
 edits must invalidate callers), unchanged programs served whole from their
-manifest and every fallback from that shortcut, line-relative artifact
-sharing across offsets, and one store shared by every ``--jobs``.
+record and every fallback from that shortcut, artifact sharing across
+offsets and programs, one store shared by every ``--jobs``, and the store
+files each kind of run reads and writes.
 
 The acceptance property throughout: an incremental run's report is
 **bit-identical** to the same analysis from scratch — incrementality may
@@ -10,13 +11,14 @@ never change an answer, only skip work.
 """
 
 import json
-import shutil
+import pathlib
+import re
 
 import pytest
 
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import ResultCache, decode_entry, encode_entry
+from repro.driver.cache import CACHE_VERSION, ResultCache, decode_entry, encode_entry
 from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem, corpus_named
 from repro.driver.pipeline import PipelineOptions
@@ -85,6 +87,21 @@ def _scratch(source, name="prog"):
     driver = BatchDriver(jobs=1, cache_dir=None, simulate=False)
     report = driver.analyze_corpus([CorpusItem(name=name, source=source)])
     return {p.name: p.functions for p in report.programs}
+
+
+def _records(store) -> list:
+    """The store's record files, one per program."""
+    return sorted((ResultCache(store).live / "program").glob("*.json"))
+
+
+def _rewrite(path, change) -> dict:
+    """Apply ``change`` to the record at ``path`` and store it back with a
+    valid checksum; return the record as it was."""
+    record = decode_entry(path.read_text())
+    changed = decode_entry(path.read_text())
+    change(changed)
+    path.write_text(encode_entry(changed))
+    return record
 
 
 class TestEarlyCutoff:
@@ -182,6 +199,8 @@ function extra(q)
   return c;
 }
 """
+        (path,) = _records(tmp_path)
+        before = decode_entry(path.read_text())["report"]
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         warm = driver.analyze_corpus([CorpusItem(name="prog", source=edited)])
         inc = warm.incremental
@@ -189,8 +208,12 @@ function extra(q)
         assert inc["dirty"] == 1
         assert inc["recomputed"] == 1
         assert inc["reused"] == 3
-        assert driver.cache.stage_counters["report"]["hits"] == 3
-        assert driver.cache.stage_counters["report"]["writes"] == 1
+        # one record read and one written, which holds the three reports the
+        # last one held and the new function's
+        assert driver.cache.stage_counters == {"program": {"hits": 1, "misses": 0, "writes": 1}}
+        after = decode_entry(path.read_text())["report"]
+        assert len(after) == 4
+        assert all(after.get(key) == entry for key, entry in before.items())
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
         loop = warm.program("prog").functions["extra"]["loops"][0]
         assert loop["transforms"]["strip_mine"]["applied"]
@@ -243,9 +266,9 @@ def _functions(report) -> list:
 
 class TestUnchangedPrograms:
     """A run serves a program whose source is byte-identical to its
-    manifest's record straight from the named ``report`` artifacts, and
-    falls through to the walk on every kind of mismatch, which reopens
-    every component when the record cannot serve what it names."""
+    record's straight from the reports the record holds, and falls through
+    to the walk on every kind of mismatch, which reopens every component
+    when the record cannot serve what its manifest names."""
 
     def test_unchanged_program_is_served_unparsed_and_untypechecked(
         self, tmp_path, monkeypatch
@@ -253,10 +276,12 @@ class TestUnchangedPrograms:
         cold = _run(BASE, tmp_path)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an unchanged program was parsed or typechecked")
+            raise AssertionError("an unchanged program was parsed, typechecked or summarized")
 
         monkeypatch.setattr(stages_module, "parse_program", forbidden)
         monkeypatch.setattr("repro.pathmatrix.analysis.check_program", forbidden)
+        # nor is a summary decoded: the record keeps each one as its text
+        monkeypatch.setattr(stages_module.StagedEngine, "_summary", forbidden)
         warm = _run(BASE, tmp_path)
 
         assert warm.program("prog").to_dict() == cold.program("prog").to_dict()
@@ -307,30 +332,62 @@ class TestUnchangedPrograms:
         assert _functions(reverted) == [_scratch(BASE)["prog"]]
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
 
-    def test_garbled_report_is_evicted_once_and_falls_through(self, tmp_path, monkeypatch):
-        cold = _run(BASE, tmp_path)
-        victim = sorted((tmp_path / "report").glob("*.json"))[0]
+    def test_a_new_simulation_keeps_the_carried_generation(self, tmp_path):
+        """A -> B, then B simulated: the record only gains B's simulation,
+        so it still carries A's reports and the revert to A reuses them."""
+        _run(BASE, tmp_path)
+        _run(PADDED, tmp_path)
+        simulated = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(
+            [CorpusItem(name="prog", source=PADDED)]
+        )
+        assert simulated.incremental["programs_unchanged"] == 1
+        assert simulated.store["stages"]["program"]["writes"] == 1
+        reverted = _run(BASE, tmp_path)
+        assert (reverted.incremental["recomputed"], reverted.incremental["reused"]) == (0, 3)
+
+    def test_garbled_record_is_evicted_once_and_costs_its_own_program(
+        self, tmp_path, monkeypatch
+    ):
+        items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="other", source=OTHER)]
+        driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        cold = driver.analyze_corpus(items)
+        victim = ResultCache(tmp_path).live / "program" / f"{driver.engine.record_key('prog')}.json"
         victim.write_text("garbage {{{")
 
         parsed = _count_parses(monkeypatch)
-        healed = _run(BASE, tmp_path)
-        # the walk reopened every component: each declaration parsed once
+        healed = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
+        # prog's walk started from nothing: each declaration parsed once
         assert sorted(parsed) == sorted(_declaration_texts(BASE, "leaf", "caller", "unrelated"))
         assert healed.store["evictions"] == 1
+        assert healed.store["stages"]["program"] == {"hits": 1, "misses": 1, "writes": 1}
+        # every function of prog is recomputed; other is served whole
         assert healed.incremental == dict(
-            SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
+            SERVED_BASE,
+            reused=1,
+            summaries_reused=1,
+            recomputed=3,
+            dirty=3,
+            summaries_recomputed=3,
+            fixpoints_run=cold.incremental["fixpoints_run"] - 1,
         )
         assert json.dumps(_functions(healed), sort_keys=True) == json.dumps(
             _functions(cold), sort_keys=True
         )
-        # the walk rewrote the report: served whole again
-        assert _run(BASE, tmp_path).incremental == SERVED_BASE
+        # the walk rewrote the record: both programs are served whole again
+        again = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False).analyze_corpus(items)
+        assert again.incremental["programs_unchanged"] == 2
 
-    def test_missing_report_falls_through(self, tmp_path):
+    def test_a_record_without_a_report_recomputes_that_function(self, tmp_path):
         cold = _run(BASE, tmp_path)
-        sorted((tmp_path / "report").glob("*.json"))[-1].unlink()
+        (path,) = _records(tmp_path)
+
+        def drop_report(record):
+            del record["report"][record["manifest"]["functions"]["leaf"]["report"]]
+
+        _rewrite(path, drop_report)
         healed = _run(BASE, tmp_path)
         assert healed.store["evictions"] == 0
+        # leaf's summary is still served; its report alone is recomputed
         assert healed.incremental == dict(
             SERVED_BASE, programs_unchanged=0, reused=2, recomputed=1, fixpoints_run=1
         )
@@ -343,17 +400,20 @@ class TestUnchangedPrograms:
         self, tmp_path, monkeypatch
     ):
         cold = _run(BASE, tmp_path)
-        (manifest_path,) = (tmp_path / "manifest").glob("*.json")
-        manifest = decode_entry(manifest_path.read_text())
-        # a record as earlier versions wrote it: no source digest, and no
-        # declaration digests, callees or summary keys to build a cone from
-        older = {
-            "functions": {
-                name: {"summary": entry["summary"], "report": entry["report"]}
-                for name, entry in manifest["functions"].items()
+        (path,) = _records(tmp_path)
+
+        def older(record):
+            # a manifest as earlier versions wrote it: no source digest, and
+            # no declaration digests, callees or summary keys to build a
+            # cone from
+            record["manifest"] = {
+                "functions": {
+                    name: {"summary": entry["summary"], "report": entry["report"]}
+                    for name, entry in record["manifest"]["functions"].items()
+                }
             }
-        }
-        manifest_path.write_text(encode_entry(older))
+
+        original = _rewrite(path, older)
 
         parsed = _count_parses(monkeypatch)
         warm = _run(BASE, tmp_path)
@@ -362,7 +422,7 @@ class TestUnchangedPrograms:
         # with no declaration digests recorded, every function counts dirty
         assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0, dirty=3)
         assert _functions(warm) == _functions(cold)
-        assert decode_entry(manifest_path.read_text()) == manifest
+        assert decode_entry(path.read_text()) == original
 
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
         assert sorted(parsed) == every_declaration
@@ -377,11 +437,11 @@ class TestUnchangedPrograms:
             driver = BatchDriver(jobs=jobs, cache_dir=tmp_path, simulate=False)
             report = driver.analyze_corpus(items)
             assert _functions(report) == expected
-            # one name, one manifest: a shared name neither reads nor writes
+            # one name, one record: a shared name neither reads nor writes
             # it, so it is never served whole and every function is dirty
             assert report.incremental["programs_unchanged"] == 0
             assert report.incremental["dirty"] == 3 + 1
-        assert not (tmp_path / "manifest").exists()
+        assert _records(tmp_path) == []
 
         # alone, a program is served only from a record of its own source
         base = _run(BASE, tmp_path)
@@ -427,12 +487,20 @@ class TestUnchangedPrograms:
         its timing (it used to read flags the simulation had cleared)."""
         item = CorpusItem(name="prog", source=BASE + "\nfunction main()\n{ return 0; }\n")
         BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
-        shutil.rmtree(tmp_path / "sim")
+        (path,) = _records(tmp_path)
+        _rewrite(path, lambda record: record["sim"].clear())
         report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
         assert report.incremental["simulations_reused"] == 0
         assert report.incremental["recomputed"] == 0
         assert report.program("prog").simulation is not None
         assert report.incremental["programs_unchanged"] == 1
+        # the new simulation joined the record, which is otherwise unchanged
+        before = decode_entry(path.read_text())
+        again = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
+        assert again.incremental["simulations_reused"] == 1
+        assert again.store["stages"]["program"]["writes"] == 0
+        assert decode_entry(path.read_text()) == before
+        assert list(before["sim"].values()) == [report.program("prog").simulation]
 
     def test_served_programs_are_counted_in_both_report_lines(self, tmp_path, capsys):
         source = tmp_path / "prog.ptr"
@@ -455,18 +523,18 @@ class TestUnchangedPrograms:
         ]
 
 
-class TestRetiredStages:
-    """The ``parse`` and ``typecheck`` stages were written and never read;
-    ``analysis``, ``loops`` and ``transforms`` were read only to rebuild a
-    lost report."""
+class TestStoreLayout:
+    """Runs read and write only this store version's records, one per
+    program; whatever else the store holds is stale, which the cache
+    commands list apart and ``--clear`` removes."""
 
     def test_cold_run_writes_no_parse_or_typecheck_artifacts(self, tmp_path):
         _run(BASE, tmp_path)
-        assert (tmp_path / "report").is_dir()
+        assert len(_records(tmp_path)) == 1
         assert not (tmp_path / "parse").exists()
         assert not (tmp_path / "typecheck").exists()
 
-    def test_cold_run_writes_one_report_per_function_and_nothing_else(self, tmp_path):
+    def test_cold_run_writes_one_record_per_program_and_nothing_else(self, tmp_path):
         # five functions, each its own component; both programs record a
         # simulation (BASE's says it has no entry)
         items = [
@@ -476,30 +544,100 @@ class TestRetiredStages:
         driver = BatchDriver(jobs=1, cache_dir=tmp_path)
         report = driver.analyze_corpus(items)
         assert report.incremental["recomputed"] == 5
-        stages = {p.parent.name for p in tmp_path.rglob("*.json") if p.parent != tmp_path}
-        assert stages == {"summary", "report", "sim", "manifest"}
-        written = {
-            stage: counters["writes"]
-            for stage, counters in driver.cache.stage_counters.items()
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == {"last-run.json"} | {
+            f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}.json"
+            for item in items
         }
-        assert written == {"summary": 5, "report": 5, "sim": 2, "manifest": 2}
-        for stage, count in written.items():
-            assert len(list((tmp_path / stage).glob("*.json"))) == count, stage
+        assert driver.cache.stage_counters == {"program": {"hits": 0, "misses": 2, "writes": 2}}
+        # each record: one summary per component, one report per function,
+        # the simulation, and the manifest that names them
+        records = {
+            name: decode_entry(path.read_text())
+            for name, path in zip(
+                ("prog", "other"),
+                (
+                    ResultCache(tmp_path).live / "program" / f"{driver.engine.record_key(n)}.json"
+                    for n in ("prog", "other")
+                ),
+            )
+        }
+        for name, functions in (("prog", 3), ("other", 2)):
+            record = records[name]
+            assert set(record) == {"manifest", "summary", "report", "sim"}
+            assert (len(record["summary"]), len(record["report"]), len(record["sim"])) == (
+                functions, functions, 1,
+            )
+            assert len(record["manifest"]["functions"]) == functions
 
     @pytest.mark.parametrize(
-        "retired", ["parse", "typecheck", "analysis", "loops", "transforms"]
+        "retired",
+        [
+            "parse", "typecheck", "analysis", "loops", "transforms",
+            "summary", "report", "sim", "manifest",
+        ],
     )
     def test_clear_empties_a_store_that_has_them(self, tmp_path, capsys, retired):
         _run(BASE, tmp_path)
         stage_dir = tmp_path / retired
         stage_dir.mkdir(exist_ok=True)
         (stage_dir / "0123.json").write_text(encode_entry({"body": "x"}))
-        assert ResultCache(tmp_path).verify()["corrupt"] == []
-        before = ResultCache(tmp_path).entry_count()
+        cache = ResultCache(tmp_path)
+        assert cache.verify()["corrupt"] == []
+        assert cache.entry_count() == 1
+        assert set(cache.stale()) == {retired}
 
         assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
-        assert f"removed {before} cached result(s)" in capsys.readouterr().out
+        assert "removed 1 cached result(s) and 1 stale file(s)" in capsys.readouterr().out
         assert list(tmp_path.rglob("*.json")) == []
+
+    def test_older_store_versions_are_stale_not_cached(self, tmp_path, capsys):
+        """A store a version 12 run filled (one tree per stage), older
+        retired stages, another version's records and a flat pre-version-6
+        entry: none of it is counted or audited as a cached result, each is
+        listed as stale with its files and bytes, and ``--clear`` removes
+        all of it and this version's records, and leaves ``quarantine/``."""
+        _run(BASE, tmp_path)
+        stale = {
+            stage: [tmp_path / stage / f"{i:064x}.json" for i in range(2)]
+            for stage in ("summary", "report", "sim", "manifest", "parse")
+        }
+        stale["v99"] = [tmp_path / "v99" / "program" / f"{0:064x}.json"]
+        stale["0123.json"] = [tmp_path / "0123.json"]
+        for paths in stale.values():
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(encode_entry({"stale": path.name}))
+        quarantined = tmp_path / "quarantine" / "prog.json"
+        quarantined.parent.mkdir()
+        quarantined.write_text("{}")
+
+        cache = ResultCache(tmp_path)
+        assert cache.entry_count() == 1
+        assert cache.verify() == {"checked": 1, "ok": 1, "corrupt": [], "evicted": 0}
+        assert cache.stale() == {
+            name: (len(paths), sum(p.stat().st_size for p in paths))
+            for name, paths in stale.items()
+        }
+        store = str(tmp_path)
+        for argv, live in (
+            (["cache"], f"{store}: 1 cached result(s)"),
+            (["cache", "stats"], f"{store}: 1 record(s)"),
+            (["cache", "verify"], f"{store}: 1 entr(ies) checked, 1 ok, 0 corrupt"),
+        ):
+            assert main(argv + ["--cache-dir", store]) == 0
+            out = capsys.readouterr().out
+            assert live in out, argv
+            for name, paths in stale.items():
+                assert re.search(rf"stale {re.escape(name)} +{len(paths)} file\(s\)", out), name
+
+        assert main(["cache", "--clear", "--cache-dir", store]) == 0
+        stale_files = sum(len(paths) for paths in stale.values())
+        assert f"removed 1 cached result(s) and {stale_files} stale file(s)" in (
+            capsys.readouterr().out
+        )
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [quarantined]
+        assert ResultCache(tmp_path).stale() == {}
 
 
 class TestLineRelativeSharing:
@@ -565,11 +703,29 @@ class TestOneStoreAtEveryJobs:
         )
         assert _functions(warm) == [_scratch(PADDED)["prog"]]
 
+    def test_a_record_published_after_a_look_is_read_at_the_next_miss(self, tmp_path):
+        """Two engines over one store, as two pool workers are: once one
+        has listed the store, a record the other publishes later is still
+        read at the first's next missing key, so a copy of that program
+        under another name reuses every report."""
+        first = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        second = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        first.analyze_corpus([CorpusItem(name="other", source=OTHER)])
+        looked = second.analyze_corpus([CorpusItem(name="other copy", source=OTHER)])
+        assert looked.incremental["recomputed"] == 0
+        first.analyze_corpus([CorpusItem(name="prog", source=BASE)])
+        copy = second.analyze_corpus([CorpusItem(name="prog copy", source=BASE)])
+        assert (copy.incremental["recomputed"], copy.incremental["reused"]) == (0, 3)
+        # over both runs: each missed its own record, read the one record
+        # the first engine had published since, and published its own
+        assert copy.store["stages"]["program"] == {"hits": 2, "misses": 2, "writes": 2}
+        assert _functions(copy) == [_scratch(BASE)["prog"]]
+
     def test_a_pooled_cold_run_writes_what_a_serial_one_writes(self, tmp_path):
-        """Pool workers write summaries, reports, simulations and manifests
-        themselves; the record counts their writes.  Both runs emit one
-        ``stats`` shape (the pooled run adds its ``profile``), and the
-        store's ``last-run.json`` is that record."""
+        """Pool workers publish their programs' records themselves; the
+        run's ``stats`` counts their writes.  Both runs emit one ``stats``
+        shape (the pooled run adds its ``profile``), and the store's
+        ``last-run.json`` is that ``stats``."""
         items = [
             CorpusItem(name="prog", source=BASE),
             CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
@@ -582,7 +738,7 @@ class TestOneStoreAtEveryJobs:
             writes[jobs] = {
                 stage: c["writes"] for stage, c in stats[jobs]["store"]["stages"].items()
             }
-        assert writes[2] == writes[1] == {"summary": 5, "report": 5, "sim": 2, "manifest": 2}
+        assert writes[2] == writes[1] == {"program": 2}
         shapes = {
             jobs: {k: sorted(v) if isinstance(v, dict) else None for k, v in s.items()}
             for jobs, s in stats.items()
@@ -590,3 +746,81 @@ class TestOneStoreAtEveryJobs:
         assert shapes[2].pop("profile") == ["tasks", "totals"]
         assert shapes[2] == shapes[1]
         assert stats[2]["incremental"] == stats[1]["incremental"]
+
+
+class _StoreTraffic:
+    """The store files a run reads (opens that find a file) and those it
+    publishes (an atomic rename publishes every store file and the ledger),
+    relative to the store, recorded in this process."""
+
+    def __init__(self, monkeypatch, store):
+        self.read: list[str] = []
+        self.published: list[str] = []
+        real_open, real_replace = pathlib.Path.open, pathlib.Path.replace
+
+        def opening(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)  # a miss raises here
+            if "r" in mode and store in path.parents:
+                self.read.append(path.relative_to(store).as_posix())
+            return handle
+
+        def replacing(path, target):
+            if store in pathlib.Path(target).parents:
+                self.published.append(pathlib.Path(target).relative_to(store).as_posix())
+            return real_replace(path, target)
+
+        monkeypatch.setattr(pathlib.Path, "open", opening)
+        monkeypatch.setattr(pathlib.Path, "replace", replacing)
+
+    def take(self) -> tuple[list[str], list[str]]:
+        """What was read and published since the last call, sorted."""
+        taken = sorted(self.read), sorted(self.published)
+        self.read.clear()
+        self.published.clear()
+        return taken
+
+
+class TestStoreFiles:
+    """The store is one file per program: on the ``bench`` corpus a cold
+    run publishes one record per program and the ledger, a no-op reads one
+    record per program and publishes only the ledger, a summary-preserving
+    edit of one program publishes that program's record, and a pooled cold
+    run writes the records a serial one writes."""
+
+    def test_one_file_per_program_on_the_bench_corpus(self, tmp_path, monkeypatch):
+        items = corpus_named("bench")
+        store = tmp_path / "serial"
+        driver = BatchDriver(jobs=1, cache_dir=store)
+        record = {
+            item.name: f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}.json"
+            for item in items
+        }
+        records = sorted(record.values())
+        assert len(records) == len(items) == 15
+        traffic = _StoreTraffic(monkeypatch, store)
+
+        driver.analyze_corpus(items)
+        assert traffic.take() == ([], sorted(records + ["last-run.json"]))
+        files = sorted(p.relative_to(store).as_posix() for p in store.rglob("*") if p.is_file())
+        assert files == sorted(records + ["last-run.json"])
+
+        noop = BatchDriver(jobs=1, cache_dir=store).analyze_corpus(items)
+        assert noop.incremental["programs_unchanged"] == len(items)
+        assert traffic.take() == (records, ["last-run.json"])
+
+        web = items[-1]
+        head = "function bw9(h)\n{\n"
+        assert head in web.source
+        edited = [
+            *items[:-1],
+            CorpusItem(name=web.name, source=web.source.replace(head, head + "  var pad;\n", 1)),
+        ]
+        edit = BatchDriver(jobs=1, cache_dir=store).analyze_corpus(edited)
+        assert (edit.incremental["dirty"], edit.incremental["recomputed"]) == (1, 1)
+        assert edit.incremental["summaries_recomputed"] == 1
+        assert traffic.take() == (records, sorted([record[web.name], "last-run.json"]))
+        assert edit.store["stages"] == {"program": {"hits": 15, "misses": 0, "writes": 1}}
+
+        pooled = tmp_path / "pooled"
+        BatchDriver(jobs=2, cache_dir=pooled).analyze_corpus(items)
+        assert ResultCache(pooled).keys("program") == ResultCache(store).keys("program")
