@@ -19,8 +19,9 @@ it):
 Edits are cumulative (leaf first, then root on top), so each run's dirty
 set against the previous manifest is exactly one function.  Each row
 records the run's ``incremental`` counters and, in ``store``, the records
-it read, found missing and wrote (one store file per program), which
-``compare_bench.py --counts`` gates against the committed snapshot.
+it read, found missing and wrote (one store file per program) and the
+bytes it read and wrote, which ``compare_bench.py --counts`` gates against
+the committed snapshot.
 
 The edited program's report is checked bit-for-bit against a from-scratch
 (no cache) analysis of the edited source — incrementality must never
@@ -102,11 +103,13 @@ def _row(scenario, batch, elapsed):
         "cache_hits": batch.incremental["reused"],
         "incremental": batch.incremental,
         # the store files the run read, found missing and wrote: one
-        # record per program
+        # record per program; and their bytes
         "store": {
             "records_read": records["hits"],
             "records_missing": records["misses"],
             "records_written": records["writes"],
+            "bytes_read": batch.store["bytes_read"],
+            "bytes_written": batch.store["bytes_written"],
         },
     }
 

@@ -50,12 +50,13 @@ import itertools
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 # ``function_digests`` and ``program_digest`` have no caller here: the
 # end-to-end benchmark's trace (benchmarks/e2e/trace.py) resolves both names
 # in ``repro.driver.batch`` as ``driver.key`` targets and needs them bound
 from repro.driver.cache import ResultCache, function_digests, program_digest  # noqa: F401
+from repro.driver.cache import canonical_json, canonical_object
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
     PersistentExecutor,
@@ -95,10 +96,10 @@ class ResilienceCounters:
     quarantined: int = 0  # functions quarantined as poison
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # int fields: asdict without its deep copy
 
     def any_faults(self) -> bool:
-        return any(asdict(self).values())
+        return any(vars(self).values())
 
 
 @dataclass
@@ -130,17 +131,16 @@ class BatchReport:
         raise KeyError(name)
 
     def function_count(self) -> int:
-        return sum(len(p.functions) for p in self.programs)
+        return sum(len(p.function_facts()) for p in self.programs)
 
     def failed_functions(self) -> list[tuple[str, str, str]]:
         """Every function the driver could not analyze, as
         ``(program, function, status)`` tuples."""
         failed = []
         for program in self.programs:
-            for name, payload in program.functions.items():
-                status = payload.get("status", "ok")
-                if status in FAILURE_STATUSES:
-                    failed.append((program.name, name, status))
+            for name, facts in program.function_facts().items():
+                if facts["status"] in FAILURE_STATUSES:
+                    failed.append((program.name, name, facts["status"]))
         return failed
 
     def stats(self) -> dict:
@@ -166,6 +166,13 @@ class BatchReport:
             "programs": [p.to_dict() for p in self.programs],
             "stats": self.stats(),
         }
+
+    def to_json(self) -> str:
+        """:func:`~repro.driver.cache.canonical_json` of :meth:`to_dict`,
+        with the reports of programs served whole spliced in as their
+        records hold them."""
+        programs = "[" + ", ".join(p.to_json() for p in self.programs) + "]"
+        return canonical_object({"programs": programs, "stats": canonical_json(self.stats())})
 
 
 class BatchExecutionError(RuntimeError):

@@ -3,9 +3,9 @@
 The store holds one checksummed **record** per program, under the live
 directory of this :data:`CACHE_VERSION`::
 
-    <dir>/v<CACHE_VERSION>/program/<key>.json   one record per program
-    <dir>/last-run.json                         the last run's counters
-    <dir>/quarantine/                           poison-task records
+    <dir>/v<CACHE_VERSION>/program/<key>.rec   one record per program
+    <dir>/last-run.json                        the last run's counters
+    <dir>/quarantine/                          poison-task records
 
 A record holds the program's manifest (what its last run found), the
 ``summary`` artifacts (one per call-graph component) and ``report``
@@ -22,18 +22,21 @@ are reused without being re-analyzed.  Report keys do not cover the file
 offset, so byte-identical function bodies at different offsets share one
 report; the driver moves a report to the probing function's lines.
 
-Each entry is encoded once: the file is the JSON object ``{"payload": P,
-"sha256": H}`` whose ``P`` is, byte for byte, the payload's canonical JSON
-(:func:`canonical_json`) and ``H`` the SHA-256 of those bytes.  A read
-hashes the bytes it found and parses them once; it never re-encodes.  A
-truncated, garbled, re-formatted or bit-flipped file — crashed writer, bad
-sector, an overeager ``sed`` — is therefore *detected* at read time, evicted
-from disk, and counted, and what it held is simply recomputed (a lost
-record costs its own program's functions); it can never feed a corrupt
-artifact into a batch.  Reads that raise :class:`OSError` (flaky network
-filesystems) are retried once before being treated as a miss.  ``verify()``
-audits the live directory on demand (the ``repro cache verify``
-subcommand); everything else in the store but the ledger and
+A record file is lines of text (:func:`encode_record`): the SHA-256 of
+everything after the first line, the manifest's canonical JSON
+(:func:`canonical_json`), and one line ``<stage> <key> <text>`` per
+artifact, whose text is the artifact as it was encoded when it was made.
+A read hashes the bytes it found and decodes the manifest alone; every
+artifact stays the text it was read as until someone asks for it, and a
+publish copies the lines it does not change.  A truncated, garbled,
+re-formatted or bit-flipped file — crashed writer, bad sector, an
+overeager ``sed`` — is therefore *detected* at read time, evicted from
+disk, and counted, and what it held is simply recomputed (a lost record
+costs its own program's functions); it can never feed a corrupt artifact
+into a batch.  Reads that raise :class:`OSError` (flaky network
+filesystems) are retried once before being treated as a miss.
+``verify()`` audits the live directory on demand (the ``repro cache
+verify`` subcommand); everything else in the store but the ledger and
 ``quarantine/`` is *stale* — what other store versions wrote — which runs
 never read and ``clear()`` removes.
 """
@@ -44,6 +47,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lang.ast_nodes import Program
@@ -54,7 +58,10 @@ from repro.driver.faults import active_plan
 
 #: bump when the per-function report schema, the store layout or analysis
 #: semantics change; each version keeps its records in its own directory
-CACHE_VERSION = 13  # v13: one record per program
+CACHE_VERSION = 14  # v14: a record keeps each artifact as its one line of text
+
+#: the suffix of a record file, which is lines of text, not one JSON document
+RECORD_SUFFIX = ".rec"
 
 #: the stage namespaces runs read and write, one subdirectory each of the
 #: live directory: one ``program`` record per program
@@ -68,7 +75,7 @@ LEDGER_NAME = "last-run.json"
 QUARANTINE_NAME = "quarantine"
 
 #: the store-wide counters a :class:`ResultCache` keeps besides the per-stage ones
-_COUNTERS = ("evictions", "io_retries")
+_COUNTERS = ("evictions", "io_retries", "bytes_read", "bytes_written")
 
 
 def _sha(*parts: str) -> str:
@@ -136,10 +143,25 @@ class CorruptEntryError(ValueError):
     """A cache file failed its integrity check."""
 
 
-def canonical_json(payload: dict) -> str:
+#: ``json.dumps(payload, sort_keys=True)``, made once
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
+def canonical_json(payload) -> str:
     """The one canonical JSON text of ``payload``: sorted keys, the default
-    separators, no indentation (so the C encoder writes it)."""
-    return json.dumps(payload, sort_keys=True)
+    separators, no indentation (so the C encoder writes it), ASCII only."""
+    return _CANONICAL.encode(payload)
+
+
+def canonical_object(members: dict[str, str]) -> str:
+    """:func:`canonical_json` of an object given as its members' own
+    canonical JSON texts, which are spliced in as they are."""
+    quote = json.encoder.encode_basestring_ascii
+    pieces = ["{"]
+    for name in sorted(members):
+        pieces += (quote(name), ": ", members[name], ", ")
+    pieces[-1] = "}" if members else "{}"  # the last separator, or the "{"
+    return "".join(pieces)
 
 
 def _sha256(text: str) -> str:
@@ -149,61 +171,65 @@ def _sha256(text: str) -> str:
 def payload_digest(payload: dict) -> str:
     """SHA-256 of :func:`canonical_json` of ``payload``.
 
-    Doubles as the integrity checksum of stored entries and as the artifact
-    digest callers fold into their own stage keys (the firewall test is
-    "is the callee's artifact byte-identical?" — i.e. digest-identical).
+    The artifact digest callers fold into their own stage keys (the
+    firewall test is "is the callee's artifact byte-identical?" — i.e.
+    digest-identical).
     """
     return _sha256(canonical_json(payload))
 
 
-#: an entry is ``_HEAD + canonical payload + _MID + checksum + _TAIL``, which
-#: is also the canonical JSON of ``{"payload": ..., "sha256": ...}``
-_HEAD = '{"payload": '
-_MID = ', "sha256": "'
-_TAIL = '"}'
+@dataclass
+class Record:
+    """One program's record: its manifest, decoded, and its artifacts, each
+    the one line of text it is stored as, by ``(stage, key)``."""
+
+    manifest: dict
+    artifacts: dict[tuple[str, str], str] = field(default_factory=dict)
+
+
 _DIGEST_LEN = 64
 
 
-def encode_entry(payload: dict) -> str:
-    """Wrap ``payload`` with its checksum for on-disk storage."""
-    canonical = canonical_json(payload)
-    return f"{_HEAD}{canonical}{_MID}{_sha256(canonical)}{_TAIL}"
+def encode_record(record: Record) -> bytes:
+    """A record's file: the hex SHA-256 of the rest, the manifest's
+    canonical JSON, and a line ``<stage> <key> <text>`` per artifact, in
+    ``(stage, key)`` order; each line ends with a newline.  Only the
+    manifest is encoded; the artifacts' texts are copied."""
+    lines = [canonical_json(record.manifest)]
+    lines += [f"{stage} {key} {text}" for (stage, key), text in sorted(record.artifacts.items())]
+    body = ("\n".join(lines) + "\n").encode()
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
-def decode_entry(text: str) -> dict:
-    """Unwrap a stored entry, raising :class:`CorruptEntryError` if it is
-    truncated, not a checksum wrapper, or fails the checksum.
+def decode_record(data: bytes) -> Record:
+    """A record file's record, raising :class:`CorruptEntryError` if it is
+    truncated, garbled or fails its checksum.
 
-    An intact entry is hashed as read and parsed once.  Anything else is
-    parsed whole only to say what is wrong with it; a wrapper whose payload
-    bytes are not the ones its checksum covers (re-indented, or written
-    before :data:`CACHE_VERSION` 11) fails the checksum.
+    The bytes are hashed as read and only the manifest is decoded; a file
+    whose lines are not the ones its checksum covers (re-indented, or not
+    a record at all) fails the checksum.
     """
-    payload_end = len(text) - len(_MID) - _DIGEST_LEN - len(_TAIL)
-    if (
-        payload_end >= len(_HEAD)
-        and text.startswith(_HEAD)
-        and text.startswith(_MID, payload_end)
-        and text.endswith(_TAIL)
-    ):
-        canonical = text[len(_HEAD) : payload_end]
-        if _sha256(canonical) == text[payload_end + len(_MID) : -len(_TAIL)]:
-            try:
-                return json.loads(canonical)
-            except json.JSONDecodeError as exc:
-                raise CorruptEntryError(f"not valid JSON ({exc})") from None
-    try:
-        wrapper = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptEntryError(f"not valid JSON ({exc})") from None
-    if not isinstance(wrapper, dict) or set(wrapper) != {"payload", "sha256"}:
-        raise CorruptEntryError("missing checksum wrapper")
-    raise CorruptEntryError("checksum mismatch")
+    if data[_DIGEST_LEN : _DIGEST_LEN + 1] != b"\n":
+        raise CorruptEntryError("no checksum line")
+    body = memoryview(data)[_DIGEST_LEN + 1 :]
+    if hashlib.sha256(body).hexdigest().encode() != data[:_DIGEST_LEN]:
+        raise CorruptEntryError("checksum mismatch")
+    try:  # a file that passes its checksum yet was not written here
+        _, manifest, *lines, end = data.decode().split("\n")
+        if end:
+            raise ValueError("no newline at the end")
+        record = Record(json.loads(manifest))
+        for line in lines:
+            stage, key, text = line.split(" ", 2)
+            record.artifacts[stage, key] = text
+    except ValueError as exc:
+        raise CorruptEntryError(f"not a record ({exc})") from None
+    return record
 
 
 class ResultCache:
-    """A per-stage tree of ``<stage>/<digest>.json`` checksummed payloads
-    under the live directory ``v<CACHE_VERSION>``.
+    """A per-stage tree of ``<stage>/<key>.rec`` checksummed records under
+    the live directory ``v<CACHE_VERSION>``.
 
     ``directory=None`` disables the store (every lookup misses, nothing is
     written) so the driver code has a single code path.  Every read/write
@@ -218,10 +244,12 @@ class ResultCache:
         )
         self.evictions = 0  # corrupt entries detected and removed
         self.io_retries = 0  # reads that failed once and were retried
+        self.bytes_read = 0  # bytes of the record files read
+        self.bytes_written = 0  # bytes of the record files published
         #: per-stage {"hits", "misses", "writes"} counters
         self.stage_counters: dict[str, dict[str, int]] = {}
-        #: payloads already read (or written) this run, keyed (stage, key)
-        self._memory: dict[tuple[str, str], dict] = {}
+        #: records already read (or written) this run, keyed (stage, key)
+        self._memory: dict[tuple[str, str], Record] = {}
         #: per-key read-attempt counts (drives deterministic transient-I/O
         #: fault injection; harmless bookkeeping otherwise)
         self._read_attempts: dict[tuple[str, str], int] = {}
@@ -236,7 +264,7 @@ class ResultCache:
 
     def _path(self, key: str, stage: str) -> Path:
         assert self.live is not None
-        return self.live / stage / f"{key}.json"
+        return self.live / stage / f"{key}{RECORD_SUFFIX}"
 
     def keys(self, stage: str) -> list[str]:
         """The keys of ``stage``'s entries on disk."""
@@ -246,11 +274,13 @@ class ResultCache:
             names = os.listdir(self.live / stage)
         except OSError:
             return []
-        return sorted(name[: -len(".json")] for name in names if name.endswith(".json"))
+        return sorted(
+            name[: -len(RECORD_SUFFIX)] for name in names if name.endswith(RECORD_SUFFIX)
+        )
 
-    def _load(self, key: str, stage: str) -> dict | None:
-        """Read + integrity-check one entry: transient ``OSError`` reads are
-        retried once; a corrupt entry is evicted from disk; both (and a
+    def _load(self, key: str, stage: str) -> Record | None:
+        """Read + integrity-check one record: transient ``OSError`` reads
+        are retried once; a corrupt record is evicted from disk; both (and a
         missing file) come back as ``None`` — i.e. a miss, recompute."""
         path = self._path(key, stage)
         plan = active_plan()
@@ -260,7 +290,7 @@ class ResultCache:
             try:
                 if plan.should_io_error(key, attempt):
                     raise OSError(f"injected transient I/O error reading {path.name}")
-                text = path.read_text()
+                data = path.read_bytes()
             except FileNotFoundError:
                 return None
             except OSError:
@@ -268,15 +298,16 @@ class ResultCache:
                     return None
                 self.io_retries += 1
                 continue
+            self.bytes_read += len(data)
             try:
-                return decode_entry(text)
+                return decode_record(data)
             except CorruptEntryError:
                 self.evictions += 1
                 path.unlink(missing_ok=True)
                 return None
         return None
 
-    def get(self, key: str, stage: str) -> dict | None:
+    def get(self, key: str, stage: str) -> Record | None:
         counters = self._counters(stage)
         if self.directory is None:
             counters["misses"] += 1
@@ -285,33 +316,33 @@ class ResultCache:
         if cached is not None:
             counters["hits"] += 1
             return cached
-        payload = self._load(key, stage)
-        if payload is None:
+        record = self._load(key, stage)
+        if record is None:
             counters["misses"] += 1
             return None
-        self._memory[(stage, key)] = payload
+        self._memory[(stage, key)] = record
         counters["hits"] += 1
-        return payload
+        return record
 
-    def put(self, key: str, payload: dict, stage: str) -> None:
+    def put(self, key: str, record: Record, stage: str) -> None:
         if self.directory is None:
             return
-        self._memory[(stage, key)] = payload
+        self._memory[(stage, key)] = record
         path = self._path(key, stage)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = encode_entry(payload)
+        data = encode_record(record)
         # ``cache:writes=N`` counts this process's own writes, every stage's
         writes = sum(counters["writes"] for counters in self.stage_counters.values())
         if active_plan().should_corrupt_cache(key, writes):
-            # simulate a torn write: publish a truncated, garbled entry (the
+            # simulate a torn write: publish a truncated, garbled record (the
             # in-memory copy above stays good — corruption bites the *next*
             # process, exactly like the real failure)
-            text = text[: max(8, len(text) // 2)] + '"<<torn write>>'
+            data = data[: max(8, len(data) // 2)] + b'"<<torn write>>'
         # per-process tmp name: two processes (pool workers, concurrent
         # runs) racing on the same key must not share a scratch file, or one
         # publishes the other's torn write
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         try:
             tmp.replace(path)  # atomic publish: concurrent runs see full files
         except OSError:
@@ -319,12 +350,13 @@ class ResultCache:
             # is best-effort, so losing one write must not abort the batch
             return
         self._counters(stage)["writes"] += 1
+        self.bytes_written += len(data)
 
     # -- counters across processes -------------------------------------------
     def counters(self, since: dict | None = None) -> dict:
         """Every counter: ``stages`` (per stage ``hits``, ``misses`` and
-        ``writes``), ``evictions`` and ``io_retries``, less the ``since``
-        snapshot when one is given."""
+        ``writes``), ``evictions``, ``io_retries``, ``bytes_read`` and
+        ``bytes_written``, less the ``since`` snapshot when one is given."""
         base = since or {"stages": {}}
         snapshot = {name: getattr(self, name) - base.get(name, 0) for name in _COUNTERS}
         snapshot["stages"] = {
@@ -362,10 +394,10 @@ class ResultCache:
         """
         report: dict = {"checked": 0, "ok": 0, "corrupt": [], "evicted": 0}
         for stage, stage_dir in self._stage_dirs():
-            for path in sorted(stage_dir.glob("*.json")):
+            for path in sorted(stage_dir.glob(f"*{RECORD_SUFFIX}")):
                 report["checked"] += 1
                 try:
-                    decode_entry(path.read_text())
+                    decode_record(path.read_bytes())
                 except (OSError, CorruptEntryError) as exc:
                     report["corrupt"].append(
                         {"file": f"{stage}/{path.name}", "error": str(exc)}
@@ -404,7 +436,7 @@ class ResultCache:
             # them; scratch files orphaned by a crashed writer go too
             for path in stage_dir.iterdir():
                 path.unlink(missing_ok=True)
-                removed += path.suffix == ".json"
+                removed += path.suffix == RECORD_SUFFIX
         stale = self.stale()
         for name in stale:
             path = self.directory / name
@@ -419,7 +451,7 @@ class ResultCache:
     def _entries(self, stage: str | None):
         for name, stage_dir in self._stage_dirs():
             if stage is None or name == stage:
-                yield from stage_dir.glob("*.json")
+                yield from stage_dir.glob(f"*{RECORD_SUFFIX}")
 
     def entry_count(self, stage: str | None = None) -> int:
         """Live entries on disk, in one ``stage`` or across all stages."""

@@ -46,7 +46,7 @@ from repro.driver.batch import (
     BatchExecutionError,
     BatchReport,
 )
-from repro.driver.cache import QUARANTINE_NAME, canonical_json
+from repro.driver.cache import QUARANTINE_NAME
 from repro.driver.corpus import CORPORA, corpus_named, load_source_file
 from repro.driver.executor import WorkerPoolError, default_jobs
 from repro.driver.faults import FAULTS_ENV_VAR, FaultSpecError, parse_fault_spec
@@ -267,39 +267,29 @@ def render_text(report: BatchReport) -> str:
             lines.append(f"  ERROR: {program.error}")
             continue
         waves = len(program.schedule)
-        summaries = [f["summary"] for f in program.functions.values() if f.get("summary")]
-        read_only = sum(
-            not s["data_fields_written"] and not s["pointer_fields_written"] for s in summaries
-        )
-        shape = sum(s["rearranges_shape"] for s in summaries)
+        # the facts of each report, which a program served whole reads from
+        # its manifest without decoding its reports
+        functions = program.function_facts()
+        read_only = sum(facts["read_only"] for facts in functions.values())
+        shape = sum(facts["shape"] for facts in functions.values())
         lines.append(
-            f"  {len(program.functions)} function(s), {waves} bottom-up wave(s), "
+            f"  {len(functions)} function(s), {waves} bottom-up wave(s), "
             f"{read_only} read-only, {shape} shape-changing"
         )
-        for name in sorted(program.functions):
-            func = program.functions[name]
-            status = func.get("status", "ok")
-            if status in FAILURE_STATUSES:
-                lines.append(f"  {name}: {status.upper()}: {func.get('fault', '')}")
+        for name in sorted(functions):
+            facts = functions[name]
+            if facts["status"] in FAILURE_STATUSES:
+                lines.append(f"  {name}: {facts['status'].upper()}: {facts['error']}")
                 continue
-            analysis = func.get("analysis", {})
-            if analysis.get("error"):
-                lines.append(f"  {name}: analysis failed: {analysis['error']}")
+            if facts["error"]:
+                lines.append(f"  {name}: analysis failed: {facts['error']}")
                 continue
-            valid = analysis.get("abstraction_valid", {})
-            broken = sorted(t for t, ok in valid.items() if not ok)
+            broken = facts["broken"]
             verdict = f"violations for {', '.join(broken)}" if broken else "abstraction valid"
-            lines.append(
-                f"  {name}: {analysis.get('iterations', '?')} sweep(s), {verdict}"
-            )
-            for loop in func.get("loops", []):
-                transforms = [
-                    t for t, o in loop.get("transforms", {}).items() if o.get("applied")
-                ]
+            lines.append(f"  {name}: {facts['sweeps']} sweep(s), {verdict}")
+            for line, classification, transforms in facts["loops"]:
                 extra = f" [{', '.join(transforms)}]" if transforms else ""
-                lines.append(
-                    f"    loop@{loop.get('line')}: {loop.get('classification')}{extra}"
-                )
+                lines.append(f"    loop@{line}: {classification}{extra}")
         sim = program.simulation
         if sim is not None:
             if sim.get("status") == "simulated":
@@ -407,13 +397,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: batch execution failed: {exc}", file=sys.stderr)
         return 3
 
-    report_dict = report.to_dict()
     if args.output:
-        # unindented, so that the C encoder writes it; stdout stays indented
+        # canonical JSON, the reports of programs served whole spliced in as
+        # their records hold them; stdout stays indented
         with open(args.output, "w") as handle:
-            handle.write(canonical_json(report_dict))
+            handle.write(report.to_json())
     if args.format == "json":
-        print(json.dumps(report_dict, indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(render_text(report))
     if _report_partial(report):
@@ -443,9 +433,8 @@ def _report_failed(report: BatchReport) -> bool:
     for program in report.programs:
         if program.error:
             return True
-        for func in program.functions.values():
-            if func.get("analysis", {}).get("error"):
-                return True
+        if any(facts["error"] for facts in program.function_facts().values()):
+            return True
         sim = program.simulation
         if sim is not None and (
             sim.get("status") in ("error", "limit") or sim.get("heaps_match") is False

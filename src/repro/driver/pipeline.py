@@ -197,6 +197,48 @@ def function_report(
     )
 
 
+#: the facts of a report that has nothing to say on them: a manifest keeps
+#: only the facts of a report that differ from these
+NO_FACTS = {
+    "status": "ok",
+    "error": None,
+    "broken": [],
+    "loops": [],
+    "read_only": False,
+    "shape": False,
+}
+
+
+def report_facts(report: dict) -> dict:
+    """What the text report and the exit status read of one function's
+    report: its ``status``; its ``error`` (a failure payload's fault, else
+    the analysis error); its ``sweeps``; the types whose abstraction is
+    ``broken``; each loop's ``[line, classification, applied transforms]``;
+    and whether its summary is ``read_only`` and whether it changes
+    ``shape``.  A program's manifest keeps them per function, so that a
+    program served whole is reported without decoding its reports."""
+    analysis = report.get("analysis", {})
+    summary = report.get("summary")
+    return {
+        "status": report.get("status", "ok"),
+        "error": report.get("fault") or analysis.get("error"),
+        "sweeps": analysis.get("iterations", "?"),
+        "broken": sorted(t for t, ok in analysis.get("abstraction_valid", {}).items() if not ok),
+        "loops": [
+            [
+                loop.get("line"),
+                loop.get("classification"),
+                [t for t, outcome in loop.get("transforms", {}).items() if outcome.get("applied")],
+            ]
+            for loop in report.get("loops", [])
+        ],
+        "read_only": bool(summary)
+        and not summary["data_fields_written"]
+        and not summary["pointer_fields_written"],
+        "shape": bool(summary) and bool(summary["rearranges_shape"]),
+    }
+
+
 def strip_mined_loops(reports: dict[str, dict]) -> list[tuple[str, int]]:
     """The ``(function, loop index)`` pairs whose report says
     ``strip_mine.applied``, in report order: the loops the paper strip-mines

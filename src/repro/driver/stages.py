@@ -39,20 +39,25 @@ program (see :mod:`repro.driver.cache`): its ``manifest``, the summaries
 and reports the manifest names — each report at the lines the run
 reported — and its simulation, plus the artifacts the record's previous
 version named and this one does not (one generation, so that a reverted
-edit is reused).  The engine reads a program's record once per process and
-indexes every artifact of every record it reads under the artifact's own
-key; a key no record read so far holds makes the process read the
-records published since it last looked, each once, so that programs,
-runs and pool workers share artifacts.  After the simulation
-:func:`run_program` publishes the program's new record, only when
-something changed; a task that dies before that publishes nothing.
+edit is reused).  Each artifact is kept as the canonical JSON text it was
+encoded as when it was made, and decoded only when the walk asks for it.
+The engine reads a program's record once per process and indexes every
+artifact of every record it reads under the artifact's own key; a key no
+record read so far holds makes the process read the records published
+since it last looked, each once, so that programs, runs and pool workers
+share artifacts.  After the simulation :func:`run_program` publishes the
+program's new record, only when something changed, copying the texts of
+the artifacts it keeps; a task that dies before that publishes nothing.
 
 **One walk over declarations.**  The ``manifest`` records the last run:
 the source digest, the type declarations' digest, the function order and
 schedule, the simulation's key, and per function its declaration-text
 digest, direct callees, ``summary`` key and artifact digest, ``report`` key
-and first line.  A byte-identical source is served whole from its own
-record, unparsed and unmoved (:meth:`StagedEngine.serve_whole`).
+and first line, and the facts the text report and the exit status read of
+its report (:func:`~repro.driver.pipeline.report_facts`).  A
+byte-identical source is served whole from its own record, unparsed,
+unmoved and undecoded (:meth:`StagedEngine.serve_whole`): its reports stay
+the texts the record holds, which ``--output`` splices in as they are.
 Otherwise the source is cut into
 declarations (:func:`~repro.lang.split.split_declarations`), each parsed at
 its own lines the first time the walk needs it, and the walk *reopens* the
@@ -76,7 +81,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
 from repro.lang.callgraph import (
@@ -95,17 +100,21 @@ from repro.pathmatrix.interproc import FunctionSummary, summarize_scc
 
 from repro.driver.cache import (
     CACHE_VERSION,
+    Record,
     ResultCache,
     _sha,
     canonical_json,
+    canonical_object,
     payload_digest,
     program_digest,
 )
 from repro.driver.faults import SIMULATE_TOKEN
 from repro.driver.pipeline import (
+    NO_FACTS,
     PipelineOptions,
     absolutize_report,
     function_report,
+    report_facts,
     simulate_program,
     strip_mined_loops,
 )
@@ -135,18 +144,20 @@ class IncrementalStats:
     simulations_reused: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # int fields: asdict without its deep copy
 
 
 @dataclass
 class ProgramRun:
     """What one program's run produced: :meth:`StagedEngine.run` fills the
     walk's fields, :func:`run_program` the simulation's.  It is the batch
-    report's record of the program; :meth:`to_dict` is its JSON."""
+    report's record of the program; :meth:`to_dict` is its JSON and
+    :meth:`to_json` that JSON's canonical text."""
 
     name: str
-    #: function name -> report (absolute lines), in declaration order
-    functions: dict[str, dict]
+    #: function name -> report (absolute lines), in declaration order, or
+    #: ``None`` until :attr:`functions` decodes the :attr:`stored` reports
+    _functions: dict[str, dict] | None
     stats: IncrementalStats
     #: the bottom-up schedule (:func:`~repro.lang.callgraph.bottom_up_waves`)
     schedule: list
@@ -161,15 +172,48 @@ class ProgramRun:
     #: the walk's new manifest (``None``: served whole, or no record kept),
     #: which :func:`run_program` publishes and then drops
     manifest: dict | None = None
+    #: served whole: function name -> its report's canonical JSON, as the
+    #: record holds it
+    stored: dict[str, str] | None = None
+    #: function name -> :func:`~repro.driver.pipeline.report_facts` of its
+    #: report (served whole: as the manifest keeps them)
+    facts: dict[str, dict] | None = None
 
-    def to_dict(self) -> dict:
+    @property
+    def functions(self) -> dict[str, dict]:
+        """Function name -> report, in declaration order; a program served
+        whole decodes its stored reports at the first use."""
+        if self._functions is None:
+            self._functions = {fn: json.loads(text) for fn, text in self.stored.items()}
+        return self._functions
+
+    def function_facts(self) -> dict[str, dict]:
+        """Function name -> what the text report and the exit status read of
+        its report, in declaration order."""
+        if self.facts is None:
+            self.facts = {fn: report_facts(report) for fn, report in self.functions.items()}
+        return self.facts
+
+    def _members(self) -> dict:
+        """:meth:`to_dict` but its ``functions``."""
         return {
             "name": self.name,
-            "functions": self.functions,
             "schedule": self.schedule,
             "simulation": self.simulation,
             "error": self.error,
         }
+
+    def to_dict(self) -> dict:
+        return {**self._members(), "functions": self.functions}
+
+    def to_json(self) -> str:
+        """:func:`~repro.driver.cache.canonical_json` of :meth:`to_dict`; a
+        program served whole splices its stored reports in undecoded."""
+        if self.stored is None:
+            return canonical_json(self.to_dict())
+        texts = {key: canonical_json(value) for key, value in self._members().items()}
+        texts["functions"] = canonical_object(self.stored)
+        return canonical_object(texts)
 
 
 class ProgramError(Exception):
@@ -276,11 +320,20 @@ def _artifact(name: str, summary: dict, return_type: str | None) -> str:
     return payload_digest({"function": name, "summary": summary, "return_type": return_type})
 
 
-#: the artifact stages a record holds, each a map from key to artifact:
-#: a summary as its payload's canonical JSON text (decoded only when a walk
-#: needs it), a report with the first line of the function it was
-#: recorded for, a simulation as it is reported
-_ARTIFACTS = ("summary", "report", "sim")
+def _stored_facts(report: dict) -> dict:
+    """:func:`~repro.driver.pipeline.report_facts` of ``report`` as a
+    manifest keeps them: those that differ from
+    :data:`~repro.driver.pipeline.NO_FACTS`, and each loop's transforms
+    in the order a stored report, whose canonical JSON sorts them, lists
+    them in."""
+    facts = report_facts(report)
+    for loop in facts["loops"]:
+        loop[2] = sorted(loop[2])
+    return {
+        name: fact
+        for name, fact in facts.items()
+        if name not in NO_FACTS or fact != NO_FACTS[name]
+    }
 
 
 def _named(manifest: dict | None) -> list[tuple[str, str]]:
@@ -302,16 +355,19 @@ class StagedEngine:
     The engine reads each program's record at most once per process, and
     another program's only at a key no record read so far holds, and
     indexes the artifacts of every record it reads or publishes, and of
-    every artifact it computes, under the artifacts' own keys.
+    every artifact it computes, under the artifacts' own keys.  An indexed
+    artifact is the text a record holds it as: a summary's or simulation's
+    canonical JSON, and a report's as ``<line> <canonical JSON>``, where
+    ``line`` is the first line of the function it was computed for.
     """
 
     def __init__(self, cache: ResultCache, options: PipelineOptions):
         self.cache = cache
         self.options = options
         #: record key -> the record read (``None``: none) or last published
-        self._records: dict[str, dict | None] = {}
-        #: (stage, key) -> artifact, in a record's form (see _ARTIFACTS)
-        self._index: dict[tuple[str, str], object] = {}
+        self._records: dict[str, Record | None] = {}
+        #: (stage, key) -> the artifact's text
+        self._index: dict[tuple[str, str], str] = {}
         #: summary key -> its decoded payload
         self._summaries: dict[str, dict] = {}
         #: the record directory's modification time when it was last
@@ -327,7 +383,7 @@ class StagedEngine:
         return _sha("manifest", str(CACHE_VERSION), self.options.key(), name)
 
     # -- the records -------------------------------------------------------------
-    def _read(self, key: str) -> dict | None:
+    def _read(self, key: str) -> Record | None:
         if key not in self._records:
             record = self.cache.get(key, stage="program")
             self._records[key] = record
@@ -335,13 +391,12 @@ class StagedEngine:
                 self._add(record, replace=True)
         return self._records[key]
 
-    def _add(self, record: dict, replace: bool) -> None:
-        for stage in _ARTIFACTS:
-            for key, artifact in record.get(stage, {}).items():
-                if replace:
-                    self._index[(stage, key)] = artifact
-                else:
-                    self._index.setdefault((stage, key), artifact)
+    def _add(self, record: Record, replace: bool) -> None:
+        if replace:
+            self._index.update(record.artifacts)
+        else:
+            for named, text in record.artifacts.items():
+                self._index.setdefault(named, text)
 
     def _find(self, stage: str, key: str):
         """The artifact under ``key``: from the records read so far, else
@@ -383,14 +438,24 @@ class StagedEngine:
 
     def _report(self, key: str, line: int) -> dict | None:
         """The report under ``key``, moved to a function at ``line``."""
-        found = self._find("report", key)
-        if found is None:
+        text = self._find("report", key)
+        if text is None:
             return None
-        return absolutize_report(found["report"], line, found["line"])
+        recorded, _, report = text.partition(" ")
+        return absolutize_report(json.loads(report), line, int(recorded))
+
+    def _report_text(self, key: str, line: int, report: dict) -> str:
+        """``report``, stored under ``key`` for a function at ``line``: the
+        indexed text when it was recorded at that line, else encoded."""
+        text = self._index.get(("report", key))
+        if text is None or not text.startswith(f"{line} "):
+            text = f"{line} {canonical_json(report)}"
+        return text
 
     def simulation(self, key: str) -> dict | None:
         """The simulation under ``key`` that some record holds."""
-        return self._find("sim", key)
+        text = self._find("sim", key)
+        return None if text is None else json.loads(text)
 
     def publish(self, name: str, run: ProgramRun, sim_key: str | None, failed: dict) -> None:
         """Write program ``name``'s new record, when it differs from the
@@ -402,12 +467,14 @@ class StagedEngine:
         if not self._keeps:
             return
         key = self.record_key(name)
-        previous = self._records.get(key) or {}
+        previous = self._records.get(key)
         if run.manifest is None:
-            if sim_key is None or sim_key in previous.get("sim", {}):
+            if sim_key is None or ("sim", sim_key) in previous.artifacts:
                 return
-            record = dict(previous, sim={**previous.get("sim", {}), sim_key: run.simulation})
-            record["manifest"] = dict(previous["manifest"], simulation=sim_key)
+            record = Record(
+                dict(previous.manifest, simulation=sim_key),
+                {**previous.artifacts, ("sim", sim_key): canonical_json(run.simulation)},
+            )
         else:
             record = self._compose(run, sim_key, failed, previous)
             if record == previous:
@@ -416,23 +483,33 @@ class StagedEngine:
         self._records[key] = record
         self._add(record, replace=True)
 
-    def _compose(self, run: ProgramRun, sim_key: str | None, failed: dict, previous: dict) -> dict:
-        manifest = dict(run.manifest, simulation=sim_key)
-        record: dict = {"manifest": manifest, "summary": {}, "report": {}, "sim": {}}
-        for fn, entry in manifest["functions"].items():
-            text = self._index.get(("summary", entry["skey"]))
-            if text is not None:
-                record["summary"][entry["skey"]] = text
+    def _compose(
+        self, run: ProgramRun, sim_key: str | None, failed: dict, previous: Record | None
+    ) -> Record:
+        """The record of a walked program: each artifact's text as indexed,
+        and only a report moved to other lines, or a new simulation,
+        encoded."""
+        record = Record(dict(run.manifest, simulation=sim_key))
+        artifacts = record.artifacts
+        for fn, entry in record.manifest["functions"].items():
+            summary = self._index.get(("summary", entry["skey"]))
+            if summary is not None:
+                artifacts["summary", entry["skey"]] = summary
             report = run.functions[fn]
             if report is not failed.get(fn):
-                record["report"][entry["report"]] = {"line": entry["line"], "report": report}
+                artifacts["report", entry["report"]] = self._report_text(
+                    entry["report"], entry["line"], report
+                )
         if sim_key is not None:
-            record["sim"][sim_key] = run.simulation
+            artifacts["sim", sim_key] = self._index.get(("sim", sim_key)) or canonical_json(
+                run.simulation
+            )
         # one generation: what the last record named and this one does not
-        for stage, named in _named(previous.get("manifest")):
-            kept = previous.get(stage, {}).get(named)
-            if kept is not None:
-                record[stage].setdefault(named, kept)
+        if previous is not None:
+            for named in _named(previous.manifest):
+                kept = previous.artifacts.get(named)
+                if kept is not None:
+                    artifacts.setdefault(named, kept)
         return record
 
     # -- serving and walking -----------------------------------------------------
@@ -444,9 +521,10 @@ class StagedEngine:
         run = self._serve(name, record, source)
         if run is not None and simulate:
             sim_key = program_digest(source, self.options.key())
-            run.simulation = record.get("sim", {}).get(sim_key)
-            if run.simulation is None:
+            text = record.artifacts.get(("sim", sim_key))
+            if text is None:
                 return None
+            run.simulation = json.loads(text)
             run.stats.simulations_reused = 1
         return run
 
@@ -472,7 +550,7 @@ class StagedEngine:
         served = self._serve(name, record, source)
         if served is not None:
             return served
-        manifest = (record or {}).get("manifest")
+        manifest = record.manifest if record is not None else None
         src = _Source.split(source)
         recorded = manifest.get("functions", {}) if manifest is not None else {}
         failed = failed or {}
@@ -488,22 +566,28 @@ class StagedEngine:
         except TypeCheckError as exc:
             raise _program_error(source, exc) from None
 
-    def _serve(self, name: str, record: dict | None, source: str) -> ProgramRun | None:
-        manifest = (record or {}).get("manifest")
-        if manifest is None or manifest.get("source") != _sha("source", source):
+    def _serve(self, name: str, record: Record | None, source: str) -> ProgramRun | None:
+        """The program served whole from ``record``, each report the text
+        the record holds at the function's lines, and its facts the
+        manifest's; ``None`` when the record cannot."""
+        if record is None or record.manifest.get("source") != _sha("source", source):
             return None
-        reports = record.get("report", {})
-        served: dict[str, dict] = {}
+        manifest = record.manifest
+        stored: dict[str, str] = {}
+        facts: dict[str, dict] = {}
         for fn in manifest["order"]:
             entry = manifest["functions"][fn]
-            stored = reports.get(entry["report"])
-            if stored is None:
+            text = record.artifacts.get(("report", entry["report"]), "")
+            recorded, _, stored[fn] = text.partition(" ")
+            if recorded != str(entry["line"]):
                 return None
-            served[fn] = absolutize_report(stored["report"], entry["line"], stored["line"])
+            facts[fn] = {**NO_FACTS, **entry["facts"]}
         stats = IncrementalStats(
-            reused=len(served), summaries_reused=len(served), programs_unchanged=1
+            reused=len(stored), summaries_reused=len(stored), programs_unchanged=1
         )
-        return ProgramRun(name, served, stats, manifest["schedule"])
+        return ProgramRun(
+            name, None, stats, manifest["schedule"], stored=stored, facts=facts
+        )
 
     # -- the walk --------------------------------------------------------------
     def _walk(
@@ -711,7 +795,7 @@ class StagedEngine:
                     report = function_report(component_analysis(component), fn, self.options)
                     reports[fn] = report
                     if self._keeps:
-                        self._index[("report", rkey)] = {"line": decl.line, "report": report}
+                        self._index["report", rkey] = f"{decl.line} {canonical_json(report)}"
                     stats.recomputed += 1
 
         # the manifest: the next run's dirty accounting and reopening, and
@@ -731,6 +815,7 @@ class StagedEngine:
                         "summary": art_digest[n],
                         "report": report_key[n],
                         "line": src.declarations[n].line,
+                        "facts": _stored_facts(reports[n]),
                     }
                     for n in sorted(names)
                 },
@@ -792,7 +877,7 @@ def run_program(
                 split = _Source.split(source)
             run.simulation = simulate_program(split, engine.options, loops)
         if run.simulation is not failed.get(SIMULATE_TOKEN) and not any(
-            report is failed.get(fn) for fn, report in run.functions.items()
+            run.functions.get(fn) is payload for fn, payload in failed.items()
         ):
             sim_key = key
     if reuse:

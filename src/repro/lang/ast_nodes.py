@@ -513,26 +513,21 @@ def collect_pointer_variables(func: FunctionDecl, program: Program) -> set[str]:
     the type checker's results when available.
     """
     pointers: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for stmt in iter_statements(func.body):
-            for node in stmt.walk():
-                if isinstance(node, FieldAccess) and isinstance(node.base, Name):
-                    if node.base.ident not in pointers:
-                        pointers.add(node.base.ident)
-                        changed = True
-            if isinstance(stmt, Assign):
-                if isinstance(stmt.value, (NullLit, New)):
-                    if stmt.target not in pointers:
-                        pointers.add(stmt.target)
-                        changed = True
-                elif isinstance(stmt.value, (FieldAccess, IndexAccess)):
-                    if stmt.target not in pointers:
-                        pointers.add(stmt.target)
-                        changed = True
-                elif isinstance(stmt.value, Name) and stmt.value.ident in pointers:
-                    if stmt.target not in pointers:
-                        pointers.add(stmt.target)
-                        changed = True
+    # source -> targets of the copies ``target = source``
+    copies: dict[str, list[str]] = {}
+    for node in func.body.walk():
+        if isinstance(node, FieldAccess) and isinstance(node.base, Name):
+            pointers.add(node.base.ident)
+        elif isinstance(node, Assign):
+            if isinstance(node.value, (NullLit, New, FieldAccess, IndexAccess)):
+                pointers.add(node.target)
+            elif isinstance(node.value, Name):
+                copies.setdefault(node.value.ident, []).append(node.target)
+    # a copy of a pointer is a pointer
+    pending = list(pointers)
+    while pending:
+        for target in copies.get(pending.pop(), ()):
+            if target not in pointers:
+                pointers.add(target)
+                pending.append(target)
     return pointers

@@ -24,6 +24,8 @@ Modules: :mod:`costmodel`, :mod:`processor`, :mod:`scheduler`,
 :mod:`simulator`, :mod:`executor`.
 """
 
+import importlib
+
 from repro.machine.costmodel import MachineConfig, SEQUENT_LIKE, IDEAL_MACHINE
 from repro.machine.processor import ProcessingElement
 from repro.machine.scheduler import (
@@ -38,7 +40,10 @@ from repro.machine.simulator import (
     SimulationTrace,
     MachineSimulator,
 )
-from repro.machine.executor import ThreadPoolExecutorBackend, SequentialBackend
+
+#: the thread-pool backends, imported on first access (PEP 562): they load
+#: :mod:`concurrent.futures`, which the simulator does not need
+_EXECUTOR_NAMES = ("ThreadPoolExecutorBackend", "SequentialBackend")
 
 __all__ = [
     "MachineConfig",
@@ -56,3 +61,15 @@ __all__ = [
     "ThreadPoolExecutorBackend",
     "SequentialBackend",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXECUTOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.executor"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,4 +1,4 @@
-"""Cache integrity tests: checksummed entries, corruption detection/eviction,
+"""Cache integrity tests: checksummed records, corruption detection/eviction,
 the verify audit, and transient-I/O retry — including the injected-fault
 convergence property (a run whose cache writes were corrupted re-analyzes and
 converges on the next run instead of serving garbage).
@@ -12,11 +12,12 @@ import pytest
 from repro.adds.library import standard_source
 from repro.driver.batch import BatchDriver
 from repro.driver.cache import (
+    RECORD_SUFFIX,
     CorruptEntryError,
+    Record,
     ResultCache,
-    decode_entry,
-    encode_entry,
-    payload_digest,
+    decode_record,
+    encode_record,
 )
 from repro.driver.corpus import CorpusItem
 from repro.driver.faults import FAULTS_ENV_VAR
@@ -27,37 +28,55 @@ function touch(p) { p->coef = 1; return p; }
 
 
 def _stage_entries(root):
-    """All checksummed entries under the store — one record per program
-    (the top-level ledger is unchecksummed and not part of the audit
-    surface)."""
-    return sorted(p for p in root.rglob("*.json") if p.parent != root)
+    """All checksummed records under the store — one per program (the
+    top-level ledger is unchecksummed and not part of the audit surface)."""
+    return sorted(root.rglob(f"*{RECORD_SUFFIX}"))
+
+
+def _record(report: dict) -> Record:
+    """A record whose manifest names one report and one summary."""
+    return Record(
+        {"functions": {"f": {"report": "r1", "line": 3}}, "order": ["f"]},
+        {
+            ("report", "r1"): "3 " + json.dumps(report, sort_keys=True),
+            ("summary", "s1"): json.dumps({"functions": {"f": {"return_type": None}}}),
+        },
+    )
 
 
 class TestChecksumCodec:
     def test_round_trip(self):
-        payload = {"function": "f", "loops": [1, 2], "nested": {"a": None}}
-        assert decode_entry(encode_entry(payload)) == payload
+        record = _record({"function": "f", "loops": [1, 2], "nested": {"a": None}})
+        assert decode_record(encode_record(record)) == record
 
-    def test_truncated_entry_is_detected(self):
-        text = encode_entry({"function": "f"})
-        with pytest.raises(CorruptEntryError):
-            decode_entry(text[: len(text) // 2])
+    def test_truncated_record_is_detected(self):
+        data = encode_record(_record({"function": "f"}))
+        with pytest.raises(CorruptEntryError, match="checksum mismatch"):
+            decode_record(data[: len(data) // 2])
 
     def test_garbage_is_detected(self):
-        with pytest.raises(CorruptEntryError, match="not valid JSON"):
-            decode_entry("}}} total garbage")
+        with pytest.raises(CorruptEntryError, match="no checksum line"):
+            decode_record(b"}}} total garbage")
 
-    def test_legacy_unwrapped_entry_is_detected(self):
-        # pre-checksum cache files were the bare payload: must read as corrupt
-        # (and be evicted), never as a valid report
-        with pytest.raises(CorruptEntryError, match="checksum wrapper"):
-            decode_entry(json.dumps({"function": "f", "loops": []}))
+    def test_a_version_13_entry_is_detected(self):
+        # until cache version 13 a store file was one JSON checksum wrapper:
+        # it must read as corrupt (and be evicted), never as a record
+        legacy = json.dumps({"payload": {"function": "f"}, "sha256": "0" * 64}, sort_keys=True)
+        with pytest.raises(CorruptEntryError, match="no checksum line"):
+            decode_record(legacy.encode())
 
     def test_bit_flip_is_detected(self):
-        text = encode_entry({"function": "f", "iterations": 3})
-        flipped = text.replace('"iterations": 3', '"iterations": 4')
+        data = encode_record(_record({"function": "f", "iterations": 3}))
+        flipped = data.replace(b'"iterations": 3', b'"iterations": 4')
+        assert flipped != data
         with pytest.raises(CorruptEntryError, match="checksum mismatch"):
-            decode_entry(flipped)
+            decode_record(flipped)
+
+    def test_a_checksummed_file_that_is_no_record_is_detected(self):
+        body = b"{}\nreport-without-a-key\n"
+        data = hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+        with pytest.raises(CorruptEntryError, match="not a record"):
+            decode_record(data)
 
 
 def _no_json_encoder(monkeypatch):
@@ -71,51 +90,58 @@ def _no_json_encoder(monkeypatch):
 
 
 class TestOneEncoding:
-    """An entry is encoded once: its payload bytes are the bytes its checksum
-    covers, so a read hashes what it found and parses it once."""
+    """A record is its lines of canonical JSON: the bytes its checksum covers
+    are the manifest's canonical JSON and each artifact's text as it was
+    encoded, so a read hashes what it found, decodes the manifest once and
+    leaves every artifact the text it read."""
 
-    PAYLOAD = {"function": "f", "loops": [{"line": 3, "reasons": ["a"]}], "iterations": 3}
+    REPORT = {"function": "f", "loops": [{"line": 3, "reasons": ["a"]}], "iterations": 3}
 
-    def test_entry_is_the_canonical_json_of_its_wrapper(self):
-        text = encode_entry(self.PAYLOAD)
-        canonical = json.dumps(self.PAYLOAD, sort_keys=True)
-        assert text == json.dumps(
-            {"payload": self.PAYLOAD, "sha256": payload_digest(self.PAYLOAD)}, sort_keys=True
-        )
-        assert canonical in text
-        assert payload_digest(self.PAYLOAD) == hashlib.sha256(canonical.encode()).hexdigest()
+    def test_each_line_is_canonical_json_under_the_checksum(self):
+        record = _record(self.REPORT)
+        data = encode_record(record)
+        digest, manifest, *artifacts, end = data.decode().split("\n")
+        assert end == ""
+        assert digest == hashlib.sha256(data[len(digest) + 1 :]).hexdigest()
+        assert manifest == json.dumps(record.manifest, sort_keys=True)
+        assert artifacts == [
+            f"{stage} {key} {text}" for (stage, key), text in sorted(record.artifacts.items())
+        ]
+        # an artifact is stored once, as the text it was given: no escaping
+        canonical = json.dumps(self.REPORT, sort_keys=True)
+        assert f"report r1 3 {canonical}" in artifacts
 
     def test_store_read_calls_no_json_encoder(self, tmp_path, monkeypatch):
-        ResultCache(tmp_path).put("k1", self.PAYLOAD, stage="report")
+        record = _record(self.REPORT)
+        ResultCache(tmp_path).put("k1", record, stage="program")
         _no_json_encoder(monkeypatch)
         fresh = ResultCache(tmp_path)
-        assert fresh.get("k1", stage="report") == self.PAYLOAD
+        assert fresh.get("k1", stage="program") == record
         assert fresh.verify()["ok"] == 1
 
-    def test_reindented_payload_fails_the_checksum(self):
-        text = encode_entry(self.PAYLOAD)
-        canonical = json.dumps(self.PAYLOAD, sort_keys=True)
-        reindented = text.replace(canonical, json.dumps(self.PAYLOAD, sort_keys=True, indent=2))
-        assert reindented != text
-        assert json.loads(reindented) == json.loads(text)
+    def test_reformatted_manifest_fails_the_checksum(self):
+        record = _record(self.REPORT)
+        data = encode_record(record)
+        canonical = json.dumps(record.manifest, sort_keys=True)
+        compact = json.dumps(record.manifest, sort_keys=True, separators=(",", ":"))
+        reformatted = data.replace(canonical.encode(), compact.encode())
+        assert reformatted != data
+        assert json.loads(compact) == json.loads(canonical)
         with pytest.raises(CorruptEntryError, match="checksum mismatch"):
-            decode_entry(reindented)
+            decode_record(reformatted)
 
-    def test_reformatted_wrapper_fails_the_checksum(self):
-        # what an entry written before cache version 11 looks like: an
-        # indented wrapper whose checksum covers a compact encoding
-        legacy = json.dumps(
-            {
-                "payload": self.PAYLOAD,
-                "sha256": hashlib.sha256(
-                    json.dumps(self.PAYLOAD, sort_keys=True, separators=(",", ":")).encode()
-                ).hexdigest(),
-            },
-            indent=1,
-            sort_keys=True,
+    def test_a_checksum_over_another_encoding_fails(self):
+        # the same record with its checksum taken over a compact encoding of
+        # the manifest: the lines are canonical, the checksum is not theirs
+        record = _record(self.REPORT)
+        data = encode_record(record)
+        compact = data[65:].replace(
+            json.dumps(record.manifest, sort_keys=True).encode(),
+            json.dumps(record.manifest, sort_keys=True, separators=(",", ":")).encode(),
         )
+        forged = hashlib.sha256(compact).hexdigest().encode() + data[64:]
         with pytest.raises(CorruptEntryError, match="checksum mismatch"):
-            decode_entry(legacy)
+            decode_record(forged)
 
 
 class TestCorruptionRecovery:
@@ -156,9 +182,11 @@ class TestCorruptionRecovery:
         _, items, seeded = self._seed(tmp_path)
         clean = {p.name: p.functions for p in seeded.programs}
         (entry,) = _stage_entries(tmp_path)
-        record = decode_entry(entry.read_text())
-        record["report"] = {}
-        entry.write_text(encode_entry(record))
+        record = decode_record(entry.read_bytes())
+        record.artifacts = {
+            named: text for named, text in record.artifacts.items() if named[0] != "report"
+        }
+        entry.write_bytes(encode_record(record))
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         report = driver.analyze_corpus(items)
         assert json.dumps(
@@ -229,17 +257,17 @@ class TestVerify:
 class TestTransientIO:
     def test_io_error_is_retried_once_and_counted(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
-        cache.put("k1", {"function": "f"}, stage="report")
+        cache.put("k1", _record({"function": "f"}), stage="program")
         monkeypatch.setenv(FAULTS_ENV_VAR, "io:rate=1.0,times=1")
         fresh = ResultCache(tmp_path)
-        assert fresh.get("k1", stage="report") == {"function": "f"}
+        assert fresh.get("k1", stage="program") == _record({"function": "f"})
         assert fresh.io_retries == 1
-        assert fresh.stage_counters["report"]["hits"] == 1
+        assert fresh.stage_counters["program"]["hits"] == 1
 
     def test_persistent_io_error_degrades_to_miss(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
-        cache.put("k1", {"function": "f"}, stage="report")
+        cache.put("k1", _record({"function": "f"}), stage="program")
         monkeypatch.setenv(FAULTS_ENV_VAR, "io:rate=1.0,times=99")
         fresh = ResultCache(tmp_path)
-        assert fresh.get("k1", stage="report") is None  # a miss, not an exception
-        assert fresh.stage_counters["report"]["misses"] == 1
+        assert fresh.get("k1", stage="program") is None  # a miss, not an exception
+        assert fresh.stage_counters["program"]["misses"] == 1

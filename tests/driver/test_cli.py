@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.driver.cache import RECORD_SUFFIX
 from repro.driver.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -332,8 +333,7 @@ class TestOtherCommands:
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 0
         assert "0 corrupt" in capsys.readouterr().out
-        victim = sorted(cache_dir.rglob("*.json"))
-        victim = [p for p in victim if p.parent != cache_dir][0]
+        victim = sorted(cache_dir.rglob(f"*{RECORD_SUFFIX}"))[0]
         victim.write_text("garbage")
         # detection without --evict leaves the file and exits 1
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
@@ -377,7 +377,7 @@ class TestModuleEntryPoint:
         """Every CLI start imports ``repro.driver.cli``, so every module it
         pulls in is start-up cost.  The count is pinned: a change that adds
         or removes an import on that path updates the number here."""
-        expected = 51
+        expected = 50
         code = (
             "import sys\n"
             "import repro.driver.cli\n"

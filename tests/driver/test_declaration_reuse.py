@@ -17,7 +17,7 @@ from repro.bench.stress import call_web_program_source
 from repro.driver import pipeline as pipeline_module
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import ResultCache, decode_entry, encode_entry
+from repro.driver.cache import RECORD_SUFFIX, ResultCache, decode_record, encode_record
 from repro.driver.corpus import CorpusItem, corpus_named
 from repro.lang import parser as parser_module
 from repro.lang.split import split_declarations
@@ -83,16 +83,16 @@ def _declaration_texts(source: str) -> list:
 
 def _records(store) -> list:
     """The store's record files, one per program."""
-    return sorted((ResultCache(store).live / "program").glob("*.json"))
+    return sorted((ResultCache(store).live / "program").glob(f"*{RECORD_SUFFIX}"))
 
 
 def _rewrite(store, change) -> None:
     """Apply ``change`` to each record of ``store`` and store it back with
     a valid checksum."""
     for path in _records(store):
-        record = decode_entry(path.read_text())
+        record = decode_record(path.read_bytes())
         change(record)
-        path.write_text(encode_entry(record))
+        path.write_bytes(encode_record(record))
 
 
 def _distrust_manifests(store) -> None:
@@ -101,8 +101,8 @@ def _distrust_manifests(store) -> None:
     only the functions whose text changed."""
 
     def distrust(record):
-        if "manifest" in record:
-            record["manifest"]["types"] = "other type declarations"
+        if record.manifest:
+            record.manifest["types"] = "other type declarations"
 
     _rewrite(store, distrust)
 
@@ -270,13 +270,13 @@ class TestFallbacks:
         return report, parsed
 
     def test_missing_manifest(self, tmp_path, monkeypatch):
-        """A record that holds its artifacts but no manifest: every function
-        counts dirty, and every artifact is still served."""
+        """A record that holds its artifacts but an empty manifest: every
+        function counts dirty, and every artifact is still served."""
         source = _web(12)
         edited = _pad(source, "w4")
 
         def drop_manifest(store):
-            _rewrite(store, lambda record: record.pop("manifest"))
+            _rewrite(store, lambda record: setattr(record, "manifest", {}))
 
         report, parsed = self._compare(tmp_path, monkeypatch, source, edited, drop_manifest)
         assert sorted(parsed) == _declaration_texts(edited)
@@ -318,7 +318,7 @@ class TestFallbacks:
 
         def drop_artifact(store):
             def drop(record):
-                entries = record["manifest"]["functions"]
+                entries = record.manifest["functions"]
                 if stage == "summary":
                     # a callee's: the edited function's summary is recomputed
                     # from its callees' summary artifacts
@@ -328,7 +328,7 @@ class TestFallbacks:
                 else:
                     key = entries["w0"]["report"]  # a function served unparsed
                     lost.append("w0")
-                del record[stage][key]
+                del record.artifacts[stage, key]
 
             _rewrite(store, drop)
 

@@ -18,7 +18,7 @@ import pytest
 from repro.adds.library import standard_source
 from repro.driver import batch, executor, stages
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import ResultCache, decode_entry
+from repro.driver.cache import RECORD_SUFFIX, ResultCache, decode_record
 from repro.driver.cli import _report_partial
 from repro.driver.corpus import CorpusItem, paper_corpus
 from repro.driver.executor import preferred_start_method
@@ -142,11 +142,14 @@ def _function_dicts(report):
 
 
 def _records(store) -> list[dict]:
-    """The store's records, one per program."""
-    return [
-        decode_entry(path.read_text())
-        for path in sorted((ResultCache(store).live / "program").glob("*.json"))
-    ]
+    """The store's records, one per program: each stage's artifacts by key."""
+    records = []
+    for path in sorted((ResultCache(store).live / "program").glob(f"*{RECORD_SUFFIX}")):
+        record = {"report": {}, "summary": {}, "sim": {}}
+        for (stage, key), text in decode_record(path.read_bytes()).artifacts.items():
+            record[stage][key] = text
+        records.append(record)
+    return records
 
 
 class TestCrashRecovery:

@@ -10,6 +10,7 @@ The acceptance property throughout: an incremental run's report is
 never change an answer, only skip work.
 """
 
+import hashlib
 import json
 import pathlib
 import re
@@ -18,7 +19,14 @@ import pytest
 
 from repro.driver import stages as stages_module
 from repro.driver.batch import BatchDriver
-from repro.driver.cache import CACHE_VERSION, ResultCache, decode_entry, encode_entry
+from repro.driver.cache import (
+    CACHE_VERSION,
+    RECORD_SUFFIX,
+    Record,
+    ResultCache,
+    decode_record,
+    encode_record,
+)
 from repro.driver.cli import main
 from repro.driver.corpus import CorpusItem, corpus_named
 from repro.driver.pipeline import PipelineOptions
@@ -91,17 +99,34 @@ def _scratch(source, name="prog"):
 
 def _records(store) -> list:
     """The store's record files, one per program."""
-    return sorted((ResultCache(store).live / "program").glob("*.json"))
+    return sorted((ResultCache(store).live / "program").glob(f"*{RECORD_SUFFIX}"))
 
 
-def _rewrite(path, change) -> dict:
+def _read(path) -> Record:
+    return decode_record(path.read_bytes())
+
+
+def _rewrite(path, change) -> Record:
     """Apply ``change`` to the record at ``path`` and store it back with a
     valid checksum; return the record as it was."""
-    record = decode_entry(path.read_text())
-    changed = decode_entry(path.read_text())
+    record = _read(path)
+    changed = _read(path)
     change(changed)
-    path.write_text(encode_entry(changed))
+    path.write_bytes(encode_record(changed))
     return record
+
+
+def _v13_entry(payload: dict) -> str:
+    """A store file as cache versions 11 to 13 wrote it: one JSON checksum
+    wrapper around the payload's canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True)
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    return json.dumps({"payload": payload, "sha256": digest}, sort_keys=True)
+
+
+def _stage(record: Record, stage: str) -> dict[str, str]:
+    """Key -> text of the record's artifacts of ``stage``."""
+    return {key: text for (kind, key), text in record.artifacts.items() if kind == stage}
 
 
 class TestEarlyCutoff:
@@ -200,7 +225,7 @@ function extra(q)
 }
 """
         (path,) = _records(tmp_path)
-        before = decode_entry(path.read_text())["report"]
+        before = _stage(_read(path), "report")
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         warm = driver.analyze_corpus([CorpusItem(name="prog", source=edited)])
         inc = warm.incremental
@@ -211,7 +236,7 @@ function extra(q)
         # one record read and one written, which holds the three reports the
         # last one held and the new function's
         assert driver.cache.stage_counters == {"program": {"hits": 1, "misses": 0, "writes": 1}}
-        after = decode_entry(path.read_text())["report"]
+        after = _stage(_read(path), "report")
         assert len(after) == 4
         assert all(after.get(key) == entry for key, entry in before.items())
         assert {p.name: p.functions for p in warm.programs} == _scratch(edited)
@@ -351,7 +376,11 @@ class TestUnchangedPrograms:
         items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="other", source=OTHER)]
         driver = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
         cold = driver.analyze_corpus(items)
-        victim = ResultCache(tmp_path).live / "program" / f"{driver.engine.record_key('prog')}.json"
+        victim = (
+            ResultCache(tmp_path).live
+            / "program"
+            / f"{driver.engine.record_key('prog')}{RECORD_SUFFIX}"
+        )
         victim.write_text("garbage {{{")
 
         parsed = _count_parses(monkeypatch)
@@ -382,7 +411,7 @@ class TestUnchangedPrograms:
         (path,) = _records(tmp_path)
 
         def drop_report(record):
-            del record["report"][record["manifest"]["functions"]["leaf"]["report"]]
+            del record.artifacts["report", record.manifest["functions"]["leaf"]["report"]]
 
         _rewrite(path, drop_report)
         healed = _run(BASE, tmp_path)
@@ -406,10 +435,10 @@ class TestUnchangedPrograms:
             # a manifest as earlier versions wrote it: no source digest, and
             # no declaration digests, callees or summary keys to build a
             # cone from
-            record["manifest"] = {
+            record.manifest = {
                 "functions": {
                     name: {"summary": entry["summary"], "report": entry["report"]}
-                    for name, entry in record["manifest"]["functions"].items()
+                    for name, entry in record.manifest["functions"].items()
                 }
             }
 
@@ -422,7 +451,7 @@ class TestUnchangedPrograms:
         # with no declaration digests recorded, every function counts dirty
         assert warm.incremental == dict(SERVED_BASE, programs_unchanged=0, dirty=3)
         assert _functions(warm) == _functions(cold)
-        assert decode_entry(path.read_text()) == original
+        assert _read(path) == original
 
         assert _run(BASE, tmp_path).incremental == SERVED_BASE
         assert sorted(parsed) == every_declaration
@@ -488,19 +517,27 @@ class TestUnchangedPrograms:
         item = CorpusItem(name="prog", source=BASE + "\nfunction main()\n{ return 0; }\n")
         BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
         (path,) = _records(tmp_path)
-        _rewrite(path, lambda record: record["sim"].clear())
+
+        def drop_simulations(record):
+            record.artifacts = {
+                named: text for named, text in record.artifacts.items() if named[0] != "sim"
+            }
+
+        _rewrite(path, drop_simulations)
         report = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
         assert report.incremental["simulations_reused"] == 0
         assert report.incremental["recomputed"] == 0
         assert report.program("prog").simulation is not None
         assert report.incremental["programs_unchanged"] == 1
         # the new simulation joined the record, which is otherwise unchanged
-        before = decode_entry(path.read_text())
+        before = _read(path)
         again = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus([item])
         assert again.incremental["simulations_reused"] == 1
         assert again.store["stages"]["program"]["writes"] == 0
-        assert decode_entry(path.read_text()) == before
-        assert list(before["sim"].values()) == [report.program("prog").simulation]
+        assert _read(path) == before
+        assert [json.loads(text) for text in _stage(before, "sim").values()] == [
+            report.program("prog").simulation
+        ]
 
     def test_served_programs_are_counted_in_both_report_lines(self, tmp_path, capsys):
         source = tmp_path / "prog.ptr"
@@ -521,6 +558,87 @@ class TestUnchangedPrograms:
             "last run: 3 reused, 0 firewalled (firewall rate 0.0%), 0 recomputed, "
             "0 fixpoint(s), 1 program(s) served unchanged"
         ]
+
+
+class _Decodes:
+    """Every text ``json.loads`` decodes while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.texts: list[str] = []
+        real = json.loads
+
+        def loads(text, *args, **kwargs):
+            self.texts.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", loads)
+
+
+def _brackets_sorted(text: str) -> str:
+    """``text`` with each loop's applied transforms in sorted order."""
+    return re.sub(
+        r"\[([a-z_, ]+)\]$",
+        lambda m: "[" + ", ".join(sorted(m.group(1).split(", "))) + "]",
+        text,
+        flags=re.M,
+    )
+
+
+class TestServedWholeUndecoded:
+    """A program served whole decodes its manifest and its simulation and
+    nothing else: ``--output`` splices its reports in as the record holds
+    them, and its text report and exit status come from the facts its
+    manifest keeps."""
+
+    @pytest.mark.parametrize("corpus", ["builtin", "bench", "paper", "examples", "stress"])
+    def test_a_served_batch_decodes_no_report_and_no_summary(
+        self, tmp_path, monkeypatch, capsys, corpus
+    ):
+        store = tmp_path / "store"
+
+        def analyze(jobs: str, output) -> int:
+            return main(
+                ["analyze", "--corpus", corpus, "--jobs", jobs, "--cache-dir", str(store)]
+                + ["--output", str(output)]
+            )
+
+        cold_rc = analyze("1", tmp_path / "cold.json")
+        cold_text = capsys.readouterr().out
+        artifacts = set()
+        for path in _records(store):
+            for (stage, _), text in _read(path).artifacts.items():
+                if stage == "summary":
+                    artifacts.add(text)
+                elif stage == "report":
+                    artifacts.add(text.partition(" ")[2])
+        programs = len(corpus_named(corpus))
+        assert len(_records(store)) == programs
+
+        for jobs in ("1", "2"):
+            output = tmp_path / f"warm{jobs}.json"
+            with monkeypatch.context() as patch:
+                decodes = _Decodes(patch)
+                warm_rc = analyze(jobs, output)
+            warm_text = capsys.readouterr().out
+            assert warm_rc == cold_rc
+            # each program's manifest was decoded; no report and no summary was
+            assert len(decodes.texts) >= programs
+            assert not artifacts & set(decodes.texts)
+
+            cold, warm = json.loads((tmp_path / "cold.json").read_text()), json.loads(
+                output.read_text()
+            )
+            assert warm["stats"]["incremental"]["programs_unchanged"] == programs
+            assert output.read_text() == json.dumps(warm, sort_keys=True)
+            assert json.dumps(warm["programs"], sort_keys=True) == json.dumps(
+                cold["programs"], sort_keys=True
+            )
+            # the text report: the programs' sections are the cold run's, but
+            # for the order of a loop's applied transforms, which a cold run
+            # lists as the pipeline tried them and a stored report sorted
+            sections = [text.rsplit("\n\n", 1)[0] for text in (cold_text, warm_text)]
+            assert sections[1] == _brackets_sorted(sections[1])
+            assert sections[1] == _brackets_sorted(sections[0])
 
 
 class TestStoreLayout:
@@ -546,29 +664,20 @@ class TestStoreLayout:
         assert report.incremental["recomputed"] == 5
         files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
         assert files == {"last-run.json"} | {
-            f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}.json"
+            f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}{RECORD_SUFFIX}"
             for item in items
         }
         assert driver.cache.stage_counters == {"program": {"hits": 0, "misses": 2, "writes": 2}}
         # each record: one summary per component, one report per function,
         # the simulation, and the manifest that names them
-        records = {
-            name: decode_entry(path.read_text())
-            for name, path in zip(
-                ("prog", "other"),
-                (
-                    ResultCache(tmp_path).live / "program" / f"{driver.engine.record_key(n)}.json"
-                    for n in ("prog", "other")
-                ),
-            )
-        }
+        live = ResultCache(tmp_path).live / "program"
         for name, functions in (("prog", 3), ("other", 2)):
-            record = records[name]
-            assert set(record) == {"manifest", "summary", "report", "sim"}
-            assert (len(record["summary"]), len(record["report"]), len(record["sim"])) == (
+            record = _read(live / f"{driver.engine.record_key(name)}{RECORD_SUFFIX}")
+            assert {stage for stage, _ in record.artifacts} == {"summary", "report", "sim"}
+            assert tuple(len(_stage(record, stage)) for stage in ("summary", "report", "sim")) == (
                 functions, functions, 1,
             )
-            assert len(record["manifest"]["functions"]) == functions
+            assert len(record.manifest["functions"]) == functions
 
     @pytest.mark.parametrize(
         "retired",
@@ -581,7 +690,7 @@ class TestStoreLayout:
         _run(BASE, tmp_path)
         stage_dir = tmp_path / retired
         stage_dir.mkdir(exist_ok=True)
-        (stage_dir / "0123.json").write_text(encode_entry({"body": "x"}))
+        (stage_dir / "0123.json").write_text(_v13_entry({"body": "x"}))
         cache = ResultCache(tmp_path)
         assert cache.verify()["corrupt"] == []
         assert cache.entry_count() == 1
@@ -589,25 +698,27 @@ class TestStoreLayout:
 
         assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1 cached result(s) and 1 stale file(s)" in capsys.readouterr().out
-        assert list(tmp_path.rglob("*.json")) == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_older_store_versions_are_stale_not_cached(self, tmp_path, capsys):
         """A store a version 12 run filled (one tree per stage), older
-        retired stages, another version's records and a flat pre-version-6
-        entry: none of it is counted or audited as a cached result, each is
-        listed as stale with its files and bytes, and ``--clear`` removes
-        all of it and this version's records, and leaves ``quarantine/``."""
+        retired stages, a version 13 run's records, another version's
+        records and a flat pre-version-6 entry: none of it is counted or
+        audited as a cached result, each is listed as stale with its files
+        and bytes, and ``--clear`` removes all of it and this version's
+        records, and leaves ``quarantine/``."""
         _run(BASE, tmp_path)
         stale = {
             stage: [tmp_path / stage / f"{i:064x}.json" for i in range(2)]
             for stage in ("summary", "report", "sim", "manifest", "parse")
         }
-        stale["v99"] = [tmp_path / "v99" / "program" / f"{0:064x}.json"]
+        stale["v13"] = [tmp_path / "v13" / "program" / f"{i:064x}.json" for i in range(2)]
+        stale["v99"] = [tmp_path / "v99" / "program" / f"{0:064x}{RECORD_SUFFIX}"]
         stale["0123.json"] = [tmp_path / "0123.json"]
         for paths in stale.values():
             for path in paths:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(encode_entry({"stale": path.name}))
+                path.write_text(_v13_entry({"stale": path.name}))
         quarantined = tmp_path / "quarantine" / "prog.json"
         quarantined.parent.mkdir()
         quarantined.write_text("{}")
@@ -792,7 +903,8 @@ class TestStoreFiles:
         store = tmp_path / "serial"
         driver = BatchDriver(jobs=1, cache_dir=store)
         record = {
-            item.name: f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}.json"
+            item.name: f"v{CACHE_VERSION}/program/{driver.engine.record_key(item.name)}"
+            f"{RECORD_SUFFIX}"
             for item in items
         }
         records = sorted(record.values())
