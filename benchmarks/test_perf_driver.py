@@ -9,17 +9,14 @@ and writes ``.bench/BENCH_driver.json`` (git-ignored; the committed
 * ``warm_serial``      — jobs=1 over the cold run's cache (pure cache read),
 * ``cold_parallel_2/4/8`` — persistent worker pool, fresh cache each.
 
-Every cold scenario gets its own empty cache directory.  The serial run
-must execute exactly one analysis per *distinct* function — corpus
-functions that are content-identical across programs (same body, types,
-and callee closure, e.g. the ``insert`` shared by the two tree examples)
-are served from the shared ``report`` artifact computed moments earlier
-instead of re-solved.  A pooled run shares a duplicate the same way only
-when the worker that reaches it ran the other copy or can read the
-record that holds it, so it analyzes every distinct function at least
-once and each duplicate at most once more.  The warm run must execute
-zero analyses.  All configurations must produce identical per-function reports (the pooled runs are
-bit-identical to serial).
+Every cold scenario gets its own empty cache directory.  A program is
+served only from its own record, so every cold run, serial or pooled,
+executes exactly one analysis per function and serves none — also a
+function that another program holds a content-identical copy of (the
+``insert`` of two tree examples) — and ``compare_bench.py --counts``
+gates those counts against the committed snapshot.  The warm run must
+execute zero analyses.  All configurations must produce identical
+per-function reports (the pooled runs are bit-identical to serial).
 
 Wall-clock numbers are recorded, not gated (CI machines vary); the snapshot
 records ``host_cpus`` so scaling ratios can be judged in context — on a
@@ -79,31 +76,6 @@ def _row(scenario, jobs, batch, elapsed, functions):
     return row
 
 
-def _content_duplicate_count(items) -> int:
-    """Functions sharing all analysis-relevant content (declaration text,
-    types, callee closure) with an earlier corpus function — the staged
-    serial engine serves these from the shared ``report`` artifact instead
-    of re-solving them."""
-    from repro.driver.cache import function_digests
-    from repro.driver.pipeline import PipelineOptions
-    from repro.lang.parser import parse_program
-    from repro.lang.split import split_declarations
-
-    seen: set[str] = set()
-    duplicates = 0
-    for item in items:
-        program = parse_program(item.source)
-        texts = {
-            d.name: d.text for d in split_declarations(item.source) if d.kind == "function"
-        }
-        digests = function_digests(program, PipelineOptions().key(), texts)
-        for digest in digests.values():
-            if digest in seen:
-                duplicates += 1
-            seen.add(digest)
-    return duplicates
-
-
 @pytest.fixture(scope="module")
 def measurements(tmp_path_factory):
     items = corpus_named("bench", full=full_runs_requested())
@@ -129,7 +101,6 @@ def measurements(tmp_path_factory):
         "warm": warm,
         "parallel_runs": parallel_runs,
         "rows": rows,
-        "duplicates": _content_duplicate_count(items),
     }
 
 
@@ -140,22 +111,13 @@ def test_corpus_is_substantial(measurements):
 
 
 def test_cold_runs_execute_every_function_exactly_once(measurements):
-    """A cold run over an empty cache solves each *distinct* function once.
-    The serial run serves content-identical duplicates from the ``report``
-    artifacts computed moments earlier; a pooled run serves one only when
-    the worker that reaches it ran the other copy or can read its
-    published record."""
+    """A cold run over an empty cache analyzes each function once and
+    serves none, at every job count: no program reads another's record."""
     functions = measurements["cold"].function_count()
-    duplicates = measurements["duplicates"]
     for row in measurements["rows"]:
-        if not row["scenario"].startswith("cold_"):
-            continue
-        if row["scenario"] == "cold_serial":
-            assert row["cache_hits"] == duplicates, row["scenario"]
-            assert row["analyses_executed"] == functions - duplicates, row["scenario"]
-        else:
-            assert row["analyses_executed"] + row["cache_hits"] == functions, row["scenario"]
-            assert functions - duplicates <= row["analyses_executed"], row["scenario"]
+        if row["scenario"].startswith("cold_"):
+            assert row["analyses_executed"] == functions, row["scenario"]
+            assert row["cache_hits"] == 0, row["scenario"]
 
 
 def test_warm_run_is_fully_cached(measurements):

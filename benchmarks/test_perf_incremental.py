@@ -167,7 +167,8 @@ def test_cold_run_analyzes_the_whole_corpus(measurements):
     cold = measurements["cold"]
     assert cold.function_count() >= 200
     assert not any(p.error for p in cold.programs)
-    assert cold.incremental["recomputed"] >= 190  # content-identical dupes share reports
+    # no program reads another's record: every function is analyzed once
+    assert cold.incremental["recomputed"] == cold.function_count()
     assert cold.incremental["dirty"] == cold.function_count()
 
 

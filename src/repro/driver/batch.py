@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 # end-to-end benchmark's trace (benchmarks/e2e/trace.py) resolves both names
 # in ``repro.driver.batch`` as ``driver.key`` targets and needs them bound
 from repro.driver.cache import ResultCache, function_digests, program_digest  # noqa: F401
-from repro.driver.cache import canonical_json, canonical_object
+from repro.driver.cache import Record, canonical_json, canonical_object
 from repro.driver.corpus import CorpusItem
 from repro.driver.executor import (
     PersistentExecutor,
@@ -192,6 +192,8 @@ class _ProgramPlan:
     attempts: dict = field(default_factory=dict)
     #: suspect -> the failure payload the engine reports in its place
     failed: dict[str, dict] = field(default_factory=dict)
+    #: the program's record as the coordinator read it, which its tasks carry
+    record: Record | None = None
     #: the program's run: empty until a task of it completes
     run: ProgramRun = field(init=False)
 
@@ -207,6 +209,7 @@ class _ProgramPlan:
             reuse=self.reuse,
             attempts=dict(self.attempts),
             failed=dict(self.failed),
+            record=self.record,
         )
 
 
@@ -295,6 +298,7 @@ class BatchDriver:
             return False
         run = self.engine.serve_whole(plan.item.name, plan.item.source, self.simulate)
         if run is None:
+            plan.record = self.engine.record(plan.item.name)
             return False
         self._record(plan, run, batch)
         return True
@@ -335,8 +339,11 @@ class BatchDriver:
         return timings
 
     def _record_worker(self, plan: _ProgramPlan, result: dict, batch: BatchReport) -> None:
-        """Merge a worker's result: the program's run and its store counters."""
+        """Merge a worker's result: the program's run and its store counters.
+        The worker may have published the program a new record, which the
+        coordinator reads afresh when it next needs it."""
         self.cache.add_counters(result["counters"])
+        self.engine.forget(plan.item.name)
         self._record(plan, result["run"], batch)
 
     # -- the escalation ladder, per suspect -------------------------------------

@@ -10,8 +10,8 @@ directory of this :data:`CACHE_VERSION`::
 A record holds the program's manifest (what its last run found), the
 ``summary`` artifacts (one per call-graph component) and ``report``
 artifacts (one per function) that the manifest names, and the program's
-simulation; :mod:`repro.driver.stages` indexes them in memory under their
-own keys.  An artifact's key covers everything that can influence it: the
+simulation; :mod:`repro.driver.stages` serves a program only from its own
+record.  An artifact's key covers everything that can influence it: the
 cache version, the analysis options, the program's type declarations (ADDS
 information changes verdicts), the function's own declaration text — and,
 per the bottom-up interprocedural discipline, the *artifact digests* of its
@@ -19,8 +19,8 @@ direct callees' summaries rather than their bodies.  That indirection is
 the early-cutoff firewall: editing a leaf in a way that leaves its summary
 artifact byte-identical leaves every caller's keys untouched, so callers
 are reused without being re-analyzed.  Report keys do not cover the file
-offset, so byte-identical function bodies at different offsets share one
-report; the driver moves a report to the probing function's lines.
+offset, so a function that an edit above it moved keeps its report; the
+driver moves the report to the function's new lines.
 
 A record file is lines of text (:func:`encode_record`): the SHA-256 of
 everything after the first line, the manifest's canonical JSON
@@ -248,8 +248,6 @@ class ResultCache:
         self.bytes_written = 0  # bytes of the record files published
         #: per-stage {"hits", "misses", "writes"} counters
         self.stage_counters: dict[str, dict[str, int]] = {}
-        #: records already read (or written) this run, keyed (stage, key)
-        self._memory: dict[tuple[str, str], Record] = {}
         #: per-key read-attempt counts (drives deterministic transient-I/O
         #: fault injection; harmless bookkeeping otherwise)
         self._read_attempts: dict[tuple[str, str], int] = {}
@@ -265,18 +263,6 @@ class ResultCache:
     def _path(self, key: str, stage: str) -> Path:
         assert self.live is not None
         return self.live / stage / f"{key}{RECORD_SUFFIX}"
-
-    def keys(self, stage: str) -> list[str]:
-        """The keys of ``stage``'s entries on disk."""
-        if self.live is None:
-            return []
-        try:
-            names = os.listdir(self.live / stage)
-        except OSError:
-            return []
-        return sorted(
-            name[: -len(RECORD_SUFFIX)] for name in names if name.endswith(RECORD_SUFFIX)
-        )
 
     def _load(self, key: str, stage: str) -> Record | None:
         """Read + integrity-check one record: transient ``OSError`` reads
@@ -308,26 +294,13 @@ class ResultCache:
         return None
 
     def get(self, key: str, stage: str) -> Record | None:
-        counters = self._counters(stage)
-        if self.directory is None:
-            counters["misses"] += 1
-            return None
-        cached = self._memory.get((stage, key))
-        if cached is not None:
-            counters["hits"] += 1
-            return cached
-        record = self._load(key, stage)
-        if record is None:
-            counters["misses"] += 1
-            return None
-        self._memory[(stage, key)] = record
-        counters["hits"] += 1
+        record = self._load(key, stage) if self.directory is not None else None
+        self._counters(stage)["misses" if record is None else "hits"] += 1
         return record
 
     def put(self, key: str, record: Record, stage: str) -> None:
         if self.directory is None:
             return
-        self._memory[(stage, key)] = record
         path = self._path(key, stage)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = encode_record(record)
@@ -335,8 +308,8 @@ class ResultCache:
         writes = sum(counters["writes"] for counters in self.stage_counters.values())
         if active_plan().should_corrupt_cache(key, writes):
             # simulate a torn write: publish a truncated, garbled record (the
-            # in-memory copy above stays good — corruption bites the *next*
-            # process, exactly like the real failure)
+            # publishing engine keeps its good copy — corruption bites the
+            # *next* process, exactly like the real failure)
             data = data[: max(8, len(data) // 2)] + b'"<<torn write>>'
         # per-process tmp name: two processes (pool workers, concurrent
         # runs) racing on the same key must not share a scratch file, or one
@@ -404,7 +377,6 @@ class ResultCache:
                     )
                     if evict:
                         path.unlink(missing_ok=True)
-                        self._memory.pop((stage, path.stem), None)
                         self.evictions += 1
                         report["evicted"] += 1
                 else:
@@ -429,7 +401,6 @@ class ResultCache:
         """Delete every live entry, every stale file and the ledger; returns
         how many entries and stale files were removed.  ``quarantine/``
         stays."""
-        self._memory.clear()
         removed = 0
         for _, stage_dir in self._stage_dirs():
             # live directories stay: a concurrent run may be publishing into

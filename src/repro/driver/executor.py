@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.driver.cache import ResultCache
+from repro.driver.cache import Record, ResultCache
 from repro.driver.faults import FAULT_CRASH_EXIT, active_plan
 from repro.driver.pipeline import PipelineOptions
 from repro.driver.stages import StagedEngine, run_program
@@ -102,6 +102,9 @@ class Task:
     attempts: dict = field(default_factory=dict)
     #: suspect -> the failure payload the engine reports in its place
     failed: dict = field(default_factory=dict)
+    #: the program's record as the coordinator read it (``None``: it has
+    #: none), which the worker takes instead of reading it again
+    record: Record | None = None
     submitted_at: float = 0.0
 
 
@@ -164,6 +167,8 @@ def _run_task(conn, engine: StagedEngine, setup: WorkerSetup, task: Task) -> dic
 
     started = time.perf_counter()
     counters = engine.cache.counters()
+    if task.reuse:
+        engine.adopt(task.name, task.record)
     run = run_program(
         engine, task.name, task.source, task.reuse, setup.simulate, task.failed, before
     )

@@ -228,7 +228,9 @@ def report_facts(report: dict) -> dict:
             [
                 loop.get("line"),
                 loop.get("classification"),
-                [t for t, outcome in loop.get("transforms", {}).items() if outcome.get("applied")],
+                sorted(
+                    t for t, outcome in loop.get("transforms", {}).items() if outcome.get("applied")
+                ),
             ]
             for loop in report.get("loops", [])
         ],

@@ -41,13 +41,14 @@ reported — and its simulation, plus the artifacts the record's previous
 version named and this one does not (one generation, so that a reverted
 edit is reused).  Each artifact is kept as the canonical JSON text it was
 encoded as when it was made, and decoded only when the walk asks for it.
-The engine reads a program's record once per process and indexes every
-artifact of every record it reads under the artifact's own key; a key no
-record read so far holds makes the process read the records published
-since it last looked, each once, so that programs, runs and pool workers
-share artifacts.  After the simulation :func:`run_program` publishes the
-program's new record, only when something changed, copying the texts of
-the artifacts it keeps; a task that dies before that publishes nothing.
+A program is served only from its own record, which the engine reads at
+most once per process, and from the artifacts its own walk computes: no
+program reads another's record, so what a run computes does not depend on
+which programs, runs or pool workers came before it.  After the
+simulation :func:`run_program` publishes the program's new record, only
+when something changed, copying the texts of the artifacts it keeps and
+encoding only those the walk made; a task that dies before that publishes
+nothing.
 
 **One walk over declarations.**  The ``manifest`` records the last run:
 the source digest, the type declarations' digest, the function order and
@@ -71,8 +72,9 @@ set of names or types, a missing artifact) reopens every component on the
 same walk.  A source that does not split, parse or typecheck reports the
 whole source's first diagnostic.
 
-A report found for a function at other lines than it was recorded at is
-moved by the difference (:func:`~repro.driver.pipeline.absolutize_report`);
+A report found for a function at other lines than it was recorded at (a
+declaration above it grew or shrank) is moved by the difference
+(:func:`~repro.driver.pipeline.absolutize_report`);
 everything the engine returns is absolute, and lists functions in
 declaration order.
 """
@@ -80,7 +82,6 @@ declaration order.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from repro.lang.ast_nodes import FunctionDecl, Program, TypeDecl
@@ -172,6 +173,9 @@ class ProgramRun:
     #: the walk's new manifest (``None``: served whole, or no record kept),
     #: which :func:`run_program` publishes and then drops
     manifest: dict | None = None
+    #: summary key -> payload of each summary the walk computed, which
+    #: :func:`run_program` publishes with the manifest and then drops
+    summaries: dict[str, dict] | None = None
     #: served whole: function name -> its report's canonical JSON, as the
     #: record holds it
     stored: dict[str, str] | None = None
@@ -323,17 +327,22 @@ def _artifact(name: str, summary: dict, return_type: str | None) -> str:
 def _stored_facts(report: dict) -> dict:
     """:func:`~repro.driver.pipeline.report_facts` of ``report`` as a
     manifest keeps them: those that differ from
-    :data:`~repro.driver.pipeline.NO_FACTS`, and each loop's transforms
-    in the order a stored report, whose canonical JSON sorts them, lists
-    them in."""
-    facts = report_facts(report)
-    for loop in facts["loops"]:
-        loop[2] = sorted(loop[2])
+    :data:`~repro.driver.pipeline.NO_FACTS`."""
     return {
         name: fact
-        for name, fact in facts.items()
+        for name, fact in report_facts(report).items()
         if name not in NO_FACTS or fact != NO_FACTS[name]
     }
+
+
+def _report_at(text: str | None, line: int) -> dict | None:
+    """A stored report's text (``<line> <canonical JSON>``, ``line`` the
+    first line of the function it was computed for), decoded and moved to
+    a function at ``line``."""
+    if text is None:
+        return None
+    recorded, _, report = text.partition(" ")
+    return absolutize_report(json.loads(report), line, int(recorded))
 
 
 def _named(manifest: dict | None) -> list[tuple[str, str]]:
@@ -352,13 +361,13 @@ def _named(manifest: dict | None) -> list[tuple[str, str]]:
 class StagedEngine:
     """Run the staged pipeline for one program against an artifact store.
 
-    The engine reads each program's record at most once per process, and
-    another program's only at a key no record read so far holds, and
-    indexes the artifacts of every record it reads or publishes, and of
-    every artifact it computes, under the artifacts' own keys.  An indexed
-    artifact is the text a record holds it as: a summary's or simulation's
-    canonical JSON, and a report's as ``<line> <canonical JSON>``, where
-    ``line`` is the first line of the function it was computed for.
+    A program's walk looks artifacts up only in the program's own record,
+    which the engine reads at most once per process, and in the artifacts
+    the walk computes.  A stored artifact is the text its record holds it
+    as: a summary's or simulation's canonical JSON, and a report's as
+    ``<line> <canonical JSON>``, where ``line`` is the first line of the
+    function it was computed for.  The engine keeps no state between
+    programs but the records it read or published.
     """
 
     def __init__(self, cache: ResultCache, options: PipelineOptions):
@@ -366,16 +375,6 @@ class StagedEngine:
         self.options = options
         #: record key -> the record read (``None``: none) or last published
         self._records: dict[str, Record | None] = {}
-        #: (stage, key) -> the artifact's text
-        self._index: dict[tuple[str, str], str] = {}
-        #: summary key -> its decoded payload
-        self._summaries: dict[str, dict] = {}
-        #: the record directory's modification time when it was last
-        #: listed (``None``: never, or there was no directory)
-        self._listed: int | None = None
-        #: whether computed artifacts are indexed (a disabled store keeps
-        #: nothing, so every run computes every artifact)
-        self._keeps = cache.directory is not None
 
     def record_key(self, name: str) -> str:
         """The key of program ``name``'s record: the cache version, the
@@ -383,79 +382,24 @@ class StagedEngine:
         return _sha("manifest", str(CACHE_VERSION), self.options.key(), name)
 
     # -- the records -------------------------------------------------------------
-    def _read(self, key: str) -> Record | None:
+    def record(self, name: str) -> Record | None:
+        """Program ``name``'s record, read at most once per process, or the
+        one this process last published for it."""
+        key = self.record_key(name)
         if key not in self._records:
-            record = self.cache.get(key, stage="program")
-            self._records[key] = record
-            if record is not None:
-                self._add(record, replace=True)
+            self._records[key] = self.cache.get(key, stage="program")
         return self._records[key]
 
-    def _add(self, record: Record, replace: bool) -> None:
-        if replace:
-            self._index.update(record.artifacts)
-        else:
-            for named, text in record.artifacts.items():
-                self._index.setdefault(named, text)
+    def adopt(self, name: str, record: Record | None) -> None:
+        """Take ``record`` as program ``name``'s, as another process of the
+        run read it (a pool task carries the coordinator's read), instead
+        of reading it again."""
+        self._records[self.record_key(name)] = record
 
-    def _find(self, stage: str, key: str):
-        """The artifact under ``key``: from the records read so far, else
-        from the records published since the process last looked."""
-        found = self._index.get((stage, key))
-        if found is None and self._read_new_records():
-            found = self._index.get((stage, key))
-        return found
-
-    def _read_new_records(self) -> bool:
-        """Read every record in the store that the process has not read;
-        ``False`` when there is none.  The directory is listed again only
-        when it has changed since the last listing (a publish renames into
-        it), so a run's many misses cost one ``stat`` each."""
-        if not self._keeps:
-            return False
-        try:
-            listed = os.stat(self.cache.live / "program").st_mtime_ns
-        except OSError:
-            return False
-        if listed == self._listed:
-            return False
-        self._listed = listed
-        new = [key for key in self.cache.keys("program") if key not in self._records]
-        for key in new:
-            record = self._records[key] = self.cache.get(key, stage="program")
-            if record is not None:
-                self._add(record, replace=False)
-        return bool(new)
-
-    def _summary(self, key: str) -> dict | None:
-        payload = self._summaries.get(key)
-        if payload is None:
-            text = self._find("summary", key)
-            if text is None:
-                return None
-            payload = self._summaries[key] = json.loads(text)
-        return payload
-
-    def _report(self, key: str, line: int) -> dict | None:
-        """The report under ``key``, moved to a function at ``line``."""
-        text = self._find("report", key)
-        if text is None:
-            return None
-        recorded, _, report = text.partition(" ")
-        return absolutize_report(json.loads(report), line, int(recorded))
-
-    def _report_text(self, key: str, line: int, report: dict) -> str:
-        """``report``, stored under ``key`` for a function at ``line``: the
-        indexed text when it was recorded at that line, else encoded."""
-        text = self._index.get(("report", key))
-        if text is None or not text.startswith(f"{line} "):
-            text = f"{line} {canonical_json(report)}"
-        return text
-
-    def simulation(self, key: str) -> dict | None:
-        """The simulation under ``key`` that some record holds."""
-        text = self._find("sim", key)
-        return None if text is None else json.loads(text)
+    def forget(self, name: str) -> None:
+        """Drop program ``name``'s record, which another process of the run
+        (a pool worker) may have replaced, so that it is read afresh."""
+        self._records.pop(self.record_key(name), None)
 
     def publish(self, name: str, run: ProgramRun, sim_key: str | None, failed: dict) -> None:
         """Write program ``name``'s new record, when it differs from the
@@ -463,8 +407,8 @@ class StagedEngine:
         but a failure payload, and the simulation under ``sim_key``
         (``None``: none to keep) — and those the last record named and this
         one does not.  A program served whole keeps its record, and only a
-        new simulation is added to it."""
-        if not self._keeps:
+        new simulation is added to it.  A disabled store encodes nothing."""
+        if self.cache.directory is None:
             return
         key = self.record_key(name)
         previous = self._records.get(key)
@@ -481,35 +425,38 @@ class StagedEngine:
                 return
         self.cache.put(key, record, stage="program")
         self._records[key] = record
-        self._add(record, replace=True)
 
+    @staticmethod
     def _compose(
-        self, run: ProgramRun, sim_key: str | None, failed: dict, previous: Record | None
+        run: ProgramRun, sim_key: str | None, failed: dict, previous: Record | None
     ) -> Record:
-        """The record of a walked program: each artifact's text as indexed,
-        and only a report moved to other lines, or a new simulation,
-        encoded."""
+        """The record of a walked program: each artifact the previous record
+        holds as it holds it, and only a summary the walk computed, a report
+        computed or moved to other lines, and a new simulation encoded."""
+        stored = previous.artifacts if previous is not None else {}
         record = Record(dict(run.manifest, simulation=sim_key))
         artifacts = record.artifacts
+        for skey, payload in run.summaries.items():
+            artifacts["summary", skey] = canonical_json(payload)
         for fn, entry in record.manifest["functions"].items():
-            summary = self._index.get(("summary", entry["skey"]))
+            summary = stored.get(("summary", entry["skey"]))
             if summary is not None:
                 artifacts["summary", entry["skey"]] = summary
             report = run.functions[fn]
             if report is not failed.get(fn):
-                artifacts["report", entry["report"]] = self._report_text(
-                    entry["report"], entry["line"], report
-                )
+                text = stored.get(("report", entry["report"]))
+                if text is None or not text.startswith(f"{entry['line']} "):
+                    text = f"{entry['line']} {canonical_json(report)}"
+                artifacts["report", entry["report"]] = text
         if sim_key is not None:
-            artifacts["sim", sim_key] = self._index.get(("sim", sim_key)) or canonical_json(
+            artifacts["sim", sim_key] = stored.get(("sim", sim_key)) or canonical_json(
                 run.simulation
             )
         # one generation: what the last record named and this one does not
-        if previous is not None:
-            for named in _named(previous.manifest):
-                kept = previous.artifacts.get(named)
-                if kept is not None:
-                    artifacts.setdefault(named, kept)
+        for named in _named(previous.manifest if previous is not None else None):
+            kept = stored.get(named)
+            if kept is not None:
+                artifacts.setdefault(named, kept)
         return record
 
     # -- serving and walking -----------------------------------------------------
@@ -517,7 +464,7 @@ class StagedEngine:
         """Serve a program whose source is byte-identical to its record's,
         with its simulation when ``simulate``, from that record alone and
         unparsed; ``None`` when the record cannot."""
-        record = self._read(self.record_key(name))
+        record = self.record(name)
         run = self._serve(name, record, source)
         if run is not None and simulate:
             sim_key = program_digest(source, self.options.key())
@@ -546,23 +493,22 @@ class StagedEngine:
         :class:`ProgramError` when the source does not split, parse or
         typecheck.
         """
-        record = self._read(self.record_key(name)) if reuse else None
+        record = self.record(name) if reuse else None
         served = self._serve(name, record, source)
         if served is not None:
             return served
         manifest = record.manifest if record is not None else None
         src = _Source.split(source)
-        recorded = manifest.get("functions", {}) if manifest is not None else {}
         failed = failed or {}
         try:
             if not src.declarations:  # no component parses or checks the types
                 check_program(Program(types=src.types(), functions=[]))
             try:
                 return self._walk(
-                    name, src, recorded, _usable_record(manifest, src), reuse, failed, before
+                    name, src, record, _usable_record(manifest, src), reuse, failed, before
                 )
             except _ReopenAll:
-                return self._walk(name, src, recorded, {}, reuse, failed, before)
+                return self._walk(name, src, record, {}, reuse, failed, before)
         except TypeCheckError as exc:
             raise _program_error(source, exc) from None
 
@@ -594,18 +540,20 @@ class StagedEngine:
         self,
         name: str,
         src: _Source,
-        recorded: dict[str, dict],
+        record: Record | None,
         known: dict[str, dict],
         keep: bool,
         failed: dict[str, dict],
         before,
     ) -> ProgramRun:
-        """Both phases over ``src``.  ``recorded`` is the manifest's
-        per-function record, which counts the dirty functions; ``known`` is
-        the part of it the walk may trust (nothing: every component is
-        reopened and every function probed).  Nothing is indexed until the
-        walk can no longer give up; with ``keep`` the run carries the new
-        manifest."""
+        """Both phases over ``src``, looking artifacts up in the program's
+        ``record`` alone.  Its manifest's per-function record counts the
+        dirty functions; ``known`` is the part of it the walk may trust
+        (nothing: every component is reopened and every function probed).
+        A walk that gives up keeps nothing it computed; with ``keep`` the
+        run carries the new manifest and the summaries the walk computed."""
+        recorded = record.manifest.get("functions", {}) if record is not None else {}
+        stored = record.artifacts if record is not None else {}
         stats = IncrementalStats()
         opts = self.options.key()
         version = str(CACHE_VERSION)
@@ -633,7 +581,7 @@ class StagedEngine:
         art_digest: dict[str, str] = {}
         summary_key: dict[str, str] = {}
         moved: set[str] = set()
-        pending: list[tuple[str, dict]] = []
+        made: dict[str, dict] = {}
         fixpoints_before = fixpoint_run_count()
         analyses: dict[int, PathMatrixAnalysis] = {}
 
@@ -647,10 +595,10 @@ class StagedEngine:
             """Reintern an unreopened component's summaries from its artifact."""
             if function in table:
                 return
-            cached = self._summary(known[function]["skey"])
-            if cached is None:
+            text = stored.get(("summary", known[function]["skey"]))
+            if text is None:
                 raise _ReopenAll
-            for member, entry in cached["functions"].items():
+            for member, entry in json.loads(text)["functions"].items():
                 table[member] = FunctionSummary.from_dict(entry["summary"])
                 returns[member] = entry["return_type"]
 
@@ -698,8 +646,9 @@ class StagedEngine:
             skey = _sha(
                 "summary", version, opts, src.types_source(), scc_blob, ext_blob
             )
-            cached = self._summary(skey)
-            if cached is not None:
+            text = stored.get(("summary", skey))
+            if text is not None:
+                cached = json.loads(text)
                 for n in members:
                     entry = cached["functions"][n]
                     table[n] = FunctionSummary.from_dict(entry["summary"])
@@ -721,7 +670,7 @@ class StagedEngine:
                         "return_type": returns[n],
                     }
                     art_digest[n] = _artifact(n, summary_dict, returns[n])
-                pending.append((skey, payload))
+                made[skey] = payload
                 stats.summaries_recomputed += len(members)
             for n in members:
                 summary_key[n] = skey
@@ -736,7 +685,9 @@ class StagedEngine:
         served: dict[str, dict] = {}
         for n in names:
             if n not in probed:
-                cached = self._report(known[n]["report"], src.declarations[n].line)
+                cached = _report_at(
+                    stored.get(("report", known[n]["report"])), src.declarations[n].line
+                )
                 if cached is None:
                     raise _ReopenAll
                 served[n] = cached
@@ -745,12 +696,7 @@ class StagedEngine:
                 for callee in externals_of(members):
                     load_summaries(callee)
 
-        # -- commit: from here on the walk cannot give up --------------------
-        if self._keeps:
-            for skey, payload in pending:
-                self._index[("summary", skey)] = canonical_json(payload)
-                self._summaries[skey] = payload
-
+        # -- from here on the walk cannot give up -----------------------------
         # reused functions a dirty function is reachable from (one reverse
         # walk instead of one transitive-callee set per function)
         reaches_dirty = reachable(callers, dirty)
@@ -783,7 +729,7 @@ class StagedEngine:
                     art_digest[fn],
                     callee_blob,
                 )
-                cached = self._report(rkey, decl.line)
+                cached = _report_at(stored.get(("report", rkey)), decl.line)
                 if cached is not None:
                     reports[fn] = cached
                     count_reused(fn)
@@ -792,10 +738,7 @@ class StagedEngine:
                 else:
                     if before is not None:
                         before(fn)
-                    report = function_report(component_analysis(component), fn, self.options)
-                    reports[fn] = report
-                    if self._keeps:
-                        self._index["report", rkey] = f"{decl.line} {canonical_json(report)}"
+                    reports[fn] = function_report(component_analysis(component), fn, self.options)
                     stats.recomputed += 1
 
         # the manifest: the next run's dirty accounting and reopening, and
@@ -828,6 +771,7 @@ class StagedEngine:
             schedule,
             split=src,
             manifest=manifest,
+            summaries=made,
         )
 
 
@@ -841,8 +785,8 @@ def run_program(
     before=None,
 ) -> ProgramRun:
     """One corpus program end to end: the engine's walk, then the
-    simulation of the loops its reports strip-mine, served from a record
-    when one holds it, then the program's new record.
+    simulation of the loops its reports strip-mine, served from the
+    program's record when it holds it, then the program's new record.
 
     Every ``--jobs`` runs programs through this call: ``--jobs 1`` inline,
     a pool worker on its own engine over the same store.  ``failed`` maps
@@ -865,7 +809,9 @@ def run_program(
     sim_key = None
     if simulate:
         key = program_digest(source, engine.options.key())
-        run.simulation = engine.simulation(key)
+        record = engine.record(name) if reuse else None
+        text = record.artifacts.get(("sim", key)) if record is not None else None
+        run.simulation = json.loads(text) if text is not None else None
         run.stats.simulations_reused = int(run.simulation is not None)
         if run.simulation is None:
             run.simulation = failed.get(SIMULATE_TOKEN)
@@ -882,5 +828,5 @@ def run_program(
             sim_key = key
     if reuse:
         engine.publish(name, run, sim_key, failed)
-    run.manifest = None
+    run.manifest = run.summaries = None
     return run

@@ -31,6 +31,8 @@ Modules:
 * :mod:`repro.pathmatrix.klimited` — a k-limited storage-graph baseline [JM81].
 """
 
+import importlib
+
 from repro.pathmatrix.paths import Relation, PathEntry, EMPTY_ENTRY
 from repro.pathmatrix.matrix import PathMatrix, cellwise_equivalent
 from repro.pathmatrix.validation import Violation, ValidationState
@@ -50,13 +52,19 @@ from repro.pathmatrix.analysis import (
     LoopDependenceReport,
 )
 from repro.pathmatrix.alias import AliasOracle, AliasAnswer
-from repro.pathmatrix.baseline import (
-    ConservativeOracle,
-    baseline_roundrobin,
-    conservative_matrix,
-)
-from repro.pathmatrix.klimited import KLimitedAnalysis, KLimitedOracle, StorageGraph
 from repro.pathmatrix.worklist import SolveStats, solve_roundrobin, solve_worklist
+
+#: the baselines' names and their submodules, imported on first access (PEP
+#: 562): only the precision figures and the reference tests use them, so
+#: importing the analysis does not load them
+_BASELINES = {
+    "ConservativeOracle": "baseline",
+    "baseline_roundrobin": "baseline",
+    "conservative_matrix": "baseline",
+    "KLimitedAnalysis": "klimited",
+    "KLimitedOracle": "klimited",
+    "StorageGraph": "klimited",
+}
 
 __all__ = [
     "Relation",
@@ -90,3 +98,16 @@ __all__ = [
     "KLimitedOracle",
     "StorageGraph",
 ]
+
+
+def __getattr__(name: str):
+    module = _BASELINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

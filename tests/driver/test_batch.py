@@ -614,7 +614,7 @@ class TestRobustness:
         batch = BatchDriver(jobs=1, cache_dir=tmp_path).analyze_corpus(items)
         assert batch.program("bad").error == f"type error: {error}"
         assert batch.program("bad").functions == {}
-        assert ResultCache(tmp_path).keys("program") == []
+        assert ResultCache(tmp_path).entry_count("program") == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_type_error_does_not_abort_the_batch(self, jobs, tmp_path):
@@ -638,4 +638,4 @@ class TestRobustness:
         alone = BatchDriver(jobs=1, cache_dir=None).analyze_corpus([load_source_file(good)])
         assert programs[1] == json.loads(json.dumps(alone.programs[0].to_dict()))
         assert programs[1]["simulation"]["status"] == "simulated"
-        assert len(ResultCache(store).keys("program")) == 1
+        assert ResultCache(store).entry_count("program") == 1

@@ -190,19 +190,33 @@ class TestCrashRecovery:
         ``tiny``, which it computed first, so its retry computes every
         function again and converges to the clean report."""
         clean = _run_batch(self._items(), None, monkeypatch, jobs=2, simulate=False)
+        # every record any process publishes, by its reports; forked
+        # workers inherit the logging put
+        published = tmp_path / "published.log"
+        put = ResultCache.put
+
+        def logged_put(cache, key, record, stage):
+            with open(published, "a") as log:
+                log.write(f"{sum(kind == 'report' for kind, _ in record.artifacts)}\n")
+            put(cache, key, record, stage)
+
+        monkeypatch.setattr(ResultCache, "put", logged_put)
+        monkeypatch.setattr(executor, "preferred_start_method", lambda: "fork")
         monkeypatch.setenv(FAULTS_ENV_VAR, "crash:function=mid,times=1")
-        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
+        driver = BatchDriver(jobs=2, cache_dir=tmp_path / "store", simulate=False)
         faulted = driver.analyze_corpus(self._items())
         assert faulted.resilience.worker_crashes == 1
         assert faulted.resilience.retries == 1
         assert not faulted.failed_functions()
-        # the retry found nothing of the killed attempt's in the store
+        # the killed attempt published nothing; its retry, on the record the
+        # coordinator read (none), computed and published every function
+        assert published.read_text().split() == ["3"]
         assert faulted.incremental["recomputed"] == 3
-        assert faulted.store["stages"]["program"] == {"hits": 0, "misses": 2, "writes": 1}
+        assert faulted.store["stages"]["program"] == {"hits": 0, "misses": 1, "writes": 1}
         assert json.dumps(_function_dicts(faulted), sort_keys=True) == json.dumps(
             _function_dicts(clean), sort_keys=True
         )
-        (record,) = _records(tmp_path)
+        (record,) = _records(tmp_path / "store")
         assert len(record["report"]) == 3
 
     def test_poison_function_is_quarantined_with_record(self, monkeypatch, tmp_path):

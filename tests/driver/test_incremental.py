@@ -2,8 +2,9 @@
 (early cutoff), soundness of the firewall (summary- and return-type-changing
 edits must invalidate callers), unchanged programs served whole from their
 record and every fallback from that shortcut, artifact sharing across
-offsets and programs, one store shared by every ``--jobs``, and the store
-files each kind of run reads and writes.
+offsets within a program, one record per program whatever else the store
+holds, one store shared by every ``--jobs``, and the store files each kind
+of run reads and writes.
 
 The acceptance property throughout: an incremental run's report is
 **bit-identical** to the same analysis from scratch — incrementality may
@@ -299,6 +300,9 @@ class TestUnchangedPrograms:
         self, tmp_path, monkeypatch
     ):
         cold = _run(BASE, tmp_path)
+        (path,) = _records(tmp_path)
+        summaries = set(_stage(_read(path), "summary").values())
+        assert len(summaries) == 3
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an unchanged program was parsed, typechecked or summarized")
@@ -306,8 +310,9 @@ class TestUnchangedPrograms:
         monkeypatch.setattr(stages_module, "parse_program", forbidden)
         monkeypatch.setattr("repro.pathmatrix.analysis.check_program", forbidden)
         # nor is a summary decoded: the record keeps each one as its text
-        monkeypatch.setattr(stages_module.StagedEngine, "_summary", forbidden)
+        decodes = _Decodes(monkeypatch)
         warm = _run(BASE, tmp_path)
+        assert not summaries & set(decodes.texts)
 
         assert warm.program("prog").to_dict() == cold.program("prog").to_dict()
         assert json.dumps(warm.to_dict()["programs"], sort_keys=True) == json.dumps(
@@ -574,16 +579,6 @@ class _Decodes:
         monkeypatch.setattr(json, "loads", loads)
 
 
-def _brackets_sorted(text: str) -> str:
-    """``text`` with each loop's applied transforms in sorted order."""
-    return re.sub(
-        r"\[([a-z_, ]+)\]$",
-        lambda m: "[" + ", ".join(sorted(m.group(1).split(", "))) + "]",
-        text,
-        flags=re.M,
-    )
-
-
 class TestServedWholeUndecoded:
     """A program served whole decodes its manifest and its simulation and
     nothing else: ``--output`` splices its reports in as the record holds
@@ -633,12 +628,9 @@ class TestServedWholeUndecoded:
             assert json.dumps(warm["programs"], sort_keys=True) == json.dumps(
                 cold["programs"], sort_keys=True
             )
-            # the text report: the programs' sections are the cold run's, but
-            # for the order of a loop's applied transforms, which a cold run
-            # lists as the pipeline tried them and a stored report sorted
+            # the text report: the programs' sections are the cold run's
             sections = [text.rsplit("\n\n", 1)[0] for text in (cold_text, warm_text)]
-            assert sections[1] == _brackets_sorted(sections[1])
-            assert sections[1] == _brackets_sorted(sections[0])
+            assert sections[1] == sections[0]
 
 
 class TestStoreLayout:
@@ -753,22 +745,22 @@ class TestStoreLayout:
 
 class TestLineRelativeSharing:
     def test_shifted_program_reuses_every_artifact(self, tmp_path):
-        cold = _run(BASE, tmp_path, name="orig")
-        # the same bytes four lines further down, as a *different* program
+        cold = _run(BASE, tmp_path)
+        # the same program four lines further down
         shifted = "\n\n\n\n" + BASE
-        warm = _run(shifted, tmp_path, name="shifted")
+        warm = _run(shifted, tmp_path)
 
         # nothing re-runs: every stage key is offset-independent
+        assert warm.incremental["programs_unchanged"] == 0
+        assert warm.incremental["dirty"] == 0
         assert warm.incremental["recomputed"] == 0
         assert warm.incremental["fixpoints_run"] == 0
         assert warm.incremental["reused"] == 3
 
-        # but the probed reports carry correct *absolute* diagnostics
-        assert {p.name: p.functions for p in warm.programs} == _scratch(
-            shifted, name="shifted"
-        )
-        orig_fns = {p.name: p.functions for p in cold.programs}["orig"]
-        warm_fns = {p.name: p.functions for p in warm.programs}["shifted"]
+        # but the served reports carry correct *absolute* diagnostics
+        assert _functions(warm) == [_scratch(shifted)["prog"]]
+        orig_fns = cold.program("prog").functions
+        warm_fns = warm.program("prog").functions
         for fn in ("leaf", "caller"):
             (orig_loop,) = orig_fns[fn]["loops"]
             (shift_loop,) = warm_fns[fn]["loops"]
@@ -805,6 +797,20 @@ class TestOneStoreAtEveryJobs:
         assert warm.effective_jobs == 1  # no pool started
         assert warm.to_dict()["programs"] == cold.to_dict()["programs"]
 
+    def test_a_pooled_driver_serves_its_own_last_run_whole(self, tmp_path):
+        """A worker publishes the records of the programs it runs, so the
+        coordinator does not keep the records it read of them: the same
+        driver's next run reads them afresh and serves every program whole,
+        without a pool."""
+        items = [CorpusItem(name="prog", source=BASE), CorpusItem(name="other", source=OTHER)]
+        driver = BatchDriver(jobs=2, cache_dir=tmp_path, simulate=False)
+        cold = driver.analyze_corpus(items)
+        warm = driver.analyze_corpus(items)
+        assert warm.incremental["programs_unchanged"] == 2
+        assert warm.incremental["recomputed"] == 0
+        assert warm.effective_jobs == 1
+        assert _functions(warm) == _functions(cold)
+
     def test_an_edit_after_a_pooled_run_is_firewalled(self, tmp_path):
         _run(BASE, tmp_path, jobs=2)
         warm = _run(PADDED, tmp_path)
@@ -814,49 +820,65 @@ class TestOneStoreAtEveryJobs:
         )
         assert _functions(warm) == [_scratch(PADDED)["prog"]]
 
-    def test_a_record_published_after_a_look_is_read_at_the_next_miss(self, tmp_path):
-        """Two engines over one store, as two pool workers are: once one
-        has listed the store, a record the other publishes later is still
-        read at the first's next missing key, so a copy of that program
-        under another name reuses every report."""
+    @pytest.mark.parametrize("same_engine", [True, False])
+    def test_a_copy_under_another_name_reads_only_its_own_record(self, tmp_path, same_engine):
+        """One program, one record: a copy of a program under another name
+        reads no record but its own, which does not exist yet, so it
+        recomputes every function, on the engine that just ran the original
+        as on another engine over the same store (as two pool workers are)."""
         first = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
-        second = BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
-        first.analyze_corpus([CorpusItem(name="other", source=OTHER)])
-        looked = second.analyze_corpus([CorpusItem(name="other copy", source=OTHER)])
-        assert looked.incremental["recomputed"] == 0
-        first.analyze_corpus([CorpusItem(name="prog", source=BASE)])
-        copy = second.analyze_corpus([CorpusItem(name="prog copy", source=BASE)])
-        assert (copy.incremental["recomputed"], copy.incremental["reused"]) == (0, 3)
-        # over both runs: each missed its own record, read the one record
-        # the first engine had published since, and published its own
-        assert copy.store["stages"]["program"] == {"hits": 2, "misses": 2, "writes": 2}
-        assert _functions(copy) == [_scratch(BASE)["prog"]]
+        cold = first.analyze_corpus([CorpusItem(name="prog", source=BASE)])
+        driver = first if same_engine else BatchDriver(jobs=1, cache_dir=tmp_path, simulate=False)
+        before = driver.cache.counters()
+        copy = driver.analyze_corpus([CorpusItem(name="prog copy", source=BASE)])
+        assert driver.cache.counters(since=before)["stages"]["program"] == {
+            "hits": 0, "misses": 1, "writes": 1,
+        }
+        assert copy.incremental == cold.incremental
+        assert copy.incremental["recomputed"] == 3
+        assert _functions(copy) == _functions(cold) == [_scratch(BASE)["prog"]]
+        assert len(_records(tmp_path)) == 2
 
-    def test_a_pooled_cold_run_writes_what_a_serial_one_writes(self, tmp_path):
+    @pytest.mark.parametrize("use_adds", [True, False], ids=["adds", "no-adds"])
+    @pytest.mark.parametrize("corpus", ["two programs", "examples", "builtin"])
+    def test_a_pooled_cold_run_writes_what_a_serial_one_writes(
+        self, tmp_path, corpus, use_adds
+    ):
         """Pool workers publish their programs' records themselves; the
-        run's ``stats`` counts their writes.  Both runs emit one ``stats``
-        shape (the pooled run adds its ``profile``), and the store's
-        ``last-run.json`` is that ``stats``."""
-        items = [
-            CorpusItem(name="prog", source=BASE),
-            CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
-        ]
-        stats, writes = {}, {}
+        run's ``stats`` counts their writes.  A program is served only from
+        its own record, so a pooled cold run computes, reads and writes
+        exactly what a serial one does, also on corpora whose programs share
+        a function (``examples`` and ``builtin`` hold two copies of
+        ``insert``).  Both runs emit one ``stats`` shape (the pooled run
+        adds its ``profile``), and the store's ``last-run.json`` is that
+        ``stats``."""
+        if corpus == "two programs":
+            items = [
+                CorpusItem(name="prog", source=BASE),
+                CorpusItem(name="other", source=OTHER + "\nfunction main()\n{ return 0; }\n"),
+            ]
+        else:
+            items = corpus_named(corpus)
+        options = PipelineOptions(use_adds=use_adds)
+        stats, analyzed = {}, {}
         for jobs in (1, 2):
             store = tmp_path / f"jobs{jobs}"
-            stats[jobs] = BatchDriver(jobs=jobs, cache_dir=store).analyze_corpus(items).stats()
+            report = BatchDriver(jobs=jobs, cache_dir=store, options=options).analyze_corpus(items)
+            stats[jobs] = report.stats()
             assert ResultCache(store).read_ledger() == stats[jobs]
-            writes[jobs] = {
-                stage: c["writes"] for stage, c in stats[jobs]["store"]["stages"].items()
-            }
-        assert writes[2] == writes[1] == {"program": 2}
+            analyzed[jobs] = sum(p.error is None for p in report.programs)
+        assert stats[2]["incremental"] == stats[1]["incremental"]
+        assert stats[2]["incremental"]["reused"] == 0
+        assert stats[2]["store"] == stats[1]["store"]
+        assert stats[1]["store"]["stages"] == {
+            "program": {"hits": 0, "misses": len(items), "writes": analyzed[1]}
+        }
         shapes = {
             jobs: {k: sorted(v) if isinstance(v, dict) else None for k, v in s.items()}
             for jobs, s in stats.items()
         }
         assert shapes[2].pop("profile") == ["tasks", "totals"]
         assert shapes[2] == shapes[1]
-        assert stats[2]["incremental"] == stats[1]["incremental"]
 
 
 class _StoreTraffic:
@@ -935,4 +957,4 @@ class TestStoreFiles:
 
         pooled = tmp_path / "pooled"
         BatchDriver(jobs=2, cache_dir=pooled).analyze_corpus(items)
-        assert ResultCache(pooled).keys("program") == ResultCache(store).keys("program")
+        assert [p.name for p in _records(pooled)] == [p.name for p in _records(store)]
